@@ -17,7 +17,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from math import log2
+from math import isfinite, log2
 
 from .errors import ConfigError
 from .rng import RngState
@@ -52,6 +52,9 @@ class History:
     def append(self, doc: Document) -> None:
         self._docs.append(doc)
 
+    def extend(self, docs) -> None:
+        self._docs.extend(docs)
+
     @property
     def last(self) -> Document | None:
         return self._docs[-1] if self._docs else None
@@ -76,12 +79,29 @@ def _check_vector(vec, size: int, label: str) -> tuple[float, ...]:
     probs = tuple(float(p) for p in vec)
     if len(probs) != size:
         raise ConfigError(f"{label} has length {len(probs)}, expected {size}")
+    if not all(isfinite(p) for p in probs):
+        raise ConfigError(f"{label} contains a non-finite probability")
     if any(p < 0 for p in probs):
         raise ConfigError(f"{label} contains a negative probability")
     total = sum(probs)
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise ConfigError(f"{label} sums to {total!r}, not 1 within {SUM_TOLERANCE}")
     return probs
+
+
+def _pinned_cdf(probs: tuple[float, ...]) -> list[float]:
+    """Cumulative sums, pinned to 1.0 from the last positive entry on.
+
+    A vector that sums to 1 only within tolerance leaves the final sum a
+    little below 1, and a draw u in that gap would land one past the
+    alphabet.  Pinning changes no draw that lands inside it.
+    """
+    cum = list(accumulate(probs))
+    last = len(probs) - 1
+    while probs[last] <= 0:
+        last -= 1
+    cum[last:] = [1.0] * (len(cum) - last)
+    return cum
 
 
 class ChannelSpec:
@@ -102,7 +122,7 @@ class ChannelSpec:
             self.probs = _check_vector(probs, alphabet_size, "probs")
             self.matrix = None
             self.initial = None
-            self._cum = list(accumulate(self.probs))
+            self._cum = _pinned_cdf(self.probs)
             self._cum_rows = None
             self._cum_initial = None
         elif kind == "markov1":
@@ -117,8 +137,8 @@ class ChannelSpec:
                 for i, row in enumerate(matrix))
             self.initial = _check_vector(initial, alphabet_size, "initial")
             self._cum = None
-            self._cum_rows = [list(accumulate(row)) for row in self.matrix]
-            self._cum_initial = list(accumulate(self.initial))
+            self._cum_rows = [_pinned_cdf(row) for row in self.matrix]
+            self._cum_initial = _pinned_cdf(self.initial)
         else:
             raise ConfigError(f"unknown channel kind {kind!r}")
 

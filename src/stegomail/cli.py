@@ -20,7 +20,7 @@ from .ecc import bits_from_bytes, bits_from_hex, hex_from_bits
 from .errors import ConfigError, CounterError, ProtocolError
 from .mail import read_trace, write_trace
 from .prf import BitFunction, Counter, Key
-from .protocols import ADDRESS1, ADDRESS2, StegoKeyState, p1_embed, p1_extract, p2_embed, p2_extract
+from .protocols import StegoKeyState, p1_embed, p1_extract, p1_route, p2_embed, p2_extract
 from .rng import RngState
 from .security import (ALL_SYSTEMS, DISTINGUISHER_NAMES, SystemConfig,
                        benchmark_scaling, build_distinguisher, capacity,
@@ -107,10 +107,7 @@ def extract(protocol, key_hex, counter, in_path, in2_path) -> None:
         if in2_path is not None:
             box1, box2 = mails, read_trace(in2_path)
         else:
-            box1 = [m for m in mails if m.addresses == (ADDRESS1,)]
-            box2 = [m for m in mails if m.addresses == (ADDRESS2,)]
-            if len(box1) + len(box2) != len(mails):
-                raise ProtocolError("trace contains mail outside the p1 address set")
+            box1, box2 = p1_route(mails)
         bits = p1_extract(state, box1, box2)
     else:
         if in2_path is not None:

@@ -23,7 +23,7 @@ class Mail:
     def __post_init__(self) -> None:
         if not self.addresses:
             raise ProtocolError("mail must have at least one recipient address")
-        if any(not a for a in self.addresses):
+        if not all(self.addresses):
             raise ProtocolError("recipient addresses must be nonempty strings")
 
 
@@ -113,6 +113,8 @@ def parse_trace(text: str) -> list[Mail]:
             doc_id = int(parts[1])
         except ValueError as e:
             raise ProtocolError(f"trace line {lineno}: {e}") from e
+        if doc_id < 0:
+            raise ProtocolError(f"trace line {lineno}: negative document id {doc_id}")
         addrs = tuple(parts[2].split(","))
         mails.append(Mail(Document(doc_id), addrs, sent_at))
     return mails

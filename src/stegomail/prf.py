@@ -83,16 +83,20 @@ class Counter:
     def byte_width(self) -> int:
         return self.n_bits // 8
 
-    def advance(self) -> None:
-        if self.value + 1 >= (1 << self.n_bits):
+    def check_headroom(self, n: int) -> None:
+        """Raise CounterError unless `n` more advances fit in the width."""
+        if self.value + n >= (1 << self.n_bits):
             raise CounterError(f"counter overflow at width {self.n_bits} bits")
+
+    def advance(self) -> None:
+        self.check_headroom(1)
         self.value += 1
 
 
 class BitFunction:
     """One-bit function over encoded inputs: keyed hash or true random."""
 
-    __slots__ = ("mode", "key", "table", "_coins")
+    __slots__ = ("mode", "key", "table", "_coins", "_keyed_hash")
 
     def __init__(self, mode: str, key: Key | None = None,
                  oracle_seed: int | None = None) -> None:
@@ -102,10 +106,14 @@ class BitFunction:
             self.key = key
             self.table = None
             self._coins = None
+            # Keying BLAKE2b hashes a whole key block; copying a keyed state
+            # is cheaper than keying a fresh one on every evaluation.
+            self._keyed_hash = hashlib.blake2b(digest_size=1, key=key.data)
         elif mode == "random_oracle":
             self.key = None
             self.table: dict[bytes, int] = {}
             self._coins = random.Random(oracle_seed)
+            self._keyed_hash = None
         else:
             raise ConfigError(f"unknown bit-function mode {mode!r}")
         self.mode = mode
@@ -121,7 +129,9 @@ class BitFunction:
     def bit(self, data: bytes) -> int:
         """The function's bit for an already-encoded input."""
         if self.mode == "keyed":
-            return hashlib.blake2b(data, digest_size=1, key=self.key.data).digest()[0] & 1
+            h = self._keyed_hash.copy()
+            h.update(data)
+            return h.digest()[0] & 1
         got = self.table.get(data)
         if got is None:
             got = self.table[data] = self._coins.getrandbits(1)
@@ -155,8 +165,13 @@ def eval_bit(fn: BitFunction, d: Document) -> int:
 
 
 def eval_bit_sync(fn: BitFunction, counter: Counter, d: Document) -> int:
-    """Bit of (counter value, document); does not advance the counter."""
-    return fn.bit(encode_sync(counter.value, counter.byte_width, d))
+    """Bit of (counter value, document); does not advance the counter.
+
+    The input is ``encode_sync(counter.value, counter.byte_width, d)``,
+    built inline because this is the email protocols' per-bit hot path.
+    """
+    return fn.bit(_TAG_SYNC + counter.value.to_bytes(counter.n_bits // 8, "big")
+                  + d.id.to_bytes(8, "big") + d.payload)
 
 
 def eval_bit_tuple(fn: BitFunction, docs: Sequence[Document]) -> int:

@@ -24,7 +24,7 @@ from typing import Sequence
 from .baselines import EmbedStats
 from .channel import ChannelSpec, Document, History, sample_id
 from .errors import ConfigError, ProtocolError
-from .mail import Mail, extract_addresses, extract_document, merge_by_date
+from .mail import Mail, merge_by_date
 from .prf import BitFunction, Counter, Key, eval_bit_sync
 from .rng import RngState
 
@@ -70,46 +70,64 @@ class StegoKeyState:
         return cls(BitFunction.keyed(key), Counter(counter_value))
 
 
-def _embed_one_bit(state: StegoKeyState, addresses: ProtocolAddressSet, m: int,
-                   h: History, tick: int, spec: ChannelSpec, rng: RngState,
-                   stats: EmbedStats | None) -> Mail:
-    last = h.last
-    doc = Document(sample_id(spec, None if last is None else last.id, rng))
-    matches = eval_bit_sync(state.fn, state.counter, doc) == m
-    if stats is not None:
-        stats.samples_drawn += 1
-        stats.prf_evals += 1
-        stats.bits_embedded += 1
-        stats.docs_emitted += 1
-    mail = Mail(doc, addresses.arrays[0 if matches else 1], tick)
-    state.counter.advance()
-    h.append(doc)
-    return mail
-
-
-def _extract_one_bit(state: StegoKeyState, addresses: ProtocolAddressSet,
-                     s: Mail) -> int:
-    arr = extract_addresses(s)
-    if arr not in addresses.arrays:
-        raise ProtocolError(
-            f"mail addressed to {arr!r} is outside the {addresses.variant} address set")
-    m = eval_bit_sync(state.fn, state.counter, extract_document(s))
-    if arr == addresses.arrays[1]:
-        m ^= 1
-    state.counter.advance()
-    return m
-
-
 def _embed_multi(state: StegoKeyState, addresses: ProtocolAddressSet,
                  m: Sequence[int], h: History, start_tick: int,
                  spec: ChannelSpec, rng: RngState,
                  stats: EmbedStats | None) -> list[Mail]:
-    if len(m) < 1:
+    """One draw, one PRF evaluation and one mail per bit.
+
+    Counter headroom for the whole message is checked before the first
+    draw, so an embed that would overflow raises CounterError with the
+    history, the counter and the random stream as they were.
+    """
+    n = len(m)
+    if n < 1:
         raise ConfigError("message must contain at least one bit")
-    return [
-        _embed_one_bit(state, addresses, bit, h, start_tick + i, spec, rng, stats)
-        for i, bit in enumerate(m)
-    ]
+    counter = state.counter
+    counter.check_headroom(n)
+    fn = state.fn
+    arrays = addresses.arrays
+    last = h.last
+    prev = None if last is None else last.id
+    docs: list[Document] = []
+    mails: list[Mail] = []
+    for i, bit in enumerate(m):
+        prev = sample_id(spec, prev, rng)
+        doc = Document(prev)
+        mails.append(Mail(doc, arrays[eval_bit_sync(fn, counter, doc) != bit],
+                          start_tick + i))
+        docs.append(doc)
+        counter.value += 1
+    h.extend(docs)
+    if stats is not None:
+        stats.samples_drawn += n
+        stats.prf_evals += n
+        stats.bits_embedded += n
+        stats.docs_emitted += n
+    return mails
+
+
+def _extract_multi(state: StegoKeyState, addresses: ProtocolAddressSet,
+                   mails: Sequence[Mail]) -> list[int]:
+    """Recompute each mail's bit; the second address array complements it.
+
+    Addresses and counter headroom are checked before the first PRF
+    evaluation, so an extract that fails leaves the counter as it was.
+    """
+    complement = {addresses.arrays[0]: 0, addresses.arrays[1]: 1}
+    flips = [complement.get(s.addresses) for s in mails]
+    if None in flips:
+        arr = mails[flips.index(None)].addresses
+        raise ProtocolError(
+            f"mail addressed to {arr!r} is outside the {addresses.variant} address set")
+    counter = state.counter
+    counter.check_headroom(len(mails))
+    fn = state.fn
+    bits = []
+    for s, flip in zip(mails, flips):
+        bits.append(eval_bit_sync(fn, counter, s.doc) ^ flip)
+        counter.value += 1
+    return bits
 
 
 # --- protocol 1: recipient choice ------------------------------------------
@@ -118,12 +136,12 @@ def p1_embed_one_bit(state: StegoKeyState, m: int, h: History, tick: int,
                      spec: ChannelSpec, rng: RngState,
                      stats: EmbedStats | None = None) -> Mail:
     """Hide one bit in the choice between address1 and address2."""
-    return _embed_one_bit(state, P1_ADDRESS_SET, m, h, tick, spec, rng, stats)
+    return _embed_multi(state, P1_ADDRESS_SET, [m], h, tick, spec, rng, stats)[0]
 
 
 def p1_extract_one_bit(state: StegoKeyState, s: Mail) -> int:
     """Recover one bit; mails to address2 complement the document's bit."""
-    return _extract_one_bit(state, P1_ADDRESS_SET, s)
+    return _extract_multi(state, P1_ADDRESS_SET, [s])[0]
 
 
 def p1_embed(state: StegoKeyState, m: Sequence[int], h: History,
@@ -136,8 +154,23 @@ def p1_embed(state: StegoKeyState, m: Sequence[int], h: History,
 def p1_extract(state: StegoKeyState, box1: Sequence[Mail],
                box2: Sequence[Mail]) -> list[int]:
     """Merge the two mailboxes by send date, then extract bit by bit."""
-    merged = merge_by_date(list(box1), list(box2))
-    return [p1_extract_one_bit(state, s) for s in merged]
+    return _extract_multi(state, P1_ADDRESS_SET, merge_by_date(list(box1), list(box2)))
+
+
+def p1_route(mails: Sequence[Mail]) -> tuple[list[Mail], list[Mail]]:
+    """Split a sent p1 sequence into the address1 and address2 mailboxes."""
+    box1: list[Mail] = []
+    box2: list[Mail] = []
+    to1, to2 = P1_ADDRESS_SET.arrays
+    for s in mails:
+        if s.addresses == to1:
+            box1.append(s)
+        elif s.addresses == to2:
+            box2.append(s)
+        else:
+            raise ProtocolError(
+                f"mail addressed to {s.addresses!r} is outside the p1 address set")
+    return box1, box2
 
 
 # --- protocol 2: broadcast order --------------------------------------------
@@ -146,11 +179,11 @@ def p2_embed_one_bit(state: StegoKeyState, m: int, h: History, tick: int,
                      spec: ChannelSpec, rng: RngState,
                      stats: EmbedStats | None = None) -> Mail:
     """Hide one bit in the order of the broadcast address array."""
-    return _embed_one_bit(state, P2_ADDRESS_SET, m, h, tick, spec, rng, stats)
+    return _embed_multi(state, P2_ADDRESS_SET, [m], h, tick, spec, rng, stats)[0]
 
 
 def p2_extract_one_bit(state: StegoKeyState, s: Mail) -> int:
-    return _extract_one_bit(state, P2_ADDRESS_SET, s)
+    return _extract_multi(state, P2_ADDRESS_SET, [s])[0]
 
 
 def p2_embed(state: StegoKeyState, m: Sequence[int], h: History,
@@ -165,4 +198,4 @@ def p2_extract(state: StegoKeyState, box: Sequence[Mail]) -> list[int]:
     for a, b in zip(mails, mails[1:]):
         if b.sent_at <= a.sent_at:
             raise ProtocolError("mailbox is not sorted by send date")
-    return [p2_extract_one_bit(state, s) for s in mails]
+    return _extract_multi(state, P2_ADDRESS_SET, mails)

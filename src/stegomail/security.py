@@ -29,8 +29,8 @@ from .channel import ChannelSpec, Document, History, sample_id
 from .errors import ConfigError, ProtocolError
 from .mail import Mail
 from .prf import BitFunction, Counter, Key
-from .protocols import (ADDRESS1, ADDRESS2, ProtocolAddressSet, StegoKeyState,
-                        p1_embed, p1_extract, p2_embed, p2_extract)
+from .protocols import (ProtocolAddressSet, StegoKeyState, p1_embed, p1_extract,
+                        p1_route, p2_embed, p2_extract)
 from .rng import RngState
 
 PRIOR_SYSTEMS = ("s1", "s2", "s3", "s4")
@@ -152,11 +152,7 @@ def extract_message(cfg: SystemConfig, fn: BitFunction, outputs,
         return s4_extract(fn, Counter(counter_value), outputs, copies=cfg.copies)
     state = StegoKeyState(fn, Counter(counter_value))
     if cfg.system == "p1":
-        box1 = [s for s in outputs if s.addresses == (ADDRESS1,)]
-        box2 = [s for s in outputs if s.addresses == (ADDRESS2,)]
-        if len(box1) + len(box2) != len(outputs):
-            raise ProtocolError("mail outside the p1 address set")
-        return p1_extract(state, box1, box2)
+        return p1_extract(state, *p1_route(outputs))
     return p2_extract(state, outputs)
 
 

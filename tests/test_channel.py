@@ -6,6 +6,8 @@ from stegomail import (ChannelSpec, ConfigError, Document, History, RngState,
                        dump_channel_spec, load_channel_spec, min_entropy, prob,
                        sample)
 
+from stegomail.channel import sample_id
+
 from conftest import MARKOV2
 
 
@@ -164,3 +166,40 @@ def test_document_canonical_bytes_distinct():
     assert Document(1, b"x").to_bytes() != Document(1).to_bytes()
     with pytest.raises(ConfigError):
         Document(-1)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_probability(bad):
+    with pytest.raises(ConfigError, match="non-finite"):
+        load_channel_spec(
+            '{"kind": "stationary", "alphabet_size": 2, "probs": ["%s", "1.0"]}' % bad)
+    with pytest.raises(ConfigError, match="non-finite"):
+        ChannelSpec.markov1([[0.5, 0.5], [float(bad), 1.0]], [0.5, 0.5])
+
+
+class _FixedDraw:
+    """Stands in for an RngState whose next draw is `u`."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def test_cdf_short_of_one_never_draws_past_the_alphabet():
+    top = 1.0 - 2.0 ** -53  # the largest value random() can return
+    spec = ChannelSpec.stationary([0.5, 0.5 - 1e-10])
+    assert sample_id(spec, None, _FixedDraw(top)) == 1
+    # zero-probability documents after the last positive one stay unreachable
+    spec = ChannelSpec.stationary([0.25, 0.75 - 1e-10, 0.0, 0.0])
+    assert sample_id(spec, None, _FixedDraw(top)) == 1
+    chain = ChannelSpec.markov1([[0.5, 0.5 - 1e-10], [1.0, 0.0]], [1.0 - 1e-10, 0.0])
+    assert sample_id(chain, None, _FixedDraw(top)) == 0
+    assert sample_id(chain, 0, _FixedDraw(top)) == 1
+
+
+def test_cdf_pin_keeps_in_range_draws():
+    spec = ChannelSpec.stationary([0.5, 0.5 - 1e-10])
+    for u in (0.0, 0.25, 0.5 - 1e-12, 0.5, 0.9):
+        assert sample_id(spec, None, _FixedDraw(u)) == (0 if u < 0.5 else 1)

@@ -225,3 +225,16 @@ def test_counter_overflow_exit_code(tmp_path, channel, message_file):
 def test_usage_error_exit_code(capsys):
     assert run(["embed", "--no-such-flag"]) == 2
     capsys.readouterr()
+
+
+def test_non_finite_channel_file_is_config_error(channel):
+    spec = channel({"kind": "stationary", "alphabet_size": 2, "probs": ["nan", "1.0"]},
+                   "nan.json")
+    assert run(["channel-info", "--channel", spec]) == 2
+
+
+def test_negative_document_id_in_trace_is_protocol_error(tmp_path):
+    trace = tmp_path / "trace.tsv"
+    trace.write_text("0\t1\taddress1\n1\t-4\taddress2\n")
+    assert run(["extract", "--protocol", "p1", "--key", KEY,
+                "--in", str(trace)]) == 3

@@ -101,3 +101,8 @@ def test_trace_rejects_malformed_lines():
         parse_trace("1\t2\n")
     with pytest.raises(ProtocolError):
         parse_trace("one\t2\taddress1\n")
+
+
+def test_parse_trace_rejects_negative_document_id():
+    with pytest.raises(ProtocolError, match="trace line 2: negative document id"):
+        parse_trace("0\t1\taddress1\n1\t-4\taddress2\n")

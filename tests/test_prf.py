@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -144,3 +145,27 @@ def test_key_validation_and_generation():
     key = Key.generate(RngState(3), bits=128)
     assert key.bit_length == 128
     assert Key.generate(RngState(3), bits=128) == key
+
+
+@pytest.mark.parametrize("n_bits", [8, 16, 64])
+@pytest.mark.parametrize("mode", ["keyed", "random_oracle"])
+def test_eval_bit_sync_matches_reference_encoding(n_bits, mode):
+    if mode == "keyed":
+        fn = BitFunction.keyed(Key.from_hex("000102030405060708090a0b0c0d0e0f"))
+    else:
+        fn = BitFunction.random_oracle(41)
+    top = (1 << n_bits) - 1
+    docs = [Document(0), Document(7), Document(2 ** 40 + 3, b"payload")]
+    for value in (0, 1, 255, top // 2, top):
+        c = Counter(value, n_bits=n_bits)
+        for d in docs:
+            assert eval_bit_sync(fn, c, d) == fn.bit(encode_sync(c.value, c.byte_width, d))
+
+
+def test_keyed_bit_matches_one_shot_blake2b():
+    key = Key.from_hex("0f" * 16)
+    fn = BitFunction.keyed(key)
+    for i in range(256):
+        data = encode_sync(i, 8, Document(i, b"x" * (i % 5)))
+        expected = hashlib.blake2b(data, digest_size=1, key=key.data).digest()[0] & 1
+        assert fn.bit(data) == expected

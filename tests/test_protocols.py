@@ -1,17 +1,23 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter,
                        CounterError, Document, EmbedStats, History, Key, Mail,
                        ProtocolError, RngState, StegoKeyState,
                        channel_goodness_of_fit, deliver, eval_bit_sync,
+                       load_channel_file,
                        p1_embed, p1_embed_one_bit, p1_extract,
                        p1_extract_one_bit, p2_embed, p2_embed_one_bit,
                        p2_extract, p2_extract_one_bit)
-from stegomail.protocols import ADDRESS1, ADDRESS2, ProtocolAddressSet
+from stegomail.mail import format_trace
+from stegomail.protocols import ADDRESS1, ADDRESS2, ProtocolAddressSet, p1_route
 
 from conftest import MARKOV2, TEST_CHANNELS, find_key_where
 
 POINT_MASS_1 = ChannelSpec.point_mass(2)
+CHANNEL_DIR = Path(__file__).resolve().parent.parent / "channels"
 
 
 def oracle_state(seed: int, counter: int = 0) -> StegoKeyState:
@@ -244,3 +250,76 @@ def test_counter_synchronization_after_n_bits():
     boxes = deliver(mails)
     p1_extract(rx, list(boxes.get(ADDRESS1, ())), list(boxes.get(ADDRESS2, ())))
     assert tx.counter.value == rx.counter.value == 5
+
+
+# SHA-256 of format_trace(pN_embed(...)) for the run in
+# test_traces_are_pinned; recorded from the per-bit implementation, so a
+# change to the draw order, the PRF input or the addressing shows here.
+GOLDEN_TRACES = {
+    ("p1", "uniform1024"): "bcd603826eb9f0f9075d12843c0c4b0df6c507a82f2ce769838e1a2a2a0d864e",
+    ("p1", "point_mass4"): "615726b50550cbabe379f424fe9b963006b8fee65b30ea1a1e803b22ef28252a",
+    ("p1", "markov2"): "ee30c6ac2e114b24fac2bd56b76d6ee47fde167c27ac138b71e2440b818a78bc",
+    ("p2", "uniform1024"): "f76207a573a048c2ae335dad7ec477c105e8ff5cef6ee5175fe6f37a76c022aa",
+    ("p2", "point_mass4"): "29f9d994ac5fa353a4b80b7bf13eecc25e695f58ac9f2515ab8802864f16644e",
+    ("p2", "markov2"): "972fb27973cd856142f814c59485bd380f19994a7be42c6319c7ff64f3524d11",
+}
+
+
+@pytest.mark.parametrize("variant, channel_name", sorted(GOLDEN_TRACES))
+def test_traces_are_pinned(variant, channel_name):
+    embed_fn = {"p1": p1_embed, "p2": p2_embed}[variant]
+    spec = load_channel_file(CHANNEL_DIR / f"{channel_name}.json")
+    key = Key.from_hex("000102030405060708090a0b0c0d0e0f")
+    state = StegoKeyState(BitFunction.keyed(key), Counter(250))
+    stats = EmbedStats()
+    mails = embed_fn(state, RngState(7).bits(200), History(), 3, spec,
+                     RngState(20260811), stats)
+    digest = hashlib.sha256(format_trace(mails).encode()).hexdigest()
+    assert digest == GOLDEN_TRACES[variant, channel_name]
+    assert stats.samples_drawn == stats.prf_evals == stats.bits_embedded == 200
+
+
+NEAR_TOP = (1 << 64) - 3
+
+
+@pytest.mark.parametrize("embed_fn", [p1_embed, p2_embed])
+def test_embed_without_counter_headroom_mutates_nothing(embed_fn):
+    state = oracle_state(35, counter=NEAR_TOP)
+    h = History([Document(1)])
+    rng, twin = RngState(35), RngState(35)
+    stats = EmbedStats()
+    with pytest.raises(CounterError):
+        embed_fn(state, [1, 0, 1, 1, 0], h, 0, MARKOV2, rng, stats)
+    assert len(h) == 1
+    assert state.counter.value == NEAR_TOP
+    assert rng.random() == twin.random()
+    assert stats == EmbedStats()
+    mails = embed_fn(state, [1, 0], h, 0, MARKOV2, rng)
+    assert len(mails) == 2 and len(h) == 3
+    assert state.counter.value == NEAR_TOP + 2
+
+
+def test_failed_extract_leaves_counter_unchanged():
+    tx = oracle_state(37, counter=NEAR_TOP)
+    mails = p1_embed(tx, [1, 0], History(), 0, MARKOV2, RngState(37))
+    rx = StegoKeyState(tx.fn, Counter(NEAR_TOP + 1))
+    with pytest.raises(CounterError):
+        p1_extract(rx, *p1_route(mails))
+    assert rx.counter.value == NEAR_TOP + 1
+    foreign = [mails[0], Mail(mails[1].doc, ("address3",), mails[1].sent_at)]
+    rx = StegoKeyState(tx.fn, Counter(NEAR_TOP))
+    with pytest.raises(ProtocolError):
+        p1_extract(rx, foreign, [])
+    assert rx.counter.value == NEAR_TOP
+    assert p1_extract(rx, *p1_route(mails)) == [1, 0]
+
+
+def test_p1_route_splits_and_rejects_foreign_addresses():
+    mails = p1_embed(oracle_state(39), [1, 0, 0, 1, 1], History(), 0, MARKOV2,
+                     RngState(39))
+    box1, box2 = p1_route(mails)
+    assert all(m.addresses == (ADDRESS1,) for m in box1)
+    assert all(m.addresses == (ADDRESS2,) for m in box2)
+    assert sorted(box1 + box2, key=lambda m: m.sent_at) == mails
+    with pytest.raises(ProtocolError):
+        p1_route(mails + [Mail(Document(0), (ADDRESS1, ADDRESS2), 99)])
