@@ -64,13 +64,15 @@ def s1_rs(fn: BitFunction, x: int, count: int, h: History, spec: ChannelSpec,
     """
     prev = _last_id(h)
     doc = None
+    draws = 0
     for _ in range(count):
         doc = Document(sample_id(spec, prev, rng))
-        if stats is not None:
-            stats.samples_drawn += 1
-            stats.prf_evals += 1
+        draws += 1
         if eval_bit(fn, doc) == x:
             break
+    if stats is not None:
+        stats.samples_drawn += draws
+        stats.prf_evals += draws
     return doc
 
 

@@ -25,20 +25,30 @@ from .rng import RngState
 SUM_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Document:
     """One cover document, identified by its index in the channel alphabet."""
 
     id: int
     payload: bytes = b""
 
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ConfigError(f"document id must be non-negative, got {self.id}")
+    # Written by hand because one Document is built per channel draw, and
+    # the generated frozen __init__ plus a __post_init__ is markedly slower.
+    # Fields are stored through the slot descriptors, bound once below,
+    # which is what the generated one does through object.__setattr__.
+    def __init__(self, id: int, payload: bytes = b"") -> None:
+        if id < 0:
+            raise ConfigError(f"document id must be non-negative, got {id}")
+        _set_doc_id(self, id)
+        _set_doc_payload(self, payload)
 
     def to_bytes(self) -> bytes:
         """Canonical injective encoding: 8-byte big-endian id, then payload."""
         return self.id.to_bytes(8, "big") + self.payload
+
+
+_set_doc_id = Document.id.__set__
+_set_doc_payload = Document.payload.__set__
 
 
 class History:
@@ -76,7 +86,10 @@ class History:
 
 
 def _check_vector(vec, size: int, label: str) -> tuple[float, ...]:
-    probs = tuple(float(p) for p in vec)
+    try:
+        probs = tuple(float(p) for p in vec)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{label} must be a list of numbers: {e}") from e
     if len(probs) != size:
         raise ConfigError(f"{label} has length {len(probs)}, expected {size}")
     if not all(isfinite(p) for p in probs):
@@ -128,9 +141,12 @@ class ChannelSpec:
         elif kind == "markov1":
             if matrix is None or initial is None:
                 raise ConfigError("markov1 channel needs a matrix and an initial vector")
-            if len(matrix) != alphabet_size:
-                raise ConfigError(
-                    f"matrix has {len(matrix)} rows, expected {alphabet_size}")
+            try:
+                rows = len(matrix)
+            except TypeError as e:
+                raise ConfigError(f"matrix must be a list of rows: {e}") from e
+            if rows != alphabet_size:
+                raise ConfigError(f"matrix has {rows} rows, expected {alphabet_size}")
             self.probs = None
             self.matrix = tuple(
                 _check_vector(row, alphabet_size, f"matrix row {i}")
@@ -219,9 +235,13 @@ def load_channel_spec(text: str) -> ChannelSpec:
         raise ConfigError("channel spec must be a JSON object")
     try:
         kind = data["kind"]
-        alphabet_size = int(data["alphabet_size"])
+        raw_size = data["alphabet_size"]
     except KeyError as e:
         raise ConfigError(f"channel spec missing field {e.args[0]!r}") from e
+    try:
+        alphabet_size = int(raw_size)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"alphabet_size must be an integer, got {raw_size!r}") from e
     return ChannelSpec(
         kind,
         alphabet_size,

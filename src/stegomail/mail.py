@@ -14,17 +14,28 @@ from .channel import Document
 from .errors import ProtocolError
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Mail:
     doc: Document
     addresses: tuple[str, ...]
     sent_at: int
 
-    def __post_init__(self) -> None:
-        if not self.addresses:
+    # Written by hand for the same reason as Document.__init__: one Mail is
+    # built per embedded bit and per parsed trace line.
+    def __init__(self, doc: Document, addresses: tuple[str, ...],
+                 sent_at: int) -> None:
+        if not addresses:
             raise ProtocolError("mail must have at least one recipient address")
-        if not all(self.addresses):
+        if not all(addresses):
             raise ProtocolError("recipient addresses must be nonempty strings")
+        _set_mail_doc(self, doc)
+        _set_mail_addresses(self, addresses)
+        _set_mail_sent_at(self, sent_at)
+
+
+_set_mail_doc = Mail.doc.__set__
+_set_mail_addresses = Mail.addresses.__set__
+_set_mail_sent_at = Mail.sent_at.__set__
 
 
 @dataclass
@@ -96,26 +107,36 @@ def deliver(mails: Iterable[Mail]) -> dict[str, Mailbox]:
 
 def format_trace(mails: Iterable[Mail]) -> str:
     """Wire format: one mail per line, `sent_at <TAB> doc_id <TAB> addrs`."""
-    lines = [f"{m.sent_at}\t{m.doc.id}\t{','.join(m.addresses)}" for m in mails]
-    return "".join(line + "\n" for line in lines)
+    return "".join([f"{m.sent_at}\t{m.doc.id}\t{','.join(m.addresses)}\n"
+                    for m in mails])
 
 
 def parse_trace(text: str) -> list[Mail]:
+    """Inverse of format_trace; blank lines are skipped.
+
+    A trace names only a few distinct address fields, so each is split
+    once per call and the mails that carry it share one tuple.
+    """
     mails = []
+    split_fields: dict[str, tuple[str, ...]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+        if not line or line.isspace():
             continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ProtocolError(f"trace line {lineno}: expected 3 tab-separated fields")
         try:
-            sent_at = int(parts[0])
-            doc_id = int(parts[1])
+            raw_sent, raw_doc, raw_addrs = line.split("\t")
+        except ValueError:
+            raise ProtocolError(
+                f"trace line {lineno}: expected 3 tab-separated fields") from None
+        try:
+            sent_at = int(raw_sent)
+            doc_id = int(raw_doc)
         except ValueError as e:
             raise ProtocolError(f"trace line {lineno}: {e}") from e
         if doc_id < 0:
             raise ProtocolError(f"trace line {lineno}: negative document id {doc_id}")
-        addrs = tuple(parts[2].split(","))
+        addrs = split_fields.get(raw_addrs)
+        if addrs is None:
+            addrs = split_fields[raw_addrs] = tuple(raw_addrs.split(","))
         mails.append(Mail(Document(doc_id), addrs, sent_at))
     return mails
 

@@ -67,7 +67,9 @@ class Counter:
 
     One increment per one-bit embed and per one-bit extract; wrapping past
     the declared width is treated as a hard error rather than silent
-    modular reuse of PRF inputs.
+    modular reuse of PRF inputs.  A counter at value ``v`` therefore allows
+    ``2**n_bits - 1 - v`` advances: the top value ``2**n_bits - 1`` can be
+    constructed but carries no bit.
     """
 
     value: int = 0
@@ -160,8 +162,12 @@ def encode_tuple(docs: Sequence[Document]) -> bytes:
 
 
 def eval_bit(fn: BitFunction, d: Document) -> int:
-    """Bit of a single document (the unsynchronized systems' signature)."""
-    return fn.bit(encode_doc(d))
+    """Bit of a single document (the unsynchronized systems' signature).
+
+    The input is ``encode_doc(d)``, built inline because this is the
+    rejection samplers' per-draw hot path.
+    """
+    return fn.bit(_TAG_DOC + d.id.to_bytes(8, "big") + d.payload)
 
 
 def eval_bit_sync(fn: BitFunction, counter: Counter, d: Document) -> int:

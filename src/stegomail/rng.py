@@ -19,10 +19,19 @@ class RngState:
     def __init__(self, seed: int, path: tuple[int, ...] = ()) -> None:
         self.seed = seed
         self.path = path
-        material = repr((seed, path)).encode()
-        self._rand = random.Random(
+
+    def __getattr__(self, name: str):
+        # Only the unset _rand slot lands here.  Seeding random.Random is
+        # most of a spawn's cost, and many streams are only spawned from,
+        # so the generator is built on the first draw.
+        if name != "_rand":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        material = repr((self.seed, self.path)).encode()
+        rand = self._rand = random.Random(
             int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
         )
+        return rand
 
     def spawn(self, index: int) -> "RngState":
         """Independent child stream for trial `index` (same seed, longer path)."""

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -113,6 +115,21 @@ def test_load_rejects_garbage():
         load_channel_spec('{"kind": "stationary", "alphabet_size": 3, "probs": [0.5, 0.5]}')
 
 
+@pytest.mark.parametrize("text,field", [
+    ('{"kind": "stationary", "alphabet_size": 2, "probs": ["abc", 0.5]}', "probs"),
+    ('{"kind": "stationary", "alphabet_size": 2, "probs": [null, 0.5]}', "probs"),
+    ('{"kind": "stationary", "alphabet_size": 2, "probs": 5}', "probs"),
+    ('{"kind": "stationary", "alphabet_size": "x", "probs": [0.5, 0.5]}',
+     "alphabet_size"),
+    ('{"kind": "markov1", "alphabet_size": 1, "matrix": [5], "initial": [1]}',
+     "matrix row 0"),
+    ('{"kind": "markov1", "alphabet_size": 1, "matrix": 5, "initial": [1]}', "matrix"),
+])
+def test_load_rejects_non_numeric_fields(text, field):
+    with pytest.raises(ConfigError, match=field):
+        load_channel_spec(text)
+
+
 def test_dump_load_round_trip():
     for spec in (ChannelSpec.stationary([0.5, 0.25, 0.25]), MARKOV2):
         again = load_channel_spec(dump_channel_spec(spec))
@@ -150,6 +167,37 @@ def test_rng_determinism_and_spawning():
     child2 = draw_many(ChannelSpec.uniform(64), History(), RngState(9).spawn(1), 100)
     assert child1 != child2
     assert draw_many(ChannelSpec.uniform(64), History(), RngState(9).spawn(0), 100) == child1
+
+
+def _stream_transcript(r: RngState) -> str:
+    return repr(([r.random() for _ in range(4)], r.bytes(16).hex(), r.bits(12),
+                 [r.randrange(1000) for _ in range(4)], r.bit()))
+
+
+def _stream_digest(r: RngState) -> str:
+    return hashlib.sha256(_stream_transcript(r).encode()).hexdigest()
+
+
+def test_rng_streams_match_golden_digests():
+    # Recorded before RngState seeded its generator lazily: deferring the
+    # seeding to the first draw must not change any stream.
+    root = RngState(20240601)
+    assert root.random() == 0.8275332449368143
+    assert _stream_digest(root) == (
+        "78c3f6bc6f70171331f00467c89627d43fc69c05e2eb651e031f49c275aa00b0")
+    child = RngState(20240601).spawn(3).spawn(7)
+    assert _stream_digest(child) == (
+        "ceaab1283e2cea5725d897f68b2c800ae613bb2d354e79f144b28c63a3170f49")
+    mixed = RngState(99)
+    first_child = mixed.spawn(0)
+    mixed.random()
+    second_child = mixed.spawn(1)
+    assert _stream_digest(mixed) == (
+        "a6a5e12bea97aba07a53fc1b338a2d14928d224813a520eca42fcaa0724d9363")
+    assert _stream_digest(first_child) == (
+        "7b594f18fa0ee3725c1eb2aa207774fe90b9bf7a31b331a7eb8111163db9cae7")
+    assert _stream_digest(second_child) == (
+        "72e76145b8897c6387cd4031a3dea2cb1b3d45912958a9e5cc43143c4e79f1c7")
 
 
 def test_history_append_grows_by_one():
@@ -203,3 +251,21 @@ def test_cdf_pin_keeps_in_range_draws():
     spec = ChannelSpec.stationary([0.5, 0.5 - 1e-10])
     for u in (0.0, 0.25, 0.5 - 1e-12, 0.5, 0.9):
         assert sample_id(spec, None, _FixedDraw(u)) == (0 if u < 0.5 else 1)
+
+
+def test_document_value_contract():
+    d = Document(7, b"p")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.id = 8
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.payload = b""
+    assert d == Document(7, b"p") and d != Document(7)
+    assert hash(d) == hash(Document(7, b"p"))
+    assert repr(d) == "Document(id=7, payload=b'p')"
+    assert repr(Document(3)) == "Document(id=3, payload=b'')"
+    assert Document(id=3) == Document(3, b"")
+    assert dataclasses.replace(d, id=9) == Document(9, b"p")
+    with pytest.raises(ConfigError, match="document id must be non-negative, got -2"):
+        dataclasses.replace(d, id=-2)
+    with pytest.raises(ConfigError, match="document id must be non-negative, got -1"):
+        Document(-1)

@@ -233,6 +233,13 @@ def test_non_finite_channel_file_is_config_error(channel):
     assert run(["channel-info", "--channel", spec]) == 2
 
 
+def test_non_numeric_channel_file_is_config_error(channel, capsys):
+    spec = channel({"kind": "stationary", "alphabet_size": 2, "probs": ["abc", 0.5]},
+                   "abc.json")
+    assert run(["channel-info", "--channel", spec]) == 2
+    assert "probs" in capsys.readouterr().err
+
+
 def test_negative_document_id_in_trace_is_protocol_error(tmp_path):
     trace = tmp_path / "trace.tsv"
     trace.write_text("0\t1\taddress1\n1\t-4\taddress2\n")

@@ -1,4 +1,8 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stegomail import (Document, Mail, Mailbox, ProtocolError, RngState,
                        deliver, extract_addresses, extract_document,
@@ -23,10 +27,13 @@ def test_extract_addresses_preserves_order():
 
 
 def test_mail_requires_recipient():
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError,
+                       match="^mail must have at least one recipient address$"):
         Mail(Document(0), (), 0)
-    with pytest.raises(ProtocolError):
-        Mail(Document(0), ("",), 0)
+    for addrs in (("",), (None,), ("address1", "")):
+        with pytest.raises(ProtocolError,
+                           match="^recipient addresses must be nonempty strings$"):
+            Mail(Document(0), addrs, 0)
 
 
 def test_mail_round_trip_construct_extract():
@@ -106,3 +113,70 @@ def test_trace_rejects_malformed_lines():
 def test_parse_trace_rejects_negative_document_id():
     with pytest.raises(ProtocolError, match="trace line 2: negative document id"):
         parse_trace("0\t1\taddress1\n1\t-4\taddress2\n")
+
+
+def test_mail_value_contract():
+    mail = mk(3, doc_id=7)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mail.sent_at = 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mail.addresses = ("address2",)
+    assert mail == Mail(Document(7), ("address1",), 3)
+    assert mail != mk(3, doc_id=7, addrs=("address2",))
+    assert hash(mail) == hash(Mail(Document(7), ("address1",), 3))
+    assert repr(mail) == ("Mail(doc=Document(id=7, payload=b''), "
+                          "addresses=('address1',), sent_at=3)")
+    assert Mail(doc=Document(7), addresses=("address1",), sent_at=3) == mail
+    assert dataclasses.replace(mail, sent_at=9).sent_at == 9
+    with pytest.raises(ProtocolError, match="at least one recipient"):
+        dataclasses.replace(mail, addresses=())
+
+
+def test_trace_error_messages_name_the_line():
+    with pytest.raises(ProtocolError,
+                       match="^trace line 2: expected 3 tab-separated fields$"):
+        parse_trace("0\t1\taddress1\n1\t2\n")
+    with pytest.raises(ProtocolError, match="^trace line 1: invalid literal for int"):
+        parse_trace("one\t2\taddress1\n")
+    with pytest.raises(ProtocolError, match="^trace line 3: invalid literal for int"):
+        parse_trace("0\t1\taddress1\n\n2\tx\taddress1\n")
+    with pytest.raises(ProtocolError, match="^recipient addresses must be nonempty"):
+        parse_trace("0\t1\taddress1,\n")
+
+
+def test_parsed_mails_share_address_tuples():
+    mails = parse_trace("0\t1\taddress1\n1\t2\taddress2,address1\n"
+                        "2\t3\taddress1\n3\t4\taddress2,address1\n")
+    assert mails[0].addresses == ("address1",)
+    assert mails[0].addresses is mails[2].addresses
+    assert mails[1].addresses is mails[3].addresses
+    assert mails[0].addresses is not mails[1].addresses
+
+
+# Addresses may hold anything but the field and line separators.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_addresses = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",),
+                           blacklist_characters="," + "\t" + _LINE_BREAKS),
+    min_size=1, max_size=8)
+_mails = st.builds(
+    Mail, st.builds(Document, st.integers(min_value=0, max_value=2 ** 70)),
+    st.lists(_addresses, min_size=1, max_size=3).map(tuple),
+    st.integers(min_value=-2 ** 70, max_value=2 ** 70))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_mails, max_size=8))
+def test_trace_round_trip_property(mails):
+    assert parse_trace(format_trace(mails)) == mails
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from("0123456789-+ _\t\n\r,a\u00a0\u0663"))
+       | st.text())
+def test_parse_trace_raises_only_protocol_error(text):
+    try:
+        mails = parse_trace(text)
+    except ProtocolError:
+        return
+    assert all(m.doc.id >= 0 and m.addresses and all(m.addresses) for m in mails)

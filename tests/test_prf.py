@@ -169,3 +169,15 @@ def test_keyed_bit_matches_one_shot_blake2b():
         data = encode_sync(i, 8, Document(i, b"x" * (i % 5)))
         expected = hashlib.blake2b(data, digest_size=1, key=key.data).digest()[0] & 1
         assert fn.bit(data) == expected
+
+
+@pytest.mark.parametrize("fn", [
+    BitFunction.keyed(Key.from_hex("000102030405060708090a0b0c0d0e0f")),
+    BitFunction.random_oracle(5),
+], ids=["keyed", "random_oracle"])
+def test_eval_bit_matches_reference_encoding(fn):
+    docs = [Document(i) for i in range(256)] + [
+        Document(2 ** 63), Document(7, b"payload"), Document(7, b"\x00" * 40)]
+    bits = [eval_bit(fn, d) for d in docs]
+    assert bits == [fn.bit(encode_doc(d)) for d in docs]
+    assert 0 < sum(bits) < len(bits)

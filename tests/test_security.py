@@ -239,9 +239,9 @@ def test_capacity_values():
 
 def test_reliability_email_protocols_perfect():
     rng = RngState(29)
-    for system in ("p1", "p2"):
+    for i, system in enumerate(("p1", "p2")):
         report = reliability_estimate(SystemConfig(system), MARKOV2, bits=64,
-                                      trials=200, rng=rng.spawn(hash(system) % 97))
+                                      trials=200, rng=rng.spawn(i))
         assert report.failed_trials == 0
         assert report.bit_error_rate == 0.0
 
