@@ -1,22 +1,18 @@
 """Black-box steganography simulator: channels, stegosystems, and wardens."""
 
-from .baselines import (EmbedStats, s1_embed, s1_extract, s1_rs, s2_embed,
-                        s2_extract, s3_embed, s3_extract, s3_rs, s4_embed,
-                        s4_embed_bit, s4_extract, s4_extract_bit)
+from .baselines import (EmbedStats, s1_embed, s1_extract, s2_embed, s2_extract,
+                        s3_embed, s3_extract, s4_embed, s4_extract)
 from .channel import (ChannelSpec, Document, History, dump_channel_spec,
                       load_channel_file, load_channel_spec, min_entropy, prob,
                       sample)
 from .ecc import (bits_from_bytes, bits_from_hex, bytes_from_bits, dec, enc,
                   hex_from_bits)
 from .errors import ConfigError, CounterError, ProtocolError, StegoError
-from .mail import (Mail, Mailbox, deliver, extract_addresses, extract_document,
-                   merge_by_date, read_trace, write_trace)
+from .mail import Mail, Mailbox, deliver, merge_by_date, read_trace, write_trace
 from .prf import (BitFunction, Counter, Key, eval_bit, eval_bit_sync,
                   eval_bit_tuple)
 from .protocols import (ADDRESS1, ADDRESS2, ProtocolAddressSet, StegoKeyState,
-                        p1_embed, p1_embed_one_bit, p1_extract,
-                        p1_extract_one_bit, p2_embed, p2_embed_one_bit,
-                        p2_extract, p2_extract_one_bit)
+                        p1_embed, p1_extract, p2_embed, p2_extract)
 from .rng import RngState
 from .security import (AdvantageEstimate, AddressFrequencyDistinguisher,
                        BenchReport, ConstantGuessDistinguisher,
@@ -25,6 +21,6 @@ from .security import (AdvantageEstimate, AddressFrequencyDistinguisher,
                        build_distinguisher, capacity, channel_goodness_of_fit,
                        ct_oracle, embed_message, extract_message,
                        reliability_estimate, run_game, run_prf_reduction_game,
-                       st_oracle, transmission_rate)
+                       transmission_rate)
 
 __version__ = "0.1.0"

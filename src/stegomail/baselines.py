@@ -14,12 +14,15 @@ All four hide bits by steering which channel draws get emitted:
 
 Embedding mutates the caller's History exactly as the senders would, and
 every channel draw / PRF call is tallied in EmbedStats so that rate and
-work-bound claims can be checked on real runs rather than asserted.
+work-bound claims can be checked on real runs rather than asserted.  s2
+and s4 check counter headroom before the first draw or PRF call, so a
+failed embed or extract mutates nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from .channel import ChannelSpec, Document, History, sample_id
@@ -38,6 +41,14 @@ class EmbedStats:
     docs_emitted: int = 0
     prf_evals: int = 0
 
+    def add(self, samples_drawn: int, bits_embedded: int, docs_emitted: int,
+            prf_evals: int) -> None:
+        """Tally one embed call; each embedder calls this once per message."""
+        self.samples_drawn += samples_drawn
+        self.bits_embedded += bits_embedded
+        self.docs_emitted += docs_emitted
+        self.prf_evals += prf_evals
+
 
 def _budget(fn: BitFunction, count: int | None) -> int:
     """Default iteration budget: the key length in bits, as in s1/s3."""
@@ -48,46 +59,51 @@ def _budget(fn: BitFunction, count: int | None) -> int:
     return fn.key.bit_length if fn.mode == "keyed" else 128
 
 
-def _last_id(h: History) -> int | None:
-    last = h.last
-    return None if last is None else last.id
+def _check_copies(copies: int, odd: bool) -> None:
+    if copies < 1 or (odd and copies % 2 == 0):
+        parity = "odd and " if odd else ""
+        raise ConfigError(f"copies per bit must be {parity}>= 1, got {copies}")
+
+
+def _check_framing(docs: Sequence[Document], copies: int) -> None:
+    if len(docs) % copies:
+        raise ProtocolError(
+            f"received {len(docs)} documents, not a multiple of {copies} per bit")
+
+
+def _rs(evaluate, key, x: int, budget: int, prev: int | None,
+        spec: ChannelSpec, rng: RngState) -> tuple[Document, int]:
+    """The rejection sampler: draw until ``evaluate(key, doc) == x``.
+
+    Returns the accepted draw, or the last one once `budget` draws are
+    spent (a silent mismatch, which is exactly the unreliability the
+    repetition-coded systems exist to fix), and the number of draws, each
+    of which cost one PRF evaluation.
+    """
+    for draws in range(1, budget + 1):
+        doc = Document(sample_id(spec, prev, rng))
+        if evaluate(key, doc) == x:
+            break
+    return doc, draws
 
 
 # --- s1: plain rejection sampling ---------------------------------------
-
-def s1_rs(fn: BitFunction, x: int, count: int, h: History, spec: ChannelSpec,
-          rng: RngState, stats: EmbedStats | None = None) -> Document:
-    """Resample until the document's bit equals x or the budget runs out.
-
-    Returns the last draw either way; a final mismatch is silent, which is
-    exactly the unreliability the repetition-coded systems exist to fix.
-    """
-    prev = _last_id(h)
-    doc = None
-    draws = 0
-    for _ in range(count):
-        doc = Document(sample_id(spec, prev, rng))
-        draws += 1
-        if eval_bit(fn, doc) == x:
-            break
-    if stats is not None:
-        stats.samples_drawn += draws
-        stats.prf_evals += draws
-    return doc
-
 
 def s1_embed(fn: BitFunction, m: Sequence[int], h: History, spec: ChannelSpec,
              rng: RngState, count: int | None = None,
              stats: EmbedStats | None = None) -> list[Document]:
     count = _budget(fn, count)
+    prev = h.last_id
     docs = []
+    draws = 0
     for bit in m:
-        doc = s1_rs(fn, bit, count, h, spec, rng, stats)
-        h.append(doc)
+        doc, n = _rs(eval_bit, fn, bit, count, prev, spec, rng)
+        draws += n
+        prev = doc.id
         docs.append(doc)
+    h.extend(docs)
     if stats is not None:
-        stats.bits_embedded += len(docs)
-        stats.docs_emitted += len(docs)
+        stats.add(draws, len(m), len(docs), draws)
     return docs
 
 
@@ -102,146 +118,109 @@ def s2_embed(fn: BitFunction, counter: Counter, m: Sequence[int], h: History,
              stats: EmbedStats | None = None) -> list[Document]:
     """Repetition-encode, then embed each coded bit with a 2-draw budget."""
     coded = enc(m, repetition)
+    counter.check_headroom(len(coded))
+    evaluate = partial(eval_bit_sync, fn)
+    prev = h.last_id
     docs = []
+    draws = 0
     for bit in coded:
-        prev = _last_id(h)
-        doc = None
-        for _ in range(2):
-            doc = Document(sample_id(spec, prev, rng))
-            if stats is not None:
-                stats.samples_drawn += 1
-                stats.prf_evals += 1
-            if eval_bit_sync(fn, counter, doc) == bit:
-                break
-        h.append(doc)
-        counter.advance()
+        doc, n = _rs(evaluate, counter, bit, 2, prev, spec, rng)
+        draws += n
+        prev = doc.id
         docs.append(doc)
+        counter.value += 1
+    h.extend(docs)
     if stats is not None:
-        stats.bits_embedded += len(m)
-        stats.docs_emitted += len(docs)
+        stats.add(draws, len(m), len(docs), draws)
     return docs
 
 
 def s2_extract(fn: BitFunction, counter: Counter, docs: Sequence[Document],
                repetition: int = 5) -> list[int]:
+    """Majority of the synchronized bits over each run of `repetition` documents.
+
+    One counter value per document, all checked before the first PRF call.
+    """
+    _check_copies(repetition, odd=True)
+    _check_framing(docs, repetition)
+    counter.check_headroom(len(docs))
     coded = []
     for doc in docs:
         coded.append(eval_bit_sync(fn, counter, doc))
-        counter.advance()
+        counter.value += 1
     return dec(coded, repetition)
 
 
 # --- s3: tuple-valued rejection sampling ----------------------------------
 
-def s3_rs(fn: BitFunction, y: int, count: int, h: History, spec: ChannelSpec,
-          rng: RngState, copies: int,
-          stats: EmbedStats | None = None) -> list[Document]:
-    """Resample whole `copies`-tuples until the tuple's bit equals y.
-
-    Each attempt draws its documents against a scratch history that grows
-    within the tuple; the committed history is left to the caller, which
-    appends only the accepted tuple.
-    """
-    if copies < 1:
-        raise ConfigError(f"covertexts per bit must be >= 1, got {copies}")
-    base = _last_id(h)
-    docs: list[Document] = []
-    for _ in range(count):
-        prev = base
-        docs = []
-        for _ in range(copies):
-            doc = Document(sample_id(spec, prev, rng))
-            prev = doc.id
-            docs.append(doc)
-            if stats is not None:
-                stats.samples_drawn += 1
-        if stats is not None:
-            stats.prf_evals += 1
-        if eval_bit_tuple(fn, docs) == y:
-            break
-    return docs
-
-
 def s3_embed(fn: BitFunction, m: Sequence[int], h: History, spec: ChannelSpec,
              rng: RngState, copies: int, count: int | None = None,
              stats: EmbedStats | None = None) -> list[Document]:
+    """Resample whole `copies`-tuples until the tuple's bit equals the message bit.
+
+    Each attempt draws its documents conditioned on the one before, starting
+    from the last committed document; only the accepted tuple is kept.
+    """
     count = _budget(fn, count)
-    docs = []
+    _check_copies(copies, odd=False)
+    prev = h.last_id
+    docs: list[Document] = []
+    evals = 0
     for bit in m:
-        group = s3_rs(fn, bit, count, h, spec, rng, copies, stats)
-        for doc in group:
-            h.append(doc)
+        for _ in range(count):
+            group = []
+            last = prev
+            for _ in range(copies):
+                last = sample_id(spec, last, rng)
+                group.append(Document(last))
+            evals += 1
+            if eval_bit_tuple(fn, group) == bit:
+                break
         docs.extend(group)
+        prev = last
+    h.extend(docs)
     if stats is not None:
-        stats.bits_embedded += len(m)
-        stats.docs_emitted += len(docs)
+        stats.add(evals * copies, len(m), len(docs), evals)
     return docs
 
 
 def s3_extract(fn: BitFunction, docs: Sequence[Document], copies: int) -> list[int]:
-    if len(docs) % copies:
-        raise ProtocolError(
-            f"received {len(docs)} documents, not a multiple of tuple size {copies}")
+    _check_copies(copies, odd=False)
+    _check_framing(docs, copies)
     return [eval_bit_tuple(fn, docs[i:i + copies])
             for i in range(0, len(docs), copies)]
 
 
 # --- s4: per-bit copies with two draws each -------------------------------
 
-def s4_embed_bit(fn: BitFunction, counter: Counter, m: int, h: History,
-                 spec: ChannelSpec, rng: RngState, copies: int,
-                 stats: EmbedStats | None = None) -> list[Document]:
-    """Emit `copies` documents for one bit, each the better of two draws.
+def s4_embed(fn: BitFunction, counter: Counter, m: Sequence[int], h: History,
+             spec: ChannelSpec, rng: RngState, copies: int,
+             stats: EmbedStats | None = None) -> list[Document]:
+    """Emit `copies` documents per bit, each the better of two draws.
 
     Sender and receiver consume the same counter values in the same order,
     one per emitted document.
     """
-    if copies % 2 == 0 or copies < 1:
-        raise ConfigError(f"copies must be odd and >= 1, got {copies}")
-    docs = []
-    for _ in range(copies):
-        prev = _last_id(h)
-        first = Document(sample_id(spec, prev, rng))
-        second = Document(sample_id(spec, prev, rng))
-        if stats is not None:
-            stats.samples_drawn += 2
-            stats.prf_evals += 1
-        kept = first if eval_bit_sync(fn, counter, first) == m else second
-        counter.advance()
-        h.append(kept)
-        docs.append(kept)
-    if stats is not None:
-        stats.bits_embedded += 1
-        stats.docs_emitted += len(docs)
-    return docs
-
-
-def s4_extract_bit(fn: BitFunction, counter: Counter,
-                   docs: Sequence[Document], copies: int) -> int:
-    if copies % 2 == 0 or copies < 1:
-        raise ConfigError(f"copies must be odd and >= 1, got {copies}")
-    if len(docs) != copies:
-        raise ProtocolError(f"expected {copies} documents for one bit, got {len(docs)}")
-    votes = 0
-    for doc in docs:
-        votes += eval_bit_sync(fn, counter, doc)
-        counter.advance()
-    return 1 if votes > copies / 2 else 0
-
-
-def s4_embed(fn: BitFunction, counter: Counter, m: Sequence[int], h: History,
-             spec: ChannelSpec, rng: RngState, copies: int,
-             stats: EmbedStats | None = None) -> list[Document]:
+    _check_copies(copies, odd=True)
+    counter.check_headroom(len(m) * copies)
+    prev = h.last_id
     docs = []
     for bit in m:
-        docs.extend(s4_embed_bit(fn, counter, bit, h, spec, rng, copies, stats))
+        for _ in range(copies):
+            first = Document(sample_id(spec, prev, rng))
+            second = Document(sample_id(spec, prev, rng))
+            kept = first if eval_bit_sync(fn, counter, first) == bit else second
+            counter.value += 1
+            prev = kept.id
+            docs.append(kept)
+    h.extend(docs)
+    if stats is not None:
+        stats.add(2 * len(docs), len(m), len(docs), len(docs))
     return docs
 
 
 def s4_extract(fn: BitFunction, counter: Counter, docs: Sequence[Document],
                copies: int) -> list[int]:
-    if len(docs) % copies:
-        raise ProtocolError(
-            f"received {len(docs)} documents, not a multiple of copy count {copies}")
-    return [s4_extract_bit(fn, counter, docs[i:i + copies], copies)
-            for i in range(0, len(docs), copies)]
+    # The same vote as s2's: one synchronized bit per document, the
+    # majority over each bit's copies.
+    return s2_extract(fn, counter, docs, copies)

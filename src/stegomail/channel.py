@@ -69,6 +69,11 @@ class History:
     def last(self) -> Document | None:
         return self._docs[-1] if self._docs else None
 
+    @property
+    def last_id(self) -> int | None:
+        """Id of the last document, the channel's conditioning state."""
+        return self._docs[-1].id if self._docs else None
+
     def ids(self) -> list[int]:
         return [d.id for d in self._docs]
 
@@ -87,9 +92,12 @@ class History:
 
 def _check_vector(vec, size: int, label: str) -> tuple[float, ...]:
     try:
-        probs = tuple(float(p) for p in vec)
+        raw = tuple(vec)
+        probs = tuple(map(float, raw))
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{label} must be a list of numbers: {e}") from e
+    if bool in set(map(type, raw)):
+        raise ConfigError(f"{label} must be a list of numbers, not booleans")
     if len(probs) != size:
         raise ConfigError(f"{label} has length {len(probs)}, expected {size}")
     if not all(isfinite(p) for p in probs):
@@ -173,7 +181,8 @@ class ChannelSpec:
 
     @classmethod
     def markov1(cls, matrix, initial) -> "ChannelSpec":
-        return cls("markov1", len(tuple(matrix)), matrix=matrix, initial=initial)
+        rows = tuple(matrix)
+        return cls("markov1", len(rows), matrix=rows, initial=initial)
 
     def row(self, prev_id: int | None) -> tuple[float, ...]:
         """Conditional distribution given the id of the last sent document."""
@@ -201,8 +210,7 @@ def sample_id(spec: ChannelSpec, prev_id: int | None, rng: RngState) -> int:
 
 def sample(spec: ChannelSpec, h: History, rng: RngState) -> Document:
     """One draw from the channel given history `h`; `h` is not mutated."""
-    last = h.last
-    return Document(sample_id(spec, None if last is None else last.id, rng))
+    return Document(sample_id(spec, h.last_id, rng))
 
 
 def prob(spec: ChannelSpec, h: History, d: Document) -> float:
@@ -210,14 +218,12 @@ def prob(spec: ChannelSpec, h: History, d: Document) -> float:
     if d.id >= spec.alphabet_size:
         raise ConfigError(
             f"document id {d.id} outside alphabet of size {spec.alphabet_size}")
-    last = h.last
-    return spec.row(None if last is None else last.id)[d.id]
+    return spec.row(h.last_id)[d.id]
 
 
 def min_entropy(spec: ChannelSpec, h: History) -> float:
     """-log2 of the most probable document after history `h`, in bits."""
-    last = h.last
-    return -log2(max(spec.row(None if last is None else last.id)))
+    return -log2(max(spec.row(h.last_id)))
 
 
 def load_channel_spec(text: str) -> ChannelSpec:
@@ -238,6 +244,10 @@ def load_channel_spec(text: str) -> ChannelSpec:
         raw_size = data["alphabet_size"]
     except KeyError as e:
         raise ConfigError(f"channel spec missing field {e.args[0]!r}") from e
+    # int() would accept true as 1 and truncate 1.9 to 1.
+    if isinstance(raw_size, bool) or (isinstance(raw_size, float)
+                                      and not raw_size.is_integer()):
+        raise ConfigError(f"alphabet_size must be an integer, got {raw_size!r}")
     try:
         alphabet_size = int(raw_size)
     except (TypeError, ValueError) as e:

@@ -9,7 +9,6 @@ protocol/framing error, 4 counter error.
 from __future__ import annotations
 
 import sys
-import time
 from math import log2
 
 import click
@@ -20,12 +19,12 @@ from .ecc import bits_from_bytes, bits_from_hex, hex_from_bits
 from .errors import ConfigError, CounterError, ProtocolError
 from .mail import read_trace, write_trace
 from .prf import BitFunction, Counter, Key
-from .protocols import StegoKeyState, p1_embed, p1_extract, p1_route, p2_embed, p2_extract
+from .protocols import StegoKeyState, p1_extract
 from .rng import RngState
 from .security import (ALL_SYSTEMS, DISTINGUISHER_NAMES, SystemConfig,
                        benchmark_scaling, build_distinguisher, capacity,
-                       embed_message, extract_message, run_game,
-                       transmission_rate)
+                       embed_message, extract_message, reliability_estimate,
+                       run_game, transmission_rate)
 
 DEFAULT_BENCH_LENGTHS = "256,512,1024,2048,4096,8192,16384"
 
@@ -44,11 +43,6 @@ def _read_message_bits(path: str, message_format: str) -> list[int]:
         except UnicodeDecodeError as e:
             raise ConfigError(f"message file {path} is not hex text") from e
     return bits_from_bytes(raw)
-
-
-def _system_config(system: str, count, copies, repetition, random_fn) -> SystemConfig:
-    return SystemConfig(system=system, count=count, copies=copies,
-                        repetition=repetition, random_fn=random_fn)
 
 
 @click.group()
@@ -74,15 +68,9 @@ def embed(protocol, key_hex, counter, message_path, message_format,
     """Embed a message file into a mail trace."""
     spec = load_channel_file(channel_path)
     bits = _read_message_bits(message_path, message_format)
-    if not bits:
-        raise ConfigError("message is empty")
-    state = StegoKeyState(BitFunction.keyed(Key.from_hex(key_hex)), Counter(counter))
-    rng = RngState(seed)
     stats = EmbedStats()
-    if protocol == "p1":
-        mails = p1_embed(state, bits, History(), start_tick, spec, rng, stats)
-    else:
-        mails = p2_embed(state, bits, History(), start_tick, spec, rng, stats)
+    mails = embed_message(SystemConfig(protocol), BitFunction.keyed(Key.from_hex(key_hex)),
+                          bits, History(), spec, RngState(seed), start_tick, counter, stats)
     write_trace(mails, out_path)
     click.echo(f"embedded {stats.bits_embedded} bits into {stats.docs_emitted} mails "
                f"({stats.samples_drawn} channel draws) -> {out_path}")
@@ -99,20 +87,17 @@ def embed(protocol, key_hex, counter, message_path, message_format,
               help="Second mailbox trace (p1 only).")
 def extract(protocol, key_hex, counter, in_path, in2_path) -> None:
     """Recover the hiddentext from trace file(s); prints hex."""
-    state = StegoKeyState(BitFunction.keyed(Key.from_hex(key_hex)), Counter(counter))
+    fn = BitFunction.keyed(Key.from_hex(key_hex))
     mails = read_trace(in_path)
-    if protocol == "p1":
-        # A single trace is the full sent sequence; route it into the two
-        # mailboxes.  Two traces are the mailboxes themselves.
-        if in2_path is not None:
-            box1, box2 = mails, read_trace(in2_path)
-        else:
-            box1, box2 = p1_route(mails)
-        bits = p1_extract(state, box1, box2)
+    if in2_path is None:
+        # A single p1 trace is the full sent sequence, routed into the two
+        # mailboxes; a p2 trace is one mailbox.
+        bits = extract_message(SystemConfig(protocol), fn, mails, counter)
+    elif protocol == "p1":
+        # Two traces are the two mailboxes themselves.
+        bits = p1_extract(StegoKeyState(fn, Counter(counter)), mails, read_trace(in2_path))
     else:
-        if in2_path is not None:
-            raise ConfigError("p2 extraction reads a single mailbox trace")
-        bits = p2_extract(state, mails)
+        raise ConfigError("p2 extraction reads a single mailbox trace")
     click.echo(hex_from_bits(bits))
 
 
@@ -134,51 +119,27 @@ def simulate(system, channel_path, key_hex, bits, trials, count, copies,
              repetition, random_fn, seed, out_path) -> None:
     """Round-trip reliability simulation; per-trial and aggregate CSV."""
     spec = load_channel_file(channel_path)
-    cfg = _system_config(system, count, copies, repetition, random_fn)
-    if key_hex is None and not random_fn:
-        raise ConfigError("either --key or --random-fn is required")
+    cfg = SystemConfig(system, count, copies, repetition, random_fn=random_fn)
+    if (key_hex is None) != random_fn:
+        raise ConfigError("give exactly one of --key and --random-fn")
     header = _config_header(command="simulate", system=system, channel=channel_path,
                             bits=bits, trials=trials, count=count, copies=copies,
                             repetition=repetition, random_fn=random_fn, seed=seed)
-    rng = RngState(seed)
-    fixed_fn = BitFunction.keyed(Key.from_hex(key_hex)) if key_hex is not None else None
-    rows = []
-    total = EmbedStats()
-    failed = 0
-    bit_errors = 0
-    wall_total = 0.0
-    for t in range(trials):
-        trial_rng = rng.spawn(t)
-        fn = fixed_fn if fixed_fn is not None else BitFunction.random_oracle(
-            int.from_bytes(trial_rng.spawn(0).bytes(8), "big"))
-        msg = trial_rng.spawn(1).bits(bits)
-        stats = EmbedStats()
-        t0 = time.perf_counter()
-        outputs = embed_message(cfg, fn, msg, History(), spec, trial_rng.spawn(2),
-                                stats=stats)
-        recovered = extract_message(cfg, fn, outputs)
-        wall = time.perf_counter() - t0
-        errors = sum(a != b for a, b in zip(msg, recovered))
-        trial_failed = int(bool(errors) or len(recovered) != len(msg))
-        failed += trial_failed
-        bit_errors += errors
-        wall_total += wall
-        total.samples_drawn += stats.samples_drawn
-        total.docs_emitted += stats.docs_emitted
-        total.bits_embedded += stats.bits_embedded
-        rows.append(f"{t},{bits},{errors},{trial_failed},{stats.samples_drawn},"
-                    f"{stats.docs_emitted},{wall:.6f}")
+    fn = BitFunction.keyed(Key.from_hex(key_hex)) if key_hex is not None else None
+    report = reliability_estimate(cfg, spec, bits, trials, RngState(seed), fn=fn)
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as f:
             f.write(header + "\n")
             f.write("trial,bits,bit_errors,failed,samples_drawn,docs_emitted,wall_time_s\n")
-            f.write("".join(row + "\n" for row in rows))
+            f.write("".join(f"{t},{bits},{r.bit_errors},{r.failed},{r.samples_drawn},"
+                            f"{r.docs_emitted},{r.wall_s:.6f}\n"
+                            for t, r in enumerate(report.rows)))
     click.echo(header)
     click.echo("trials,bits_total,failure_rate,bit_error_rate,samples_drawn,"
                "docs_emitted,wall_time_s")
-    click.echo(f"{trials},{trials * bits},{failed / trials!r},"
-               f"{bit_errors / (trials * bits)!r},{total.samples_drawn},"
-               f"{total.docs_emitted},{wall_total:.6f}")
+    click.echo(f"{trials},{trials * bits},{report.message_failure_rate!r},"
+               f"{report.bit_error_rate!r},{report.stats.samples_drawn},"
+               f"{report.stats.docs_emitted},{sum(r.wall_s for r in report.rows):.6f}")
 
 
 @main.command()
@@ -199,7 +160,7 @@ def attack(system, distinguisher, channel_path, trials, bits_per_game,
            significance, count, copies, repetition, random_fn, seed) -> None:
     """Run the ST/CT distinguishing game; one CSV result row."""
     spec = load_channel_file(channel_path)
-    cfg = _system_config(system, count, copies, repetition, random_fn)
+    cfg = SystemConfig(system, count, copies, repetition, random_fn=random_fn)
     warden = build_distinguisher(distinguisher, cfg, spec, significance)
     estimate = run_game(warden, cfg, spec, trials, RngState(seed), bits_per_game)
     click.echo(_config_header(command="attack", system=system,
@@ -230,7 +191,7 @@ def rate(systems, channel_path, bits, count, copies, repetition, seed) -> None:
                               copies=copies, repetition=repetition, seed=seed))
     click.echo("system,bits,docs,rate")
     for i, name in enumerate(names):
-        cfg = _system_config(name.strip(), count, copies, repetition, False)
+        cfg = SystemConfig(name.strip(), count, copies, repetition)
         value = transmission_rate(cfg, spec, RngState(seed).spawn(i), bits=bits)
         docs = round(bits / value)
         click.echo(f"{cfg.system},{bits},{docs},{value!r}")
@@ -285,7 +246,7 @@ def bench(systems, lengths, channel_path, count, copies, repetition, repeats,
                      "docs_emitted,prf_evals"]
     slopes = []
     for i, name in enumerate(systems.split(",")):
-        cfg = _system_config(name.strip(), count, copies, repetition, False)
+        cfg = SystemConfig(name.strip(), count, copies, repetition)
         report = benchmark_scaling(cfg, spec, sizes, RngState(seed).spawn(i),
                                    repeats=repeats)
         for row in report.rows:

@@ -58,16 +58,6 @@ class Mailbox:
         return len(self.mails)
 
 
-def extract_document(s: Mail) -> Document:
-    """The document carried by a mail."""
-    return s.doc
-
-
-def extract_addresses(s: Mail) -> tuple[str, ...]:
-    """The destination address array, order preserved."""
-    return s.addresses
-
-
 def merge_by_date(seq1: Sequence[Mail], seq2: Sequence[Mail]) -> list[Mail]:
     """Linear two-way merge of two tick-sorted mail sequences.
 
@@ -137,7 +127,10 @@ def parse_trace(text: str) -> list[Mail]:
         addrs = split_fields.get(raw_addrs)
         if addrs is None:
             addrs = split_fields[raw_addrs] = tuple(raw_addrs.split(","))
-        mails.append(Mail(Document(doc_id), addrs, sent_at))
+        try:
+            mails.append(Mail(Document(doc_id), addrs, sent_at))
+        except ProtocolError as e:
+            raise ProtocolError(f"trace line {lineno}: {e}") from None
     return mails
 
 

@@ -87,8 +87,7 @@ def _embed_multi(state: StegoKeyState, addresses: ProtocolAddressSet,
     counter.check_headroom(n)
     fn = state.fn
     arrays = addresses.arrays
-    last = h.last
-    prev = None if last is None else last.id
+    prev = h.last_id
     docs: list[Document] = []
     mails: list[Mail] = []
     for i, bit in enumerate(m):
@@ -100,10 +99,7 @@ def _embed_multi(state: StegoKeyState, addresses: ProtocolAddressSet,
         counter.value += 1
     h.extend(docs)
     if stats is not None:
-        stats.samples_drawn += n
-        stats.prf_evals += n
-        stats.bits_embedded += n
-        stats.docs_emitted += n
+        stats.add(n, n, n, n)
     return mails
 
 
@@ -132,28 +128,22 @@ def _extract_multi(state: StegoKeyState, addresses: ProtocolAddressSet,
 
 # --- protocol 1: recipient choice ------------------------------------------
 
-def p1_embed_one_bit(state: StegoKeyState, m: int, h: History, tick: int,
-                     spec: ChannelSpec, rng: RngState,
-                     stats: EmbedStats | None = None) -> Mail:
-    """Hide one bit in the choice between address1 and address2."""
-    return _embed_multi(state, P1_ADDRESS_SET, [m], h, tick, spec, rng, stats)[0]
-
-
-def p1_extract_one_bit(state: StegoKeyState, s: Mail) -> int:
-    """Recover one bit; mails to address2 complement the document's bit."""
-    return _extract_multi(state, P1_ADDRESS_SET, [s])[0]
-
-
 def p1_embed(state: StegoKeyState, m: Sequence[int], h: History,
              start_tick: int, spec: ChannelSpec, rng: RngState,
              stats: EmbedStats | None = None) -> list[Mail]:
-    """Embed a bit string as one mail per bit with strictly increasing ticks."""
+    """Hide each bit in the choice between address1 and address2.
+
+    One mail per bit, with strictly increasing ticks.
+    """
     return _embed_multi(state, P1_ADDRESS_SET, m, h, start_tick, spec, rng, stats)
 
 
 def p1_extract(state: StegoKeyState, box1: Sequence[Mail],
                box2: Sequence[Mail]) -> list[int]:
-    """Merge the two mailboxes by send date, then extract bit by bit."""
+    """Merge the two mailboxes by send date, then extract bit by bit.
+
+    Mails to address2 complement the document's bit.
+    """
     return _extract_multi(state, P1_ADDRESS_SET, merge_by_date(list(box1), list(box2)))
 
 
@@ -175,20 +165,10 @@ def p1_route(mails: Sequence[Mail]) -> tuple[list[Mail], list[Mail]]:
 
 # --- protocol 2: broadcast order --------------------------------------------
 
-def p2_embed_one_bit(state: StegoKeyState, m: int, h: History, tick: int,
-                     spec: ChannelSpec, rng: RngState,
-                     stats: EmbedStats | None = None) -> Mail:
-    """Hide one bit in the order of the broadcast address array."""
-    return _embed_multi(state, P2_ADDRESS_SET, [m], h, tick, spec, rng, stats)[0]
-
-
-def p2_extract_one_bit(state: StegoKeyState, s: Mail) -> int:
-    return _extract_multi(state, P2_ADDRESS_SET, [s])[0]
-
-
 def p2_embed(state: StegoKeyState, m: Sequence[int], h: History,
              start_tick: int, spec: ChannelSpec, rng: RngState,
              stats: EmbedStats | None = None) -> list[Mail]:
+    """Hide each bit in the order of the broadcast address array."""
     return _embed_multi(state, P2_ADDRESS_SET, m, h, start_tick, spec, rng, stats)
 
 

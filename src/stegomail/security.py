@@ -16,9 +16,9 @@ and should be read as a lower bound.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import log2, sqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import stats as sps
@@ -62,11 +62,9 @@ class SystemConfig:
 
 @dataclass
 class GameTranscript:
-    """One game's oracle interaction: queries, responses, and the guess."""
+    """The oracle responses one game's distinguisher decides on."""
 
-    queries: list = field(default_factory=list)
     responses: list = field(default_factory=list)
-    guess: int | None = None
 
     def documents(self) -> list[Document]:
         docs = []
@@ -156,14 +154,7 @@ def extract_message(cfg: SystemConfig, fn: BitFunction, outputs,
     return p2_extract(state, outputs)
 
 
-# --- the two oracles --------------------------------------------------------
-
-def st_oracle(cfg: SystemConfig, fn: BitFunction, m: Sequence[int], h: History,
-              spec: ChannelSpec, rng: RngState, start_tick: int = 0,
-              stats: EmbedStats | None = None):
-    """The stegotext oracle: exactly the system's embed output for (m, h)."""
-    return embed_message(cfg, fn, m, h, spec, rng, start_tick=start_tick, stats=stats)
-
+# --- the covertext oracle (the stegotext oracle is embed_message) -------------
 
 def ct_oracle(spec: ChannelSpec, address_set: ProtocolAddressSet | None,
               n: int, h: History, rng: RngState, start_tick: int = 0):
@@ -174,8 +165,7 @@ def ct_oracle(spec: ChannelSpec, address_set: ProtocolAddressSet | None,
     With no address set, bare documents are returned (the baselines'
     traffic model).  The caller's history is not mutated.
     """
-    last = h.last
-    prev = None if last is None else last.id
+    prev = h.last_id
     out = []
     for i in range(n):
         doc = Document(sample_id(spec, prev, rng))
@@ -214,8 +204,7 @@ def channel_goodness_of_fit(spec: ChannelSpec, docs: Sequence[Document],
             counts[d.id] += 1
         groups[None] = counts
     else:
-        last = initial_history.last if initial_history is not None else None
-        prev = None if last is None else last.id
+        prev = initial_history.last_id if initial_history is not None else None
         for d in docs:
             counts = groups.setdefault(prev, [0] * spec.alphabet_size)
             counts[d.id] += 1
@@ -331,45 +320,41 @@ def build_distinguisher(name: str, cfg: SystemConfig, spec: ChannelSpec,
 
 # --- the game ----------------------------------------------------------------
 
-def _play_embed_side(distinguisher, cfg: SystemConfig, spec: ChannelSpec,
-                     bits_per_game: int, trial_rng: RngState,
-                     force_fn: str | None = None) -> int:
-    """One game against the embedder; `force_fn` pins the PRF-game side."""
+def _play(distinguisher, cfg: SystemConfig, spec: ChannelSpec,
+          bits_per_game: int, trial_rng: RngState, covertext: bool) -> int:
+    """One game: the distinguisher picks a hiddentext and guesses from one response.
+
+    The response is the embedder's output under a fresh function drawn per
+    `cfg` (the ST oracle), or with `covertext` set, equally long normal
+    traffic (the CT oracle), which needs no function.
+    """
     key_rng = trial_rng.spawn(0)
     msg_rng = trial_rng.spawn(1)
     draw_rng = trial_rng.spawn(2)
-    if force_fn == "keyed":
-        fn = BitFunction.keyed(Key.generate(key_rng, cfg.key_bits))
-    elif force_fn == "random":
-        fn = BitFunction.random_oracle(int.from_bytes(key_rng.bytes(8), "big"))
+    m = distinguisher.pick_message(bits_per_game, msg_rng)
+    if covertext:
+        response = ct_oracle(spec, address_set_for(cfg),
+                             output_length(cfg, bits_per_game), History(), draw_rng)
     else:
-        fn = make_fn(cfg, key_rng)
-    m = distinguisher.pick_message(bits_per_game, msg_rng)
-    h = History()
-    response = st_oracle(cfg, fn, m, h, spec, draw_rng)
-    transcript = GameTranscript(queries=[(tuple(m), ())], responses=[response])
-    transcript.guess = distinguisher.decide(transcript)
-    return transcript.guess
+        response = embed_message(cfg, make_fn(cfg, key_rng), m, History(), spec,
+                                 draw_rng)
+    return distinguisher.decide(GameTranscript([response]))
 
 
-def _play_ct_side(distinguisher, cfg: SystemConfig, spec: ChannelSpec,
-                  bits_per_game: int, trial_rng: RngState) -> int:
-    key_rng = trial_rng.spawn(0)
-    msg_rng = trial_rng.spawn(1)
-    draw_rng = trial_rng.spawn(2)
-    Key.generate(key_rng, cfg.key_bits)  # drawn and unused, as in the game definition
-    m = distinguisher.pick_message(bits_per_game, msg_rng)
-    n = output_length(cfg, bits_per_game)
-    response = ct_oracle(spec, address_set_for(cfg), n, History(), draw_rng)
-    transcript = GameTranscript(queries=[(tuple(m), ())], responses=[response])
-    transcript.guess = distinguisher.decide(transcript)
-    return transcript.guess
-
-
-def _advantage(st_guesses: list[int], ct_guesses: list[int]) -> AdvantageEstimate:
-    trials = len(st_guesses)
-    p_st = sum(st_guesses) / trials
-    p_ct = sum(ct_guesses) / trials
+def _advantage(distinguisher, spec: ChannelSpec, trials: int, rng: RngState,
+               bits_per_game: int, first: tuple[SystemConfig, bool],
+               second: tuple[SystemConfig, bool]) -> AdvantageEstimate:
+    """|p̂_first - p̂_second| over `trials` pairs of games, each side a
+    (cfg, covertext) pair for ``_play`` on ``rng.spawn(t).spawn(side)``."""
+    if trials < 100:
+        raise ConfigError(f"need at least 100 trials for a meaningful estimate, got {trials}")
+    hits = [0, 0]
+    for t in range(trials):
+        trial_rng = rng.spawn(t)
+        for side, (cfg, covertext) in enumerate((first, second)):
+            hits[side] += _play(distinguisher, cfg, spec, bits_per_game,
+                                trial_rng.spawn(side), covertext)
+    p_st, p_ct = hits[0] / trials, hits[1] / trials
     halfwidth = 1.96 * sqrt(p_st * (1 - p_st) / trials + p_ct * (1 - p_ct) / trials)
     return AdvantageEstimate(abs(p_st - p_ct), trials, halfwidth, p_st, p_ct)
 
@@ -377,16 +362,8 @@ def _advantage(st_guesses: list[int], ct_guesses: list[int]) -> AdvantageEstimat
 def run_game(distinguisher, cfg: SystemConfig, spec: ChannelSpec, trials: int,
              rng: RngState, bits_per_game: int = 100) -> AdvantageEstimate:
     """Estimate |p̂_ST - p̂_CT| over independent fresh-key games."""
-    if trials < 100:
-        raise ConfigError(f"need at least 100 trials for a meaningful estimate, got {trials}")
-    st_guesses, ct_guesses = [], []
-    for t in range(trials):
-        trial_rng = rng.spawn(t)
-        st_guesses.append(_play_embed_side(
-            distinguisher, cfg, spec, bits_per_game, trial_rng.spawn(0)))
-        ct_guesses.append(_play_ct_side(
-            distinguisher, cfg, spec, bits_per_game, trial_rng.spawn(1)))
-    return _advantage(st_guesses, ct_guesses)
+    return _advantage(distinguisher, spec, trials, rng, bits_per_game,
+                      (cfg, False), (cfg, True))
 
 
 def run_prf_reduction_game(distinguisher, cfg: SystemConfig, spec: ChannelSpec,
@@ -399,16 +376,9 @@ def run_prf_reduction_game(distinguisher, cfg: SystemConfig, spec: ChannelSpec,
     distinguisher's guess.  Run with the same rng seed as ``run_game``,
     its keyed side replays the ST side draw for draw.
     """
-    if trials < 100:
-        raise ConfigError(f"need at least 100 trials for a meaningful estimate, got {trials}")
-    keyed_guesses, random_guesses = [], []
-    for t in range(trials):
-        trial_rng = rng.spawn(t)
-        keyed_guesses.append(_play_embed_side(
-            distinguisher, cfg, spec, bits_per_game, trial_rng.spawn(0), force_fn="keyed"))
-        random_guesses.append(_play_embed_side(
-            distinguisher, cfg, spec, bits_per_game, trial_rng.spawn(1), force_fn="random"))
-    return _advantage(keyed_guesses, random_guesses)
+    return _advantage(distinguisher, spec, trials, rng, bits_per_game,
+                      (replace(cfg, random_fn=False), False),
+                      (replace(cfg, random_fn=True), False))
 
 
 # --- rate, capacity, reliability ---------------------------------------------
@@ -434,6 +404,16 @@ def capacity(p: float) -> float:
     return 1.0 + p * log2(p) + (1.0 - p) * log2(1.0 - p)
 
 
+class TrialRow(NamedTuple):
+    """One round trip: its errors, its embed work and its wall time."""
+
+    bit_errors: int
+    failed: int
+    samples_drawn: int
+    docs_emitted: int
+    wall_s: float
+
+
 @dataclass(frozen=True)
 class ReliabilityReport:
     trials: int
@@ -441,6 +421,7 @@ class ReliabilityReport:
     failed_trials: int
     bit_errors: int
     stats: EmbedStats
+    rows: tuple[TrialRow, ...]
 
     @property
     def message_failure_rate(self) -> float:
@@ -452,23 +433,35 @@ class ReliabilityReport:
 
 
 def reliability_estimate(cfg: SystemConfig, spec: ChannelSpec, bits: int,
-                         trials: int, rng: RngState) -> ReliabilityReport:
-    """Embed/extract round trips on random messages with fresh keys."""
-    stats = EmbedStats()
-    failed = 0
-    bit_errors = 0
+                         trials: int, rng: RngState,
+                         fn: BitFunction | None = None) -> ReliabilityReport:
+    """Embed/extract round trips on random messages, one row per trial.
+
+    Each trial draws a fresh function per `cfg` unless `fn` is given.
+    """
+    if bits < 1 or trials < 1:
+        raise ConfigError(f"need at least one bit and one trial, got bits={bits}, "
+                          f"trials={trials}")
+    total = EmbedStats()
+    rows = []
     for t in range(trials):
         trial_rng = rng.spawn(t)
-        fn = make_fn(cfg, trial_rng.spawn(0))
+        trial_fn = make_fn(cfg, trial_rng.spawn(0)) if fn is None else fn
         msg = trial_rng.spawn(1).bits(bits)
-        outputs = embed_message(cfg, fn, msg, History(), spec,
+        stats = EmbedStats()
+        t0 = time.perf_counter()
+        outputs = embed_message(cfg, trial_fn, msg, History(), spec,
                                 trial_rng.spawn(2), stats=stats)
-        recovered = extract_message(cfg, fn, outputs)
+        recovered = extract_message(cfg, trial_fn, outputs)
+        wall = time.perf_counter() - t0
         errors = sum(a != b for a, b in zip(msg, recovered))
-        if errors or len(recovered) != len(msg):
-            failed += 1
-        bit_errors += errors
-    return ReliabilityReport(trials, bits, failed, bit_errors, stats)
+        failed = int(bool(errors) or len(recovered) != len(msg))
+        rows.append(TrialRow(errors, failed, stats.samples_drawn,
+                             stats.docs_emitted, wall))
+        total.add(stats.samples_drawn, stats.bits_embedded, stats.docs_emitted,
+                  stats.prf_evals)
+    return ReliabilityReport(trials, bits, sum(r.failed for r in rows),
+                             sum(r.bit_errors for r in rows), total, tuple(rows))
 
 
 # --- scaling benchmark ---------------------------------------------------------

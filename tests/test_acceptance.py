@@ -14,7 +14,7 @@ from stegomail import (BitFunction, ChannelSpec, Counter, Document,
                        SystemConfig, benchmark_scaling, build_distinguisher,
                        capacity, channel_goodness_of_fit, eval_bit,
                        p1_embed, p2_embed, reliability_estimate, run_game,
-                       s1_rs, transmission_rate)
+                       s1_embed, transmission_rate)
 from stegomail.protocols import ProtocolAddressSet
 from stegomail.security import EMAIL_SYSTEMS, embed_message
 
@@ -214,7 +214,7 @@ def test_criterion_9_rejection_sampler_distribution_oracle():
     # second after a miss (1/2 * 1/2)
     oracle = 0.5 + 0.5 * 0.5
     rng = RngState(MASTER_SEED + 9)
-    hits = sum(s1_rs(fn, 1, 2, History(), spec, rng) == Document(1)
+    hits = sum(s1_embed(fn, [1], History(), spec, rng, count=2) == [Document(1)]
                for _ in range(10_000))
     freq = hits / 10_000
     ok = abs(freq - oracle) <= 0.02

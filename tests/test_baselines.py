@@ -1,16 +1,20 @@
+import hashlib
+from dataclasses import astuple
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter,
-                       Document, EmbedStats, History, Key, ProtocolError,
-                       RngState, eval_bit, s1_embed, s1_extract, s1_rs, s2_embed,
-                       s2_extract, s3_embed, s3_extract, s4_embed,
-                       s4_embed_bit, s4_extract, s4_extract_bit)
+                       CounterError, Document, EmbedStats, History, Key,
+                       ProtocolError, RngState, eval_bit, load_channel_file,
+                       s1_embed, s1_extract, s2_embed, s2_extract, s3_embed,
+                       s3_extract, s4_embed, s4_extract)
 
 from conftest import find_key_where
 
 UNIFORM_2_16 = ChannelSpec.uniform(2 ** 16)
+CHANNEL_DIR = Path(__file__).resolve().parent.parent / "channels"
 
 
 def two_draw_match_probability(p_match: float) -> float:
@@ -45,7 +49,8 @@ def test_s1_rs_point_mass_immediate_match():
     spec = ChannelSpec.point_mass(4)
     key = find_key_where(lambda fn: eval_bit(fn, Document(0)) == 1)
     stats = EmbedStats()
-    doc = s1_rs(BitFunction.keyed(key), 1, 128, History(), spec, RngState(1), stats)
+    [doc] = s1_embed(BitFunction.keyed(key), [1], History(), spec, RngState(1),
+                     count=128, stats=stats)
     assert doc == Document(0)
     assert stats.samples_drawn == 1
 
@@ -54,7 +59,8 @@ def test_s1_rs_point_mass_mismatch_exhausts_budget():
     spec = ChannelSpec.point_mass(4)
     key = find_key_where(lambda fn: eval_bit(fn, Document(0)) == 0)
     stats = EmbedStats()
-    doc = s1_rs(BitFunction.keyed(key), 1, 7, History(), spec, RngState(1), stats)
+    [doc] = s1_embed(BitFunction.keyed(key), [1], History(), spec, RngState(1),
+                     count=7, stats=stats)
     assert doc == Document(0)
     assert stats.samples_drawn == 7
 
@@ -67,7 +73,7 @@ def test_s1_rs_two_doc_distribution_matches_enumeration_oracle():
     oracle = two_draw_match_probability(0.5)
     assert oracle == 0.75
     rng = RngState(3)
-    hits = sum(s1_rs(fn, 1, 2, History(), spec, rng) == Document(1)
+    hits = sum(s1_embed(fn, [1], History(), spec, rng, count=2) == [Document(1)]
                for _ in range(10_000))
     assert abs(hits / 10_000 - oracle) <= 0.02
 
@@ -239,9 +245,9 @@ def test_s4_single_copy_failure_quarter():
     counter_tx, counter_rx = Counter(), Counter()
     for trial in range(trials):
         m = trial % 2
-        docs = s4_embed_bit(fn, counter_tx, m, History(), UNIFORM_2_16,
-                            rng.spawn(trial), copies=1)
-        failures += s4_extract_bit(fn, counter_rx, docs, copies=1) != m
+        docs = s4_embed(fn, counter_tx, [m], History(), UNIFORM_2_16,
+                        rng.spawn(trial), copies=1)
+        failures += s4_extract(fn, counter_rx, docs, copies=1) != [m]
     assert abs(failures / trials - 0.25) <= 0.02
 
 
@@ -254,9 +260,9 @@ def test_s4_five_copies_failure_matches_binomial_tail():
     trials = 10_000
     for trial in range(trials):
         m = trial % 2
-        docs = s4_embed_bit(fn, counter_tx, m, History(), UNIFORM_2_16,
-                            rng.spawn(trial), copies=5)
-        failures += s4_extract_bit(fn, counter_rx, docs, copies=5) != m
+        docs = s4_embed(fn, counter_tx, [m], History(), UNIFORM_2_16,
+                        rng.spawn(trial), copies=5)
+        failures += s4_extract(fn, counter_rx, docs, copies=5) != [m]
     assert abs(failures / trials - oracle) <= 0.01
 
 
@@ -268,9 +274,9 @@ def test_s4_symmetric_in_message_bit():
         counter_tx, counter_rx = Counter(), Counter()
         failures = 0
         for trial in range(4_000):
-            docs = s4_embed_bit(fn, counter_tx, m, History(), UNIFORM_2_16,
-                                rng.spawn(10_000 * m + trial), copies=3)
-            failures += s4_extract_bit(fn, counter_rx, docs, copies=3) != m
+            docs = s4_embed(fn, counter_tx, [m], History(), UNIFORM_2_16,
+                            rng.spawn(10_000 * m + trial), copies=3)
+            failures += s4_extract(fn, counter_rx, docs, copies=3) != [m]
         rates.append(failures / 4_000)
     assert abs(rates[0] - rates[1]) <= 0.02
 
@@ -278,10 +284,10 @@ def test_s4_symmetric_in_message_bit():
 def test_s4_requires_odd_copies():
     fn = BitFunction.random_oracle(37)
     with pytest.raises(ConfigError):
-        s4_embed_bit(fn, Counter(), 1, History(), UNIFORM_2_16, RngState(37),
-                     copies=2)
+        s4_embed(fn, Counter(), [1], History(), UNIFORM_2_16, RngState(37),
+                 copies=2)
     with pytest.raises(ConfigError):
-        s4_extract_bit(fn, Counter(), [Document(0)] * 2, copies=2)
+        s4_extract(fn, Counter(), [Document(0)] * 2, copies=2)
 
 
 def test_s4_stats_and_counter_discipline():
@@ -314,6 +320,62 @@ def test_s4_round_trip_aligned_counters():
     assert desync_errors / 400 > 0.3
 
 
+NEAR_TOP = (1 << 64) - 3
+
+
+@pytest.mark.parametrize("system", ["s2", "s4"])
+def test_embed_without_counter_headroom_mutates_nothing(system):
+    # s2 needs 5 counter values for one bit (r=5), s4 6 for two bits (t=3).
+    fn = BitFunction.random_oracle(45)
+    counter = Counter(NEAR_TOP)
+    h = History([Document(1)])
+    rng, twin = RngState(45), RngState(45)
+    stats = EmbedStats()
+    with pytest.raises(CounterError):
+        if system == "s2":
+            s2_embed(fn, counter, [1], h, UNIFORM_2_16, rng, repetition=5, stats=stats)
+        else:
+            s4_embed(fn, counter, [1, 0], h, UNIFORM_2_16, rng, copies=3, stats=stats)
+    assert len(h) == 1
+    assert counter.value == NEAR_TOP
+    assert rng.random() == twin.random()
+    assert stats == EmbedStats()
+
+
+@pytest.mark.parametrize("extract", [s2_extract, s4_extract])
+def test_extract_without_counter_headroom_leaves_counter(extract):
+    fn = BitFunction.random_oracle(47)
+    counter = Counter(NEAR_TOP)
+    with pytest.raises(CounterError):
+        extract(fn, counter, [Document(0)] * 3, 3)
+    assert counter.value == NEAR_TOP
+    assert len(extract(fn, counter, [Document(0)], 1)) == 1
+    assert counter.value == NEAR_TOP + 1
+
+
+@pytest.mark.parametrize("extract", [s2_extract, s4_extract])
+def test_extract_framing_error_leaves_counter(extract):
+    fn = BitFunction.random_oracle(49)
+    counter = Counter(5)
+    with pytest.raises(ProtocolError):
+        extract(fn, counter, [Document(0)] * 4, 3)
+    with pytest.raises(ConfigError):
+        extract(fn, counter, [Document(0)] * 4, 2)
+    assert counter.value == 5
+
+
+def test_zero_copies_is_a_config_error():
+    fn = BitFunction.random_oracle(51)
+    with pytest.raises(ConfigError):
+        s3_extract(fn, [Document(0)] * 2, copies=0)
+    with pytest.raises(ConfigError):
+        s4_extract(fn, Counter(), [Document(0)] * 2, copies=0)
+    with pytest.raises(ConfigError):
+        s3_embed(fn, [1], History(), UNIFORM_2_16, RngState(51), copies=0)
+    with pytest.raises(ConfigError):
+        s4_embed(fn, Counter(), [1], History(), UNIFORM_2_16, RngState(51), copies=0)
+
+
 def test_extraction_is_pure():
     fn = BitFunction.random_oracle(43)
     docs = s1_embed(fn, [1, 0, 1], History(), UNIFORM_2_16, RngState(43))
@@ -322,3 +384,67 @@ def test_extraction_is_pure():
                      RngState(44), repetition=3)
     assert (s2_extract(fn, Counter(), docs2, repetition=3)
             == s2_extract(fn, Counter(), docs2, repetition=3))
+
+
+# SHA-256 of _prior_run_transcript for every system, channel and function
+# kind; recorded before the s1-s4 draw loops were shared, so a change to
+# the draw order, the PRF inputs, the counter or the work counters shows.
+GOLDEN_PRIOR_RUNS = {
+    ("s1", "binary", "keyed"): "2f6d855306235bca90e96ab8f6329bcdc0dc76a8c9bfbc4713ce0887b3571abb",
+    ("s1", "binary", "random"): "4b3d253b3d528c9aa0bec0c67ec290f81ddd90168d2277287ad7283835b37ef7",
+    ("s1", "markov2", "keyed"): "35327db23144d98b7cfe46b224be4670a219485bd3f622654c6e3519e22e13ad",
+    ("s1", "markov2", "random"): "e2111fc154214b837ee56932437a74e1b90270345ec4d065db0ad1d7fcde4c3a",
+    ("s1", "uniform65536", "keyed"): "d87e279fdbe1290ee3e9362261267462df3c03549aaa7932dce8c3c0709062e1",
+    ("s1", "uniform65536", "random"): "54c051d26f16c0f492b5348f1a9082049a29e1314bfb712e0dc1f84c852e47b0",
+    ("s2", "binary", "keyed"): "cf7580906712dcd2caff4f258098d128bb1581ecc3f56f9dc889aa696975adf3",
+    ("s2", "binary", "random"): "ef23c2e154d1e06441dfb4aa73ae9a7e0eca8efa84db5ea48d57342aae1e6b63",
+    ("s2", "markov2", "keyed"): "7dab4dad86812aa922375389538bc708c295c360557d26427d1e082f1da3758a",
+    ("s2", "markov2", "random"): "2b352e330d9d2dac8bd4966c55e4f3bc892e04c24ee00689136fe78e8046f994",
+    ("s2", "uniform65536", "keyed"): "9b5e0ef478b7c90975f6bf0711f567c2da539f5f7194068a21d6b7a9037b468d",
+    ("s2", "uniform65536", "random"): "3f31256de6c9534c41b2deadd25ebec8b20533bb4bf654346630b433090d284b",
+    ("s3", "binary", "keyed"): "db7188c6e0da41ab7081353365fe6622ce0862475a3c480e9d453603e0e9089d",
+    ("s3", "binary", "random"): "86181d6bb42118799fb67ef75278986101769cbe5de6fbf3e41a87a833270792",
+    ("s3", "markov2", "keyed"): "f29c2a6a57fc737f378cffdaa10660674e215d3009e81646e4c0189e4b0e43a4",
+    ("s3", "markov2", "random"): "0a4dadb5c08945e8626d46c67412442e19566795d30680aa9012d38d04bddc4c",
+    ("s3", "uniform65536", "keyed"): "6d0f23cb068a5c1ab83266a98b7ac6ace749b315a034556c589798a4586d7c5f",
+    ("s3", "uniform65536", "random"): "719ececdf64e06f4d51790a9047233f33dca8e270c409c01f265b9397c8d4915",
+    ("s4", "binary", "keyed"): "86f54f3e1ac6469b5bc0dda6202ad1dff1f61bbc62cbda4ac48b5396e9420dcc",
+    ("s4", "binary", "random"): "d2ee524ee1a6bf6a81e249fdb2b5dc071366c2a6951056c0c18dd7101f173bcd",
+    ("s4", "markov2", "keyed"): "ef50bcf7423aa1673f4bd286bbc062ca5555838eeb2285fe9edb464a4a47ebb5",
+    ("s4", "markov2", "random"): "11d010daeeb09bd5d0f8bb27448a7683b7f077f543b0d9c12a651973beece80b",
+    ("s4", "uniform65536", "keyed"): "d709d4bd403090cd956b8092f49b0e23674d6497c6e07ba9a5dfb286a54ff37d",
+    ("s4", "uniform65536", "random"): "6ebdcf591713203cd2c48f6cb9994dac927cc28864ebd359437ac974c79478ec",
+}
+
+
+def _prior_run_transcript(system: str, channel_name: str, fn_kind: str) -> str:
+    spec = (UNIFORM_2_16 if channel_name == "uniform65536"
+            else load_channel_file(CHANNEL_DIR / f"{channel_name}.json"))
+    fn = (BitFunction.keyed(Key.from_hex("000102030405060708090a0b0c0d0e0f"))
+          if fn_kind == "keyed" else BitFunction.random_oracle(20260811))
+    m = RngState(7).bits(40)
+    h = History([Document(1)])
+    rng = RngState(20260811)
+    stats = EmbedStats()
+    tx, rx = Counter(250), Counter(250)
+    if system == "s1":
+        docs = s1_embed(fn, m, h, spec, rng, stats=stats)
+        got = s1_extract(fn, docs)
+    elif system == "s2":
+        docs = s2_embed(fn, tx, m, h, spec, rng, repetition=3, stats=stats)
+        got = s2_extract(fn, rx, docs, repetition=3)
+    elif system == "s3":
+        docs = s3_embed(fn, m, h, spec, rng, copies=3, count=16, stats=stats)
+        got = s3_extract(fn, docs, copies=3)
+    else:
+        docs = s4_embed(fn, tx, m, h, spec, rng, copies=3, stats=stats)
+        got = s4_extract(fn, rx, docs, copies=3)
+    return repr(([d.id for d in docs], h.ids(), astuple(stats), got,
+                 tx.value, rx.value, rng.random()))
+
+
+@pytest.mark.parametrize("system, channel_name, fn_kind", sorted(GOLDEN_PRIOR_RUNS))
+def test_prior_system_runs_are_pinned(system, channel_name, fn_kind):
+    transcript = _prior_run_transcript(system, channel_name, fn_kind)
+    digest = hashlib.sha256(transcript.encode()).hexdigest()
+    assert digest == GOLDEN_PRIOR_RUNS[system, channel_name, fn_kind]

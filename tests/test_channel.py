@@ -130,6 +130,33 @@ def test_load_rejects_non_numeric_fields(text, field):
         load_channel_spec(text)
 
 
+@pytest.mark.parametrize("text,field", [
+    ('{"kind": "stationary", "alphabet_size": 1.9, "probs": [1.0]}', "alphabet_size"),
+    ('{"kind": "stationary", "alphabet_size": true, "probs": [1.0]}', "alphabet_size"),
+    ('{"kind": "stationary", "alphabet_size": Infinity, "probs": [1.0]}',
+     "alphabet_size"),
+    ('{"kind": "stationary", "alphabet_size": 1, "probs": [true]}', "probs"),
+    ('{"kind": "markov1", "alphabet_size": 1, "matrix": [[true]], "initial": [1]}',
+     "matrix row 0"),
+    ('{"kind": "markov1", "alphabet_size": 1, "matrix": [[1]], "initial": [true]}',
+     "initial"),
+])
+def test_load_rejects_booleans_and_fractional_sizes(text, field):
+    with pytest.raises(ConfigError, match=field):
+        load_channel_spec(text)
+
+
+def test_load_accepts_integral_float_size():
+    assert load_channel_spec(
+        '{"kind": "stationary", "alphabet_size": 2.0, "probs": [0.5, 0.5]}').alphabet_size == 2
+
+
+def test_markov1_accepts_a_generator_of_rows():
+    spec = ChannelSpec.markov1((row for row in [[0.9, 0.1], [0.5, 0.5]]), [0.5, 0.5])
+    assert spec.matrix == MARKOV2.matrix
+    assert spec.alphabet_size == 2
+
+
 def test_dump_load_round_trip():
     for spec in (ChannelSpec.stationary([0.5, 0.25, 0.25]), MARKOV2):
         again = load_channel_spec(dump_channel_spec(spec))
@@ -198,6 +225,14 @@ def test_rng_streams_match_golden_digests():
         "7b594f18fa0ee3725c1eb2aa207774fe90b9bf7a31b331a7eb8111163db9cae7")
     assert _stream_digest(second_child) == (
         "72e76145b8897c6387cd4031a3dea2cb1b3d45912958a9e5cc43143c4e79f1c7")
+
+
+def test_history_last_id():
+    h = History()
+    assert h.last_id is None
+    h.append(Document(3))
+    h.append(Document(1))
+    assert h.last_id == 1 == h.last.id
 
 
 def test_history_append_grows_by_one():

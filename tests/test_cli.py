@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,7 @@ from stegomail.cli import run
 from stegomail.protocols import ADDRESS1, ADDRESS2
 
 KEY = "00112233445566778899aabbccddeeff"
+REPO = Path(__file__).resolve().parent.parent
 
 UNIFORM_4 = {"kind": "stationary", "alphabet_size": 4,
              "probs": ["0.25", "0.25", "0.25", "0.25"]}
@@ -138,6 +141,22 @@ def test_simulate_requires_key_or_random_fn(channel):
                 "--bits", "8", "--trials", "5", "--seed", "1"]) == 2
 
 
+def test_simulate_key_and_random_fn_are_exclusive(channel, capsys):
+    spec = channel(UNIFORM_4)
+    assert run(["simulate", "--system", "s1", "--channel", spec, "--key", KEY,
+                "--random-fn", "--bits", "8", "--trials", "5", "--seed", "1"]) == 2
+    assert "--random-fn" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size_flags", [["--bits", "0", "--trials", "5"],
+                                        ["--bits", "8", "--trials", "0"]])
+def test_simulate_empty_run_is_config_error(channel, capsys, size_flags):
+    spec = channel(UNIFORM_4)
+    assert run(["simulate", "--system", "s1", "--channel", spec, "--key", KEY,
+                *size_flags, "--seed", "1"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_attack_outputs_csv_row(channel, capsys):
     spec = channel(UNIFORM_4)
     assert run(["attack", "--system", "p1", "--distinguisher",
@@ -245,3 +264,31 @@ def test_negative_document_id_in_trace_is_protocol_error(tmp_path):
     trace.write_text("0\t1\taddress1\n1\t-4\taddress2\n")
     assert run(["extract", "--protocol", "p1", "--key", KEY,
                 "--in", str(trace)]) == 3
+
+
+# SHA-256 of simulate's per-trial CSV and its stdout, wall-time column
+# stripped; recorded before simulate was built on reliability_estimate.
+GOLDEN_SIMULATE = {
+    ("s1", "key"): "3142c5f397449ebd7b3418f6659edc0bdb3e9dda0a1df47f198f8d20edf8bdd7",
+    ("s1", "random-fn"): "71f763cb731cfce34956ca72488e28ff6f1359701cb266cb32b2f1341f921e5d",
+    ("s2", "key"): "5a575edeea30ad3c3433ca4c24c3fc73ce33f8d74ed49b28a3edfdff13962b6a",
+    ("s2", "random-fn"): "2b0e6641ea1cb5d59b0326a1fa04f28465d674c52f5c716ce50ee050578d79c5",
+    ("s4", "key"): "67762a9a69d58948ac286518b59ea67ac2421d556381be8b19d54570ac5dc6c0",
+    ("s4", "random-fn"): "644c63d600bb375a4e08b6e9f4ee32a4aa80fd2864aec7b25b1d918552de312c",
+    ("p1", "key"): "bbb7d12aa234d1785a23068699a9b3f6099efbc38ed6441d9be7845a9f60660c",
+    ("p1", "random-fn"): "2586c5143fde0a8ef67de65f86d841741796c86863b9b651abf22f973f750154",
+}
+
+
+@pytest.mark.parametrize("system, fn_flag", sorted(GOLDEN_SIMULATE))
+def test_simulate_csv_is_pinned(system, fn_flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(REPO)
+    out = tmp_path / "trials.csv"
+    flags = ["--key", KEY] if fn_flag == "key" else ["--random-fn"]
+    assert run(["simulate", "--system", system, "--channel", "channels/markov2.json",
+                *flags, "--bits", "16", "--trials", "6", "--seed", "47",
+                "--out", str(out)]) == 0
+    per_trial = [line.rsplit(",", 1)[0] for line in out.read_text().splitlines()]
+    stdout = [line.rsplit(",", 1)[0] for line in out_lines(capsys)]
+    digest = hashlib.sha256(repr((per_trial, stdout)).encode()).hexdigest()
+    assert digest == GOLDEN_SIMULATE[system, fn_flag]

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stegomail import (Document, Mail, Mailbox, ProtocolError, RngState,
-                       deliver, extract_addresses, extract_document,
-                       merge_by_date, read_trace, write_trace)
+                       deliver, merge_by_date, read_trace, write_trace)
 from stegomail.mail import format_trace, parse_trace
 
 
@@ -15,13 +14,13 @@ def mk(tick, doc_id=0, addrs=("address1",)):
 
 
 def test_extract_document_projection():
-    assert extract_document(mk(3, doc_id=7)) == Document(7)
-    assert extract_document(mk(0, doc_id=0, addrs=("address2", "address1"))) == Document(0)
+    assert mk(3, doc_id=7).doc == Document(7)
+    assert mk(0, doc_id=0, addrs=("address2", "address1")).doc == Document(0)
 
 
 def test_extract_addresses_preserves_order():
-    assert extract_addresses(mk(1, addrs=("address2",))) == ("address2",)
-    both = extract_addresses(mk(1, addrs=("address1", "address2")))
+    assert mk(1, addrs=("address2",)).addresses == ("address2",)
+    both = mk(1, addrs=("address1", "address2")).addresses
     assert both == ("address1", "address2")
     assert both != ("address2", "address1")
 
@@ -41,8 +40,8 @@ def test_mail_round_trip_construct_extract():
     for t in range(1_000):
         doc = Document(rng.randrange(1_000))
         mail = Mail(doc, ("address1",), t)
-        assert extract_document(mail) == doc
-        assert extract_addresses(mail) == ("address1",)
+        assert mail.doc == doc
+        assert mail.addresses == ("address1",)
 
 
 def test_merge_examples():
@@ -140,7 +139,8 @@ def test_trace_error_messages_name_the_line():
         parse_trace("one\t2\taddress1\n")
     with pytest.raises(ProtocolError, match="^trace line 3: invalid literal for int"):
         parse_trace("0\t1\taddress1\n\n2\tx\taddress1\n")
-    with pytest.raises(ProtocolError, match="^recipient addresses must be nonempty"):
+    with pytest.raises(ProtocolError,
+                       match="^trace line 1: recipient addresses must be nonempty"):
         parse_trace("0\t1\taddress1,\n")
 
 

@@ -8,9 +8,7 @@ from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter,
                        ProtocolError, RngState, StegoKeyState,
                        channel_goodness_of_fit, deliver, eval_bit_sync,
                        load_channel_file,
-                       p1_embed, p1_embed_one_bit, p1_extract,
-                       p1_extract_one_bit, p2_embed, p2_embed_one_bit,
-                       p2_extract, p2_extract_one_bit)
+                       p1_embed, p1_extract, p2_embed, p2_extract)
 from stegomail.mail import format_trace
 from stegomail.protocols import ADDRESS1, ADDRESS2, ProtocolAddressSet, p1_route
 
@@ -38,7 +36,7 @@ def test_p1_matching_bit_goes_to_address1():
     key = find_key_where(
         lambda fn: eval_bit_sync(fn, Counter(0), Document(0)) == 1)
     state = StegoKeyState.from_key(key)
-    mail = p1_embed_one_bit(state, 1, History(), 0, POINT_MASS_1, RngState(1))
+    [mail] = p1_embed(state, [1], History(), 0, POINT_MASS_1, RngState(1))
     assert mail.addresses == (ADDRESS1,)
 
 
@@ -46,7 +44,7 @@ def test_p1_mismatching_bit_goes_to_address2():
     key = find_key_where(
         lambda fn: eval_bit_sync(fn, Counter(0), Document(0)) == 0)
     state = StegoKeyState.from_key(key)
-    mail = p1_embed_one_bit(state, 1, History(), 0, POINT_MASS_1, RngState(1))
+    [mail] = p1_embed(state, [1], History(), 0, POINT_MASS_1, RngState(1))
     assert mail.addresses == (ADDRESS2,)
 
 
@@ -54,7 +52,7 @@ def test_p1_one_bit_draws_once_and_advances_everything():
     state = oracle_state(3)
     h = History()
     stats = EmbedStats()
-    mail = p1_embed_one_bit(state, 0, h, 7, MARKOV2, RngState(3), stats)
+    [mail] = p1_embed(state, [0], h, 7, MARKOV2, RngState(3), stats)
     assert stats.samples_drawn == 1
     assert stats.prf_evals == 1
     assert state.counter.value == 1
@@ -69,7 +67,7 @@ def test_p1_address_frequency_under_random_function():
     hits = 0
     n = 10_000
     for i in range(n):
-        mail = p1_embed_one_bit(state, rng.bit(), h, i, POINT_MASS_1, rng)
+        [mail] = p1_embed(state, [rng.bit()], h, i, POINT_MASS_1, rng)
         hits += mail.addresses == (ADDRESS1,)
     assert abs(hits / n - 0.5) <= 0.02
 
@@ -78,9 +76,9 @@ def test_p1_extract_complement_rule():
     key = find_key_where(
         lambda fn: eval_bit_sync(fn, Counter(0), Document(5)) == 1)
     state_a = StegoKeyState.from_key(key)
-    assert p1_extract_one_bit(state_a, Mail(Document(5), (ADDRESS2,), 0)) == 0
+    assert p1_extract(state_a, [], [Mail(Document(5), (ADDRESS2,), 0)]) == [0]
     state_b = StegoKeyState.from_key(key)
-    assert p1_extract_one_bit(state_b, Mail(Document(5), (ADDRESS1,), 0)) == 1
+    assert p1_extract(state_b, [Mail(Document(5), (ADDRESS1,), 0)], []) == [1]
 
 
 def test_p1_one_bit_round_trip_exhaustive():
@@ -92,17 +90,17 @@ def test_p1_one_bit_round_trip_exhaustive():
             for m in (0, 1):
                 tx = StegoKeyState(fn, Counter(n))
                 rx = StegoKeyState(fn, Counter(n))
-                mail = p1_embed_one_bit(tx, m, History(), 0, spec, RngState(0))
-                assert p1_extract_one_bit(rx, mail) == m
+                mails = p1_embed(tx, [m], History(), 0, spec, RngState(0))
+                assert p1_extract(rx, *p1_route(mails)) == [m]
 
 
 def test_p1_extract_rejects_foreign_address():
     state = oracle_state(7)
     with pytest.raises(ProtocolError):
-        p1_extract_one_bit(state, Mail(Document(0), ("address3",), 0))
+        p1_extract(state, [Mail(Document(0), ("address3",), 0)], [])
     state2 = oracle_state(7)
     with pytest.raises(ProtocolError):
-        p1_extract_one_bit(state2, Mail(Document(0), (ADDRESS1, ADDRESS2), 0))
+        p1_extract(state2, [Mail(Document(0), (ADDRESS1, ADDRESS2), 0)], [])
 
 
 def test_p1_embed_ticks_and_counts():
@@ -164,11 +162,11 @@ def test_p1_extract_rejects_duplicate_ticks():
 def test_p2_broadcast_orders():
     key_match = find_key_where(
         lambda fn: eval_bit_sync(fn, Counter(0), Document(0)) == 1)
-    mail = p2_embed_one_bit(StegoKeyState.from_key(key_match), 1, History(), 0,
-                            POINT_MASS_1, RngState(19))
+    [mail] = p2_embed(StegoKeyState.from_key(key_match), [1], History(), 0,
+                      POINT_MASS_1, RngState(19))
     assert mail.addresses == (ADDRESS1, ADDRESS2)
-    mail2 = p2_embed_one_bit(StegoKeyState.from_key(key_match), 0, History(), 0,
-                             POINT_MASS_1, RngState(19))
+    [mail2] = p2_embed(StegoKeyState.from_key(key_match), [0], History(), 0,
+                       POINT_MASS_1, RngState(19))
     assert mail2.addresses == (ADDRESS2, ADDRESS1)
 
 
@@ -176,8 +174,8 @@ def test_p2_extract_complement_on_reversed_order():
     key = find_key_where(
         lambda fn: eval_bit_sync(fn, Counter(0), Document(3)) == 1)
     state = StegoKeyState.from_key(key)
-    assert p2_extract_one_bit(
-        state, Mail(Document(3), (ADDRESS2, ADDRESS1), 0)) == 0
+    assert p2_extract(
+        state, [Mail(Document(3), (ADDRESS2, ADDRESS1), 0)]) == [0]
 
 
 def test_p2_round_trip_and_box_equivalence():
@@ -204,7 +202,7 @@ def test_p2_address_order_frequency_under_random_function():
     hits = 0
     n = 10_000
     for i in range(n):
-        mail = p2_embed_one_bit(state, rng.bit(), h, i, POINT_MASS_1, rng)
+        [mail] = p2_embed(state, [rng.bit()], h, i, POINT_MASS_1, rng)
         hits += mail.addresses == (ADDRESS1, ADDRESS2)
     assert abs(hits / n - 0.5) <= 0.02
 
@@ -212,7 +210,7 @@ def test_p2_address_order_frequency_under_random_function():
 def test_p2_rejects_single_address_mail():
     state = oracle_state(25)
     with pytest.raises(ProtocolError):
-        p2_extract_one_bit(state, Mail(Document(0), (ADDRESS1,), 0))
+        p2_extract(state, [Mail(Document(0), (ADDRESS1,), 0)])
 
 
 def test_p2_extract_requires_sorted_box():
@@ -240,7 +238,7 @@ def test_emitted_documents_match_channel(channel_name, embed_fn):
 def test_counter_overflow_is_a_hard_error():
     state = oracle_state(31, counter=(1 << 64) - 1)
     with pytest.raises(CounterError):
-        p1_embed_one_bit(state, 1, History(), 0, POINT_MASS_1, RngState(31))
+        p1_embed(state, [1], History(), 0, POINT_MASS_1, RngState(31))
 
 
 def test_counter_synchronization_after_n_bits():

@@ -9,8 +9,7 @@ from stegomail import (AddressFrequencyDistinguisher, BitFunction, ChannelSpec,
                        benchmark_scaling, build_distinguisher, capacity,
                        channel_goodness_of_fit, ct_oracle, embed_message,
                        eval_bit, extract_message, reliability_estimate,
-                       run_game, run_prf_reduction_game, st_oracle,
-                       transmission_rate)
+                       run_game, run_prf_reduction_game, transmission_rate)
 from stegomail.protocols import ADDRESS1, ADDRESS2, ProtocolAddressSet
 from stegomail.security import address_set_for, make_fn, output_length
 
@@ -42,7 +41,7 @@ def test_st_oracle_response_lengths():
         (SystemConfig("s4", copies=3), 1, 3),
     ]:
         fn = make_fn(cfg, rng.spawn(0))
-        out = st_oracle(cfg, fn, [1] * bits, History(), UNIFORM_4, rng.spawn(1))
+        out = embed_message(cfg, fn, [1] * bits, History(), UNIFORM_4, rng.spawn(1))
         assert len(out) == expected
 
 
@@ -51,7 +50,7 @@ def test_ct_matches_st_length_for_every_system():
     for name in ("s1", "s2", "s3", "s4", "p1", "p2"):
         cfg = SystemConfig(name, count=8, copies=3, repetition=5)
         fn = make_fn(cfg, rng.spawn(0))
-        st = st_oracle(cfg, fn, [0, 1] * 6, History(), UNIFORM_4, rng.spawn(1))
+        st = embed_message(cfg, fn, [0, 1] * 6, History(), UNIFORM_4, rng.spawn(1))
         ct = ct_oracle(UNIFORM_4, address_set_for(cfg), output_length(cfg, 12),
                        History(), rng.spawn(2))
         assert len(st) == len(ct)
@@ -246,6 +245,34 @@ def test_reliability_email_protocols_perfect():
         assert report.bit_error_rate == 0.0
 
 
+def test_reliability_rows_add_up_to_the_report():
+    cfg = SystemConfig("s4", copies=3, random_fn=True)
+    report = reliability_estimate(cfg, UNIFORM_4, bits=20, trials=7, rng=RngState(41))
+    assert len(report.rows) == 7
+    assert sum(r.bit_errors for r in report.rows) == report.bit_errors
+    assert sum(r.failed for r in report.rows) == report.failed_trials
+    assert sum(r.samples_drawn for r in report.rows) == report.stats.samples_drawn
+    assert sum(r.docs_emitted for r in report.rows) == report.stats.docs_emitted
+    assert all(r.docs_emitted == 60 and r.wall_s >= 0.0 for r in report.rows)
+
+
+def test_reliability_with_a_fixed_function():
+    fn = make_fn(SystemConfig("s1"), RngState(43))
+    fixed = reliability_estimate(SystemConfig("s1"), UNIFORM_4, bits=16, trials=4,
+                                 rng=RngState(43), fn=fn)
+    fresh = reliability_estimate(SystemConfig("s1"), UNIFORM_4, bits=16, trials=4,
+                                 rng=RngState(43))
+    assert fixed.stats.bits_embedded == fresh.stats.bits_embedded == 64
+    assert fixed.rows != fresh.rows
+
+
+@pytest.mark.parametrize("bits, trials", [(0, 5), (8, 0)])
+def test_reliability_needs_a_bit_and_a_trial(bits, trials):
+    with pytest.raises(ConfigError):
+        reliability_estimate(SystemConfig("s1"), UNIFORM_4, bits=bits, trials=trials,
+                             rng=RngState(45))
+
+
 def test_reliability_s2_quarter_failure():
     cfg = SystemConfig("s2", repetition=1, random_fn=True)
     report = reliability_estimate(cfg, ChannelSpec.uniform(2 ** 16), bits=100,
@@ -286,3 +313,19 @@ def test_benchmark_scaling_smoke():
         assert row.samples_drawn == row.bits
         assert row.prf_evals == row.bits
     assert 0.5 <= report.embed_slope <= 1.5
+
+
+# (p_st, p_ct) of one 100-trial s1 game and of its PRF-reduction twin;
+# recorded before the two game sides shared one body.
+GOLDEN_S1_GAME = (0.44, 0.05)
+GOLDEN_S1_PRF_GAME = (0.4, 0.53)
+
+
+def test_s1_game_estimates_are_pinned():
+    cfg = SystemConfig("s1", count=128)
+    warden = DocumentFrequencyDistinguisher(UNIFORM_2)
+    est = run_game(warden, cfg, UNIFORM_2, 100, RngState(20260811))
+    assert (est.p_st, est.p_ct) == GOLDEN_S1_GAME
+    prf = run_prf_reduction_game(warden, cfg, UNIFORM_2, 100, RngState(20260811),
+                                 bits_per_game=40)
+    assert (prf.p_st, prf.p_ct) == GOLDEN_S1_PRF_GAME
