@@ -11,16 +11,15 @@ from .errors import ConfigError, CounterError, ProtocolError, StegoError
 from .mail import Mail, Mailbox, deliver, merge_by_date, read_trace, write_trace
 from .prf import (BitFunction, Counter, Key, eval_bit, eval_bit_sync,
                   eval_bit_tuple)
-from .protocols import (ADDRESS1, ADDRESS2, ProtocolAddressSet, StegoKeyState,
-                        p1_embed, p1_extract, p2_embed, p2_extract)
+from .protocols import (ADDRESS1, ADDRESS2, p1_embed, p1_extract, p2_embed,
+                        p2_extract)
 from .rng import RngState
 from .security import (AdvantageEstimate, AddressFrequencyDistinguisher,
                        BenchReport, ConstantGuessDistinguisher,
-                       DocumentFrequencyDistinguisher, GameTranscript,
-                       ReliabilityReport, SystemConfig, benchmark_scaling,
-                       build_distinguisher, capacity, channel_goodness_of_fit,
-                       ct_oracle, embed_message, extract_message,
-                       reliability_estimate, run_game, run_prf_reduction_game,
-                       transmission_rate)
+                       DocumentFrequencyDistinguisher, ReliabilityReport,
+                       SystemConfig, benchmark_scaling, build_distinguisher,
+                       capacity, channel_goodness_of_fit, ct_oracle,
+                       embed_message, extract_message, reliability_estimate,
+                       run_game, run_prf_reduction_game, transmission_rate)
 
 __version__ = "0.1.0"

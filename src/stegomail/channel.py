@@ -66,10 +66,6 @@ class History:
         self._docs.extend(docs)
 
     @property
-    def last(self) -> Document | None:
-        return self._docs[-1] if self._docs else None
-
-    @property
     def last_id(self) -> int | None:
         """Id of the last document, the channel's conditioning state."""
         return self._docs[-1].id if self._docs else None

@@ -19,7 +19,7 @@ from .ecc import bits_from_bytes, bits_from_hex, hex_from_bits
 from .errors import ConfigError, CounterError, ProtocolError
 from .mail import read_trace, write_trace
 from .prf import BitFunction, Counter, Key
-from .protocols import StegoKeyState, p1_extract
+from .protocols import p1_extract
 from .rng import RngState
 from .security import (ALL_SYSTEMS, DISTINGUISHER_NAMES, SystemConfig,
                        benchmark_scaling, build_distinguisher, capacity,
@@ -95,7 +95,7 @@ def extract(protocol, key_hex, counter, in_path, in2_path) -> None:
         bits = extract_message(SystemConfig(protocol), fn, mails, counter)
     elif protocol == "p1":
         # Two traces are the two mailboxes themselves.
-        bits = p1_extract(StegoKeyState(fn, Counter(counter)), mails, read_trace(in2_path))
+        bits = p1_extract(fn, Counter(counter), mails, read_trace(in2_path))
     else:
         raise ConfigError("p2 extraction reads a single mailbox trace")
     click.echo(hex_from_bits(bits))
@@ -239,7 +239,10 @@ def bench(systems, lengths, channel_path, count, copies, repetition, repeats,
           seed, out_path) -> None:
     """Wall-time scaling across message lengths, with log-log slope fits."""
     spec = load_channel_file(channel_path)
-    sizes = [int(x) for x in lengths.split(",")]
+    try:
+        sizes = [int(x) for x in lengths.split(",")]
+    except ValueError as e:
+        raise ConfigError(f"--lengths must be comma-separated integers, got {lengths!r}") from e
     header = _config_header(command="bench", systems=systems, lengths=lengths,
                             channel=channel_path, repeats=repeats, seed=seed)
     lines = [header, "system,bits,embed_seconds,extract_seconds,samples_drawn,"

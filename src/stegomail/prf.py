@@ -90,10 +90,6 @@ class Counter:
         if self.value + n >= (1 << self.n_bits):
             raise CounterError(f"counter overflow at width {self.n_bits} bits")
 
-    def advance(self) -> None:
-        self.check_headroom(1)
-        self.value += 1
-
 
 class BitFunction:
     """One-bit function over encoded inputs: keyed hash or true random."""

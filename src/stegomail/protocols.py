@@ -18,61 +18,28 @@ the identity on messages for any channel and any bit function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .baselines import EmbedStats
 from .channel import ChannelSpec, Document, History, sample_id
 from .errors import ConfigError, ProtocolError
 from .mail import Mail, merge_by_date
-from .prf import BitFunction, Counter, Key, eval_bit_sync
+from .prf import BitFunction, Counter, eval_bit_sync
 from .rng import RngState
 
 ADDRESS1 = "address1"
 ADDRESS2 = "address2"
 
 
-@dataclass(frozen=True)
-class ProtocolAddressSet:
-    """The two address arrays a protocol may put on a mail.
-
-    ``arrays[0]`` is used when the document's synchronized bit equals the
-    message bit, ``arrays[1]`` when it does not (and signals complement on
-    extraction).
-    """
-
-    variant: str
-    arrays: tuple[tuple[str, ...], tuple[str, ...]]
-
-    @classmethod
-    def for_variant(cls, variant: str) -> "ProtocolAddressSet":
-        v = variant.lower()
-        if v == "p1":
-            return cls("p1", ((ADDRESS1,), (ADDRESS2,)))
-        if v == "p2":
-            return cls("p2", ((ADDRESS1, ADDRESS2), (ADDRESS2, ADDRESS1)))
-        raise ConfigError(f"unknown protocol variant {variant!r}")
+# The two address arrays each protocol may put on a mail: the first when the
+# document's synchronized bit equals the message bit, the second when it
+# does not (and signals complement on extraction).
+P1_ARRAYS = ((ADDRESS1,), (ADDRESS2,))
+P2_ARRAYS = ((ADDRESS1, ADDRESS2), (ADDRESS2, ADDRESS1))
 
 
-P1_ADDRESS_SET = ProtocolAddressSet.for_variant("p1")
-P2_ADDRESS_SET = ProtocolAddressSet.for_variant("p2")
-
-
-@dataclass
-class StegoKeyState:
-    """Shared secret state: the keyed bit function plus the synchronized counter."""
-
-    fn: BitFunction
-    counter: Counter
-
-    @classmethod
-    def from_key(cls, key: Key, counter_value: int = 0) -> "StegoKeyState":
-        return cls(BitFunction.keyed(key), Counter(counter_value))
-
-
-def _embed_multi(state: StegoKeyState, addresses: ProtocolAddressSet,
-                 m: Sequence[int], h: History, start_tick: int,
-                 spec: ChannelSpec, rng: RngState,
+def _embed_multi(fn: BitFunction, counter: Counter, arrays, m: Sequence[int],
+                 h: History, spec: ChannelSpec, rng: RngState, start_tick: int,
                  stats: EmbedStats | None) -> list[Mail]:
     """One draw, one PRF evaluation and one mail per bit.
 
@@ -83,10 +50,7 @@ def _embed_multi(state: StegoKeyState, addresses: ProtocolAddressSet,
     n = len(m)
     if n < 1:
         raise ConfigError("message must contain at least one bit")
-    counter = state.counter
     counter.check_headroom(n)
-    fn = state.fn
-    arrays = addresses.arrays
     prev = h.last_id
     docs: list[Document] = []
     mails: list[Mail] = []
@@ -103,22 +67,20 @@ def _embed_multi(state: StegoKeyState, addresses: ProtocolAddressSet,
     return mails
 
 
-def _extract_multi(state: StegoKeyState, addresses: ProtocolAddressSet,
+def _extract_multi(fn: BitFunction, counter: Counter, arrays,
                    mails: Sequence[Mail]) -> list[int]:
     """Recompute each mail's bit; the second address array complements it.
 
     Addresses and counter headroom are checked before the first PRF
     evaluation, so an extract that fails leaves the counter as it was.
     """
-    complement = {addresses.arrays[0]: 0, addresses.arrays[1]: 1}
+    complement = {arrays[0]: 0, arrays[1]: 1}
     flips = [complement.get(s.addresses) for s in mails]
     if None in flips:
         arr = mails[flips.index(None)].addresses
-        raise ProtocolError(
-            f"mail addressed to {arr!r} is outside the {addresses.variant} address set")
-    counter = state.counter
+        variant = "p1" if arrays == P1_ARRAYS else "p2"
+        raise ProtocolError(f"mail addressed to {arr!r} is outside the {variant} address set")
     counter.check_headroom(len(mails))
-    fn = state.fn
     bits = []
     for s, flip in zip(mails, flips):
         bits.append(eval_bit_sync(fn, counter, s.doc) ^ flip)
@@ -128,30 +90,30 @@ def _extract_multi(state: StegoKeyState, addresses: ProtocolAddressSet,
 
 # --- protocol 1: recipient choice ------------------------------------------
 
-def p1_embed(state: StegoKeyState, m: Sequence[int], h: History,
-             start_tick: int, spec: ChannelSpec, rng: RngState,
+def p1_embed(fn: BitFunction, counter: Counter, m: Sequence[int], h: History,
+             spec: ChannelSpec, rng: RngState, start_tick: int = 0,
              stats: EmbedStats | None = None) -> list[Mail]:
     """Hide each bit in the choice between address1 and address2.
 
     One mail per bit, with strictly increasing ticks.
     """
-    return _embed_multi(state, P1_ADDRESS_SET, m, h, start_tick, spec, rng, stats)
+    return _embed_multi(fn, counter, P1_ARRAYS, m, h, spec, rng, start_tick, stats)
 
 
-def p1_extract(state: StegoKeyState, box1: Sequence[Mail],
+def p1_extract(fn: BitFunction, counter: Counter, box1: Sequence[Mail],
                box2: Sequence[Mail]) -> list[int]:
     """Merge the two mailboxes by send date, then extract bit by bit.
 
     Mails to address2 complement the document's bit.
     """
-    return _extract_multi(state, P1_ADDRESS_SET, merge_by_date(list(box1), list(box2)))
+    return _extract_multi(fn, counter, P1_ARRAYS, merge_by_date(list(box1), list(box2)))
 
 
 def p1_route(mails: Sequence[Mail]) -> tuple[list[Mail], list[Mail]]:
     """Split a sent p1 sequence into the address1 and address2 mailboxes."""
     box1: list[Mail] = []
     box2: list[Mail] = []
-    to1, to2 = P1_ADDRESS_SET.arrays
+    to1, to2 = P1_ARRAYS
     for s in mails:
         if s.addresses == to1:
             box1.append(s)
@@ -165,17 +127,17 @@ def p1_route(mails: Sequence[Mail]) -> tuple[list[Mail], list[Mail]]:
 
 # --- protocol 2: broadcast order --------------------------------------------
 
-def p2_embed(state: StegoKeyState, m: Sequence[int], h: History,
-             start_tick: int, spec: ChannelSpec, rng: RngState,
+def p2_embed(fn: BitFunction, counter: Counter, m: Sequence[int], h: History,
+             spec: ChannelSpec, rng: RngState, start_tick: int = 0,
              stats: EmbedStats | None = None) -> list[Mail]:
     """Hide each bit in the order of the broadcast address array."""
-    return _embed_multi(state, P2_ADDRESS_SET, m, h, start_tick, spec, rng, stats)
+    return _embed_multi(fn, counter, P2_ARRAYS, m, h, spec, rng, start_tick, stats)
 
 
-def p2_extract(state: StegoKeyState, box: Sequence[Mail]) -> list[int]:
+def p2_extract(fn: BitFunction, counter: Counter, box: Sequence[Mail]) -> list[int]:
     """Extract from a single mailbox; every broadcast lands in both boxes."""
     mails = list(box)
     for a, b in zip(mails, mails[1:]):
         if b.sent_at <= a.sent_at:
             raise ProtocolError("mailbox is not sorted by send date")
-    return _extract_multi(state, P2_ADDRESS_SET, mails)
+    return _extract_multi(fn, counter, P2_ARRAYS, mails)

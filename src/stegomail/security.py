@@ -16,11 +16,11 @@ and should be read as a lower bound.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import log2, sqrt
+from statistics import linear_regression
 from typing import NamedTuple, Sequence
 
-import numpy as np
 from scipy import stats as sps
 
 from .baselines import (EmbedStats, s1_embed, s1_extract, s2_embed, s2_extract,
@@ -29,8 +29,8 @@ from .channel import ChannelSpec, Document, History, sample_id
 from .errors import ConfigError, ProtocolError
 from .mail import Mail
 from .prf import BitFunction, Counter, Key
-from .protocols import (ProtocolAddressSet, StegoKeyState, p1_embed, p1_extract,
-                        p1_route, p2_embed, p2_extract)
+from .protocols import (P1_ARRAYS, P2_ARRAYS, p1_embed, p1_extract, p1_route,
+                        p2_embed, p2_extract)
 from .rng import RngState
 
 PRIOR_SYSTEMS = ("s1", "s2", "s3", "s4")
@@ -52,35 +52,11 @@ class SystemConfig:
     count: int | None = None
     copies: int = 3
     repetition: int = 5
-    key_bits: int = 128
     random_fn: bool = False
 
     def __post_init__(self) -> None:
         if self.system not in ALL_SYSTEMS:
             raise ConfigError(f"unknown system {self.system!r}; expected one of {ALL_SYSTEMS}")
-
-
-@dataclass
-class GameTranscript:
-    """The oracle responses one game's distinguisher decides on."""
-
-    responses: list = field(default_factory=list)
-
-    def documents(self) -> list[Document]:
-        docs = []
-        for response in self.responses:
-            for item in response:
-                docs.append(item.doc if isinstance(item, Mail) else item)
-        return docs
-
-    def mails(self) -> list[Mail]:
-        out = []
-        for response in self.responses:
-            for item in response:
-                if not isinstance(item, Mail):
-                    raise ProtocolError("transcript carries bare documents, not mails")
-                out.append(item)
-        return out
 
 
 @dataclass(frozen=True)
@@ -92,11 +68,9 @@ class AdvantageEstimate:
     p_ct: float
 
 
-def address_set_for(cfg: SystemConfig) -> ProtocolAddressSet | None:
-    """The protocol's address arrays; None for the document-only baselines."""
-    if cfg.system in EMAIL_SYSTEMS:
-        return ProtocolAddressSet.for_variant(cfg.system)
-    return None
+def address_set_for(cfg: SystemConfig):
+    """The protocol's pair of address arrays; None for the document-only baselines."""
+    return {"p1": P1_ARRAYS, "p2": P2_ARRAYS}.get(cfg.system)
 
 
 def output_length(cfg: SystemConfig, n_bits: int) -> int:
@@ -112,7 +86,7 @@ def make_fn(cfg: SystemConfig, rng: RngState) -> BitFunction:
     """Fresh bit function for one game/trial, keyed or random per config."""
     if cfg.random_fn:
         return BitFunction.random_oracle(int.from_bytes(rng.bytes(8), "big"))
-    return BitFunction.keyed(Key.generate(rng, cfg.key_bits))
+    return BitFunction.keyed(Key.generate(rng))
 
 
 def embed_message(cfg: SystemConfig, fn: BitFunction, m: Sequence[int],
@@ -131,10 +105,9 @@ def embed_message(cfg: SystemConfig, fn: BitFunction, m: Sequence[int],
     if cfg.system == "s4":
         return s4_embed(fn, Counter(counter_value), m, h, spec, rng,
                         copies=cfg.copies, stats=stats)
-    state = StegoKeyState(fn, Counter(counter_value))
     if cfg.system == "p1":
-        return p1_embed(state, m, h, start_tick, spec, rng, stats)
-    return p2_embed(state, m, h, start_tick, spec, rng, stats)
+        return p1_embed(fn, Counter(counter_value), m, h, spec, rng, start_tick, stats)
+    return p2_embed(fn, Counter(counter_value), m, h, spec, rng, start_tick, stats)
 
 
 def extract_message(cfg: SystemConfig, fn: BitFunction, outputs,
@@ -148,32 +121,31 @@ def extract_message(cfg: SystemConfig, fn: BitFunction, outputs,
         return s3_extract(fn, outputs, copies=cfg.copies)
     if cfg.system == "s4":
         return s4_extract(fn, Counter(counter_value), outputs, copies=cfg.copies)
-    state = StegoKeyState(fn, Counter(counter_value))
     if cfg.system == "p1":
-        return p1_extract(state, *p1_route(outputs))
-    return p2_extract(state, outputs)
+        return p1_extract(fn, Counter(counter_value), *p1_route(outputs))
+    return p2_extract(fn, Counter(counter_value), outputs)
 
 
 # --- the covertext oracle (the stegotext oracle is embed_message) -------------
 
-def ct_oracle(spec: ChannelSpec, address_set: ProtocolAddressSet | None,
-              n: int, h: History, rng: RngState, start_tick: int = 0):
+def ct_oracle(spec: ChannelSpec, arrays, n: int, h: History, rng: RngState,
+              start_tick: int = 0):
     """The covertext oracle: n normal draws with growing history.
 
-    Address arrays are chosen uniformly from the protocol's set and ticks
+    Address arrays are chosen uniformly from the protocol's pair and ticks
     follow the same scheme as the embedder, so neither carries a signal.
-    With no address set, bare documents are returned (the baselines'
-    traffic model).  The caller's history is not mutated.
+    With no pair, bare documents are returned (the baselines' traffic
+    model).  The caller's history is not mutated.
     """
     prev = h.last_id
     out = []
     for i in range(n):
         doc = Document(sample_id(spec, prev, rng))
         prev = doc.id
-        if address_set is None:
+        if arrays is None:
             out.append(doc)
         else:
-            out.append(Mail(doc, address_set.arrays[rng.randrange(2)], start_tick + i))
+            out.append(Mail(doc, arrays[rng.randrange(2)], start_tick + i))
     return out
 
 
@@ -186,8 +158,7 @@ class GofResult:
     pvalue: float
 
 
-def channel_goodness_of_fit(spec: ChannelSpec, docs: Sequence[Document],
-                            initial_history: History | None = None) -> GofResult:
+def channel_goodness_of_fit(spec: ChannelSpec, docs: Sequence[Document]) -> GofResult:
     """Chi-squared fit of an observed document sequence to the channel.
 
     Draws are grouped by their conditioning state (a single group for
@@ -204,7 +175,7 @@ def channel_goodness_of_fit(spec: ChannelSpec, docs: Sequence[Document],
             counts[d.id] += 1
         groups[None] = counts
     else:
-        prev = initial_history.last_id if initial_history is not None else None
+        prev = None
         for d in docs:
             counts = groups.setdefault(prev, [0] * spec.alphabet_size)
             counts[d.id] += 1
@@ -214,6 +185,8 @@ def channel_goodness_of_fit(spec: ChannelSpec, docs: Sequence[Document],
     for prev, counts in groups.items():
         row = spec.row(prev)
         n_group = sum(counts)
+        if not n_group:
+            continue
         positive = 0
         for obs, p in zip(counts, row):
             if p <= 0.0:
@@ -232,18 +205,15 @@ def channel_goodness_of_fit(spec: ChannelSpec, docs: Sequence[Document],
 # --- distinguishers ----------------------------------------------------------
 
 class ConstantGuessDistinguisher:
-    """Ignores the transcript; the estimator-sanity baseline."""
+    """Ignores the response and always guesses ST; the estimator-sanity baseline."""
 
     name = "constant"
-
-    def __init__(self, guess: int = 1) -> None:
-        self._guess = guess
 
     def pick_message(self, n_bits: int, rng: RngState) -> list[int]:
         return rng.bits(n_bits)
 
-    def decide(self, transcript: GameTranscript) -> int:
-        return self._guess
+    def decide(self, response) -> int:
+        return 1
 
 
 class AddressFrequencyDistinguisher:
@@ -256,29 +226,28 @@ class AddressFrequencyDistinguisher:
 
     name = "address-frequency"
 
-    def __init__(self, address_set: ProtocolAddressSet,
-                 significance: float = 0.05) -> None:
-        self.address_set = address_set
+    def __init__(self, arrays, significance: float = 0.05) -> None:
+        self.arrays = arrays
         self.significance = significance
 
     def pick_message(self, n_bits: int, rng: RngState) -> list[int]:
         return rng.bits(n_bits)
 
-    def decide(self, transcript: GameTranscript) -> int:
-        first = self.address_set.arrays[0]
-        mails = transcript.mails()
-        hits = sum(1 for s in mails if s.addresses == first)
-        for s in mails:
-            if s.addresses not in self.address_set.arrays:
+    def decide(self, response) -> int:
+        for s in response:
+            if not isinstance(s, Mail):
+                raise ProtocolError("response carries bare documents, not mails")
+            if s.addresses not in self.arrays:
                 raise ProtocolError(f"mail addressed outside the protocol set: {s.addresses!r}")
-        pvalue = sps.binomtest(hits, len(mails), 0.5).pvalue
+        hits = sum(1 for s in response if s.addresses == self.arrays[0])
+        pvalue = sps.binomtest(hits, len(response), 0.5).pvalue
         return 1 if pvalue < self.significance else 0
 
 
 class DocumentFrequencyDistinguisher:
     """Tests document frequencies against the (known) channel distribution.
 
-    Queries a constant hiddentext so a rejection-sampling embedder piles
+    Queries the all-zero hiddentext so a rejection-sampling embedder piles
     its output onto the key's matching class; guesses ST when the
     chi-squared fit rejects the channel at the given significance.  This
     is the classic low-min-entropy attack surface.
@@ -286,17 +255,16 @@ class DocumentFrequencyDistinguisher:
 
     name = "document-frequency"
 
-    def __init__(self, spec: ChannelSpec, significance: float = 0.05,
-                 constant_bit: int = 0) -> None:
+    def __init__(self, spec: ChannelSpec, significance: float = 0.05) -> None:
         self.spec = spec
         self.significance = significance
-        self.constant_bit = constant_bit
 
     def pick_message(self, n_bits: int, rng: RngState) -> list[int]:
-        return [self.constant_bit] * n_bits
+        return [0] * n_bits
 
-    def decide(self, transcript: GameTranscript) -> int:
-        gof = channel_goodness_of_fit(self.spec, transcript.documents())
+    def decide(self, response) -> int:
+        docs = [s.doc if isinstance(s, Mail) else s for s in response]
+        gof = channel_goodness_of_fit(self.spec, docs)
         return 1 if gof.pvalue < self.significance else 0
 
 
@@ -308,11 +276,11 @@ def build_distinguisher(name: str, cfg: SystemConfig, spec: ChannelSpec,
     if name == "constant":
         return ConstantGuessDistinguisher()
     if name == "address-frequency":
-        address_set = address_set_for(cfg)
-        if address_set is None:
+        arrays = address_set_for(cfg)
+        if arrays is None:
             raise ConfigError(
                 f"system {cfg.system!r} emits bare documents; no addresses to test")
-        return AddressFrequencyDistinguisher(address_set, significance)
+        return AddressFrequencyDistinguisher(arrays, significance)
     if name == "document-frequency":
         return DocumentFrequencyDistinguisher(spec, significance)
     raise ConfigError(f"unknown distinguisher {name!r}; expected one of {DISTINGUISHER_NAMES}")
@@ -338,7 +306,7 @@ def _play(distinguisher, cfg: SystemConfig, spec: ChannelSpec,
     else:
         response = embed_message(cfg, make_fn(cfg, key_rng), m, History(), spec,
                                  draw_rng)
-    return distinguisher.decide(GameTranscript([response]))
+    return distinguisher.decide(response)
 
 
 def _advantage(distinguisher, spec: ChannelSpec, trials: int, rng: RngState,
@@ -348,6 +316,8 @@ def _advantage(distinguisher, spec: ChannelSpec, trials: int, rng: RngState,
     (cfg, covertext) pair for ``_play`` on ``rng.spawn(t).spawn(side)``."""
     if trials < 100:
         raise ConfigError(f"need at least 100 trials for a meaningful estimate, got {trials}")
+    if bits_per_game < 1:
+        raise ConfigError(f"need at least one bit per game, got {bits_per_game}")
     hits = [0, 0]
     for t in range(trials):
         trial_rng = rng.spawn(t)
@@ -432,6 +402,26 @@ class ReliabilityReport:
         return self.bit_errors / (self.trials * self.bits_per_trial)
 
 
+def _round_trip(cfg: SystemConfig, spec: ChannelSpec, bits: int, trial_rng: RngState,
+                fn: BitFunction | None = None):
+    """Embed then extract a random message of `bits` bits.
+
+    Draws a fresh function on ``trial_rng.spawn(0)`` unless `fn` is given,
+    the message on ``spawn(1)`` and the embedder's draws on ``spawn(2)``.
+    Returns the message, the recovered bits, the embed stats and the embed
+    and extract wall times.
+    """
+    if fn is None:
+        fn = make_fn(cfg, trial_rng.spawn(0))
+    msg = trial_rng.spawn(1).bits(bits)
+    stats = EmbedStats()
+    t0 = time.perf_counter()
+    outputs = embed_message(cfg, fn, msg, History(), spec, trial_rng.spawn(2), stats=stats)
+    t1 = time.perf_counter()
+    recovered = extract_message(cfg, fn, outputs)
+    return msg, recovered, stats, t1 - t0, time.perf_counter() - t1
+
+
 def reliability_estimate(cfg: SystemConfig, spec: ChannelSpec, bits: int,
                          trials: int, rng: RngState,
                          fn: BitFunction | None = None) -> ReliabilityReport:
@@ -445,19 +435,12 @@ def reliability_estimate(cfg: SystemConfig, spec: ChannelSpec, bits: int,
     total = EmbedStats()
     rows = []
     for t in range(trials):
-        trial_rng = rng.spawn(t)
-        trial_fn = make_fn(cfg, trial_rng.spawn(0)) if fn is None else fn
-        msg = trial_rng.spawn(1).bits(bits)
-        stats = EmbedStats()
-        t0 = time.perf_counter()
-        outputs = embed_message(cfg, trial_fn, msg, History(), spec,
-                                trial_rng.spawn(2), stats=stats)
-        recovered = extract_message(cfg, trial_fn, outputs)
-        wall = time.perf_counter() - t0
+        msg, recovered, stats, embed_s, extract_s = _round_trip(cfg, spec, bits,
+                                                                rng.spawn(t), fn)
         errors = sum(a != b for a, b in zip(msg, recovered))
         failed = int(bool(errors) or len(recovered) != len(msg))
         rows.append(TrialRow(errors, failed, stats.samples_drawn,
-                             stats.docs_emitted, wall))
+                             stats.docs_emitted, embed_s + extract_s))
         total.add(stats.samples_drawn, stats.bits_embedded, stats.docs_emitted,
                   stats.prf_evals)
     return ReliabilityReport(trials, bits, sum(r.failed for r in rows),
@@ -491,33 +474,24 @@ def benchmark_scaling(cfg: SystemConfig, spec: ChannelSpec,
 
     Each length is timed `repeats` times with fresh state and the minimum
     is kept (least scheduler noise).  A slope of 1 on the log-log fit is
-    linear scaling.
+    linear scaling, so at least two distinct lengths are needed.
     """
+    if repeats < 1 or len(set(lengths)) < 2 or min(lengths) < 1:
+        raise ConfigError(f"need repeats >= 1 and two or more distinct lengths >= 1, "
+                          f"got repeats={repeats}, lengths={list(lengths)}")
     rows = []
     for idx, bits in enumerate(lengths):
         best_embed = best_extract = float("inf")
-        row_stats = None
         for rep in range(repeats):
-            trial_rng = rng.spawn(idx * 1000 + rep)
-            fn = make_fn(cfg, trial_rng.spawn(0))
-            msg = trial_rng.spawn(1).bits(bits)
-            stats = EmbedStats()
-            h = History()
-            t0 = time.perf_counter()
-            outputs = embed_message(cfg, fn, msg, h, spec, trial_rng.spawn(2),
-                                    stats=stats)
-            t1 = time.perf_counter()
-            recovered = extract_message(cfg, fn, outputs)
-            t2 = time.perf_counter()
+            msg, recovered, stats, embed_s, extract_s = _round_trip(
+                cfg, spec, bits, rng.spawn(idx * 1000 + rep))
             if recovered != msg and cfg.system in EMAIL_SYSTEMS:
                 raise ProtocolError("round trip failed during benchmark")
-            best_embed = min(best_embed, t1 - t0)
-            best_extract = min(best_extract, t2 - t1)
-            row_stats = stats
+            best_embed = min(best_embed, embed_s)
+            best_extract = min(best_extract, extract_s)
         rows.append(BenchRow(cfg.system, bits, best_embed, best_extract,
-                             row_stats.samples_drawn, row_stats.docs_emitted,
-                             row_stats.prf_evals))
-    log_n = np.log2([row.bits for row in rows])
-    embed_slope = float(np.polyfit(log_n, np.log2([row.embed_seconds for row in rows]), 1)[0])
-    extract_slope = float(np.polyfit(log_n, np.log2([row.extract_seconds for row in rows]), 1)[0])
+                             stats.samples_drawn, stats.docs_emitted, stats.prf_evals))
+    log_n = [log2(row.bits) for row in rows]
+    embed_slope = linear_regression(log_n, [log2(row.embed_seconds) for row in rows]).slope
+    extract_slope = linear_regression(log_n, [log2(row.extract_seconds) for row in rows]).slope
     return BenchReport(rows, embed_slope, extract_slope)

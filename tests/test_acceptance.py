@@ -10,12 +10,12 @@ import time
 from itertools import product
 
 from stegomail import (BitFunction, ChannelSpec, Counter, Document,
-                       EmbedStats, History, Key, RngState, StegoKeyState,
-                       SystemConfig, benchmark_scaling, build_distinguisher,
-                       capacity, channel_goodness_of_fit, eval_bit,
-                       p1_embed, p2_embed, reliability_estimate, run_game,
-                       s1_embed, transmission_rate)
-from stegomail.protocols import ProtocolAddressSet
+                       EmbedStats, History, Key, RngState, SystemConfig,
+                       benchmark_scaling, build_distinguisher, capacity,
+                       channel_goodness_of_fit, eval_bit, p1_embed, p2_embed,
+                       reliability_estimate, run_game, s1_embed,
+                       transmission_rate)
+from stegomail.protocols import P1_ARRAYS, P2_ARRAYS
 from stegomail.security import EMAIL_SYSTEMS, embed_message
 
 from conftest import find_key_where
@@ -154,8 +154,8 @@ def test_criterion_6_documents_match_channel_distribution():
     pvalues = {}
     for i, (embed, (name, spec)) in enumerate(
             product((p1_embed, p2_embed), CHANNELS.items())):
-        state = StegoKeyState.from_key(Key.generate(rng.spawn(i)))
-        mails = embed(state, rng.spawn(100 + i).bits(100_000), History(), 0,
+        fn = BitFunction.keyed(Key.generate(rng.spawn(i)))
+        mails = embed(fn, Counter(0), rng.spawn(100 + i).bits(100_000), History(),
                       spec, rng.spawn(200 + i))
         gof = channel_goodness_of_fit(spec, [m.doc for m in mails])
         pvalues[(embed.__name__, name)] = round(gof.pvalue, 4)
@@ -171,11 +171,9 @@ def test_criterion_7_address_uniformity_under_random_function():
     for i, (variant, (name, spec)) in enumerate(
             product(("p1", "p2"), CHANNELS.items())):
         embed = p1_embed if variant == "p1" else p2_embed
-        first_array = (ProtocolAddressSet.for_variant(variant).arrays[0])
-        state = StegoKeyState(
-            BitFunction.random_oracle(int.from_bytes(rng.spawn(i).bytes(8), "big")),
-            Counter(0))
-        mails = embed(state, rng.spawn(100 + i).bits(100_000), History(), 0,
+        first_array = (P1_ARRAYS if variant == "p1" else P2_ARRAYS)[0]
+        fn = BitFunction.random_oracle(int.from_bytes(rng.spawn(i).bytes(8), "big"))
+        mails = embed(fn, Counter(0), rng.spawn(100 + i).bits(100_000), History(),
                       spec, rng.spawn(200 + i))
         hits = sum(1 for m in mails if m.addresses == first_array)
         freqs[(variant, name)] = round(hits / len(mails), 5)

@@ -1,16 +1,23 @@
-"""The benchmark's tracer wraps stegomail functions by name; keep them there.
+"""The benchmark calls stegomail by name; keep those names and signatures.
 
 ``perfbench/tracer.py`` lists each layer as ``module:qualified.name`` and
 rebinds those names at run time, so a rename in ``src/`` would only show
-when the benchmark runs with ``--trace 1``.  This reads the list from the
-tracer's source, without importing it, and checks every target resolves.
+when the benchmark runs with ``--trace 1``.  The first test reads the list
+from the tracer's source, without importing it, and checks every target
+resolves.  The second runs one op of every workload in
+``perfbench/workloads.py``, so a changed signature fails here too.
 """
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _tracer_constant(name: str):
@@ -37,3 +44,27 @@ def test_every_traced_layer_target_resolves():
     targets += list(_tracer_constant("RESULT_SIZES"))
     assert len(targets) > 30
     assert [t for t in targets if _missing(t)] == []
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    # Leave no bytecode cache inside the benchmark's directory.
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+WORKLOADS = _load_workloads().WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_every_workload_op_runs(name, tmp_path):
+    workload = WORKLOADS[name]
+    state = workload.setup(1, tmp_path)
+    assert workload.op(state, 0).ok

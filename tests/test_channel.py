@@ -232,7 +232,7 @@ def test_history_last_id():
     assert h.last_id is None
     h.append(Document(3))
     h.append(Document(1))
-    assert h.last_id == 1 == h.last.id
+    assert h.last_id == 1 == h[-1].id
 
 
 def test_history_append_grows_by_one():
@@ -240,7 +240,7 @@ def test_history_append_grows_by_one():
     for i in range(5):
         h.append(Document(i))
         assert len(h) == i + 1
-        assert h.last == Document(i)
+        assert h[-1] == Document(i)
     assert h.ids() == [0, 1, 2, 3, 4]
 
 

@@ -176,6 +176,15 @@ def test_attack_address_warden_needs_addresses(channel):
                 "--seed", "31"]) == 2
 
 
+@pytest.mark.parametrize("bits_per_game", ["0", "-3"])
+def test_attack_without_hiddentext_bits_is_config_error(channel, capsys, bits_per_game):
+    spec = channel(UNIFORM_4)
+    assert run(["attack", "--system", "s1", "--distinguisher",
+                "document-frequency", "--channel", spec, "--trials", "100",
+                "--bits-per-game", bits_per_game, "--seed", "31"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_rate_table(channel, capsys):
     spec = channel(UNIFORM_4)
     assert run(["rate", "--system", "all", "--channel", spec, "--bits", "60",
@@ -218,6 +227,17 @@ def test_bench_smoke(tmp_path, channel, capsys):
     text = open(out).read()
     assert "embed_slope=" in text
     assert text.count("\np1,") == 3
+
+
+@pytest.mark.parametrize("systems, lengths, repeats", [
+    ("p1", "128,256", "0"), ("p1", "128", "1"), ("p1", "128,128", "1"),
+    ("p1", "128,,256", "1"), ("s1", "0,4", "1"), ("s1", "-4,4", "1")])
+def test_bench_unfittable_sizes_are_config_errors(channel, capsys, systems, lengths,
+                                                   repeats):
+    spec = channel(UNIFORM_4)
+    assert run(["bench", "--systems", systems, "--lengths", lengths,
+                "--channel", spec, "--repeats", repeats, "--seed", "41"]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_bad_channel_file_is_config_error(channel):

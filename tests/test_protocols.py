@@ -5,12 +5,11 @@ import pytest
 
 from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter,
                        CounterError, Document, EmbedStats, History, Key, Mail,
-                       ProtocolError, RngState, StegoKeyState,
-                       channel_goodness_of_fit, deliver, eval_bit_sync,
+                       ProtocolError, RngState, channel_goodness_of_fit, deliver, eval_bit_sync,
                        load_channel_file,
                        p1_embed, p1_extract, p2_embed, p2_extract)
 from stegomail.mail import format_trace
-from stegomail.protocols import ADDRESS1, ADDRESS2, ProtocolAddressSet, p1_route
+from stegomail.protocols import ADDRESS1, ADDRESS2, p1_route
 
 from conftest import MARKOV2, TEST_CHANNELS, find_key_where
 
@@ -18,56 +17,46 @@ POINT_MASS_1 = ChannelSpec.point_mass(2)
 CHANNEL_DIR = Path(__file__).resolve().parent.parent / "channels"
 
 
-def oracle_state(seed: int, counter: int = 0) -> StegoKeyState:
-    return StegoKeyState(BitFunction.random_oracle(seed), Counter(counter))
-
-
-def test_address_set_variants():
-    p1 = ProtocolAddressSet.for_variant("p1")
-    assert p1.arrays == ((ADDRESS1,), (ADDRESS2,))
-    p2 = ProtocolAddressSet.for_variant("p2")
-    assert p2.arrays == ((ADDRESS1, ADDRESS2), (ADDRESS2, ADDRESS1))
-    assert sorted(p2.arrays[0]) == sorted(p2.arrays[1])
-    with pytest.raises(ConfigError):
-        ProtocolAddressSet.for_variant("p3")
+def oracle(seed: int) -> BitFunction:
+    return BitFunction.random_oracle(seed)
 
 
 def test_p1_matching_bit_goes_to_address1():
     key = find_key_where(
         lambda fn: eval_bit_sync(fn, Counter(0), Document(0)) == 1)
-    state = StegoKeyState.from_key(key)
-    [mail] = p1_embed(state, [1], History(), 0, POINT_MASS_1, RngState(1))
+    [mail] = p1_embed(BitFunction.keyed(key), Counter(0), [1], History(), POINT_MASS_1,
+                      RngState(1))
     assert mail.addresses == (ADDRESS1,)
 
 
 def test_p1_mismatching_bit_goes_to_address2():
     key = find_key_where(
         lambda fn: eval_bit_sync(fn, Counter(0), Document(0)) == 0)
-    state = StegoKeyState.from_key(key)
-    [mail] = p1_embed(state, [1], History(), 0, POINT_MASS_1, RngState(1))
+    [mail] = p1_embed(BitFunction.keyed(key), Counter(0), [1], History(), POINT_MASS_1,
+                      RngState(1))
     assert mail.addresses == (ADDRESS2,)
 
 
 def test_p1_one_bit_draws_once_and_advances_everything():
-    state = oracle_state(3)
+    counter = Counter(0)
     h = History()
     stats = EmbedStats()
-    [mail] = p1_embed(state, [0], h, 7, MARKOV2, RngState(3), stats)
+    [mail] = p1_embed(oracle(3), counter, [0], h, MARKOV2, RngState(3), 7, stats)
     assert stats.samples_drawn == 1
     assert stats.prf_evals == 1
-    assert state.counter.value == 1
-    assert len(h) == 1 and h.last == mail.doc
+    assert counter.value == 1
+    assert len(h) == 1 and h[-1] == mail.doc
     assert mail.sent_at == 7
 
 
 def test_p1_address_frequency_under_random_function():
-    state = oracle_state(5)
+    fn, counter = oracle(5), Counter(0)
     rng = RngState(5)
     h = History()
     hits = 0
     n = 10_000
     for i in range(n):
-        [mail] = p1_embed(state, [rng.bit()], h, i, POINT_MASS_1, rng)
+        [mail] = p1_embed(fn, counter, [rng.bit()], h, POINT_MASS_1, rng, i)
         hits += mail.addresses == (ADDRESS1,)
     assert abs(hits / n - 0.5) <= 0.02
 
@@ -75,10 +64,9 @@ def test_p1_address_frequency_under_random_function():
 def test_p1_extract_complement_rule():
     key = find_key_where(
         lambda fn: eval_bit_sync(fn, Counter(0), Document(5)) == 1)
-    state_a = StegoKeyState.from_key(key)
-    assert p1_extract(state_a, [], [Mail(Document(5), (ADDRESS2,), 0)]) == [0]
-    state_b = StegoKeyState.from_key(key)
-    assert p1_extract(state_b, [Mail(Document(5), (ADDRESS1,), 0)], []) == [1]
+    fn = BitFunction.keyed(key)
+    assert p1_extract(fn, Counter(0), [], [Mail(Document(5), (ADDRESS2,), 0)]) == [0]
+    assert p1_extract(fn, Counter(0), [Mail(Document(5), (ADDRESS1,), 0)], []) == [1]
 
 
 def test_p1_one_bit_round_trip_exhaustive():
@@ -88,35 +76,31 @@ def test_p1_one_bit_round_trip_exhaustive():
         spec = ChannelSpec.point_mass(256, doc_id)
         for n in range(256):
             for m in (0, 1):
-                tx = StegoKeyState(fn, Counter(n))
-                rx = StegoKeyState(fn, Counter(n))
-                mails = p1_embed(tx, [m], History(), 0, spec, RngState(0))
-                assert p1_extract(rx, *p1_route(mails)) == [m]
+                mails = p1_embed(fn, Counter(n), [m], History(), spec, RngState(0))
+                assert p1_extract(fn, Counter(n), *p1_route(mails)) == [m]
 
 
 def test_p1_extract_rejects_foreign_address():
-    state = oracle_state(7)
     with pytest.raises(ProtocolError):
-        p1_extract(state, [Mail(Document(0), ("address3",), 0)], [])
-    state2 = oracle_state(7)
+        p1_extract(oracle(7), Counter(0), [Mail(Document(0), ("address3",), 0)], [])
     with pytest.raises(ProtocolError):
-        p1_extract(state2, [Mail(Document(0), (ADDRESS1, ADDRESS2), 0)], [])
+        p1_extract(oracle(7), Counter(0), [Mail(Document(0), (ADDRESS1, ADDRESS2), 0)], [])
 
 
 def test_p1_embed_ticks_and_counts():
-    state = oracle_state(9)
+    counter = Counter(0)
     stats = EmbedStats()
     h = History()
-    mails = p1_embed(state, [1] * 8, h, 100, MARKOV2, RngState(9), stats)
+    mails = p1_embed(oracle(9), counter, [1] * 8, h, MARKOV2, RngState(9), 100, stats)
     assert [m.sent_at for m in mails] == list(range(100, 108))
     assert stats.samples_drawn == 8
-    assert state.counter.value == 8
+    assert counter.value == 8
     assert len(h) == 8
 
 
 def test_p1_embed_rejects_empty_message():
     with pytest.raises(ConfigError):
-        p1_embed(oracle_state(11), [], History(), 0, MARKOV2, RngState(11))
+        p1_embed(oracle(11), Counter(0), [], History(), MARKOV2, RngState(11))
 
 
 @pytest.mark.parametrize("channel_name", sorted(TEST_CHANNELS))
@@ -127,12 +111,12 @@ def test_p1_round_trip_through_mailboxes(channel_name):
         trial_rng = rng.spawn(trial)
         key = Key.generate(trial_rng.spawn(0))
         m = trial_rng.spawn(1).bits(64)
-        mails = p1_embed(StegoKeyState.from_key(key), m, History(), 0, spec,
-                         trial_rng.spawn(2))
+        fn = BitFunction.keyed(key)
+        mails = p1_embed(fn, Counter(0), m, History(), spec, trial_rng.spawn(2))
         boxes = deliver(mails)
         box1 = list(boxes.get(ADDRESS1, ()))
         box2 = list(boxes.get(ADDRESS2, ()))
-        assert p1_extract(StegoKeyState.from_key(key), box1, box2) == m
+        assert p1_extract(fn, Counter(0), box1, box2) == m
 
 
 def test_p1_all_mails_in_one_box_still_extracts():
@@ -140,42 +124,37 @@ def test_p1_all_mails_in_one_box_still_extracts():
     # mail lands in address1's box and address2 stays empty
     spec = ChannelSpec.uniform(64)
     key = Key.from_hex("aa" * 16)
-    probe = p1_embed(StegoKeyState.from_key(key), [0] * 32, History(), 0, spec,
-                     RngState(15))
     fn = BitFunction.keyed(key)
+    probe = p1_embed(fn, Counter(0), [0] * 32, History(), spec, RngState(15))
     matched = [eval_bit_sync(fn, Counter(i), mail.doc)
                for i, mail in enumerate(probe)]
-    mails = p1_embed(StegoKeyState.from_key(key), matched, History(), 0, spec,
-                     RngState(15))
+    mails = p1_embed(fn, Counter(0), matched, History(), spec, RngState(15))
     assert all(mail.addresses == (ADDRESS1,) for mail in mails)
-    assert p1_extract(StegoKeyState.from_key(key), mails, []) == matched
+    assert p1_extract(fn, Counter(0), mails, []) == matched
 
 
 def test_p1_extract_rejects_duplicate_ticks():
-    state = oracle_state(17)
     m1 = Mail(Document(0), (ADDRESS1,), 0)
     m2 = Mail(Document(1), (ADDRESS2,), 0)
     with pytest.raises(ProtocolError):
-        p1_extract(state, [m1], [m2])
+        p1_extract(oracle(17), Counter(0), [m1], [m2])
 
 
 def test_p2_broadcast_orders():
     key_match = find_key_where(
         lambda fn: eval_bit_sync(fn, Counter(0), Document(0)) == 1)
-    [mail] = p2_embed(StegoKeyState.from_key(key_match), [1], History(), 0,
-                      POINT_MASS_1, RngState(19))
+    fn = BitFunction.keyed(key_match)
+    [mail] = p2_embed(fn, Counter(0), [1], History(), POINT_MASS_1, RngState(19))
     assert mail.addresses == (ADDRESS1, ADDRESS2)
-    [mail2] = p2_embed(StegoKeyState.from_key(key_match), [0], History(), 0,
-                       POINT_MASS_1, RngState(19))
+    [mail2] = p2_embed(fn, Counter(0), [0], History(), POINT_MASS_1, RngState(19))
     assert mail2.addresses == (ADDRESS2, ADDRESS1)
 
 
 def test_p2_extract_complement_on_reversed_order():
     key = find_key_where(
         lambda fn: eval_bit_sync(fn, Counter(0), Document(3)) == 1)
-    state = StegoKeyState.from_key(key)
-    assert p2_extract(
-        state, [Mail(Document(3), (ADDRESS2, ADDRESS1), 0)]) == [0]
+    assert p2_extract(BitFunction.keyed(key), Counter(0),
+                      [Mail(Document(3), (ADDRESS2, ADDRESS1), 0)]) == [0]
 
 
 def test_p2_round_trip_and_box_equivalence():
@@ -184,41 +163,37 @@ def test_p2_round_trip_and_box_equivalence():
         trial_rng = rng.spawn(trial)
         key = Key.generate(trial_rng.spawn(0))
         m = trial_rng.spawn(1).bits(64)
-        mails = p2_embed(StegoKeyState.from_key(key), m, History(), 0, MARKOV2,
-                         trial_rng.spawn(2))
+        fn = BitFunction.keyed(key)
+        mails = p2_embed(fn, Counter(0), m, History(), MARKOV2, trial_rng.spawn(2))
         boxes = deliver(mails)
-        from_box1 = p2_extract(StegoKeyState.from_key(key),
-                               list(boxes[ADDRESS1]))
-        from_box2 = p2_extract(StegoKeyState.from_key(key),
-                               list(boxes[ADDRESS2]))
+        from_box1 = p2_extract(fn, Counter(0), list(boxes[ADDRESS1]))
+        from_box2 = p2_extract(fn, Counter(0), list(boxes[ADDRESS2]))
         assert from_box1 == m
         assert from_box2 == m
 
 
 def test_p2_address_order_frequency_under_random_function():
-    state = oracle_state(23)
+    fn, counter = oracle(23), Counter(0)
     rng = RngState(23)
     h = History()
     hits = 0
     n = 10_000
     for i in range(n):
-        [mail] = p2_embed(state, [rng.bit()], h, i, POINT_MASS_1, rng)
+        [mail] = p2_embed(fn, counter, [rng.bit()], h, POINT_MASS_1, rng, i)
         hits += mail.addresses == (ADDRESS1, ADDRESS2)
     assert abs(hits / n - 0.5) <= 0.02
 
 
 def test_p2_rejects_single_address_mail():
-    state = oracle_state(25)
     with pytest.raises(ProtocolError):
-        p2_extract(state, [Mail(Document(0), (ADDRESS1,), 0)])
+        p2_extract(oracle(25), Counter(0), [Mail(Document(0), (ADDRESS1,), 0)])
 
 
 def test_p2_extract_requires_sorted_box():
-    state = oracle_state(27)
     mails = [Mail(Document(0), (ADDRESS1, ADDRESS2), 1),
              Mail(Document(0), (ADDRESS2, ADDRESS1), 0)]
     with pytest.raises(ProtocolError):
-        p2_extract(state, mails)
+        p2_extract(oracle(27), Counter(0), mails)
 
 
 @pytest.mark.parametrize("channel_name", sorted(TEST_CHANNELS))
@@ -228,26 +203,25 @@ def test_emitted_documents_match_channel(channel_name, embed_fn):
     # version lives in the acceptance suite
     spec = TEST_CHANNELS[channel_name]
     rng = RngState(29)
-    state = StegoKeyState.from_key(Key.generate(rng.spawn(0)))
+    fn = BitFunction.keyed(Key.generate(rng.spawn(0)))
     m = rng.spawn(1).bits(10_000)
-    mails = embed_fn(state, m, History(), 0, spec, rng.spawn(2))
+    mails = embed_fn(fn, Counter(0), m, History(), spec, rng.spawn(2))
     gof = channel_goodness_of_fit(spec, [mail.doc for mail in mails])
     assert gof.pvalue >= 0.01
 
 
 def test_counter_overflow_is_a_hard_error():
-    state = oracle_state(31, counter=(1 << 64) - 1)
     with pytest.raises(CounterError):
-        p1_embed(state, [1], History(), 0, POINT_MASS_1, RngState(31))
+        p1_embed(oracle(31), Counter((1 << 64) - 1), [1], History(), POINT_MASS_1,
+                 RngState(31))
 
 
 def test_counter_synchronization_after_n_bits():
-    tx = oracle_state(33)
-    rx = StegoKeyState(tx.fn, Counter(0))
-    mails = p1_embed(tx, [1, 0, 1, 1, 0], History(), 0, MARKOV2, RngState(33))
+    fn, tx, rx = oracle(33), Counter(0), Counter(0)
+    mails = p1_embed(fn, tx, [1, 0, 1, 1, 0], History(), MARKOV2, RngState(33))
     boxes = deliver(mails)
-    p1_extract(rx, list(boxes.get(ADDRESS1, ())), list(boxes.get(ADDRESS2, ())))
-    assert tx.counter.value == rx.counter.value == 5
+    p1_extract(fn, rx, list(boxes.get(ADDRESS1, ())), list(boxes.get(ADDRESS2, ())))
+    assert tx.value == rx.value == 5
 
 
 # SHA-256 of format_trace(pN_embed(...)) for the run in
@@ -268,10 +242,9 @@ def test_traces_are_pinned(variant, channel_name):
     embed_fn = {"p1": p1_embed, "p2": p2_embed}[variant]
     spec = load_channel_file(CHANNEL_DIR / f"{channel_name}.json")
     key = Key.from_hex("000102030405060708090a0b0c0d0e0f")
-    state = StegoKeyState(BitFunction.keyed(key), Counter(250))
     stats = EmbedStats()
-    mails = embed_fn(state, RngState(7).bits(200), History(), 3, spec,
-                     RngState(20260811), stats)
+    mails = embed_fn(BitFunction.keyed(key), Counter(250), RngState(7).bits(200),
+                     History(), spec, RngState(20260811), 3, stats)
     digest = hashlib.sha256(format_trace(mails).encode()).hexdigest()
     assert digest == GOLDEN_TRACES[variant, channel_name]
     assert stats.samples_drawn == stats.prf_evals == stats.bits_embedded == 200
@@ -282,38 +255,38 @@ NEAR_TOP = (1 << 64) - 3
 
 @pytest.mark.parametrize("embed_fn", [p1_embed, p2_embed])
 def test_embed_without_counter_headroom_mutates_nothing(embed_fn):
-    state = oracle_state(35, counter=NEAR_TOP)
+    fn, counter = oracle(35), Counter(NEAR_TOP)
     h = History([Document(1)])
     rng, twin = RngState(35), RngState(35)
     stats = EmbedStats()
     with pytest.raises(CounterError):
-        embed_fn(state, [1, 0, 1, 1, 0], h, 0, MARKOV2, rng, stats)
+        embed_fn(fn, counter, [1, 0, 1, 1, 0], h, MARKOV2, rng, 0, stats)
     assert len(h) == 1
-    assert state.counter.value == NEAR_TOP
+    assert counter.value == NEAR_TOP
     assert rng.random() == twin.random()
     assert stats == EmbedStats()
-    mails = embed_fn(state, [1, 0], h, 0, MARKOV2, rng)
+    mails = embed_fn(fn, counter, [1, 0], h, MARKOV2, rng)
     assert len(mails) == 2 and len(h) == 3
-    assert state.counter.value == NEAR_TOP + 2
+    assert counter.value == NEAR_TOP + 2
 
 
 def test_failed_extract_leaves_counter_unchanged():
-    tx = oracle_state(37, counter=NEAR_TOP)
-    mails = p1_embed(tx, [1, 0], History(), 0, MARKOV2, RngState(37))
-    rx = StegoKeyState(tx.fn, Counter(NEAR_TOP + 1))
+    fn = oracle(37)
+    mails = p1_embed(fn, Counter(NEAR_TOP), [1, 0], History(), MARKOV2, RngState(37))
+    rx = Counter(NEAR_TOP + 1)
     with pytest.raises(CounterError):
-        p1_extract(rx, *p1_route(mails))
-    assert rx.counter.value == NEAR_TOP + 1
+        p1_extract(fn, rx, *p1_route(mails))
+    assert rx.value == NEAR_TOP + 1
     foreign = [mails[0], Mail(mails[1].doc, ("address3",), mails[1].sent_at)]
-    rx = StegoKeyState(tx.fn, Counter(NEAR_TOP))
+    rx = Counter(NEAR_TOP)
     with pytest.raises(ProtocolError):
-        p1_extract(rx, foreign, [])
-    assert rx.counter.value == NEAR_TOP
-    assert p1_extract(rx, *p1_route(mails)) == [1, 0]
+        p1_extract(fn, rx, foreign, [])
+    assert rx.value == NEAR_TOP
+    assert p1_extract(fn, rx, *p1_route(mails)) == [1, 0]
 
 
 def test_p1_route_splits_and_rejects_foreign_addresses():
-    mails = p1_embed(oracle_state(39), [1, 0, 0, 1, 1], History(), 0, MARKOV2,
+    mails = p1_embed(oracle(39), Counter(0), [1, 0, 0, 1, 1], History(), MARKOV2,
                      RngState(39))
     box1, box2 = p1_route(mails)
     assert all(m.addresses == (ADDRESS1,) for m in box1)

@@ -4,20 +4,19 @@ import pytest
 
 from stegomail import (AddressFrequencyDistinguisher, BitFunction, ChannelSpec,
                        ConfigError, ConstantGuessDistinguisher, Document,
-                       DocumentFrequencyDistinguisher, GameTranscript, History,
+                       DocumentFrequencyDistinguisher, History,
                        Mail, ProtocolError, RngState, SystemConfig,
                        benchmark_scaling, build_distinguisher, capacity,
                        channel_goodness_of_fit, ct_oracle, embed_message,
                        eval_bit, extract_message, reliability_estimate,
                        run_game, run_prf_reduction_game, transmission_rate)
-from stegomail.protocols import ADDRESS1, ADDRESS2, ProtocolAddressSet
+from stegomail.protocols import ADDRESS1, ADDRESS2, P1_ARRAYS
 from stegomail.security import address_set_for, make_fn, output_length
 
 from conftest import MARKOV2, find_key_where
 
 UNIFORM_2 = ChannelSpec.uniform(2)
 UNIFORM_4 = ChannelSpec.uniform(4)
-P1_SET = ProtocolAddressSet.for_variant("p1")
 
 
 def test_system_config_validation():
@@ -58,7 +57,7 @@ def test_ct_matches_st_length_for_every_system():
 
 def test_ct_oracle_addresses_uniform_and_ticks_sequential():
     rng = RngState(5)
-    mails = ct_oracle(UNIFORM_4, P1_SET, 10_000, History(), rng, start_tick=3)
+    mails = ct_oracle(UNIFORM_4, P1_ARRAYS, 10_000, History(), rng, start_tick=3)
     assert [m.sent_at for m in mails[:4]] == [3, 4, 5, 6]
     hits = sum(1 for m in mails if m.addresses == (ADDRESS1,))
     assert abs(hits / 10_000 - 0.5) <= 0.02
@@ -98,6 +97,12 @@ def test_gof_statistic_hand_computed():
     assert math.isclose(gof.pvalue, 0.04550026, rel_tol=1e-5)
 
 
+@pytest.mark.parametrize("spec", [UNIFORM_2, MARKOV2])
+def test_gof_of_no_documents_is_a_perfect_fit(spec):
+    gof = channel_goodness_of_fit(spec, [])
+    assert (gof.statistic, gof.dof, gof.pvalue) == (0.0, 0, 1.0)
+
+
 def test_gof_markov_grouping():
     spec = ChannelSpec.markov1([[0.5, 0.5], [0.5, 0.5]], [1.0, 0.0])
     docs = [Document(0), Document(0), Document(1), Document(0)]
@@ -114,6 +119,15 @@ def test_run_game_refuses_tiny_trials():
         run_game(ConstantGuessDistinguisher(), cfg, UNIFORM_4, 99, RngState(11))
 
 
+@pytest.mark.parametrize("game", [run_game, run_prf_reduction_game])
+@pytest.mark.parametrize("bits_per_game", [0, -3])
+def test_games_refuse_empty_hiddentexts(game, bits_per_game):
+    cfg = SystemConfig("s1")
+    with pytest.raises(ConfigError):
+        game(DocumentFrequencyDistinguisher(UNIFORM_4), cfg, UNIFORM_4, 100,
+             RngState(11), bits_per_game)
+
+
 def test_constant_distinguisher_has_no_advantage():
     cfg = SystemConfig("p1")
     est = run_game(ConstantGuessDistinguisher(), cfg, UNIFORM_4, 200,
@@ -123,21 +137,20 @@ def test_constant_distinguisher_has_no_advantage():
 
 
 def test_address_frequency_decide_extremes():
-    warden = AddressFrequencyDistinguisher(P1_SET)
-    skewed = GameTranscript(responses=[[Mail(Document(0), (ADDRESS1,), t)
-                                        for t in range(100)]])
+    warden = AddressFrequencyDistinguisher(P1_ARRAYS)
+    skewed = [Mail(Document(0), (ADDRESS1,), t) for t in range(100)]
     assert warden.decide(skewed) == 1
-    balanced = GameTranscript(responses=[
-        [Mail(Document(0), (ADDRESS1,) if t % 2 else (ADDRESS2,), t)
-         for t in range(100)]])
+    balanced = [Mail(Document(0), (ADDRESS1,) if t % 2 else (ADDRESS2,), t)
+                for t in range(100)]
     assert warden.decide(balanced) == 0
 
 
 def test_address_frequency_rejects_foreign_mail():
-    warden = AddressFrequencyDistinguisher(P1_SET)
-    bad = GameTranscript(responses=[[Mail(Document(0), ("warden",), 0)]])
+    warden = AddressFrequencyDistinguisher(P1_ARRAYS)
     with pytest.raises(ProtocolError):
-        warden.decide(bad)
+        warden.decide([Mail(Document(0), ("warden",), 0)])
+    with pytest.raises(ProtocolError):
+        warden.decide([Mail(Document(0), (ADDRESS1,), 0), Document(1)])
 
 
 def test_address_frequency_blind_against_random_function_embedder():
@@ -160,7 +173,7 @@ def test_document_frequency_calibration_on_true_channel():
     guesses = []
     for trial in range(400):
         docs = ct_oracle(UNIFORM_2, None, 100, History(), rng.spawn(trial))
-        guesses.append(warden.decide(GameTranscript(responses=[docs])))
+        guesses.append(warden.decide(docs))
     assert 0.01 <= sum(guesses) / 400 <= 0.11
 
 
@@ -173,7 +186,7 @@ def test_document_frequency_detects_separating_key_s1():
     warden = DocumentFrequencyDistinguisher(UNIFORM_2)
     docs = embed_message(cfg, BitFunction.keyed(key), [0] * 100, History(),
                          UNIFORM_2, RngState(21))
-    assert warden.decide(GameTranscript(responses=[docs])) == 1
+    assert warden.decide(docs) == 1
 
 
 def test_document_frequency_attack_beats_s1_beyond_binary_alphabet():
