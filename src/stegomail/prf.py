@@ -55,10 +55,9 @@ class Key:
         return cls(raw)
 
     @classmethod
-    def generate(cls, rng: RngState, bits: int = 128) -> "Key":
-        if bits % 8:
-            raise ConfigError("key length must be a whole number of bytes")
-        return cls(rng.bytes(bits // 8))
+    def generate(cls, rng: RngState) -> "Key":
+        """A fresh 128-bit key."""
+        return cls(rng.bytes(16))
 
 
 @dataclass

@@ -21,8 +21,6 @@ from math import log2, sqrt
 from statistics import linear_regression
 from typing import NamedTuple, Sequence
 
-from scipy import stats as sps
-
 from .baselines import (EmbedStats, s1_embed, s1_extract, s2_embed, s2_extract,
                         s3_embed, s3_extract, s4_embed, s4_extract)
 from .channel import ChannelSpec, Document, History, sample_id
@@ -32,6 +30,7 @@ from .prf import BitFunction, Counter, Key
 from .protocols import (P1_ARRAYS, P2_ARRAYS, p1_embed, p1_extract, p1_route,
                         p2_embed, p2_extract)
 from .rng import RngState
+from .stats import binom_half_pvalue, chi2_sf
 
 PRIOR_SYSTEMS = ("s1", "s2", "s3", "s4")
 EMAIL_SYSTEMS = ("p1", "p2")
@@ -199,7 +198,7 @@ def channel_goodness_of_fit(spec: ChannelSpec, docs: Sequence[Document]) -> GofR
         dof += positive - 1
     if dof == 0:
         return GofResult(statistic, 0, 1.0)
-    return GofResult(statistic, dof, float(sps.chi2.sf(statistic, dof)))
+    return GofResult(statistic, dof, chi2_sf(statistic, dof))
 
 
 # --- distinguishers ----------------------------------------------------------
@@ -240,8 +239,7 @@ class AddressFrequencyDistinguisher:
             if s.addresses not in self.arrays:
                 raise ProtocolError(f"mail addressed outside the protocol set: {s.addresses!r}")
         hits = sum(1 for s in response if s.addresses == self.arrays[0])
-        pvalue = sps.binomtest(hits, len(response), 0.5).pvalue
-        return 1 if pvalue < self.significance else 0
+        return 1 if binom_half_pvalue(hits, len(response)) < self.significance else 0
 
 
 class DocumentFrequencyDistinguisher:
@@ -273,6 +271,8 @@ DISTINGUISHER_NAMES = ("constant", "address-frequency", "document-frequency")
 
 def build_distinguisher(name: str, cfg: SystemConfig, spec: ChannelSpec,
                         significance: float = 0.05):
+    if not 0.0 < significance < 1.0:
+        raise ConfigError(f"significance must be in (0, 1), got {significance}")
     if name == "constant":
         return ConstantGuessDistinguisher()
     if name == "address-frequency":

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import stegomail
 from stegomail import deliver, read_trace, write_trace
 from stegomail.cli import run
 from stegomail.protocols import ADDRESS1, ADDRESS2
@@ -185,6 +188,17 @@ def test_attack_without_hiddentext_bits_is_config_error(channel, capsys, bits_pe
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("significance", ["2", "-1", "0", "1", "nan"])
+def test_attack_significance_outside_unit_interval_is_config_error(channel, capsys,
+                                                                   significance):
+    spec = channel(UNIFORM_4)
+    assert run(["attack", "--system", "s1", "--distinguisher",
+                "document-frequency", "--channel", spec, "--trials", "100",
+                "--bits-per-game", "20", "--significance", significance,
+                "--seed", "1"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_rate_table(channel, capsys):
     spec = channel(UNIFORM_4)
     assert run(["rate", "--system", "all", "--channel", spec, "--bits", "60",
@@ -312,3 +326,13 @@ def test_simulate_csv_is_pinned(system, fn_flag, tmp_path, monkeypatch, capsys):
     stdout = [line.rsplit(",", 1)[0] for line in out_lines(capsys)]
     digest = hashlib.sha256(repr((per_trial, stdout)).encode()).hexdigest()
     assert digest == GOLDEN_SIMULATE[system, fn_flag]
+
+
+def test_cli_import_loads_neither_scipy_nor_numpy():
+    src = str(Path(stegomail.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import stegomail.cli; "
+            "print(*sorted({name.split('.')[0] for name in sys.modules}))")
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "stegomail" in loaded
+    assert not {"scipy", "numpy"} & set(loaded)

@@ -144,9 +144,9 @@ def test_key_validation_and_generation():
         Key(b"short")
     with pytest.raises(ConfigError):
         Key.from_hex("zz")
-    key = Key.generate(RngState(3), bits=128)
+    key = Key.generate(RngState(3))
     assert key.bit_length == 128
-    assert Key.generate(RngState(3), bits=128) == key
+    assert Key.generate(RngState(3)) == key
 
 
 @pytest.mark.parametrize("n_bits", [8, 16, 64])
