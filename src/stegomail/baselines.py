@@ -13,7 +13,7 @@ All four hide bits by steering which channel draws get emitted:
   extraction takes a majority vote.
 
 Embedding mutates the caller's History exactly as the senders would, and
-every channel draw / PRF call is tallied in EmbedStats so that rate and
+every channel draw / PRF query is tallied in EmbedStats so that rate and
 work-bound claims can be checked on real runs rather than asserted.  s2
 and s4 check counter headroom before the first draw or PRF call, so a
 failed embed or extract mutates nothing.
@@ -21,8 +21,8 @@ failed embed or extract mutates nothing.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 from .channel import ChannelSpec, Document, History, sample_id
@@ -34,7 +34,12 @@ from .rng import RngState
 
 @dataclass
 class EmbedStats:
-    """Work counters accumulated across embed calls."""
+    """Work counters accumulated across embed calls.
+
+    ``prf_evals`` counts the algorithm's PRF queries, one per draw for s1
+    and s2, not hash calls: s1 answers a repeated query from its
+    per-message memo.
+    """
 
     samples_drawn: int = 0
     bits_embedded: int = 0
@@ -71,18 +76,19 @@ def _check_framing(docs: Sequence[Document], copies: int) -> None:
             f"received {len(docs)} documents, not a multiple of {copies} per bit")
 
 
-def _rs(evaluate, key, x: int, budget: int, prev: int | None,
+def _rs(fn: BitFunction, counter: Counter, x: int, budget: int, prev: int | None,
         spec: ChannelSpec, rng: RngState) -> tuple[Document, int]:
-    """The rejection sampler: draw until ``evaluate(key, doc) == x``.
+    """s2's rejection sampler: draw until the synchronized bit equals `x`.
 
     Returns the accepted draw, or the last one once `budget` draws are
     spent (a silent mismatch, which is exactly the unreliability the
-    repetition-coded systems exist to fix), and the number of draws, each
-    of which cost one PRF evaluation.
+    repetition code exists to fix), and the number of draws, each of which
+    cost one PRF evaluation.  Every draw is evaluated, the last included:
+    the random oracle draws a coin at each new input.
     """
     for draws in range(1, budget + 1):
         doc = Document(sample_id(spec, prev, rng))
-        if evaluate(key, doc) == x:
+        if eval_bit_sync(fn, counter, doc) == x:
             break
     return doc, draws
 
@@ -92,15 +98,33 @@ def _rs(evaluate, key, x: int, budget: int, prev: int | None,
 def s1_embed(fn: BitFunction, m: Sequence[int], h: History, spec: ChannelSpec,
              rng: RngState, count: int | None = None,
              stats: EmbedStats | None = None) -> list[Document]:
+    """Per bit, redraw up to `count` times until the document's F1 bit matches.
+
+    Every draw consumes one uniform and counts as one draw and one PRF
+    query.  F1 of a bare document depends on its id alone, so each id is
+    hashed once per message and a repeated query is answered from the
+    memo `known`; the random oracle, which already holds the id, spends
+    its coins in the same order either way.  The draw is ``sample_id``
+    inlined: one bit's draws share their conditioning id and so its CDF.
+    """
     count = _budget(fn, count)
+    rand = rng._rand.random  # rng.random()'s stream; reading _rand seeds it
+    known: dict[int, int] = {}
     prev = h.last_id
     docs = []
     draws = 0
     for bit in m:
-        doc, n = _rs(eval_bit, fn, bit, count, prev, spec, rng)
+        cdf = spec._cdf(prev)
+        for n in range(1, count + 1):
+            i = bisect_right(cdf, rand())
+            got = known.get(i)
+            if got is None:
+                got = known[i] = eval_bit(fn, Document(i))
+            if got == bit:
+                break
         draws += n
-        prev = doc.id
-        docs.append(doc)
+        prev = i
+        docs.append(Document(i))
     h.extend(docs)
     if stats is not None:
         stats.add(draws, len(m), len(docs), draws)
@@ -119,12 +143,11 @@ def s2_embed(fn: BitFunction, counter: Counter, m: Sequence[int], h: History,
     """Repetition-encode, then embed each coded bit with a 2-draw budget."""
     coded = enc(m, repetition)
     counter.check_headroom(len(coded))
-    evaluate = partial(eval_bit_sync, fn)
     prev = h.last_id
     docs = []
     draws = 0
     for bit in coded:
-        doc, n = _rs(evaluate, counter, bit, 2, prev, spec, rng)
+        doc, n = _rs(fn, counter, bit, 2, prev, spec, rng)
         draws += n
         prev = doc.id
         docs.append(doc)

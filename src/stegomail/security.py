@@ -15,6 +15,7 @@ and should be read as a lower bound.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, replace
 from math import log2, sqrt
@@ -35,6 +36,9 @@ from .stats import binom_half_pvalue, chi2_sf
 PRIOR_SYSTEMS = ("s1", "s2", "s3", "s4")
 EMAIL_SYSTEMS = ("p1", "p2")
 ALL_SYSTEMS = PRIOR_SYSTEMS + EMAIL_SYSTEMS
+
+# Least wall time one benchmark_scaling sample covers, by re-running its trial.
+_MIN_SAMPLE_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -473,24 +477,46 @@ def benchmark_scaling(cfg: SystemConfig, spec: ChannelSpec,
     """Time embed and extract across message lengths; fit log-log slopes.
 
     Each length is timed `repeats` times with fresh state and the minimum
-    is kept (least scheduler noise).  A slope of 1 on the log-log fit is
-    linear scaling, so at least two distinct lengths are needed.
+    is kept (least scheduler noise).  One timed sample re-runs its trial,
+    on the same stream, until the runs cover ``_MIN_SAMPLE_S`` and
+    divides by their number, so a short message is not timed by one
+    clock read.  The lengths are interleaved across repeats, so drift
+    does not tilt the fit, and the garbage collector is off while timing.
+    A slope of 1 on the log-log fit is linear scaling, so at least two
+    distinct lengths are needed.
     """
     if repeats < 1 or len(set(lengths)) < 2 or min(lengths) < 1:
         raise ConfigError(f"need repeats >= 1 and two or more distinct lengths >= 1, "
                           f"got repeats={repeats}, lengths={list(lengths)}")
-    rows = []
-    for idx, bits in enumerate(lengths):
-        best_embed = best_extract = float("inf")
+    best_embed = [float("inf")] * len(lengths)
+    best_extract = best_embed.copy()
+    last_stats: list[EmbedStats | None] = [None] * len(lengths)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
         for rep in range(repeats):
-            msg, recovered, stats, embed_s, extract_s = _round_trip(
-                cfg, spec, bits, rng.spawn(idx * 1000 + rep))
-            if recovered != msg and cfg.system in EMAIL_SYSTEMS:
-                raise ProtocolError("round trip failed during benchmark")
-            best_embed = min(best_embed, embed_s)
-            best_extract = min(best_extract, extract_s)
-        rows.append(BenchRow(cfg.system, bits, best_embed, best_extract,
-                             stats.samples_drawn, stats.docs_emitted, stats.prf_evals))
+            for idx, bits in enumerate(lengths):
+                trial_rng = rng.spawn(idx * 1000 + rep)
+                runs = 0
+                embed_s = extract_s = 0.0
+                while embed_s + extract_s < _MIN_SAMPLE_S:
+                    msg, recovered, stats, t_embed, t_extract = _round_trip(
+                        cfg, spec, bits, trial_rng)
+                    if recovered != msg and cfg.system in EMAIL_SYSTEMS:
+                        raise ProtocolError("round trip failed during benchmark")
+                    runs += 1
+                    embed_s += t_embed
+                    extract_s += t_extract
+                best_embed[idx] = min(best_embed[idx], embed_s / runs)
+                best_extract[idx] = min(best_extract[idx], extract_s / runs)
+                last_stats[idx] = stats
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    rows = [BenchRow(cfg.system, bits, embed_s, extract_s, stats.samples_drawn,
+                     stats.docs_emitted, stats.prf_evals)
+            for bits, embed_s, extract_s, stats
+            in zip(lengths, best_embed, best_extract, last_stats)]
     log_n = [log2(row.bits) for row in rows]
     embed_slope = linear_regression(log_n, [log2(row.embed_seconds) for row in rows]).slope
     extract_slope = linear_regression(log_n, [log2(row.extract_seconds) for row in rows]).slope

@@ -4,12 +4,15 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter,
                        CounterError, Document, EmbedStats, History, Key,
                        ProtocolError, RngState, eval_bit, load_channel_file,
                        s1_embed, s1_extract, s2_embed, s2_extract, s3_embed,
                        s3_extract, s4_embed, s4_extract)
+from stegomail.channel import sample_id
 
 from conftest import find_key_where
 
@@ -107,6 +110,90 @@ def test_s1_stats_one_doc_per_bit():
     assert stats.bits_embedded == 16
     assert stats.docs_emitted == len(docs) == 16
     assert 16 <= stats.samples_drawn <= 16 * 128
+
+
+def _s1_embed_per_draw(fn, m, h, spec, rng, count):
+    """Reference s1: one sample_id and one eval_bit for every draw."""
+    prev = h.last_id
+    docs = []
+    draws = 0
+    for bit in m:
+        for n in range(1, count + 1):
+            doc = Document(sample_id(spec, prev, rng))
+            if eval_bit(fn, doc) == bit:
+                break
+        draws += n
+        prev = doc.id
+        docs.append(doc)
+    h.extend(docs)
+    return docs, EmbedStats(draws, len(m), len(docs), draws)
+
+
+MEMO_CHANNELS = ("binary", "point_mass4", "markov2", "uniform1024")
+MEMO_SPECS = {name: load_channel_file(CHANNEL_DIR / f"{name}.json")
+              for name in MEMO_CHANNELS}
+
+
+@pytest.mark.parametrize("fn_kind", ["keyed", "random"])
+@pytest.mark.parametrize("count", [1, 2, 8, None])
+@pytest.mark.parametrize("channel_name", MEMO_CHANNELS)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       messages=st.lists(st.lists(st.integers(0, 1), max_size=40), min_size=1,
+                         max_size=2),
+       start=st.none() | st.integers(0, 1))
+def test_s1_memo_matches_per_draw_loop(channel_name, count, fn_kind, seed,
+                                       messages, start):
+    # Both sides reuse one function across every message, so a random
+    # oracle's table carries over from one embed to the next.
+    spec = MEMO_SPECS[channel_name]
+
+    def make_fn():
+        return (BitFunction.keyed(Key(seed.to_bytes(16, "big")))
+                if fn_kind == "keyed" else BitFunction.random_oracle(seed))
+
+    fn, ref_fn = make_fn(), make_fn()
+    rng, ref_rng = RngState(seed), RngState(seed)
+    start_docs = [] if start is None else [Document(start)]
+    h, ref_h = History(start_docs), History(start_docs)
+    for m in messages:
+        stats = EmbedStats()
+        docs = s1_embed(fn, m, h, spec, rng, count=count, stats=stats)
+        ref_docs, ref_stats = _s1_embed_per_draw(
+            ref_fn, m, ref_h, spec, ref_rng, 128 if count is None else count)
+        assert (docs, stats) == (ref_docs, ref_stats)
+        assert h.ids() == ref_h.ids()
+        assert fn.table == ref_fn.table
+    assert rng.random() == ref_rng.random()
+
+
+class CountingBitFunction(BitFunction):
+    """A BitFunction that counts its hash (or oracle) calls."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.calls = 0
+
+    def bit(self, data: bytes) -> int:
+        self.calls += 1
+        return super().bit(data)
+
+
+@pytest.mark.parametrize("f1", [(0, 1), (1, 1)])
+def test_s1_hashes_each_document_once_per_message(f1):
+    # On the two-document channel only two F1 inputs exist; with F1 = 1 on
+    # both, no draw can match the all-zero message and every bit spends
+    # the whole budget.
+    key = find_key_where(lambda fn: (eval_bit(fn, Document(0)),
+                                     eval_bit(fn, Document(1))) == f1)
+    fn = CountingBitFunction("keyed", key=key)
+    stats = EmbedStats()
+    s1_embed(fn, [0] * 100, History(), MEMO_SPECS["binary"], RngState(1),
+             stats=stats)
+    assert fn.calls <= 2
+    assert stats.prf_evals == stats.samples_drawn >= 100
+    if f1 == (1, 1):
+        assert stats.samples_drawn == 100 * 128
 
 
 # --- s2 ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -336,3 +337,15 @@ def test_cli_import_loads_neither_scipy_nor_numpy():
                             text=True, check=True).stdout.split()
     assert "stegomail" in loaded
     assert not {"scipy", "numpy"} & set(loaded)
+
+
+@pytest.mark.parametrize("p, code, out", [("0.5", 0, "0.0\n"), ("nan", 2, "")])
+def test_python_m_stegomail_runs_the_cli(p, code, out, tmp_path):
+    src = str(Path(stegomail.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "stegomail", "capacity", "--p", p],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert (done.returncode, done.stdout) == (code, out)
+    if code:
+        assert "configuration error" in done.stderr
