@@ -21,6 +21,7 @@ failed embed or extract mutates nothing.
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -31,11 +32,15 @@ from .errors import ConfigError, ProtocolError
 from .prf import BitFunction, Counter, eval_bit, eval_bit_sync, eval_bit_tuple
 from .rng import RngState
 
+_SPEND_CHUNK = 1024  # uniforms per getrandbits call in _spend_uniforms
+
 
 @dataclass
 class EmbedStats:
     """Work counters accumulated across embed calls.
 
+    ``samples_drawn`` counts the uniforms spent on draws, including an s1
+    budget that is spent in one step because no id can match the bit.
     ``prf_evals`` counts the algorithm's PRF queries, one per draw for s1
     and s2, not hash calls: s1 answers a repeated query from its
     per-message memo.
@@ -93,6 +98,20 @@ def _rs(fn: BitFunction, counter: Counter, x: int, budget: int, prev: int | None
     return doc, draws
 
 
+def _spend_uniforms(gen: random.Random, k: int) -> None:
+    """Advance `gen` exactly as `k` calls of ``gen.random()`` would.
+
+    CPython's ``random()`` consumes two 32-bit Mersenne-Twister words and
+    ``getrandbits(n)`` consumes ceil(n / 32), so 64 bits stand for one
+    uniform; a test in ``tests/test_baselines.py`` pins this.  Chunks keep
+    a large, user-set budget from building one huge integer.
+    """
+    while k > 0:
+        step = min(k, _SPEND_CHUNK)
+        gen.getrandbits(64 * step)
+        k -= step
+
+
 # --- s1: plain rejection sampling ---------------------------------------
 
 def s1_embed(fn: BitFunction, m: Sequence[int], h: History, spec: ChannelSpec,
@@ -106,22 +125,45 @@ def s1_embed(fn: BitFunction, m: Sequence[int], h: History, spec: ChannelSpec,
     memo `known`; the random oracle, which already holds the id, spends
     its coins in the same order either way.  The draw is ``sample_id``
     inlined: one bit's draws share their conditioning id and so its CDF.
+
+    Once the memo holds every id of the alphabet and all of them carry the
+    same bit, the other bit is `dead`: no draw, in any row of the channel,
+    can match it.  Such a bit's remaining draws all miss and the last one
+    is kept, so the stream is advanced past all but that last uniform in
+    one step (`_spend_uniforms`) and only the kept id is drawn.  The
+    stream, the emitted ids and the counters are the same as drawing each
+    one; no PRF input is new, so the random oracle spends no coin.  An id
+    of probability 0 is never drawn, so on such a channel the memo never
+    fills and nothing is skipped.
     """
     count = _budget(fn, count)
-    rand = rng._rand.random  # rng.random()'s stream; reading _rand seeds it
+    gen = rng._rand  # rng.random()'s generator; reading _rand seeds it
+    rand = gen.random
+    size = spec.alphabet_size
     known: dict[int, int] = {}
+    dead = -1  # no bit is dead yet; an int compares faster than None
     prev = h.last_id
     docs = []
     draws = 0
     for bit in m:
         cdf = spec._cdf(prev)
-        for n in range(1, count + 1):
+        n = 0
+        if bit != dead:
+            for n in range(1, count + 1):
+                i = bisect_right(cdf, rand())
+                got = known.get(i)
+                if got is None:
+                    got = known[i] = eval_bit(fn, Document(i))
+                    if len(known) == size and len(set(known.values())) == 1:
+                        dead = 1 - got
+                        if bit == dead:
+                            break
+                if got == bit:
+                    break
+        if bit == dead and n < count:
+            _spend_uniforms(gen, count - n - 1)
             i = bisect_right(cdf, rand())
-            got = known.get(i)
-            if got is None:
-                got = known[i] = eval_bit(fn, Document(i))
-            if got == bit:
-                break
+            n = count
         draws += n
         prev = i
         docs.append(Document(i))

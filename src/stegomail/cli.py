@@ -292,3 +292,7 @@ def run(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -1,4 +1,6 @@
 import hashlib
+import random
+import time
 from dataclasses import astuple
 from itertools import product
 from pathlib import Path
@@ -129,9 +131,12 @@ def _s1_embed_per_draw(fn, m, h, spec, rng, count):
     return docs, EmbedStats(draws, len(m), len(docs), draws)
 
 
-MEMO_CHANNELS = ("binary", "point_mass4", "markov2", "uniform1024")
+MEMO_CHANNEL_FILES = ("binary", "point_mass4", "markov2", "uniform1024")
 MEMO_SPECS = {name: load_channel_file(CHANNEL_DIR / f"{name}.json")
-              for name in MEMO_CHANNELS}
+              for name in MEMO_CHANNEL_FILES}
+# A memo that fills with more than two ids, and may leave one bit dead.
+MEMO_SPECS["uniform3"] = ChannelSpec.uniform(3)
+MEMO_CHANNELS = tuple(MEMO_SPECS)
 
 
 @pytest.mark.parametrize("fn_kind", ["keyed", "random"])
@@ -194,6 +199,57 @@ def test_s1_hashes_each_document_once_per_message(f1):
     assert stats.prf_evals == stats.samples_drawn >= 100
     if f1 == (1, 1):
         assert stats.samples_drawn == 100 * 128
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20260811])
+@pytest.mark.parametrize("k", [1, 2, 127, 1024])
+def test_getrandbits_64k_spends_k_uniforms(k, seed):
+    # s1 spends a dead bit's budget with getrandbits(64 * k) in place of k
+    # random() calls.  Should a Python release change how either consumes
+    # Mersenne-Twister words, this fails rather than every s1 stream
+    # changing silently.
+    spent, drawn = random.Random(seed), random.Random(seed)
+    spent.getrandbits(64 * k)
+    for _ in range(k):
+        drawn.random()
+    assert spent.getstate() == drawn.getstate()
+    assert spent.random() == drawn.random()
+
+
+class CountingRandom(random.Random):
+    """A random.Random that counts its random() calls."""
+
+    calls = 0
+
+    def random(self) -> float:
+        self.calls += 1
+        return super().random()
+
+
+@pytest.mark.parametrize("bits,count", [(100, 128), (10, 5000)])
+def test_s1_spends_a_dead_bits_budget_in_one_step(bits, count):
+    # F1 = 1 on both documents, so no draw can match a zero bit: after the
+    # memo fills, each bit costs one random() call while still counting
+    # its whole budget.
+    key = find_key_where(lambda fn: (eval_bit(fn, Document(0)),
+                                     eval_bit(fn, Document(1))) == (1, 1))
+    fn = BitFunction.keyed(key)
+    spec = MEMO_SPECS["binary"]
+    rng, ref_rng = RngState(1), RngState(1)
+    rng._rand = CountingRandom()
+    rng._rand.setstate(ref_rng._rand.getstate())
+    stats = EmbedStats()
+    start = time.perf_counter()
+    docs = s1_embed(fn, [0] * bits, History(), spec, rng, count=count,
+                    stats=stats)
+    elapsed = time.perf_counter() - start
+    ref_docs, ref_stats = _s1_embed_per_draw(fn, [0] * bits, History(), spec,
+                                             ref_rng, count)
+    assert rng._rand.calls <= bits + 10
+    assert stats.samples_drawn == stats.prf_evals == bits * count
+    assert (docs, stats) == (ref_docs, ref_stats)
+    assert rng.random() == ref_rng.random()
+    assert elapsed < 1.0
 
 
 # --- s2 ---------------------------------------------------------------------

@@ -5,7 +5,9 @@ rebinds those names at run time, so a rename in ``src/`` would only show
 when the benchmark runs with ``--trace 1``.  The first test reads the list
 from the tracer's source, without importing it, and checks every target
 resolves.  The second runs one op of every workload in
-``perfbench/workloads.py``, so a changed signature fails here too.
+``perfbench/workloads.py``, so a changed signature fails here too.  The
+third counts ``channel.sample_id`` over one op, as the traced run does:
+the benchmark's checks expect every workload to draw through it.
 """
 
 import ast
@@ -68,3 +70,26 @@ def test_every_workload_op_runs(name, tmp_path):
     workload = WORKLOADS[name]
     state = workload.setup(1, tmp_path)
     assert workload.op(state, 0).ok
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_every_workload_op_calls_sample_id(name, tmp_path, monkeypatch):
+    workload = WORKLOADS[name]
+    state = workload.setup(1, tmp_path)
+    # Rebind sample_id in every stegomail namespace that holds it, as the
+    # tracer does; monkeypatch puts each original back.
+    original = importlib.import_module("stegomail.channel").sample_id
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    for modname, module in list(sys.modules.items()):
+        if modname == "stegomail" or modname.startswith("stegomail."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    assert workload.op(state, 0).ok
+    assert calls > 0

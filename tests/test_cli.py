@@ -344,8 +344,10 @@ def test_python_m_stegomail_runs_the_cli(p, code, out, tmp_path):
     src = str(Path(stegomail.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "stegomail", "capacity", "--p", p],
-                          capture_output=True, text=True, env=env, cwd=tmp_path)
-    assert (done.returncode, done.stdout) == (code, out)
-    if code:
-        assert "configuration error" in done.stderr
+    # The package and the cli module itself are both runnable.
+    for module in ("stegomail", "stegomail.cli"):
+        done = subprocess.run([sys.executable, "-m", module, "capacity", "--p", p],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert (module, done.returncode, done.stdout) == (module, code, out)
+        if code:
+            assert "configuration error" in done.stderr
