@@ -29,7 +29,8 @@ from typing import Sequence
 from .channel import ChannelSpec, Document, History, sample_id
 from .ecc import dec, enc
 from .errors import ConfigError, ProtocolError
-from .prf import BitFunction, Counter, eval_bit, eval_bit_sync, eval_bit_tuple
+from .prf import (BitFunction, Counter, encode_doc, encode_sync_run, encode_tuple,
+                  eval_bit, eval_bit_sync, eval_bit_tuple)
 from .rng import RngState
 
 _SPEND_CHUNK = 1024  # uniforms per getrandbits call in _spend_uniforms
@@ -174,7 +175,7 @@ def s1_embed(fn: BitFunction, m: Sequence[int], h: History, spec: ChannelSpec,
 
 
 def s1_extract(fn: BitFunction, docs: Sequence[Document]) -> list[int]:
-    return [eval_bit(fn, d) for d in docs]
+    return fn.bits([encode_doc(d) for d in docs])
 
 
 # --- s2: synchronized counter + repetition code --------------------------
@@ -204,15 +205,14 @@ def s2_extract(fn: BitFunction, counter: Counter, docs: Sequence[Document],
                repetition: int = 5) -> list[int]:
     """Majority of the synchronized bits over each run of `repetition` documents.
 
-    One counter value per document, all checked before the first PRF call.
+    One counter value per document, all checked before the one batched
+    PRF call.
     """
     _check_copies(repetition, odd=True)
     _check_framing(docs, repetition)
     counter.check_headroom(len(docs))
-    coded = []
-    for doc in docs:
-        coded.append(eval_bit_sync(fn, counter, doc))
-        counter.value += 1
+    coded = fn.bits(encode_sync_run(counter.value, counter.byte_width, docs))
+    counter.value += len(docs)
     return dec(coded, repetition)
 
 
@@ -252,8 +252,8 @@ def s3_embed(fn: BitFunction, m: Sequence[int], h: History, spec: ChannelSpec,
 def s3_extract(fn: BitFunction, docs: Sequence[Document], copies: int) -> list[int]:
     _check_copies(copies, odd=False)
     _check_framing(docs, copies)
-    return [eval_bit_tuple(fn, docs[i:i + copies])
-            for i in range(0, len(docs), copies)]
+    return fn.bits([encode_tuple(docs[i:i + copies])
+                    for i in range(0, len(docs), copies)])
 
 
 # --- s4: per-bit copies with two draws each -------------------------------

@@ -259,7 +259,11 @@ def load_channel_spec(text: str) -> ChannelSpec:
 
 def load_channel_file(path) -> ChannelSpec:
     with open(path, encoding="utf-8") as f:
-        return load_channel_spec(f.read())
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"channel file {path} is not UTF-8 text: {e}") from e
+    return load_channel_spec(text)
 
 
 def dump_channel_spec(spec: ChannelSpec) -> str:

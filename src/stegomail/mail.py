@@ -13,6 +13,9 @@ from typing import Iterable, Sequence
 from .channel import Document
 from .errors import ProtocolError
 
+# Document ids are encoded in 8 bytes wherever a PRF reads them.
+_ID_LIMIT = 1 << 64
+
 
 @dataclass(frozen=True, slots=True, init=False)
 class Mail:
@@ -36,6 +39,20 @@ class Mail:
 _set_mail_doc = Mail.doc.__set__
 _set_mail_addresses = Mail.addresses.__set__
 _set_mail_sent_at = Mail.sent_at.__set__
+_new_mail = object.__new__
+
+
+def _mail(doc: Document, addresses: tuple[str, ...], sent_at: int) -> Mail:
+    """``Mail(doc, addresses, sent_at)`` without its address checks.
+
+    Only for callers whose address array is already known to be valid:
+    the protocols' constant arrays and fields parse_trace has checked.
+    """
+    mail = _new_mail(Mail)
+    _set_mail_doc(mail, doc)
+    _set_mail_addresses(mail, addresses)
+    _set_mail_sent_at(mail, sent_at)
+    return mail
 
 
 @dataclass
@@ -104,10 +121,13 @@ def format_trace(mails: Iterable[Mail]) -> str:
 def parse_trace(text: str) -> list[Mail]:
     """Inverse of format_trace; blank lines are skipped.
 
-    A trace names only a few distinct address fields, so each is split
-    once per call and the mails that carry it share one tuple.
+    A trace names few distinct document ids and address fields, so each
+    distinct field is parsed and checked once per call, when first seen,
+    and the mails that carry it share one Document or one address tuple.
+    A document id must fit the 8-byte encoding the PRF reads.
     """
     mails = []
+    docs: dict[str, Document] = {}
     split_fields: dict[str, tuple[str, ...]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line or line.isspace():
@@ -119,18 +139,29 @@ def parse_trace(text: str) -> list[Mail]:
                 f"trace line {lineno}: expected 3 tab-separated fields") from None
         try:
             sent_at = int(raw_sent)
-            doc_id = int(raw_doc)
         except ValueError as e:
             raise ProtocolError(f"trace line {lineno}: {e}") from e
-        if doc_id < 0:
-            raise ProtocolError(f"trace line {lineno}: negative document id {doc_id}")
+        doc = docs.get(raw_doc)
+        if doc is None:
+            try:
+                doc_id = int(raw_doc)
+            except ValueError as e:
+                raise ProtocolError(f"trace line {lineno}: {e}") from e
+            if doc_id < 0:
+                raise ProtocolError(
+                    f"trace line {lineno}: negative document id {doc_id}")
+            if doc_id >= _ID_LIMIT:
+                raise ProtocolError(
+                    f"trace line {lineno}: document id {doc_id} does not fit in 8 bytes")
+            doc = docs[raw_doc] = Document(doc_id)
         addrs = split_fields.get(raw_addrs)
         if addrs is None:
-            addrs = split_fields[raw_addrs] = tuple(raw_addrs.split(","))
-        try:
-            mails.append(Mail(Document(doc_id), addrs, sent_at))
-        except ProtocolError as e:
-            raise ProtocolError(f"trace line {lineno}: {e}") from None
+            addrs = tuple(raw_addrs.split(","))
+            if not all(addrs):
+                raise ProtocolError(
+                    f"trace line {lineno}: recipient addresses must be nonempty strings")
+            split_fields[raw_addrs] = addrs
+        mails.append(_mail(doc, addrs, sent_at))
     return mails
 
 
@@ -141,4 +172,8 @@ def write_trace(mails: Iterable[Mail], path) -> None:
 
 def read_trace(path) -> list[Mail]:
     with open(path, encoding="utf-8") as f:
-        return parse_trace(f.read())
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise ProtocolError(f"trace file {path} is not UTF-8 text: {e}") from e
+    return parse_trace(text)

@@ -18,7 +18,8 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import count
+from typing import Iterable, Sequence
 
 from .channel import Document
 from .errors import ConfigError, CounterError
@@ -134,6 +135,31 @@ class BitFunction:
             got = self.table[data] = self._coins.getrandbits(1)
         return got
 
+    def bits(self, inputs: Iterable[bytes]) -> list[int]:
+        """``[self.bit(x) for x in inputs]`` in one call.
+
+        The extractors evaluate a whole message at once.  The random oracle
+        answers in input order, so it spends its coins exactly as the
+        per-input calls would, a repeated input included.
+        """
+        out: list[int] = []
+        append = out.append
+        if self.mode == "keyed":
+            copy = self._keyed_hash.copy
+            for data in inputs:
+                h = copy()
+                h.update(data)
+                append(h.digest()[0] & 1)
+            return out
+        table = self.table
+        coin = self._coins.getrandbits
+        for data in inputs:
+            got = table.get(data)
+            if got is None:
+                got = table[data] = coin(1)
+            append(got)
+        return out
+
 
 def encode_doc(d: Document) -> bytes:
     return _TAG_DOC + d.to_bytes()
@@ -141,6 +167,17 @@ def encode_doc(d: Document) -> bytes:
 
 def encode_sync(value: int, byte_width: int, d: Document) -> bytes:
     return _TAG_SYNC + value.to_bytes(byte_width, "big") + d.to_bytes()
+
+
+def encode_sync_run(value: int, byte_width: int,
+                    docs: Iterable[Document]) -> list[bytes]:
+    """F2 inputs of consecutive counter values ``value, value + 1, ...``.
+
+    Equal to ``[encode_sync(value + k, byte_width, d) for k, d in
+    enumerate(docs)]``: the inputs a synchronized extractor evaluates.
+    """
+    return [_TAG_SYNC + v.to_bytes(byte_width, "big") + d.id.to_bytes(8, "big")
+            + d.payload for v, d in zip(count(value), docs)]
 
 
 def encode_tuple(docs: Sequence[Document]) -> bytes:
@@ -169,10 +206,17 @@ def eval_bit_sync(fn: BitFunction, counter: Counter, d: Document) -> int:
     """Bit of (counter value, document); does not advance the counter.
 
     The input is ``encode_sync(counter.value, counter.byte_width, d)``,
-    built inline because this is the email protocols' per-bit hot path.
+    built inline because this is the email protocols' per-bit embed path,
+    and the keyed hash is inlined too, so a call costs one Python frame.
     """
-    return fn.bit(_TAG_SYNC + counter.value.to_bytes(counter.n_bits // 8, "big")
-                  + d.id.to_bytes(8, "big") + d.payload)
+    data = (_TAG_SYNC + counter.value.to_bytes(counter.n_bits // 8, "big")
+            + d.id.to_bytes(8, "big") + d.payload)
+    h = fn._keyed_hash
+    if h is None:
+        return fn.bit(data)
+    h = h.copy()
+    h.update(data)
+    return h.digest()[0] & 1
 
 
 def eval_bit_tuple(fn: BitFunction, docs: Sequence[Document]) -> int:

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter,
                        CounterError, Document, EmbedStats, History, Key,
-                       ProtocolError, RngState, eval_bit, load_channel_file,
+                       ProtocolError, RngState, eval_bit, eval_bit_sync,
+                       eval_bit_tuple, load_channel_file,
                        s1_embed, s1_extract, s2_embed, s2_extract, s3_embed,
                        s3_extract, s4_embed, s4_extract)
 from stegomail.channel import sample_id
@@ -505,6 +506,34 @@ def test_extract_framing_error_leaves_counter(extract):
     with pytest.raises(ConfigError):
         extract(fn, counter, [Document(0)] * 4, 2)
     assert counter.value == 5
+
+
+@pytest.mark.parametrize("mode", ["keyed", "random_oracle"])
+def test_extractors_match_per_document_calls(mode):
+    # The batched extractors against one PRF call per document (or tuple),
+    # each with its own counter value; repeated documents and payloads
+    # included.  The random oracle must spend its coins in the same order.
+    def make():
+        if mode == "keyed":
+            return BitFunction.keyed(Key.from_hex("000102030405060708090a0b0c0d0e0f"))
+        return BitFunction.random_oracle(53)
+    rng = RngState(53)
+    docs = [Document(rng.randrange(6), b"x" * rng.randrange(2)) for _ in range(45)]
+    v = 250
+    fn, ref = make(), make()
+    counter = Counter(v)
+    assert s2_extract(fn, counter, docs, repetition=1) == [
+        eval_bit_sync(ref, Counter(v + k), d) for k, d in enumerate(docs)]
+    assert counter.value == v + len(docs)
+    assert s4_extract(fn, counter, docs, copies=1) == [
+        eval_bit_sync(ref, Counter(v + len(docs) + k), d) for k, d in enumerate(docs)]
+    assert counter.value == v + 2 * len(docs)
+    assert s1_extract(fn, docs) == [eval_bit(ref, d) for d in docs]
+    assert s3_extract(fn, docs, copies=3) == [
+        eval_bit_tuple(ref, docs[i:i + 3]) for i in range(0, len(docs), 3)]
+    if mode == "random_oracle":
+        assert fn.table == ref.table
+        assert fn._coins.random() == ref._coins.random()
 
 
 def test_zero_copies_is_a_config_error():

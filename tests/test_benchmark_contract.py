@@ -7,7 +7,9 @@ from the tracer's source, without importing it, and checks every target
 resolves.  The second runs one op of every workload in
 ``perfbench/workloads.py``, so a changed signature fails here too.  The
 third counts ``channel.sample_id`` over one op, as the traced run does:
-the benchmark's checks expect every workload to draw through it.
+the benchmark's checks expect every workload to draw through it.  The
+last counts ``sample_id`` and ``eval_bit_sync`` over single embeds, as the
+traced run's cross-check does against ``EmbedStats``.
 """
 
 import ast
@@ -72,24 +74,50 @@ def test_every_workload_op_runs(name, tmp_path):
     assert workload.op(state, 0).ok
 
 
+def _count_calls(monkeypatch, module: str, name: str) -> list[int]:
+    """Rebind `module.name` in every stegomail namespace that holds it, as the
+    tracer does, with a wrapper that counts calls; monkeypatch puts each
+    original back.  Returns a one-element list holding the count."""
+    original = getattr(importlib.import_module(module), name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname == "stegomail" or modname.startswith("stegomail."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_every_workload_op_calls_sample_id(name, tmp_path, monkeypatch):
     workload = WORKLOADS[name]
     state = workload.setup(1, tmp_path)
-    # Rebind sample_id in every stegomail namespace that holds it, as the
-    # tracer does; monkeypatch puts each original back.
-    original = importlib.import_module("stegomail.channel").sample_id
-    calls = 0
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return original(*args, **kwargs)
-
-    for modname, module in list(sys.modules.items()):
-        if modname == "stegomail" or modname.startswith("stegomail."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+    calls = _count_calls(monkeypatch, "stegomail.channel", "sample_id")
     assert workload.op(state, 0).ok
-    assert calls > 0
+    assert calls[0] > 0
+
+
+@pytest.mark.parametrize("system", ["p1", "p2", "s2"])
+def test_embed_calls_match_embed_stats(system, monkeypatch):
+    # The traced run checks channel.sample_id and the embed-side PRF calls
+    # against EmbedStats, and p1/p2 against one of each per bit, so an embed
+    # that fuses either call away must fail here too.
+    from stegomail import (BitFunction, ChannelSpec, Counter, EmbedStats, History,
+                           RngState, p1_embed, p2_embed, s2_embed)
+    draws = _count_calls(monkeypatch, "stegomail.channel", "sample_id")
+    evals = _count_calls(monkeypatch, "stegomail.prf", "eval_bit_sync")
+    fn, stats, n = BitFunction.random_oracle(3), EmbedStats(), 200
+    args = (fn, Counter(), RngState(5).bits(n), History(), ChannelSpec.uniform(4),
+            RngState(7))
+    if system == "s2":
+        s2_embed(*args, repetition=3, stats=stats)
+        assert draws[0] == stats.samples_drawn > 3 * n
+        assert evals[0] == stats.prf_evals == stats.samples_drawn
+    else:
+        {"p1": p1_embed, "p2": p2_embed}[system](*args, stats=stats)
+        assert draws[0] == evals[0] == stats.samples_drawn == stats.prf_evals == n

@@ -301,6 +301,58 @@ def test_negative_document_id_in_trace_is_protocol_error(tmp_path):
                 "--in", str(trace)]) == 3
 
 
+def test_document_id_past_8_bytes_in_trace_is_protocol_error(tmp_path, capsys):
+    trace = tmp_path / "trace.tsv"
+    trace.write_text(f"0\t1\taddress1\n1\t{2 ** 64}\taddress2\n")
+    assert run(["extract", "--protocol", "p1", "--key", KEY,
+                "--in", str(trace)]) == 3
+    assert "trace line 2: document id" in capsys.readouterr().err
+
+
+def test_non_utf8_trace_is_protocol_error(tmp_path, capsys):
+    trace = tmp_path / "trace.tsv"
+    trace.write_bytes(b"0\t1\taddress1\n1\t2\taddress\xff\n")
+    assert run(["extract", "--protocol", "p1", "--key", KEY,
+                "--in", str(trace)]) == 3
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_channel_file_is_config_error(tmp_path, capsys):
+    spec = tmp_path / "channel.json"
+    spec.write_bytes(b'{"kind": "stationary\xff"}')
+    assert run(["channel-info", "--channel", str(spec)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+# SHA-256 of the trace file `embed` writes and of `extract`'s stdout, for a
+# 4096-bit message over channels/uniform1024.json; recorded before the
+# extractors batched their PRF calls.
+GOLDEN_EMBED_EXTRACT = {
+    "p1": ("f10556914bcc7e536a7c9a6ae7c57087906678b4c52ed4a959997a9b5ae4e8b6",
+           "d1c83923f5817649ee61c3df2aa821a58d6432e076bd55d834ed95c0f3b453b8"),
+    "p2": ("0f6b2b0e67b0e068109428705e044dd93db8cb7d6835f01e7757d21a3dc5b248",
+           "d1c83923f5817649ee61c3df2aa821a58d6432e076bd55d834ed95c0f3b453b8"),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(GOLDEN_EMBED_EXTRACT))
+def test_embed_extract_4096_bits_is_pinned(protocol, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(REPO)
+    message = tmp_path / "message.hex"
+    message.write_text(stegomail.RngState(59).bytes(512).hex())
+    trace = tmp_path / "trace.tsv"
+    assert run(["embed", "--protocol", protocol, "--key", KEY, "--message", str(message),
+                "--channel", "channels/uniform1024.json", "--seed", "61",
+                "--out", str(trace)]) == 0
+    capsys.readouterr()
+    assert run(["extract", "--protocol", protocol, "--key", KEY, "--in", str(trace)]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout == message.read_text() + "\n"
+    assert (hashlib.sha256(trace.read_bytes()).hexdigest(),
+            hashlib.sha256(stdout.strip().encode()).hexdigest()) == \
+        GOLDEN_EMBED_EXTRACT[protocol]
+
+
 # SHA-256 of simulate's per-trial CSV and its stdout, wall-time column
 # stripped; recorded before simulate was built on reliability_estimate.
 GOLDEN_SIMULATE = {

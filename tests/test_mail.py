@@ -114,6 +114,27 @@ def test_parse_trace_rejects_negative_document_id():
         parse_trace("0\t1\taddress1\n1\t-4\taddress2\n")
 
 
+def test_parse_trace_rejects_document_id_past_8_bytes():
+    top = parse_trace(f"0\t{2 ** 64 - 1}\taddress1\n")
+    assert top[0].doc.id == 2 ** 64 - 1
+    with pytest.raises(ProtocolError, match="^trace line 2: document id 18446744073709551616 "
+                                            "does not fit in 8 bytes$"):
+        parse_trace(f"0\t1\taddress1\n1\t{2 ** 64}\taddress2\n")
+
+
+def test_parse_trace_checks_each_distinct_field_once():
+    # A field seen before is not re-checked, but a bad one on a later line
+    # still names that line.
+    mails = parse_trace("0\t5\taddress1\n1\t5\taddress1\n2\t6\taddress1\n")
+    assert mails[0].doc is mails[1].doc
+    assert mails[0].doc is not mails[2].doc
+    assert mails == [mk(0, 5), mk(1, 5), mk(2, 6)]
+    with pytest.raises(ProtocolError, match="^trace line 3: recipient addresses"):
+        parse_trace("0\t5\taddress1\n1\t5\taddress1\n2\t5\t,address1\n")
+    with pytest.raises(ProtocolError, match="^trace line 3: negative document id"):
+        parse_trace("0\t5\taddress1\n1\t5\taddress1\n2\t-5\taddress1\n")
+
+
 def test_mail_value_contract():
     mail = mk(3, doc_id=7)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -159,8 +180,9 @@ _addresses = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",),
                            blacklist_characters="," + "\t" + _LINE_BREAKS),
     min_size=1, max_size=8)
+# Ids fit the PRF's 8-byte encoding; ticks are unbounded.
 _mails = st.builds(
-    Mail, st.builds(Document, st.integers(min_value=0, max_value=2 ** 70)),
+    Mail, st.builds(Document, st.integers(min_value=0, max_value=2 ** 64 - 1)),
     st.lists(_addresses, min_size=1, max_size=3).map(tuple),
     st.integers(min_value=-2 ** 70, max_value=2 ** 70))
 
@@ -179,4 +201,5 @@ def test_parse_trace_raises_only_protocol_error(text):
         mails = parse_trace(text)
     except ProtocolError:
         return
-    assert all(m.doc.id >= 0 and m.addresses and all(m.addresses) for m in mails)
+    assert all(0 <= m.doc.id < 2 ** 64 and m.addresses and all(m.addresses)
+               for m in mails)

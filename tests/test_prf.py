@@ -6,7 +6,7 @@ import pytest
 from stegomail import (BitFunction, ConfigError, Counter, CounterError,
                        Document, Key, RngState, eval_bit, eval_bit_sync,
                        eval_bit_tuple)
-from stegomail.prf import encode_doc, encode_sync, encode_tuple
+from stegomail.prf import encode_doc, encode_sync, encode_sync_run, encode_tuple
 
 
 def test_eval_bit_deterministic(keyed_fn):
@@ -183,3 +183,33 @@ def test_eval_bit_matches_reference_encoding(fn):
     bits = [eval_bit(fn, d) for d in docs]
     assert bits == [fn.bit(encode_doc(d)) for d in docs]
     assert 0 < sum(bits) < len(bits)
+
+
+@pytest.mark.parametrize("mode", ["keyed", "random_oracle"])
+def test_bits_matches_per_input_bit(mode):
+    def make():
+        if mode == "keyed":
+            return BitFunction.keyed(Key.from_hex("000102030405060708090a0b0c0d0e0f"))
+        return BitFunction.random_oracle(43)
+    rng = RngState(43)
+    inputs = [encode_sync(rng.randrange(4), 8, Document(rng.randrange(8)))
+              for _ in range(300)]
+    assert len(set(inputs)) < len(inputs)  # repeated inputs included
+    batched, single = make(), make()
+    bits = batched.bits(inputs)
+    assert bits == [single.bit(x) for x in inputs]
+    assert 0 < sum(bits) < len(bits)
+    assert batched.bits([]) == []
+    if mode == "random_oracle":
+        assert batched.table == single.table
+        assert batched._coins.random() == single._coins.random()
+
+
+@pytest.mark.parametrize("byte_width", [1, 2, 8])
+def test_encode_sync_run_matches_encode_sync(byte_width):
+    docs = [Document(0), Document(7, b"payload"), Document(7), Document(2 ** 64 - 1),
+            Document(3, b"\x00" * 9)]
+    for value in (0, 1, (1 << (8 * byte_width)) - len(docs)):
+        assert encode_sync_run(value, byte_width, docs) == [
+            encode_sync(value + k, byte_width, d) for k, d in enumerate(docs)]
+    assert encode_sync_run(5, byte_width, []) == []

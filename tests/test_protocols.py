@@ -9,7 +9,7 @@ from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter,
                        load_channel_file,
                        p1_embed, p1_extract, p2_embed, p2_extract)
 from stegomail.mail import format_trace
-from stegomail.protocols import ADDRESS1, ADDRESS2, p1_route
+from stegomail.protocols import ADDRESS1, ADDRESS2, P1_ARRAYS, P2_ARRAYS, p1_route
 
 from conftest import MARKOV2, TEST_CHANNELS, find_key_where
 
@@ -283,6 +283,36 @@ def test_failed_extract_leaves_counter_unchanged():
         p1_extract(fn, rx, foreign, [])
     assert rx.value == NEAR_TOP
     assert p1_extract(fn, rx, *p1_route(mails)) == [1, 0]
+
+
+@pytest.mark.parametrize("variant", ["p1", "p2"])
+@pytest.mark.parametrize("mode", ["keyed", "random_oracle"])
+def test_extract_matches_per_mail_calls_and_advances_counter(variant, mode):
+    def make():
+        if mode == "keyed":
+            return BitFunction.keyed(Key.from_hex("000102030405060708090a0b0c0d0e0f"))
+        return oracle(57)
+    embed_fn = {"p1": p1_embed, "p2": p2_embed}[variant]
+    arrays = {"p1": P1_ARRAYS, "p2": P2_ARRAYS}[variant]
+    m = RngState(57).bits(60)
+    mails = embed_fn(make(), Counter(250), m, History(), MARKOV2, RngState(57))
+    fn, ref, rx = make(), make(), Counter(250)
+    if variant == "p1":
+        got = p1_extract(fn, rx, *p1_route(mails))
+    else:
+        got = p2_extract(fn, rx, mails)
+    assert got == m == [eval_bit_sync(ref, Counter(250 + k), s.doc)
+                        ^ (s.addresses == arrays[1]) for k, s in enumerate(mails)]
+    assert rx.value == 250 + len(m)
+    if mode == "random_oracle":
+        assert fn.table == ref.table
+    foreign = mails[:-1] + [Mail(mails[-1].doc, ("address3",), mails[-1].sent_at)]
+    with pytest.raises(ProtocolError):
+        if variant == "p1":
+            p1_extract(fn, rx, foreign, [])
+        else:
+            p2_extract(fn, rx, foreign)
+    assert rx.value == 250 + len(m)
 
 
 def test_p1_route_splits_and_rejects_foreign_addresses():
