@@ -30,25 +30,23 @@ class Document:
     """One cover document, identified by its index in the channel alphabet."""
 
     id: int
-    payload: bytes = b""
 
     # Written by hand because one Document is built per channel draw, and
     # the generated frozen __init__ plus a __post_init__ is markedly slower.
-    # Fields are stored through the slot descriptors, bound once below,
+    # The id is stored through the slot descriptor, bound once below,
     # which is what the generated one does through object.__setattr__.
-    def __init__(self, id: int, payload: bytes = b"") -> None:
-        if id < 0:
-            raise ConfigError(f"document id must be non-negative, got {id}")
+    def __init__(self, id: int) -> None:
+        if not 0 <= id < 1 << 64:  # the 8-byte id every PRF input encodes
+            raise ConfigError(f"negative document id {id}" if id < 0
+                              else f"document id {id} does not fit in 8 bytes")
         _set_doc_id(self, id)
-        _set_doc_payload(self, payload)
 
     def to_bytes(self) -> bytes:
-        """Canonical injective encoding: 8-byte big-endian id, then payload."""
-        return self.id.to_bytes(8, "big") + self.payload
+        """Canonical injective encoding: the 8-byte big-endian id."""
+        return self.id.to_bytes(8, "big")
 
 
 _set_doc_id = Document.id.__set__
-_set_doc_payload = Document.payload.__set__
 
 
 class History:
@@ -90,7 +88,7 @@ def _check_vector(vec, size: int, label: str) -> tuple[float, ...]:
     try:
         raw = tuple(vec)
         probs = tuple(map(float, raw))
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{label} must be a list of numbers: {e}") from e
     if bool in set(map(type, raw)):
         raise ConfigError(f"{label} must be a list of numbers, not booleans")
@@ -201,7 +199,7 @@ class ChannelSpec:
 
 def sample_id(spec: ChannelSpec, prev_id: int | None, rng: RngState) -> int:
     """Draw a document id by inverse CDF, conditioned on the previous id."""
-    return bisect_right(spec._cdf(prev_id), rng.random())
+    return bisect_right(spec._cum or spec._cdf(prev_id), rng.random())
 
 
 def sample(spec: ChannelSpec, h: History, rng: RngState) -> Document:
@@ -231,7 +229,8 @@ def load_channel_spec(text: str) -> ChannelSpec:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # ValueError: malformed JSON, or an integer past Python's digit limit.
         raise ConfigError(f"channel spec is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError("channel spec must be a JSON object")

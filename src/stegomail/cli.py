@@ -22,9 +22,9 @@ from .prf import BitFunction, Counter, Key
 from .protocols import p1_extract
 from .rng import RngState
 from .security import (ALL_SYSTEMS, DISTINGUISHER_NAMES, SystemConfig,
-                       benchmark_scaling, build_distinguisher, capacity,
-                       embed_message, extract_message, reliability_estimate,
-                       run_game, transmission_rate)
+                       _gc_paused, benchmark_scaling, build_distinguisher,
+                       capacity, embed_message, extract_message,
+                       reliability_estimate, run_game, transmission_rate)
 
 DEFAULT_BENCH_LENGTHS = "256,512,1024,2048,4096,8192,16384"
 
@@ -74,6 +74,7 @@ def embed(protocol, key_hex, counter, message_path, message_format,
     write_trace(mails, out_path)
     click.echo(f"embedded {stats.bits_embedded} bits into {stats.docs_emitted} mails "
                f"({stats.samples_drawn} channel draws) -> {out_path}")
+    click.echo(f"next counter: {counter + len(bits)}")
 
 
 @main.command()
@@ -267,15 +268,13 @@ def bench(systems, lengths, channel_path, count, copies, repetition, repeats,
 
 
 def run(argv=None) -> int:
-    """Invoke the CLI, mapping library errors to stable exit codes."""
+    """Run one command with the cyclic GC paused; map library errors to exit codes."""
     try:
-        main.main(args=argv, standalone_mode=False)
+        with _gc_paused():
+            main.main(args=argv, standalone_mode=False)
         return 0
     except click.exceptions.Abort:
         return 1
-    except click.UsageError as e:
-        e.show()
-        return 2
     except click.ClickException as e:
         e.show()
         return e.exit_code

@@ -11,10 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .channel import Document
-from .errors import ProtocolError
-
-# Document ids are encoded in 8 bytes wherever a PRF reads them.
-_ID_LIMIT = 1 << 64
+from .errors import ConfigError, ProtocolError
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -144,16 +141,9 @@ def parse_trace(text: str) -> list[Mail]:
         doc = docs.get(raw_doc)
         if doc is None:
             try:
-                doc_id = int(raw_doc)
-            except ValueError as e:
+                doc = docs[raw_doc] = Document(int(raw_doc))
+            except (ValueError, ConfigError) as e:
                 raise ProtocolError(f"trace line {lineno}: {e}") from e
-            if doc_id < 0:
-                raise ProtocolError(
-                    f"trace line {lineno}: negative document id {doc_id}")
-            if doc_id >= _ID_LIMIT:
-                raise ProtocolError(
-                    f"trace line {lineno}: document id {doc_id} does not fit in 8 bytes")
-            doc = docs[raw_doc] = Document(doc_id)
         addrs = split_fields.get(raw_addrs)
         if addrs is None:
             addrs = tuple(raw_addrs.split(","))

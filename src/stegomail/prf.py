@@ -177,7 +177,7 @@ def encode_sync_run(value: int, byte_width: int,
     enumerate(docs)]``: the inputs a synchronized extractor evaluates.
     """
     return [_TAG_SYNC + v.to_bytes(byte_width, "big") + d.id.to_bytes(8, "big")
-            + d.payload for v, d in zip(count(value), docs)]
+            for v, d in zip(count(value), docs)]
 
 
 def encode_tuple(docs: Sequence[Document]) -> bytes:
@@ -199,7 +199,7 @@ def eval_bit(fn: BitFunction, d: Document) -> int:
     The input is ``encode_doc(d)``, built inline because this is the
     rejection samplers' per-draw hot path.
     """
-    return fn.bit(_TAG_DOC + d.id.to_bytes(8, "big") + d.payload)
+    return fn.bit(_TAG_DOC + d.id.to_bytes(8, "big"))
 
 
 def eval_bit_sync(fn: BitFunction, counter: Counter, d: Document) -> int:
@@ -210,7 +210,7 @@ def eval_bit_sync(fn: BitFunction, counter: Counter, d: Document) -> int:
     and the keyed hash is inlined too, so a call costs one Python frame.
     """
     data = (_TAG_SYNC + counter.value.to_bytes(counter.n_bits // 8, "big")
-            + d.id.to_bytes(8, "big") + d.payload)
+            + d.id.to_bytes(8, "big"))
     h = fn._keyed_hash
     if h is None:
         return fn.bit(data)

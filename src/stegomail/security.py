@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gc
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from math import log2, sqrt
 from statistics import linear_regression
@@ -451,6 +452,22 @@ def reliability_estimate(cfg: SystemConfig, spec: ChannelSpec, bits: int,
                              sum(r.bit_errors for r in rows), total, tuple(rows))
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic GC for the body, then restore the state it found.
+
+    A run's records (documents, mails, histories) form no reference cycles,
+    so a collection frees none of them and only rescans them all.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 # --- scaling benchmark ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -491,9 +508,7 @@ def benchmark_scaling(cfg: SystemConfig, spec: ChannelSpec,
     best_embed = [float("inf")] * len(lengths)
     best_extract = best_embed.copy()
     last_stats: list[EmbedStats | None] = [None] * len(lengths)
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _gc_paused():
         for rep in range(repeats):
             for idx, bits in enumerate(lengths):
                 trial_rng = rng.spawn(idx * 1000 + rep)
@@ -510,9 +525,6 @@ def benchmark_scaling(cfg: SystemConfig, spec: ChannelSpec,
                 best_embed[idx] = min(best_embed[idx], embed_s / runs)
                 best_extract[idx] = min(best_extract[idx], extract_s / runs)
                 last_stats[idx] = stats
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     rows = [BenchRow(cfg.system, bits, embed_s, extract_s, stats.samples_drawn,
                      stats.docs_emitted, stats.prf_evals)
             for bits, embed_s, extract_s, stats

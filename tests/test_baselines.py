@@ -511,14 +511,14 @@ def test_extract_framing_error_leaves_counter(extract):
 @pytest.mark.parametrize("mode", ["keyed", "random_oracle"])
 def test_extractors_match_per_document_calls(mode):
     # The batched extractors against one PRF call per document (or tuple),
-    # each with its own counter value; repeated documents and payloads
-    # included.  The random oracle must spend its coins in the same order.
+    # each with its own counter value; repeated documents included.  The
+    # random oracle must spend its coins in the same order.
     def make():
         if mode == "keyed":
             return BitFunction.keyed(Key.from_hex("000102030405060708090a0b0c0d0e0f"))
         return BitFunction.random_oracle(53)
     rng = RngState(53)
-    docs = [Document(rng.randrange(6), b"x" * rng.randrange(2)) for _ in range(45)]
+    docs = [Document(rng.randrange(6)) for _ in range(45)]
     v = 250
     fn, ref = make(), make()
     counter = Counter(v)

@@ -1,8 +1,11 @@
 import dataclasses
 import hashlib
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stegomail import (ChannelSpec, ConfigError, Document, History, RngState,
                        dump_channel_spec, load_channel_spec, min_entropy, prob,
@@ -246,7 +249,6 @@ def test_history_append_grows_by_one():
 
 def test_document_canonical_bytes_distinct():
     assert Document(1).to_bytes() != Document(2).to_bytes()
-    assert Document(1, b"x").to_bytes() != Document(1).to_bytes()
     with pytest.raises(ConfigError):
         Document(-1)
 
@@ -289,18 +291,85 @@ def test_cdf_pin_keeps_in_range_draws():
 
 
 def test_document_value_contract():
-    d = Document(7, b"p")
+    d = Document(7)
     with pytest.raises(dataclasses.FrozenInstanceError):
         d.id = 8
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        d.payload = b""
-    assert d == Document(7, b"p") and d != Document(7)
-    assert hash(d) == hash(Document(7, b"p"))
-    assert repr(d) == "Document(id=7, payload=b'p')"
-    assert repr(Document(3)) == "Document(id=3, payload=b'')"
-    assert Document(id=3) == Document(3, b"")
-    assert dataclasses.replace(d, id=9) == Document(9, b"p")
-    with pytest.raises(ConfigError, match="document id must be non-negative, got -2"):
+    assert d == Document(7) and d != Document(8)
+    assert hash(d) == hash(Document(7))
+    assert repr(d) == "Document(id=7)"
+    assert Document(id=3) == Document(3)
+    assert dataclasses.replace(d, id=9) == Document(9)
+    assert Document(2 ** 64 - 1).to_bytes() == b"\xff" * 8
+    with pytest.raises(ConfigError, match="^negative document id -2$"):
         dataclasses.replace(d, id=-2)
-    with pytest.raises(ConfigError, match="document id must be non-negative, got -1"):
+    with pytest.raises(ConfigError, match="^negative document id -1$"):
         Document(-1)
+    # Ids are 8 bytes wide in every PRF input, so the bound is checked
+    # where the id is made, not when a PRF first encodes it.
+    with pytest.raises(ConfigError,
+                       match="^document id 18446744073709551616 does not fit in 8 bytes$"):
+        Document(2 ** 64)
+    with pytest.raises(ConfigError, match="does not fit in 8 bytes"):
+        dataclasses.replace(d, id=2 ** 70)
+
+
+# Inputs that crashed load_channel_spec with something other than a
+# ConfigError: an integer probability past float range (OverflowError), an
+# integer literal past Python's digit limit (ValueError from the parser),
+# and nesting past the recursion limit (RecursionError).
+@pytest.mark.parametrize("text", [
+    '{"kind": "stationary", "alphabet_size": 1, "probs": [1%s]}' % ("0" * 400),
+    '{"kind": "stationary", "alphabet_size": %s}' % ("1" * 5000),
+    "[" * 100_000 + "]" * 100_000,
+], ids=["int-past-float-range", "int-past-digit-limit", "nesting-past-recursion-limit"])
+def test_load_rejects_hostile_json(text):
+    with pytest.raises(ConfigError):
+        load_channel_spec(text)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["0.5", "0.25", "1", "0", "-0", "nan", "1e400", " 2 ", "1_0"]),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12)
+def _vectors(n):
+    """Length-n vectors near the valid ones: uniform, point mass, and sums
+    just off 1 (within and past the tolerance), as numbers and strings."""
+    return (st.just([1 / n] * n) | st.just([repr(1 / n)] * n)
+            | st.permutations([1] + [0] * (n - 1))
+            | st.lists(st.sampled_from([0, 0.25, "0.25", 0.5, "0.5", 0.5 - 1e-10,
+                                        0.5 + 1e-10, 1.0, -0.0]),
+                       min_size=n, max_size=n))
+
+
+# Objects whose fields are each drawn apart, and objects consistent in
+# kind and size, so that the property also reaches the specs that load.
+_channel_objects = st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from(["stationary", "markov1"]) | _json_values,
+    "alphabet_size": st.integers(-1, 4) | _json_values,
+    "probs": st.integers(1, 4).flatmap(_vectors) | _json_values,
+    "matrix": st.lists(st.integers(1, 4).flatmap(_vectors), max_size=4) | _json_values,
+    "initial": st.integers(1, 4).flatmap(_vectors) | _json_values,
+})
+_near_valid_objects = st.integers(1, 4).flatmap(lambda n: st.fixed_dictionaries({
+    "kind": st.sampled_from(["stationary", "markov1"]),
+    "alphabet_size": st.sampled_from([n, float(n), str(n)]),
+    "probs": _vectors(n),
+    "matrix": st.lists(_vectors(n), min_size=n, max_size=n),
+    "initial": _vectors(n),
+}))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_values | _channel_objects | _near_valid_objects)
+def test_untrusted_channel_json_loads_or_is_config_error(value):
+    try:
+        spec = load_channel_spec(json.dumps(value))
+    except ConfigError:
+        return
+    top = 1.0 - 2.0 ** -53  # the largest value random() can return
+    rng = RngState(0)
+    for prev in [None, *range(spec.alphabet_size)]:
+        for draw in (_FixedDraw(0.0), _FixedDraw(0.5), _FixedDraw(top), rng, rng):
+            assert 0 <= sample_id(spec, prev, draw) < spec.alphabet_size

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -274,6 +275,72 @@ def test_counter_overflow_exit_code(tmp_path, channel, message_file):
     assert run(["embed", "--protocol", "p1", "--key", KEY, "--message",
                 message_file, "--channel", spec, "--seed", "43",
                 "--counter", str(2 ** 64 - 1), "--out", trace]) == 4
+
+
+@pytest.mark.parametrize("protocol", ["p1", "p2"])
+def test_embed_prints_next_counter_for_chained_messages(protocol, tmp_path, channel,
+                                                         message_file, capsys):
+    # (key, counter) must not repeat across messages: the second message
+    # starts where the first one's counter ended, and both extract.
+    spec = channel(UNIFORM_4)
+    counter = 5
+    for n, seed in enumerate(["7", "8"]):
+        trace = str(tmp_path / f"trace{n}.tsv")
+        assert run(["embed", "--protocol", protocol, "--key", KEY, "--message",
+                    message_file, "--channel", spec, "--seed", seed,
+                    "--counter", str(counter), "--out", trace]) == 0
+        embedded, next_counter = out_lines(capsys)
+        assert embedded.startswith("embedded 64 bits into 64 mails (64 channel draws)")
+        assert next_counter == f"next counter: {counter + 64}"
+        assert run(["extract", "--protocol", protocol, "--key", KEY,
+                    "--counter", str(counter), "--in", trace]) == 0
+        assert out_lines(capsys) == ["deadbeef0badf00d"]
+        counter = int(next_counter.split(": ")[1])
+
+
+def _gc_case_argv(case, tmp_path, channel, message_file):
+    spec = channel(UNIFORM_4)
+    trace = tmp_path / "trace.tsv"
+    embed = ["embed", "--protocol", "p1", "--key", KEY, "--message", message_file,
+             "--channel", spec, "--seed", "3", "--out", str(trace)]
+    if case == "ok":
+        return embed, 0
+    if case == "usage":
+        return ["embed", "--no-such-flag"], 2
+    if case == "bad-channel":
+        return ["channel-info", "--channel", channel(BAD_SUM, "bad.json")], 2
+    if case == "corrupt-trace":
+        trace.write_text("0\t1\taddress1\n0\t2\taddress1\n")
+        return ["extract", "--protocol", "p1", "--key", KEY, "--in", str(trace)], 3
+    if case == "counter-overflow":
+        return [*embed, "--counter", str(2 ** 64 - 1)], 4
+    # bench pauses the collector itself, inside the command's own pause.
+    return ["bench", "--systems", "p1", "--lengths", "16,32", "--channel", spec,
+            "--repeats", "1", "--seed", "5"], 0
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("case", ["ok", "usage", "bad-channel", "corrupt-trace",
+                                  "counter-overflow", "bench"])
+def test_run_restores_the_collector_state(case, enabled, tmp_path, channel,
+                                          message_file, capsys):
+    argv, code = _gc_case_argv(case, tmp_path, channel, message_file)
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert run(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+
+
+def test_commands_run_with_the_collector_paused(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr("stegomail.cli.capacity", lambda p: seen.append(gc.isenabled()))
+    assert run(["capacity", "--p", "0.25"]) == 0
+    assert seen == [False]
+    capsys.readouterr()
 
 
 def test_usage_error_exit_code(capsys):

@@ -144,7 +144,7 @@ def test_mail_value_contract():
     assert mail == Mail(Document(7), ("address1",), 3)
     assert mail != mk(3, doc_id=7, addrs=("address2",))
     assert hash(mail) == hash(Mail(Document(7), ("address1",), 3))
-    assert repr(mail) == ("Mail(doc=Document(id=7, payload=b''), "
+    assert repr(mail) == ("Mail(doc=Document(id=7), "
                           "addresses=('address1',), sent_at=3)")
     assert Mail(doc=Document(7), addresses=("address1",), sent_at=3) == mail
     assert dataclasses.replace(mail, sent_at=9).sent_at == 9
