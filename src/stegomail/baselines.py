@@ -82,23 +82,6 @@ def _check_framing(docs: Sequence[Document], copies: int) -> None:
             f"received {len(docs)} documents, not a multiple of {copies} per bit")
 
 
-def _rs(fn: BitFunction, counter: Counter, x: int, budget: int, prev: int | None,
-        spec: ChannelSpec, rng: RngState) -> tuple[Document, int]:
-    """s2's rejection sampler: draw until the synchronized bit equals `x`.
-
-    Returns the accepted draw, or the last one once `budget` draws are
-    spent (a silent mismatch, which is exactly the unreliability the
-    repetition code exists to fix), and the number of draws, each of which
-    cost one PRF evaluation.  Every draw is evaluated, the last included:
-    the random oracle draws a coin at each new input.
-    """
-    for draws in range(1, budget + 1):
-        doc = Document(sample_id(spec, prev, rng))
-        if eval_bit_sync(fn, counter, doc) == x:
-            break
-    return doc, draws
-
-
 def _spend_uniforms(gen: random.Random, k: int) -> None:
     """Advance `gen` exactly as `k` calls of ``gen.random()`` would.
 
@@ -183,14 +166,24 @@ def s1_extract(fn: BitFunction, docs: Sequence[Document]) -> list[int]:
 def s2_embed(fn: BitFunction, counter: Counter, m: Sequence[int], h: History,
              spec: ChannelSpec, rng: RngState, repetition: int = 5,
              stats: EmbedStats | None = None) -> list[Document]:
-    """Repetition-encode, then embed each coded bit with a 2-draw budget."""
+    """Repetition-encode, then embed each coded bit with a 2-draw budget.
+
+    A coded bit keeps the first draw whose synchronized bit equals it, or
+    the second draw either way: a silent mismatch, which is exactly the
+    unreliability the repetition code exists to fix.  Every draw is
+    evaluated, the last included: the random oracle draws a coin at each
+    new input.
+    """
     coded = enc(m, repetition)
     counter.check_headroom(len(coded))
     prev = h.last_id
     docs = []
     draws = 0
     for bit in coded:
-        doc, n = _rs(fn, counter, bit, 2, prev, spec, rng)
+        for n in range(1, 3):
+            doc = Document(sample_id(spec, prev, rng))
+            if eval_bit_sync(fn, counter, doc) == bit:
+                break
         draws += n
         prev = doc.id
         docs.append(doc)
@@ -211,7 +204,7 @@ def s2_extract(fn: BitFunction, counter: Counter, docs: Sequence[Document],
     _check_copies(repetition, odd=True)
     _check_framing(docs, repetition)
     counter.check_headroom(len(docs))
-    coded = fn.bits(encode_sync_run(counter.value, counter.byte_width, docs))
+    coded = fn.bits(encode_sync_run(counter.value, docs))
     counter.value += len(docs)
     return dec(coded, repetition)
 

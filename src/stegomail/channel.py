@@ -7,8 +7,8 @@ distribution over the next document.  Two kinds are supported:
 * ``markov1``    — a row-stochastic transition matrix conditioned on the
   previous document id, with a separate vector for the first draw.
 
-Both give exact ``prob()`` oracles, which the security experiments need
-for goodness-of-fit testing, and exact min-entropy.
+Both give the exact conditional distribution (``ChannelSpec.row``), which
+the goodness-of-fit test reads, and exact min-entropy.
 """
 
 from __future__ import annotations
@@ -36,9 +36,13 @@ class Document:
     # The id is stored through the slot descriptor, bound once below,
     # which is what the generated one does through object.__setattr__.
     def __init__(self, id: int) -> None:
-        if not 0 <= id < 1 << 64:  # the 8-byte id every PRF input encodes
-            raise ConfigError(f"negative document id {id}" if id < 0
-                              else f"document id {id} does not fit in 8 bytes")
+        # The 8-byte id every PRF input encodes; type first, so that a
+        # float or a string never reaches the comparison.
+        if type(id) is not int or not 0 <= id < 1 << 64:
+            raise ConfigError(
+                f"document id must be an int, not {type(id).__name__}"
+                if type(id) is not int else f"negative document id {id}" if id < 0
+                else f"document id {id} does not fit in 8 bytes")
         _set_doc_id(self, id)
 
     def to_bytes(self) -> bytes:
@@ -202,19 +206,6 @@ def sample_id(spec: ChannelSpec, prev_id: int | None, rng: RngState) -> int:
     return bisect_right(spec._cum or spec._cdf(prev_id), rng.random())
 
 
-def sample(spec: ChannelSpec, h: History, rng: RngState) -> Document:
-    """One draw from the channel given history `h`; `h` is not mutated."""
-    return Document(sample_id(spec, h.last_id, rng))
-
-
-def prob(spec: ChannelSpec, h: History, d: Document) -> float:
-    """Exact conditional probability of document `d` after history `h`."""
-    if d.id >= spec.alphabet_size:
-        raise ConfigError(
-            f"document id {d.id} outside alphabet of size {spec.alphabet_size}")
-    return spec.row(h.last_id)[d.id]
-
-
 def min_entropy(spec: ChannelSpec, h: History) -> float:
     """-log2 of the most probable document after history `h`, in bits."""
     return -log2(max(spec.row(h.last_id)))
@@ -247,6 +238,14 @@ def load_channel_spec(text: str) -> ChannelSpec:
         alphabet_size = int(raw_size)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"alphabet_size must be an integer, got {raw_size!r}") from e
+    # ChannelSpec takes any sequence, but a JSON string or object is not a
+    # vector: its characters or keys would be read as probabilities.
+    for field in ("probs", "initial", "matrix"):
+        if field in data and not isinstance(data[field], list):
+            raise ConfigError(f"{field} must be a JSON array")
+    for i, row in enumerate(data.get("matrix", ())):
+        if not isinstance(row, list):
+            raise ConfigError(f"matrix row {i} must be a JSON array")
     return ChannelSpec(
         kind,
         alphabet_size,
@@ -264,13 +263,3 @@ def load_channel_file(path) -> ChannelSpec:
             raise ConfigError(f"channel file {path} is not UTF-8 text: {e}") from e
     return load_channel_spec(text)
 
-
-def dump_channel_spec(spec: ChannelSpec) -> str:
-    """Serialize a ChannelSpec to the JSON file format (decimal strings)."""
-    data: dict = {"kind": spec.kind, "alphabet_size": spec.alphabet_size}
-    if spec.kind == "stationary":
-        data["probs"] = [repr(p) for p in spec.probs]
-    else:
-        data["matrix"] = [[repr(p) for p in row] for row in spec.matrix]
-        data["initial"] = [repr(p) for p in spec.initial]
-    return json.dumps(data, indent=2)

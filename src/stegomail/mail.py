@@ -1,4 +1,4 @@
-"""Simulated email transport: mails, mailboxes, merge, and the trace format.
+"""Simulated email transport: mails, the mailbox merge, and the trace format.
 
 A mail is the triple (document, ordered address array, send tick).  Ticks
 are abstract integers incremented once per sent mail, so timestamps are
@@ -7,7 +7,7 @@ always pairwise distinct and the two-mailbox merge is unambiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .channel import Document
@@ -52,26 +52,6 @@ def _mail(doc: Document, addresses: tuple[str, ...], sent_at: int) -> Mail:
     return mail
 
 
-@dataclass
-class Mailbox:
-    """Mails received at one address, kept in ascending send order."""
-
-    owner: str
-    mails: list[Mail] = field(default_factory=list)
-
-    def deliver(self, mail: Mail) -> None:
-        if self.mails and mail.sent_at <= self.mails[-1].sent_at:
-            raise ProtocolError(
-                f"mailbox {self.owner!r}: out-of-order delivery at tick {mail.sent_at}")
-        self.mails.append(mail)
-
-    def __iter__(self):
-        return iter(self.mails)
-
-    def __len__(self) -> int:
-        return len(self.mails)
-
-
 def merge_by_date(seq1: Sequence[Mail], seq2: Sequence[Mail]) -> list[Mail]:
     """Linear two-way merge of two tick-sorted mail sequences.
 
@@ -98,15 +78,6 @@ def merge_by_date(seq1: Sequence[Mail], seq2: Sequence[Mail]) -> list[Mail]:
     out.extend(seq1[i:])
     out.extend(seq2[j:])
     return out
-
-
-def deliver(mails: Iterable[Mail]) -> dict[str, Mailbox]:
-    """Route each mail to every recipient's mailbox (lossless, in order)."""
-    boxes: dict[str, Mailbox] = {}
-    for mail in mails:
-        for addr in mail.addresses:
-            boxes.setdefault(addr, Mailbox(addr)).deliver(mail)
-    return boxes
 
 
 def format_trace(mails: Iterable[Mail]) -> str:

@@ -10,7 +10,7 @@ apart by domain tags:
 
 ``random_oracle`` mode replaces the keyed hash with a lazily sampled true
 random function over the same encoded inputs; the address-uniformity
-properties and the PRF-reduction games swap it in for the keyed side.
+properties and the random-function games swap it in for the keyed side.
 """
 
 from __future__ import annotations
@@ -63,32 +63,26 @@ class Key:
 
 @dataclass
 class Counter:
-    """Synchronized counter shared by sender and receiver.
+    """Synchronized 64-bit counter shared by sender and receiver.
 
-    One increment per one-bit embed and per one-bit extract; wrapping past
-    the declared width is treated as a hard error rather than silent
-    modular reuse of PRF inputs.  A counter at value ``v`` therefore allows
-    ``2**n_bits - 1 - v`` advances: the top value ``2**n_bits - 1`` can be
-    constructed but carries no bit.
+    One increment per one-bit embed and per one-bit extract.  Every F2
+    input encodes the value in 8 big-endian bytes, so wrapping past 2**64
+    is treated as a hard error rather than silent modular reuse of PRF
+    inputs.  A counter at value ``v`` therefore allows ``2**64 - 1 - v``
+    advances: the top value ``2**64 - 1`` can be constructed but carries
+    no bit.
     """
 
     value: int = 0
-    n_bits: int = 64
 
     def __post_init__(self) -> None:
-        if self.n_bits % 8 or self.n_bits <= 0:
-            raise ConfigError("counter width must be a positive multiple of 8 bits")
-        if not 0 <= self.value < (1 << self.n_bits):
-            raise ConfigError(f"counter value {self.value} outside {self.n_bits}-bit range")
-
-    @property
-    def byte_width(self) -> int:
-        return self.n_bits // 8
+        if not 0 <= self.value < 1 << 64:
+            raise ConfigError(f"counter value {self.value} outside 64-bit range")
 
     def check_headroom(self, n: int) -> None:
-        """Raise CounterError unless `n` more advances fit in the width."""
-        if self.value + n >= (1 << self.n_bits):
-            raise CounterError(f"counter overflow at width {self.n_bits} bits")
+        """Raise CounterError unless `n` more advances fit in 64 bits."""
+        if self.value + n >= 1 << 64:
+            raise CounterError("counter overflow at width 64 bits")
 
 
 class BitFunction:
@@ -165,18 +159,17 @@ def encode_doc(d: Document) -> bytes:
     return _TAG_DOC + d.to_bytes()
 
 
-def encode_sync(value: int, byte_width: int, d: Document) -> bytes:
-    return _TAG_SYNC + value.to_bytes(byte_width, "big") + d.to_bytes()
+def encode_sync(value: int, d: Document) -> bytes:
+    return _TAG_SYNC + value.to_bytes(8, "big") + d.to_bytes()
 
 
-def encode_sync_run(value: int, byte_width: int,
-                    docs: Iterable[Document]) -> list[bytes]:
+def encode_sync_run(value: int, docs: Iterable[Document]) -> list[bytes]:
     """F2 inputs of consecutive counter values ``value, value + 1, ...``.
 
-    Equal to ``[encode_sync(value + k, byte_width, d) for k, d in
-    enumerate(docs)]``: the inputs a synchronized extractor evaluates.
+    Equal to ``[encode_sync(value + k, d) for k, d in enumerate(docs)]``:
+    the inputs a synchronized extractor evaluates.
     """
-    return [_TAG_SYNC + v.to_bytes(byte_width, "big") + d.id.to_bytes(8, "big")
+    return [_TAG_SYNC + v.to_bytes(8, "big") + d.id.to_bytes(8, "big")
             for v, d in zip(count(value), docs)]
 
 
@@ -205,12 +198,11 @@ def eval_bit(fn: BitFunction, d: Document) -> int:
 def eval_bit_sync(fn: BitFunction, counter: Counter, d: Document) -> int:
     """Bit of (counter value, document); does not advance the counter.
 
-    The input is ``encode_sync(counter.value, counter.byte_width, d)``,
-    built inline because this is the email protocols' per-bit embed path,
-    and the keyed hash is inlined too, so a call costs one Python frame.
+    The input is ``encode_sync(counter.value, d)``, built inline because
+    this is the email protocols' per-bit embed path, and the keyed hash is
+    inlined too, so a call costs one Python frame.
     """
-    data = (_TAG_SYNC + counter.value.to_bytes(counter.n_bits // 8, "big")
-            + d.id.to_bytes(8, "big"))
+    data = _TAG_SYNC + counter.value.to_bytes(8, "big") + d.id.to_bytes(8, "big")
     h = fn._keyed_hash
     if h is None:
         return fn.bit(data)

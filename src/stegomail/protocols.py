@@ -86,8 +86,7 @@ def _extract_multi(fn: BitFunction, counter: Counter, arrays,
         raise ProtocolError(f"mail addressed to {arr!r} is outside the {variant} address set")
     n = len(mails)
     counter.check_headroom(n)
-    bits = fn.bits(encode_sync_run(counter.value, counter.byte_width,
-                                   [s.doc for s in mails]))
+    bits = fn.bits(encode_sync_run(counter.value, [s.doc for s in mails]))
     counter.value += n
     return [b ^ flip for b, flip in zip(bits, flips)]
 

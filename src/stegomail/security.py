@@ -4,9 +4,8 @@ The game follows the passive-adversary model: a distinguisher picks a
 hiddentext, receives either the stego output for it (ST) or an equal-length
 sequence of normal traffic (CT), and guesses which oracle it talked to.
 ``run_game`` estimates the advantage |p̂_ST - p̂_CT| over independent trials
-with fresh keys, and ``run_prf_reduction_game`` plays the same distinguisher
-against the keyed-versus-random-function pair, which is the empirical side
-of the reduction from stego security to PRF security.
+with fresh keys, or, with ``SystemConfig.random_fn``, with a fresh truly
+random function in place of the keyed PRF.
 
 True insecurity is a supremum over all adversaries and is not computable;
 anything reported here is the max over the implemented distinguisher set
@@ -18,7 +17,7 @@ from __future__ import annotations
 import gc
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import log2, sqrt
 from statistics import linear_regression
 from typing import NamedTuple, Sequence
@@ -49,7 +48,7 @@ class SystemConfig:
     `count` is the rejection-sampling budget for s1/s3 (defaults to the
     key length), `copies` is t for s3/s4, `repetition` is the code factor
     for s2.  With `random_fn` set, the keyed PRF is replaced by the lazily
-    sampled random function (the CT side of the PRF game).
+    sampled random function.
     """
 
     system: str
@@ -132,12 +131,11 @@ def extract_message(cfg: SystemConfig, fn: BitFunction, outputs,
 
 # --- the covertext oracle (the stegotext oracle is embed_message) -------------
 
-def ct_oracle(spec: ChannelSpec, arrays, n: int, h: History, rng: RngState,
-              start_tick: int = 0):
+def ct_oracle(spec: ChannelSpec, arrays, n: int, h: History, rng: RngState):
     """The covertext oracle: n normal draws with growing history.
 
     Address arrays are chosen uniformly from the protocol's pair and ticks
-    follow the same scheme as the embedder, so neither carries a signal.
+    count from 0 as the embedder's do, so neither carries a signal.
     With no pair, bare documents are returned (the baselines' traffic
     model).  The caller's history is not mutated.
     """
@@ -149,7 +147,7 @@ def ct_oracle(spec: ChannelSpec, arrays, n: int, h: History, rng: RngState,
         if arrays is None:
             out.append(doc)
         else:
-            out.append(Mail(doc, arrays[rng.randrange(2)], start_tick + i))
+            out.append(Mail(doc, arrays[rng.randrange(2)], i))
     return out
 
 
@@ -314,11 +312,14 @@ def _play(distinguisher, cfg: SystemConfig, spec: ChannelSpec,
     return distinguisher.decide(response)
 
 
-def _advantage(distinguisher, spec: ChannelSpec, trials: int, rng: RngState,
-               bits_per_game: int, first: tuple[SystemConfig, bool],
-               second: tuple[SystemConfig, bool]) -> AdvantageEstimate:
-    """|p̂_first - p̂_second| over `trials` pairs of games, each side a
-    (cfg, covertext) pair for ``_play`` on ``rng.spawn(t).spawn(side)``."""
+def run_game(distinguisher, cfg: SystemConfig, spec: ChannelSpec, trials: int,
+             rng: RngState, bits_per_game: int = 100) -> AdvantageEstimate:
+    """Estimate |p̂_ST - p̂_CT| over `trials` pairs of games.
+
+    Each ST game embeds under a fresh function drawn per `cfg`.  Trial t
+    plays its ST game on ``rng.spawn(t).spawn(0)`` and its CT game on
+    ``rng.spawn(t).spawn(1)``.
+    """
     if trials < 100:
         raise ConfigError(f"need at least 100 trials for a meaningful estimate, got {trials}")
     if bits_per_game < 1:
@@ -326,34 +327,12 @@ def _advantage(distinguisher, spec: ChannelSpec, trials: int, rng: RngState,
     hits = [0, 0]
     for t in range(trials):
         trial_rng = rng.spawn(t)
-        for side, (cfg, covertext) in enumerate((first, second)):
+        for side, covertext in enumerate((False, True)):
             hits[side] += _play(distinguisher, cfg, spec, bits_per_game,
                                 trial_rng.spawn(side), covertext)
     p_st, p_ct = hits[0] / trials, hits[1] / trials
     halfwidth = 1.96 * sqrt(p_st * (1 - p_st) / trials + p_ct * (1 - p_ct) / trials)
     return AdvantageEstimate(abs(p_st - p_ct), trials, halfwidth, p_st, p_ct)
-
-
-def run_game(distinguisher, cfg: SystemConfig, spec: ChannelSpec, trials: int,
-             rng: RngState, bits_per_game: int = 100) -> AdvantageEstimate:
-    """Estimate |p̂_ST - p̂_CT| over independent fresh-key games."""
-    return _advantage(distinguisher, spec, trials, rng, bits_per_game,
-                      (cfg, False), (cfg, True))
-
-
-def run_prf_reduction_game(distinguisher, cfg: SystemConfig, spec: ChannelSpec,
-                           trials: int, rng: RngState,
-                           bits_per_game: int = 100) -> AdvantageEstimate:
-    """The PRF adversary built from the stego distinguisher.
-
-    Simulates the embedder with the function oracle plugged in, keyed on
-    one side and truly random on the other, and forwards the stego
-    distinguisher's guess.  Run with the same rng seed as ``run_game``,
-    its keyed side replays the ST side draw for draw.
-    """
-    return _advantage(distinguisher, spec, trials, rng, bits_per_game,
-                      (replace(cfg, random_fn=False), False),
-                      (replace(cfg, random_fn=True), False))
 
 
 # --- rate, capacity, reliability ---------------------------------------------

@@ -4,9 +4,11 @@
 rebinds those names at run time, so a rename in ``src/`` would only show
 when the benchmark runs with ``--trace 1``.  The first test reads the list
 from the tracer's source, without importing it, and checks every target
-resolves.  The second runs one op of every workload in
-``perfbench/workloads.py``, so a changed signature fails here too.  The
-third counts ``channel.sample_id`` over one op, as the traced run does:
+resolves.  The second, also with ``ast``, checks that the package or the
+benchmark reaches every public name, so no library code serves only tests.
+The third runs one op of every workload in ``perfbench/workloads.py``, so a
+changed signature fails here too.  The fourth counts
+``channel.sample_id`` over one op, as the traced run does:
 the benchmark's checks expect every workload to draw through it.  The
 last counts ``sample_id`` and ``eval_bit_sync`` over single embeds, as the
 traced run's cross-check does against ``EmbedStats``.
@@ -16,11 +18,14 @@ import ast
 import importlib
 import importlib.util
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+SRC = ROOT / "src" / "stegomail"
 TRACER = PERFBENCH / "tracer.py"
 
 
@@ -48,6 +53,37 @@ def test_every_traced_layer_target_resolves():
     targets += list(_tracer_constant("RESULT_SIZES"))
     assert len(targets) > 30
     assert [t for t in targets if _missing(t)] == []
+
+
+def test_every_public_name_is_used_by_the_package_or_the_benchmark():
+    # A public name that only tests call is code no run of the CLI or the
+    # benchmark reaches.  Names are reached from code outside the public
+    # names' own definitions, then from the definitions of reached names;
+    # the re-exports in __init__ do not count.
+    import stegomail
+    public = {name for name, value in vars(stegomail).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    # public name -> the names its definition reads; None -> the names all
+    # other code reads
+    refs: dict[str | None, set[str]] = {}
+    for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]:
+        if path == SRC / "__init__.py":
+            continue
+        module = f"stegomail.{path.stem}" if path.parent == SRC else None
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            name = getattr(node, "name", None)
+            owner = name if name in public and getattr(
+                getattr(stegomail, name), "__module__", None) == module else None
+            refs.setdefault(owner, set()).update(
+                sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                if isinstance(sub, (ast.Name, ast.Attribute)))
+    used, todo = set(), [None]
+    while todo:
+        reached = refs.get(todo.pop(), set()) & public - used
+        used |= reached
+        todo += reached
+    assert len(public) > 50
+    assert sorted(public - used) == []
 
 
 def _load_workloads():

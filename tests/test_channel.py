@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stegomail import (ChannelSpec, ConfigError, Document, History, RngState,
-                       dump_channel_spec, load_channel_spec, min_entropy, prob,
-                       sample)
+                       load_channel_spec, min_entropy)
 
 from stegomail.channel import sample_id
 
@@ -17,7 +16,7 @@ from conftest import MARKOV2
 
 
 def draw_many(spec, h, rng, n):
-    return [sample(spec, h, rng).id for _ in range(n)]
+    return [sample_id(spec, h.last_id, rng) for _ in range(n)]
 
 
 def test_uniform_sample_frequencies():
@@ -43,32 +42,21 @@ def test_markov_row_frequency():
     assert abs(ids.count(0) / 10_000 - 0.5) <= 0.02
 
 
-def test_sample_does_not_mutate_history():
-    h = History([Document(1)])
-    sample(MARKOV2, h, RngState(4))
-    assert h.ids() == [1]
-
-
 def test_prob_uniform_and_point_mass():
     uniform8 = ChannelSpec.uniform(8)
     for i in range(8):
-        assert prob(uniform8, History(), Document(i)) == 0.125
+        assert uniform8.row(None)[i] == 0.125
     pm = ChannelSpec.point_mass(2)
-    assert prob(pm, History(), Document(0)) == 1.0
-    assert prob(pm, History(), Document(1)) == 0.0
+    assert pm.row(None)[0] == 1.0
+    assert pm.row(None)[1] == 0.0
 
 
 def test_prob_markov_reads_conditioning_row():
     spec = ChannelSpec.markov1([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.3, 0.7, 0.0]],
                                [1.0, 0.0, 0.0])
     h = History([Document(2)])
-    assert prob(spec, h, Document(1)) == 0.7
-    assert prob(spec, History(), Document(0)) == 1.0
-
-
-def test_prob_rejects_foreign_document():
-    with pytest.raises(ConfigError):
-        prob(ChannelSpec.uniform(4), History(), Document(4))
+    assert spec.row(h.last_id)[1] == 0.7
+    assert spec.row(None)[0] == 1.0
 
 
 def test_min_entropy_values():
@@ -160,16 +148,6 @@ def test_markov1_accepts_a_generator_of_rows():
     assert spec.alphabet_size == 2
 
 
-def test_dump_load_round_trip():
-    for spec in (ChannelSpec.stationary([0.5, 0.25, 0.25]), MARKOV2):
-        again = load_channel_spec(dump_channel_spec(spec))
-        assert again.kind == spec.kind
-        assert again.alphabet_size == spec.alphabet_size
-        assert again.probs == spec.probs
-        assert again.matrix == spec.matrix
-        assert again.initial == spec.initial
-
-
 @pytest.mark.parametrize("spec,h", [
     (ChannelSpec.uniform(4), History()),
     (ChannelSpec.stationary([0.7, 0.2, 0.1]), History()),
@@ -182,9 +160,9 @@ def test_sampling_consistency_against_prob(spec, h):
     rng = RngState(5)
     counts = [0] * spec.alphabet_size
     for _ in range(n):
-        counts[sample(spec, h, rng).id] += 1
+        counts[sample_id(spec, h.last_id, rng)] += 1
     for doc_id in range(spec.alphabet_size):
-        p = prob(spec, h, Document(doc_id))
+        p = spec.row(h.last_id)[doc_id]
         bound = 4 * math.sqrt(p * (1 - p) / n)
         assert abs(counts[doc_id] / n - p) <= bound
 
@@ -311,17 +289,27 @@ def test_document_value_contract():
         Document(2 ** 64)
     with pytest.raises(ConfigError, match="does not fit in 8 bytes"):
         dataclasses.replace(d, id=2 ** 70)
+    # Every PRF input encodes the id with int.to_bytes.
+    with pytest.raises(ConfigError, match="^document id must be an int, not float$"):
+        Document(1.5)
 
 
 # Inputs that crashed load_channel_spec with something other than a
 # ConfigError: an integer probability past float range (OverflowError), an
 # integer literal past Python's digit limit (ValueError from the parser),
-# and nesting past the recursion limit (RecursionError).
+# and nesting past the recursion limit (RecursionError).  Then inputs that
+# loaded: a string or an object where an array belongs, read as its
+# characters or its keys.
 @pytest.mark.parametrize("text", [
     '{"kind": "stationary", "alphabet_size": 1, "probs": [1%s]}' % ("0" * 400),
     '{"kind": "stationary", "alphabet_size": %s}' % ("1" * 5000),
     "[" * 100_000 + "]" * 100_000,
-], ids=["int-past-float-range", "int-past-digit-limit", "nesting-past-recursion-limit"])
+    '{"kind": "stationary", "alphabet_size": 2, "probs": {"0.5": null, "0.5 ": []}}',
+    '{"kind": "stationary", "alphabet_size": 1, "probs": "1"}',
+    '{"kind": "markov1", "alphabet_size": 1, "matrix": "1", "initial": "1"}',
+    '{"kind": "markov1", "alphabet_size": 1, "matrix": {"1": 0}, "initial": [1]}',
+], ids=["int-past-float-range", "int-past-digit-limit", "nesting-past-recursion-limit",
+        "probs-object", "probs-string", "matrix-and-initial-strings", "matrix-object"])
 def test_load_rejects_hostile_json(text):
     with pytest.raises(ConfigError):
         load_channel_spec(text)
@@ -368,6 +356,9 @@ def test_untrusted_channel_json_loads_or_is_config_error(value):
         spec = load_channel_spec(json.dumps(value))
     except ConfigError:
         return
+    vectors = [value.get(field) for field in ("probs", "matrix", "initial")]
+    assert all(v is None or type(v) is list for v in vectors)
+    assert all(type(row) is list for row in value.get("matrix") or ())
     top = 1.0 - 2.0 ** -53  # the largest value random() can return
     rng = RngState(0)
     for prev in [None, *range(spec.alphabet_size)]:

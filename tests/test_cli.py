@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import stegomail
-from stegomail import deliver, read_trace, write_trace
+from stegomail import read_trace, write_trace
 from stegomail.cli import run
-from stegomail.protocols import ADDRESS1, ADDRESS2
+from stegomail.protocols import p1_route
 
 KEY = "00112233445566778899aabbccddeeff"
 REPO = Path(__file__).resolve().parent.parent
@@ -65,11 +65,11 @@ def test_extract_p1_from_two_mailbox_traces(tmp_path, channel, message_file, cap
     trace = str(tmp_path / "trace.tsv")
     run(["embed", "--protocol", "p1", "--key", KEY, "--message", message_file,
          "--channel", spec, "--seed", "11", "--out", trace])
-    boxes = deliver(read_trace(trace))
+    to1, to2 = p1_route(read_trace(trace))
     box1 = str(tmp_path / "box1.tsv")
     box2 = str(tmp_path / "box2.tsv")
-    write_trace(boxes.get(ADDRESS1, ()), box1)
-    write_trace(boxes.get(ADDRESS2, ()), box2)
+    write_trace(to1, box1)
+    write_trace(to2, box2)
     capsys.readouterr()
     assert run(["extract", "--protocol", "p1", "--key", KEY,
                 "--in", box1, "--in2", box2]) == 0

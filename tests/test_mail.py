@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stegomail import (Document, Mail, Mailbox, ProtocolError, RngState,
-                       deliver, merge_by_date, read_trace, write_trace)
+from stegomail import (Document, Mail, ProtocolError, RngState, merge_by_date,
+                       read_trace, write_trace)
 from stegomail.mail import format_trace, parse_trace
 
 
@@ -71,23 +71,6 @@ def test_merge_rejects_duplicate_ticks():
 def test_merge_rejects_unsorted_input():
     with pytest.raises(ProtocolError):
         merge_by_date([mk(2), mk(1)], [])
-
-
-def test_mailbox_enforces_order():
-    box = Mailbox("address1")
-    box.deliver(mk(1))
-    box.deliver(mk(2))
-    with pytest.raises(ProtocolError):
-        box.deliver(mk(2))
-    assert len(box) == 2
-
-
-def test_deliver_routes_broadcasts_to_both_boxes():
-    mails = [mk(0, addrs=("address1", "address2")),
-             mk(1, addrs=("address2", "address1"))]
-    boxes = deliver(mails)
-    assert [m.sent_at for m in boxes["address1"]] == [0, 1]
-    assert [m.sent_at for m in boxes["address2"]] == [0, 1]
 
 
 def test_trace_round_trip_bit_exact(tmp_path):

@@ -81,8 +81,7 @@ def test_tuple_requires_documents(keyed_fn):
 
 
 def test_sync_encoding_injective_exhaustive():
-    width = Counter(0).byte_width
-    seen = {encode_sync(n, width, Document(i))
+    seen = {encode_sync(n, Document(i))
             for n in range(256) for i in range(256)}
     assert len(seen) == 256 * 256
 
@@ -105,8 +104,8 @@ def test_encoding_families_disjoint():
     d = Document(1)
     # singleton tuples collapse onto the bare-document signature by design
     assert encode_tuple([d]) == encode_doc(d)
-    assert encode_tuple([d, d])[:2] not in (encode_doc(d)[:2], encode_sync(0, 8, d)[:2])
-    assert encode_doc(d)[:2] != encode_sync(0, 8, d)[:2]
+    assert encode_tuple([d, d])[:2] not in (encode_doc(d)[:2], encode_sync(0, d)[:2])
+    assert encode_doc(d)[:2] != encode_sync(0, d)[:2]
 
 
 def test_random_oracle_consistent_across_interleavings():
@@ -118,23 +117,21 @@ def test_random_oracle_consistent_across_interleavings():
 
 
 def test_counter_advance_and_overflow():
-    c = Counter(0, n_bits=8)
+    c = Counter(0)
     c.check_headroom(1)
     c.value += 1
     assert c.value == 1
-    c = Counter(254, n_bits=8)
+    c = Counter(2 ** 64 - 2)
     c.check_headroom(1)
     c.value += 1
-    assert c.value == 255
+    assert c.value == 2 ** 64 - 1
     with pytest.raises(CounterError):
         c.check_headroom(1)
 
 
 def test_counter_validation():
     with pytest.raises(ConfigError):
-        Counter(0, n_bits=12)
-    with pytest.raises(ConfigError):
-        Counter(256, n_bits=8)
+        Counter(2 ** 64)
     with pytest.raises(ConfigError):
         Counter(-1)
 
@@ -149,26 +146,28 @@ def test_key_validation_and_generation():
     assert Key.generate(RngState(3)) == key
 
 
-@pytest.mark.parametrize("n_bits", [8, 16, 64])
+# The counter is 8 bytes wide; `low_bits` picks values up to the top of its
+# low byte, its low two bytes and the whole width.
+@pytest.mark.parametrize("low_bits", [8, 16, 64])
 @pytest.mark.parametrize("mode", ["keyed", "random_oracle"])
-def test_eval_bit_sync_matches_reference_encoding(n_bits, mode):
+def test_eval_bit_sync_matches_reference_encoding(low_bits, mode):
     if mode == "keyed":
         fn = BitFunction.keyed(Key.from_hex("000102030405060708090a0b0c0d0e0f"))
     else:
         fn = BitFunction.random_oracle(41)
-    top = (1 << n_bits) - 1
+    top = (1 << low_bits) - 1
     docs = [Document(0), Document(7), Document(2 ** 40 + 3)]
     for value in (0, 1, 255, top // 2, top):
-        c = Counter(value, n_bits=n_bits)
+        c = Counter(value)
         for d in docs:
-            assert eval_bit_sync(fn, c, d) == fn.bit(encode_sync(c.value, c.byte_width, d))
+            assert eval_bit_sync(fn, c, d) == fn.bit(encode_sync(c.value, d))
 
 
 def test_keyed_bit_matches_one_shot_blake2b():
     key = Key.from_hex("0f" * 16)
     fn = BitFunction.keyed(key)
     for i in range(256):
-        data = encode_sync(i, 8, Document(i))
+        data = encode_sync(i, Document(i))
         expected = hashlib.blake2b(data, digest_size=1, key=key.data).digest()[0] & 1
         assert fn.bit(data) == expected
 
@@ -192,7 +191,7 @@ def test_bits_matches_per_input_bit(mode):
             return BitFunction.keyed(Key.from_hex("000102030405060708090a0b0c0d0e0f"))
         return BitFunction.random_oracle(43)
     rng = RngState(43)
-    inputs = [encode_sync(rng.randrange(4), 8, Document(rng.randrange(8)))
+    inputs = [encode_sync(rng.randrange(4), Document(rng.randrange(8)))
               for _ in range(300)]
     assert len(set(inputs)) < len(inputs)  # repeated inputs included
     batched, single = make(), make()
@@ -205,10 +204,12 @@ def test_bits_matches_per_input_bit(mode):
         assert batched._coins.random() == single._coins.random()
 
 
-@pytest.mark.parametrize("byte_width", [1, 2, 8])
-def test_encode_sync_run_matches_encode_sync(byte_width):
+# The last run ends at the top of the counter's low byte, its low two bytes
+# or its whole 8-byte width.
+@pytest.mark.parametrize("low_bytes", [1, 2, 8])
+def test_encode_sync_run_matches_encode_sync(low_bytes):
     docs = [Document(0), Document(7), Document(7), Document(2 ** 64 - 1), Document(3)]
-    for value in (0, 1, (1 << (8 * byte_width)) - len(docs)):
-        assert encode_sync_run(value, byte_width, docs) == [
-            encode_sync(value + k, byte_width, d) for k, d in enumerate(docs)]
-    assert encode_sync_run(5, byte_width, []) == []
+    for value in (0, 1, (1 << (8 * low_bytes)) - len(docs)):
+        assert encode_sync_run(value, docs) == [
+            encode_sync(value + k, d) for k, d in enumerate(docs)]
+    assert encode_sync_run(5, []) == []
