@@ -2,7 +2,7 @@
 
 from .baselines import (EmbedStats, s1_embed, s1_extract, s2_embed, s2_extract,
                         s3_embed, s3_extract, s4_embed, s4_extract)
-from .channel import (ChannelSpec, Document, History, load_channel_file,
+from .channel import (ChannelSpec, Document, load_channel_file,
                       load_channel_spec, min_entropy)
 from .ecc import (bits_from_bytes, bits_from_hex, bytes_from_bits, dec, enc,
                   hex_from_bits)

@@ -12,11 +12,12 @@ All four hide bits by steering which channel draws get emitted:
   fresh draws to bias the counter-synchronized bit toward the message;
   extraction takes a majority vote.
 
-Embedding mutates the caller's History exactly as the senders would, and
-every channel draw / PRF query is tallied in EmbedStats so that rate and
-work-bound claims can be checked on real runs rather than asserted.  s2
-and s4 check counter headroom before the first draw or PRF call, so a
-failed embed or extract mutates nothing.
+Each embedder draws its first document conditioned on `prev`, the id of
+the last document already sent (None before any), and every channel
+draw / PRF query is tallied in EmbedStats so that rate and work-bound
+claims can be checked on real runs rather than asserted.  s2 and s4
+check counter headroom before the first draw or PRF call, so a failed
+embed or extract mutates nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .channel import ChannelSpec, Document, History, sample_id
+from .channel import ChannelSpec, Document, sample_id
 from .ecc import dec, enc
 from .errors import ConfigError, ProtocolError
 from .prf import (BitFunction, Counter, encode_doc, encode_sync_run, encode_tuple,
@@ -98,9 +99,9 @@ def _spend_uniforms(gen: random.Random, k: int) -> None:
 
 # --- s1: plain rejection sampling ---------------------------------------
 
-def s1_embed(fn: BitFunction, m: Sequence[int], h: History, spec: ChannelSpec,
+def s1_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
              rng: RngState, count: int | None = None,
-             stats: EmbedStats | None = None) -> list[Document]:
+             stats: EmbedStats | None = None, prev: int | None = None) -> list[Document]:
     """Per bit, redraw up to `count` times until the document's F1 bit matches.
 
     Every draw consumes one uniform and counts as one draw and one PRF
@@ -126,7 +127,6 @@ def s1_embed(fn: BitFunction, m: Sequence[int], h: History, spec: ChannelSpec,
     size = spec.alphabet_size
     known: dict[int, int] = {}
     dead = -1  # no bit is dead yet; an int compares faster than None
-    prev = h.last_id
     docs = []
     draws = 0
     for bit in m:
@@ -151,7 +151,6 @@ def s1_embed(fn: BitFunction, m: Sequence[int], h: History, spec: ChannelSpec,
         draws += n
         prev = i
         docs.append(Document(i))
-    h.extend(docs)
     if stats is not None:
         stats.add(draws, len(m), len(docs), draws)
     return docs
@@ -163,9 +162,9 @@ def s1_extract(fn: BitFunction, docs: Sequence[Document]) -> list[int]:
 
 # --- s2: synchronized counter + repetition code --------------------------
 
-def s2_embed(fn: BitFunction, counter: Counter, m: Sequence[int], h: History,
+def s2_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
              spec: ChannelSpec, rng: RngState, repetition: int = 5,
-             stats: EmbedStats | None = None) -> list[Document]:
+             stats: EmbedStats | None = None, prev: int | None = None) -> list[Document]:
     """Repetition-encode, then embed each coded bit with a 2-draw budget.
 
     A coded bit keeps the first draw whose synchronized bit equals it, or
@@ -176,7 +175,6 @@ def s2_embed(fn: BitFunction, counter: Counter, m: Sequence[int], h: History,
     """
     coded = enc(m, repetition)
     counter.check_headroom(len(coded))
-    prev = h.last_id
     docs = []
     draws = 0
     for bit in coded:
@@ -188,7 +186,6 @@ def s2_embed(fn: BitFunction, counter: Counter, m: Sequence[int], h: History,
         prev = doc.id
         docs.append(doc)
         counter.value += 1
-    h.extend(docs)
     if stats is not None:
         stats.add(draws, len(m), len(docs), draws)
     return docs
@@ -211,9 +208,9 @@ def s2_extract(fn: BitFunction, counter: Counter, docs: Sequence[Document],
 
 # --- s3: tuple-valued rejection sampling ----------------------------------
 
-def s3_embed(fn: BitFunction, m: Sequence[int], h: History, spec: ChannelSpec,
+def s3_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
              rng: RngState, copies: int, count: int | None = None,
-             stats: EmbedStats | None = None) -> list[Document]:
+             stats: EmbedStats | None = None, prev: int | None = None) -> list[Document]:
     """Resample whole `copies`-tuples until the tuple's bit equals the message bit.
 
     Each attempt draws its documents conditioned on the one before, starting
@@ -221,7 +218,6 @@ def s3_embed(fn: BitFunction, m: Sequence[int], h: History, spec: ChannelSpec,
     """
     count = _budget(fn, count)
     _check_copies(copies, odd=False)
-    prev = h.last_id
     docs: list[Document] = []
     evals = 0
     for bit in m:
@@ -236,7 +232,6 @@ def s3_embed(fn: BitFunction, m: Sequence[int], h: History, spec: ChannelSpec,
                 break
         docs.extend(group)
         prev = last
-    h.extend(docs)
     if stats is not None:
         stats.add(evals * copies, len(m), len(docs), evals)
     return docs
@@ -251,9 +246,9 @@ def s3_extract(fn: BitFunction, docs: Sequence[Document], copies: int) -> list[i
 
 # --- s4: per-bit copies with two draws each -------------------------------
 
-def s4_embed(fn: BitFunction, counter: Counter, m: Sequence[int], h: History,
+def s4_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
              spec: ChannelSpec, rng: RngState, copies: int,
-             stats: EmbedStats | None = None) -> list[Document]:
+             stats: EmbedStats | None = None, prev: int | None = None) -> list[Document]:
     """Emit `copies` documents per bit, each the better of two draws.
 
     Sender and receiver consume the same counter values in the same order,
@@ -261,7 +256,6 @@ def s4_embed(fn: BitFunction, counter: Counter, m: Sequence[int], h: History,
     """
     _check_copies(copies, odd=True)
     counter.check_headroom(len(m) * copies)
-    prev = h.last_id
     docs = []
     for bit in m:
         for _ in range(copies):
@@ -271,7 +265,6 @@ def s4_embed(fn: BitFunction, counter: Counter, m: Sequence[int], h: History,
             counter.value += 1
             prev = kept.id
             docs.append(kept)
-    h.extend(docs)
     if stats is not None:
         stats.add(2 * len(docs), len(m), len(docs), len(docs))
     return docs

@@ -1,7 +1,9 @@
 """History-conditioned cover-document distributions.
 
 A channel maps a history (the documents already sent) to a probability
-distribution over the next document.  Two kinds are supported:
+distribution over the next document.  Both supported kinds are of order
+at most 1, so the history enters only through the last document's id,
+``None`` before the first draw:
 
 * ``stationary`` — one fixed probability vector, history ignored;
 * ``markov1``    — a row-stochastic transition matrix conditioned on the
@@ -51,41 +53,6 @@ class Document:
 
 
 _set_doc_id = Document.id.__set__
-
-
-class History:
-    """Append-only sequence of documents conditioning the channel."""
-
-    __slots__ = ("_docs",)
-
-    def __init__(self, docs=()) -> None:
-        self._docs = list(docs)
-
-    def append(self, doc: Document) -> None:
-        self._docs.append(doc)
-
-    def extend(self, docs) -> None:
-        self._docs.extend(docs)
-
-    @property
-    def last_id(self) -> int | None:
-        """Id of the last document, the channel's conditioning state."""
-        return self._docs[-1].id if self._docs else None
-
-    def ids(self) -> list[int]:
-        return [d.id for d in self._docs]
-
-    def __len__(self) -> int:
-        return len(self._docs)
-
-    def __iter__(self):
-        return iter(self._docs)
-
-    def __getitem__(self, i):
-        return self._docs[i]
-
-    def __repr__(self) -> str:
-        return f"History({self.ids()!r})"
 
 
 def _check_vector(vec, size: int, label: str) -> tuple[float, ...]:
@@ -206,9 +173,9 @@ def sample_id(spec: ChannelSpec, prev_id: int | None, rng: RngState) -> int:
     return bisect_right(spec._cum or spec._cdf(prev_id), rng.random())
 
 
-def min_entropy(spec: ChannelSpec, h: History) -> float:
-    """-log2 of the most probable document after history `h`, in bits."""
-    return -log2(max(spec.row(h.last_id)))
+def min_entropy(spec: ChannelSpec) -> float:
+    """-log2 of the most probable first document, in bits."""
+    return -log2(max(spec.row(None)))
 
 
 def load_channel_spec(text: str) -> ChannelSpec:

@@ -2,8 +2,9 @@
 
 Every command takes an explicit seed, so runs are reproducible, and every
 CSV output starts with ``# config:`` comment lines recording the full run
-configuration.  Exit codes: 0 success, 2 configuration error, 3
-protocol/framing error, 4 counter error.
+configuration.  Exit codes: 0 success, 2 configuration or file error
+(an unreadable input, an unwritable output), 3 protocol/framing error,
+4 counter error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from math import log2
 import click
 
 from .baselines import EmbedStats
-from .channel import History, load_channel_file, min_entropy
+from .channel import load_channel_file, min_entropy
 from .ecc import bits_from_bytes, bits_from_hex, hex_from_bits
 from .errors import ConfigError, CounterError, ProtocolError
 from .mail import read_trace, write_trace
@@ -70,7 +71,7 @@ def embed(protocol, key_hex, counter, message_path, message_format,
     bits = _read_message_bits(message_path, message_format)
     stats = EmbedStats()
     mails = embed_message(SystemConfig(protocol), BitFunction.keyed(Key.from_hex(key_hex)),
-                          bits, History(), spec, RngState(seed), start_tick, counter, stats)
+                          bits, spec, RngState(seed), start_tick, counter, stats)
     write_trace(mails, out_path)
     click.echo(f"embedded {stats.bits_embedded} bits into {stats.docs_emitted} mails "
                f"({stats.samples_drawn} channel draws) -> {out_path}")
@@ -213,7 +214,7 @@ def channel_info(channel_path) -> None:
     spec = load_channel_file(channel_path)
     click.echo(f"kind: {spec.kind}")
     click.echo(f"alphabet_size: {spec.alphabet_size}")
-    click.echo(f"min_entropy_bits: {min_entropy(spec, History())!r}")
+    click.echo(f"min_entropy_bits: {min_entropy(spec)!r}")
     if spec.kind == "markov1":
         rows_max = max(max(row) for row in spec.matrix)
         click.echo(f"min_entropy_bits_worst_row: {-log2(rows_max)!r}")
@@ -278,7 +279,7 @@ def run(argv=None) -> int:
     except click.ClickException as e:
         e.show()
         return e.exit_code
-    except ConfigError as e:
+    except (ConfigError, OSError) as e:
         click.echo(f"configuration error: {e}", err=True)
         return 2
     except ProtocolError as e:

@@ -76,6 +76,10 @@ class Counter:
     value: int = 0
 
     def __post_init__(self) -> None:
+        # Type first, as in Document: a float or a bool passes the range check.
+        if type(self.value) is not int:
+            raise ConfigError(
+                f"counter value must be an int, not {type(self.value).__name__}")
         if not 0 <= self.value < 1 << 64:
             raise ConfigError(f"counter value {self.value} outside 64-bit range")
 

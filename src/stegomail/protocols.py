@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .baselines import EmbedStats
-from .channel import ChannelSpec, Document, History, sample_id
+from .channel import ChannelSpec, Document, sample_id
 from .errors import ConfigError, ProtocolError
 from .mail import Mail, _mail, merge_by_date
 from .prf import BitFunction, Counter, encode_sync_run, eval_bit_sync
@@ -39,32 +39,30 @@ P2_ARRAYS = ((ADDRESS1, ADDRESS2), (ADDRESS2, ADDRESS1))
 
 
 def _embed_multi(fn: BitFunction, counter: Counter, arrays, m: Sequence[int],
-                 h: History, spec: ChannelSpec, rng: RngState, start_tick: int,
-                 stats: EmbedStats | None) -> list[Mail]:
+                 spec: ChannelSpec, rng: RngState, start_tick: int,
+                 stats: EmbedStats | None, prev: int | None) -> list[Mail]:
     """One draw, one PRF evaluation and one mail per bit.
 
     Counter headroom for the whole message is checked before the first
     draw, so an embed that would overflow raises CounterError with the
-    history, the counter and the random stream as they were.  Each bit
-    calls ``sample_id`` and ``eval_bit_sync`` once: the benchmark's traced
-    run counts both against ``EmbedStats``.  The address arrays are the
-    module's constants, so mails are built without ``Mail``'s checks.
+    counter and the random stream as they were.  The first draw is
+    conditioned on `prev`, the id of the last document already sent.
+    Each bit calls ``sample_id`` and ``eval_bit_sync`` once: the
+    benchmark's traced run counts both against ``EmbedStats``.  The
+    address arrays are the module's constants, so mails are built without
+    ``Mail``'s checks.
     """
     n = len(m)
     if n < 1:
         raise ConfigError("message must contain at least one bit")
     counter.check_headroom(n)
-    prev = h.last_id
-    docs: list[Document] = []
     mails: list[Mail] = []
     for i, bit in enumerate(m):
         prev = sample_id(spec, prev, rng)
         doc = Document(prev)
         mails.append(_mail(doc, arrays[eval_bit_sync(fn, counter, doc) != bit],
                            start_tick + i))
-        docs.append(doc)
         counter.value += 1
-    h.extend(docs)
     if stats is not None:
         stats.add(n, n, n, n)
     return mails
@@ -93,14 +91,14 @@ def _extract_multi(fn: BitFunction, counter: Counter, arrays,
 
 # --- protocol 1: recipient choice ------------------------------------------
 
-def p1_embed(fn: BitFunction, counter: Counter, m: Sequence[int], h: History,
+def p1_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
              spec: ChannelSpec, rng: RngState, start_tick: int = 0,
-             stats: EmbedStats | None = None) -> list[Mail]:
+             stats: EmbedStats | None = None, prev: int | None = None) -> list[Mail]:
     """Hide each bit in the choice between address1 and address2.
 
     One mail per bit, with strictly increasing ticks.
     """
-    return _embed_multi(fn, counter, P1_ARRAYS, m, h, spec, rng, start_tick, stats)
+    return _embed_multi(fn, counter, P1_ARRAYS, m, spec, rng, start_tick, stats, prev)
 
 
 def p1_extract(fn: BitFunction, counter: Counter, box1: Sequence[Mail],
@@ -130,11 +128,11 @@ def p1_route(mails: Sequence[Mail]) -> tuple[list[Mail], list[Mail]]:
 
 # --- protocol 2: broadcast order --------------------------------------------
 
-def p2_embed(fn: BitFunction, counter: Counter, m: Sequence[int], h: History,
+def p2_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
              spec: ChannelSpec, rng: RngState, start_tick: int = 0,
-             stats: EmbedStats | None = None) -> list[Mail]:
+             stats: EmbedStats | None = None, prev: int | None = None) -> list[Mail]:
     """Hide each bit in the order of the broadcast address array."""
-    return _embed_multi(fn, counter, P2_ARRAYS, m, h, spec, rng, start_tick, stats)
+    return _embed_multi(fn, counter, P2_ARRAYS, m, spec, rng, start_tick, stats, prev)
 
 
 def p2_extract(fn: BitFunction, counter: Counter, box: Sequence[Mail]) -> list[int]:

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 from .baselines import (EmbedStats, s1_embed, s1_extract, s2_embed, s2_extract,
                         s3_embed, s3_extract, s4_embed, s4_extract)
-from .channel import ChannelSpec, Document, History, sample_id
+from .channel import ChannelSpec, Document, sample_id
 from .errors import ConfigError, ProtocolError
 from .mail import Mail
 from .prf import BitFunction, Counter, Key
@@ -93,24 +93,24 @@ def make_fn(cfg: SystemConfig, rng: RngState) -> BitFunction:
 
 
 def embed_message(cfg: SystemConfig, fn: BitFunction, m: Sequence[int],
-                  h: History, spec: ChannelSpec, rng: RngState,
+                  spec: ChannelSpec, rng: RngState,
                   start_tick: int = 0, counter_value: int = 0,
                   stats: EmbedStats | None = None):
     """Run the configured system's embedder; mails for p1/p2, documents otherwise."""
     if cfg.system == "s1":
-        return s1_embed(fn, m, h, spec, rng, count=cfg.count, stats=stats)
+        return s1_embed(fn, m, spec, rng, count=cfg.count, stats=stats)
     if cfg.system == "s2":
-        return s2_embed(fn, Counter(counter_value), m, h, spec, rng,
+        return s2_embed(fn, Counter(counter_value), m, spec, rng,
                         repetition=cfg.repetition, stats=stats)
     if cfg.system == "s3":
-        return s3_embed(fn, m, h, spec, rng, copies=cfg.copies,
+        return s3_embed(fn, m, spec, rng, copies=cfg.copies,
                         count=cfg.count, stats=stats)
     if cfg.system == "s4":
-        return s4_embed(fn, Counter(counter_value), m, h, spec, rng,
+        return s4_embed(fn, Counter(counter_value), m, spec, rng,
                         copies=cfg.copies, stats=stats)
     if cfg.system == "p1":
-        return p1_embed(fn, Counter(counter_value), m, h, spec, rng, start_tick, stats)
-    return p2_embed(fn, Counter(counter_value), m, h, spec, rng, start_tick, stats)
+        return p1_embed(fn, Counter(counter_value), m, spec, rng, start_tick, stats)
+    return p2_embed(fn, Counter(counter_value), m, spec, rng, start_tick, stats)
 
 
 def extract_message(cfg: SystemConfig, fn: BitFunction, outputs,
@@ -131,15 +131,16 @@ def extract_message(cfg: SystemConfig, fn: BitFunction, outputs,
 
 # --- the covertext oracle (the stegotext oracle is embed_message) -------------
 
-def ct_oracle(spec: ChannelSpec, arrays, n: int, h: History, rng: RngState):
-    """The covertext oracle: n normal draws with growing history.
+def ct_oracle(spec: ChannelSpec, arrays, n: int, rng: RngState):
+    """The covertext oracle: n normal draws, each conditioned on the last.
 
-    Address arrays are chosen uniformly from the protocol's pair and ticks
-    count from 0 as the embedder's do, so neither carries a signal.
-    With no pair, bare documents are returned (the baselines' traffic
-    model).  The caller's history is not mutated.
+    The first draw is conditioned on no previous document, as the
+    embedder's is.  Address arrays are chosen uniformly from the
+    protocol's pair and ticks count from 0 as the embedder's do, so
+    neither carries a signal.  With no pair, bare documents are returned
+    (the baselines' traffic model).
     """
-    prev = h.last_id
+    prev = None
     out = []
     for i in range(n):
         doc = Document(sample_id(spec, prev, rng))
@@ -305,10 +306,9 @@ def _play(distinguisher, cfg: SystemConfig, spec: ChannelSpec,
     m = distinguisher.pick_message(bits_per_game, msg_rng)
     if covertext:
         response = ct_oracle(spec, address_set_for(cfg),
-                             output_length(cfg, bits_per_game), History(), draw_rng)
+                             output_length(cfg, bits_per_game), draw_rng)
     else:
-        response = embed_message(cfg, make_fn(cfg, key_rng), m, History(), spec,
-                                 draw_rng)
+        response = embed_message(cfg, make_fn(cfg, key_rng), m, spec, draw_rng)
     return distinguisher.decide(response)
 
 
@@ -343,7 +343,7 @@ def transmission_rate(cfg: SystemConfig, spec: ChannelSpec, rng: RngState,
     stats = EmbedStats()
     fn = make_fn(cfg, rng.spawn(0))
     msg = rng.spawn(1).bits(bits)
-    embed_message(cfg, fn, msg, History(), spec, rng.spawn(2), stats=stats)
+    embed_message(cfg, fn, msg, spec, rng.spawn(2), stats=stats)
     if stats.docs_emitted == 0:
         raise ConfigError("no documents emitted; rate undefined")
     return stats.bits_embedded / stats.docs_emitted
@@ -400,7 +400,7 @@ def _round_trip(cfg: SystemConfig, spec: ChannelSpec, bits: int, trial_rng: RngS
     msg = trial_rng.spawn(1).bits(bits)
     stats = EmbedStats()
     t0 = time.perf_counter()
-    outputs = embed_message(cfg, fn, msg, History(), spec, trial_rng.spawn(2), stats=stats)
+    outputs = embed_message(cfg, fn, msg, spec, trial_rng.spawn(2), stats=stats)
     t1 = time.perf_counter()
     recovered = extract_message(cfg, fn, outputs)
     return msg, recovered, stats, t1 - t0, time.perf_counter() - t1
@@ -435,7 +435,7 @@ def reliability_estimate(cfg: SystemConfig, spec: ChannelSpec, bits: int,
 def _gc_paused():
     """Pause the cyclic GC for the body, then restore the state it found.
 
-    A run's records (documents, mails, histories) form no reference cycles,
+    A run's records (documents, mails, traces) form no reference cycles,
     so a collection frees none of them and only rescans them all.
     """
     was_enabled = gc.isenabled()

@@ -10,7 +10,7 @@ import time
 from itertools import product
 
 from stegomail import (BitFunction, ChannelSpec, Counter, Document,
-                       EmbedStats, History, Key, RngState, SystemConfig,
+                       EmbedStats, Key, RngState, SystemConfig,
                        benchmark_scaling, build_distinguisher, capacity,
                        channel_goodness_of_fit, eval_bit, p1_embed, p2_embed,
                        reliability_estimate, run_game, s1_embed,
@@ -59,7 +59,7 @@ def test_criterion_2_work_bound_and_linear_scaling():
         stats = EmbedStats()
         embed_message(SystemConfig(system), BitFunction.keyed(
             Key.generate(rng.spawn(i))), rng.spawn(100 + i).bits(1_000),
-            History(), spec, rng.spawn(200 + i), stats=stats)
+            spec, rng.spawn(200 + i), stats=stats)
         exact &= (stats.samples_drawn == 1_000 == stats.prf_evals
                   == stats.docs_emitted == stats.bits_embedded)
     lengths = [2 ** k for k in range(8, 15)]
@@ -155,7 +155,7 @@ def test_criterion_6_documents_match_channel_distribution():
     for i, (embed, (name, spec)) in enumerate(
             product((p1_embed, p2_embed), CHANNELS.items())):
         fn = BitFunction.keyed(Key.generate(rng.spawn(i)))
-        mails = embed(fn, Counter(0), rng.spawn(100 + i).bits(100_000), History(),
+        mails = embed(fn, Counter(0), rng.spawn(100 + i).bits(100_000),
                       spec, rng.spawn(200 + i))
         gof = channel_goodness_of_fit(spec, [m.doc for m in mails])
         pvalues[(embed.__name__, name)] = round(gof.pvalue, 4)
@@ -173,7 +173,7 @@ def test_criterion_7_address_uniformity_under_random_function():
         embed = p1_embed if variant == "p1" else p2_embed
         first_array = (P1_ARRAYS if variant == "p1" else P2_ARRAYS)[0]
         fn = BitFunction.random_oracle(int.from_bytes(rng.spawn(i).bytes(8), "big"))
-        mails = embed(fn, Counter(0), rng.spawn(100 + i).bits(100_000), History(),
+        mails = embed(fn, Counter(0), rng.spawn(100 + i).bits(100_000),
                       spec, rng.spawn(200 + i))
         hits = sum(1 for m in mails if m.addresses == first_array)
         freqs[(variant, name)] = round(hits / len(mails), 5)
@@ -212,7 +212,7 @@ def test_criterion_9_rejection_sampler_distribution_oracle():
     # second after a miss (1/2 * 1/2)
     oracle = 0.5 + 0.5 * 0.5
     rng = RngState(MASTER_SEED + 9)
-    hits = sum(s1_embed(fn, [1], History(), spec, rng, count=2) == [Document(1)]
+    hits = sum(s1_embed(fn, [1], spec, rng, count=2) == [Document(1)]
                for _ in range(10_000))
     freq = hits / 10_000
     ok = abs(freq - oracle) <= 0.02

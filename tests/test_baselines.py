@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter,
-                       CounterError, Document, EmbedStats, History, Key,
+                       CounterError, Document, EmbedStats, Key,
                        ProtocolError, RngState, eval_bit, eval_bit_sync,
                        eval_bit_tuple, load_channel_file,
                        s1_embed, s1_extract, s2_embed, s2_extract, s3_embed,
@@ -55,7 +55,7 @@ def test_s1_rs_point_mass_immediate_match():
     spec = ChannelSpec.point_mass(4)
     key = find_key_where(lambda fn: eval_bit(fn, Document(0)) == 1)
     stats = EmbedStats()
-    [doc] = s1_embed(BitFunction.keyed(key), [1], History(), spec, RngState(1),
+    [doc] = s1_embed(BitFunction.keyed(key), [1], spec, RngState(1),
                      count=128, stats=stats)
     assert doc == Document(0)
     assert stats.samples_drawn == 1
@@ -65,7 +65,7 @@ def test_s1_rs_point_mass_mismatch_exhausts_budget():
     spec = ChannelSpec.point_mass(4)
     key = find_key_where(lambda fn: eval_bit(fn, Document(0)) == 0)
     stats = EmbedStats()
-    [doc] = s1_embed(BitFunction.keyed(key), [1], History(), spec, RngState(1),
+    [doc] = s1_embed(BitFunction.keyed(key), [1], spec, RngState(1),
                      count=7, stats=stats)
     assert doc == Document(0)
     assert stats.samples_drawn == 7
@@ -79,7 +79,7 @@ def test_s1_rs_two_doc_distribution_matches_enumeration_oracle():
     oracle = two_draw_match_probability(0.5)
     assert oracle == 0.75
     rng = RngState(3)
-    hits = sum(s1_embed(fn, [1], History(), spec, rng, count=2) == [Document(1)]
+    hits = sum(s1_embed(fn, [1], spec, rng, count=2) == [Document(1)]
                for _ in range(10_000))
     assert abs(hits / 10_000 - oracle) <= 0.02
 
@@ -90,7 +90,7 @@ def test_s1_round_trip_on_large_channel():
         trial_rng = rng.spawn(trial)
         fn = BitFunction.keyed(Key.generate(trial_rng.spawn(0)))
         m = trial_rng.spawn(1).bits(64)
-        docs = s1_embed(fn, m, History(), UNIFORM_2_16, trial_rng.spawn(2))
+        docs = s1_embed(fn, m, UNIFORM_2_16, trial_rng.spawn(2))
         assert s1_extract(fn, docs) == m
 
 
@@ -98,26 +98,25 @@ def test_s1_point_mass_failure_regime():
     spec = ChannelSpec.point_mass(4)
     key = find_key_where(lambda fn: eval_bit(fn, Document(0)) == 1)
     fn = BitFunction.keyed(key)
-    reachable = s1_embed(fn, [1, 1, 1], History(), spec, RngState(7), count=8)
+    reachable = s1_embed(fn, [1, 1, 1], spec, RngState(7), count=8)
     assert s1_extract(fn, reachable) == [1, 1, 1]
     # a zero bit cannot be represented: extraction is forced wrong
-    forced = s1_embed(fn, [0], History(), spec, RngState(7), count=8)
+    forced = s1_embed(fn, [0], spec, RngState(7), count=8)
     assert s1_extract(fn, forced) == [1]
 
 
 def test_s1_stats_one_doc_per_bit():
     stats = EmbedStats()
     fn = BitFunction.random_oracle(9)
-    docs = s1_embed(fn, [0, 1] * 8, History(), UNIFORM_2_16, RngState(9),
+    docs = s1_embed(fn, [0, 1] * 8, UNIFORM_2_16, RngState(9),
                     count=128, stats=stats)
     assert stats.bits_embedded == 16
     assert stats.docs_emitted == len(docs) == 16
     assert 16 <= stats.samples_drawn <= 16 * 128
 
 
-def _s1_embed_per_draw(fn, m, h, spec, rng, count):
+def _s1_embed_per_draw(fn, m, spec, rng, count, prev=None):
     """Reference s1: one sample_id and one eval_bit for every draw."""
-    prev = h.last_id
     docs = []
     draws = 0
     for bit in m:
@@ -128,7 +127,6 @@ def _s1_embed_per_draw(fn, m, h, spec, rng, count):
         draws += n
         prev = doc.id
         docs.append(doc)
-    h.extend(docs)
     return docs, EmbedStats(draws, len(m), len(docs), draws)
 
 
@@ -160,15 +158,15 @@ def test_s1_memo_matches_per_draw_loop(channel_name, count, fn_kind, seed,
 
     fn, ref_fn = make_fn(), make_fn()
     rng, ref_rng = RngState(seed), RngState(seed)
-    start_docs = [] if start is None else [Document(start)]
-    h, ref_h = History(start_docs), History(start_docs)
+    # Each message is conditioned on the last document sent before it.
+    prev = start
     for m in messages:
         stats = EmbedStats()
-        docs = s1_embed(fn, m, h, spec, rng, count=count, stats=stats)
+        docs = s1_embed(fn, m, spec, rng, count=count, stats=stats, prev=prev)
         ref_docs, ref_stats = _s1_embed_per_draw(
-            ref_fn, m, ref_h, spec, ref_rng, 128 if count is None else count)
+            ref_fn, m, spec, ref_rng, 128 if count is None else count, prev)
         assert (docs, stats) == (ref_docs, ref_stats)
-        assert h.ids() == ref_h.ids()
+        prev = docs[-1].id if docs else prev
         assert fn.table == ref_fn.table
     assert rng.random() == ref_rng.random()
 
@@ -194,7 +192,7 @@ def test_s1_hashes_each_document_once_per_message(f1):
                                      eval_bit(fn, Document(1))) == f1)
     fn = CountingBitFunction("keyed", key=key)
     stats = EmbedStats()
-    s1_embed(fn, [0] * 100, History(), MEMO_SPECS["binary"], RngState(1),
+    s1_embed(fn, [0] * 100, MEMO_SPECS["binary"], RngState(1),
              stats=stats)
     assert fn.calls <= 2
     assert stats.prf_evals == stats.samples_drawn >= 100
@@ -241,11 +239,10 @@ def test_s1_spends_a_dead_bits_budget_in_one_step(bits, count):
     rng._rand.setstate(ref_rng._rand.getstate())
     stats = EmbedStats()
     start = time.perf_counter()
-    docs = s1_embed(fn, [0] * bits, History(), spec, rng, count=count,
+    docs = s1_embed(fn, [0] * bits, spec, rng, count=count,
                     stats=stats)
     elapsed = time.perf_counter() - start
-    ref_docs, ref_stats = _s1_embed_per_draw(fn, [0] * bits, History(), spec,
-                                             ref_rng, count)
+    ref_docs, ref_stats = _s1_embed_per_draw(fn, [0] * bits, spec, ref_rng, count)
     assert rng._rand.calls <= bits + 10
     assert stats.samples_drawn == stats.prf_evals == bits * count
     assert (docs, stats) == (ref_docs, ref_stats)
@@ -260,7 +257,7 @@ def test_s2_per_bit_failure_quarter_on_large_channel():
     rng = RngState(11)
     counter_tx, counter_rx = Counter(), Counter()
     m = rng.spawn(0).bits(10_000)
-    docs = s2_embed(fn, counter_tx, m, History(), UNIFORM_2_16, rng.spawn(1),
+    docs = s2_embed(fn, counter_tx, m, UNIFORM_2_16, rng.spawn(1),
                     repetition=1)
     got = s2_extract(fn, counter_rx, docs, repetition=1)
     errors = sum(a != b for a, b in zip(m, got))
@@ -273,7 +270,7 @@ def test_s2_repetition_five_failure_matches_binomial_tail():
     fn = BitFunction.random_oracle(13)
     rng = RngState(13)
     m = rng.spawn(0).bits(10_000)
-    docs = s2_embed(fn, Counter(), m, History(), UNIFORM_2_16, rng.spawn(1),
+    docs = s2_embed(fn, Counter(), m, UNIFORM_2_16, rng.spawn(1),
                     repetition=5)
     assert len(docs) == 5 * len(m)
     got = s2_extract(fn, Counter(), docs, repetition=5)
@@ -286,7 +283,7 @@ def test_s2_point_mass_failure_half():
     rng = RngState(15)
     spec = ChannelSpec.point_mass(4)
     m = rng.spawn(0).bits(10_000)
-    docs = s2_embed(fn, Counter(), m, History(), spec, rng.spawn(1), repetition=1)
+    docs = s2_embed(fn, Counter(), m, spec, rng.spawn(1), repetition=1)
     got = s2_extract(fn, Counter(), docs, repetition=1)
     errors = sum(a != b for a, b in zip(m, got))
     assert abs(errors / len(m) - 0.5) <= 0.02
@@ -296,7 +293,7 @@ def test_s2_counter_desync_gives_garbage():
     fn = BitFunction.random_oracle(17)
     rng = RngState(17)
     m = rng.spawn(0).bits(2_000)
-    docs = s2_embed(fn, Counter(0), m, History(), UNIFORM_2_16, rng.spawn(1),
+    docs = s2_embed(fn, Counter(0), m, UNIFORM_2_16, rng.spawn(1),
                     repetition=1)
     got = s2_extract(fn, Counter(1), docs, repetition=1)
     errors = sum(a != b for a, b in zip(m, got))
@@ -308,7 +305,7 @@ def test_s2_counter_discipline_and_stats():
     counter = Counter(0)
     stats = EmbedStats()
     m = [1, 0, 1]
-    docs = s2_embed(fn, counter, m, History(), UNIFORM_2_16, RngState(19),
+    docs = s2_embed(fn, counter, m, UNIFORM_2_16, RngState(19),
                     repetition=5, stats=stats)
     assert counter.value == 15
     assert stats.docs_emitted == 15
@@ -324,9 +321,9 @@ def test_s2_counter_discipline_and_stats():
 def test_s3_with_one_copy_is_exactly_s1():
     fn = BitFunction.random_oracle(21)
     m = RngState(21).bits(64)
-    docs_s3 = s3_embed(fn, m, History(), UNIFORM_2_16, RngState(33), copies=1,
+    docs_s3 = s3_embed(fn, m, UNIFORM_2_16, RngState(33), copies=1,
                        count=16)
-    docs_s1 = s1_embed(fn, m, History(), UNIFORM_2_16, RngState(33), count=16)
+    docs_s1 = s1_embed(fn, m, UNIFORM_2_16, RngState(33), count=16)
     assert docs_s3 == docs_s1
     assert s3_extract(fn, docs_s3, copies=1) == s1_extract(fn, docs_s1)
 
@@ -338,7 +335,7 @@ def test_s3_round_trip_small_alphabet():
         fn = BitFunction.random_oracle(
             int.from_bytes(trial_rng.spawn(0).bytes(8), "big"))
         m = trial_rng.spawn(1).bits(32)
-        docs = s3_embed(fn, m, History(), ChannelSpec.uniform(256),
+        docs = s3_embed(fn, m, ChannelSpec.uniform(256),
                         trial_rng.spawn(2), copies=2, count=128)
         assert s3_extract(fn, docs, copies=2) == m
 
@@ -355,7 +352,7 @@ def test_s3_point_mass_success_rate_is_a_coin_flip():
         fn = BitFunction.random_oracle(
             int.from_bytes(trial_rng.spawn(0).bytes(8), "big"))
         m = [trial_rng.spawn(1).bit()]
-        docs = s3_embed(fn, m, History(), spec, trial_rng.spawn(2), copies=8,
+        docs = s3_embed(fn, m, spec, trial_rng.spawn(2), copies=8,
                         count=128)
         successes += s3_extract(fn, docs, copies=8) == m
     rate = successes / trials
@@ -373,7 +370,7 @@ def test_s3_stats_bounds():
     fn = BitFunction.random_oracle(29)
     stats = EmbedStats()
     m = RngState(29).bits(20)
-    s3_embed(fn, m, History(), ChannelSpec.uniform(256), RngState(30),
+    s3_embed(fn, m, ChannelSpec.uniform(256), RngState(30),
              copies=3, count=64, stats=stats)
     assert stats.docs_emitted == 3 * 20
     assert 3 * 20 <= stats.samples_drawn <= 64 * 3 * 20
@@ -389,7 +386,7 @@ def test_s4_single_copy_failure_quarter():
     counter_tx, counter_rx = Counter(), Counter()
     for trial in range(trials):
         m = trial % 2
-        docs = s4_embed(fn, counter_tx, [m], History(), UNIFORM_2_16,
+        docs = s4_embed(fn, counter_tx, [m], UNIFORM_2_16,
                         rng.spawn(trial), copies=1)
         failures += s4_extract(fn, counter_rx, docs, copies=1) != [m]
     assert abs(failures / trials - 0.25) <= 0.02
@@ -404,7 +401,7 @@ def test_s4_five_copies_failure_matches_binomial_tail():
     trials = 10_000
     for trial in range(trials):
         m = trial % 2
-        docs = s4_embed(fn, counter_tx, [m], History(), UNIFORM_2_16,
+        docs = s4_embed(fn, counter_tx, [m], UNIFORM_2_16,
                         rng.spawn(trial), copies=5)
         failures += s4_extract(fn, counter_rx, docs, copies=5) != [m]
     assert abs(failures / trials - oracle) <= 0.01
@@ -418,7 +415,7 @@ def test_s4_symmetric_in_message_bit():
         counter_tx, counter_rx = Counter(), Counter()
         failures = 0
         for trial in range(4_000):
-            docs = s4_embed(fn, counter_tx, [m], History(), UNIFORM_2_16,
+            docs = s4_embed(fn, counter_tx, [m], UNIFORM_2_16,
                             rng.spawn(10_000 * m + trial), copies=3)
             failures += s4_extract(fn, counter_rx, docs, copies=3) != [m]
         rates.append(failures / 4_000)
@@ -428,7 +425,7 @@ def test_s4_symmetric_in_message_bit():
 def test_s4_requires_odd_copies():
     fn = BitFunction.random_oracle(37)
     with pytest.raises(ConfigError):
-        s4_embed(fn, Counter(), [1], History(), UNIFORM_2_16, RngState(37),
+        s4_embed(fn, Counter(), [1], UNIFORM_2_16, RngState(37),
                  copies=2)
     with pytest.raises(ConfigError):
         s4_extract(fn, Counter(), [Document(0)] * 2, copies=2)
@@ -438,7 +435,7 @@ def test_s4_stats_and_counter_discipline():
     fn = BitFunction.random_oracle(39)
     counter = Counter(0)
     stats = EmbedStats()
-    docs = s4_embed(fn, counter, [1, 0], History(), UNIFORM_2_16, RngState(39),
+    docs = s4_embed(fn, counter, [1, 0], UNIFORM_2_16, RngState(39),
                     copies=3, stats=stats)
     assert counter.value == 6
     assert stats.samples_drawn == 2 * 3 * 2  # exactly two draws per copy
@@ -453,7 +450,7 @@ def test_s4_round_trip_aligned_counters():
     fn = BitFunction.random_oracle(41)
     rng = RngState(41)
     m = rng.spawn(0).bits(400)
-    docs = s4_embed(fn, Counter(123), m, History(), UNIFORM_2_16, rng.spawn(1),
+    docs = s4_embed(fn, Counter(123), m, UNIFORM_2_16, rng.spawn(1),
                     copies=5)
     got = s4_extract(fn, Counter(123), docs, copies=5)
     errors = sum(a != b for a, b in zip(m, got))
@@ -472,15 +469,15 @@ def test_embed_without_counter_headroom_mutates_nothing(system):
     # s2 needs 5 counter values for one bit (r=5), s4 6 for two bits (t=3).
     fn = BitFunction.random_oracle(45)
     counter = Counter(NEAR_TOP)
-    h = History([Document(1)])
     rng, twin = RngState(45), RngState(45)
     stats = EmbedStats()
     with pytest.raises(CounterError):
         if system == "s2":
-            s2_embed(fn, counter, [1], h, UNIFORM_2_16, rng, repetition=5, stats=stats)
+            s2_embed(fn, counter, [1], UNIFORM_2_16, rng, repetition=5, stats=stats,
+                     prev=1)
         else:
-            s4_embed(fn, counter, [1, 0], h, UNIFORM_2_16, rng, copies=3, stats=stats)
-    assert len(h) == 1
+            s4_embed(fn, counter, [1, 0], UNIFORM_2_16, rng, copies=3, stats=stats,
+                     prev=1)
     assert counter.value == NEAR_TOP
     assert rng.random() == twin.random()
     assert stats == EmbedStats()
@@ -543,16 +540,16 @@ def test_zero_copies_is_a_config_error():
     with pytest.raises(ConfigError):
         s4_extract(fn, Counter(), [Document(0)] * 2, copies=0)
     with pytest.raises(ConfigError):
-        s3_embed(fn, [1], History(), UNIFORM_2_16, RngState(51), copies=0)
+        s3_embed(fn, [1], UNIFORM_2_16, RngState(51), copies=0)
     with pytest.raises(ConfigError):
-        s4_embed(fn, Counter(), [1], History(), UNIFORM_2_16, RngState(51), copies=0)
+        s4_embed(fn, Counter(), [1], UNIFORM_2_16, RngState(51), copies=0)
 
 
 def test_extraction_is_pure():
     fn = BitFunction.random_oracle(43)
-    docs = s1_embed(fn, [1, 0, 1], History(), UNIFORM_2_16, RngState(43))
+    docs = s1_embed(fn, [1, 0, 1], UNIFORM_2_16, RngState(43))
     assert s1_extract(fn, docs) == s1_extract(fn, docs)
-    docs2 = s2_embed(fn, Counter(), [1, 0], History(), UNIFORM_2_16,
+    docs2 = s2_embed(fn, Counter(), [1, 0], UNIFORM_2_16,
                      RngState(44), repetition=3)
     assert (s2_extract(fn, Counter(), docs2, repetition=3)
             == s2_extract(fn, Counter(), docs2, repetition=3))
@@ -589,29 +586,32 @@ GOLDEN_PRIOR_RUNS = {
 }
 
 
-def _prior_run_transcript(system: str, channel_name: str, fn_kind: str) -> str:
+def _prior_run_transcript(system: str, channel_name: str, fn_kind: str,
+                          prev: int = 1) -> str:
     spec = (UNIFORM_2_16 if channel_name == "uniform65536"
             else load_channel_file(CHANNEL_DIR / f"{channel_name}.json"))
     fn = (BitFunction.keyed(Key.from_hex("000102030405060708090a0b0c0d0e0f"))
           if fn_kind == "keyed" else BitFunction.random_oracle(20260811))
     m = RngState(7).bits(40)
-    h = History([Document(1)])
     rng = RngState(20260811)
     stats = EmbedStats()
     tx, rx = Counter(250), Counter(250)
     if system == "s1":
-        docs = s1_embed(fn, m, h, spec, rng, stats=stats)
+        docs = s1_embed(fn, m, spec, rng, stats=stats, prev=prev)
         got = s1_extract(fn, docs)
     elif system == "s2":
-        docs = s2_embed(fn, tx, m, h, spec, rng, repetition=3, stats=stats)
+        docs = s2_embed(fn, tx, m, spec, rng, repetition=3, stats=stats, prev=prev)
         got = s2_extract(fn, rx, docs, repetition=3)
     elif system == "s3":
-        docs = s3_embed(fn, m, h, spec, rng, copies=3, count=16, stats=stats)
+        docs = s3_embed(fn, m, spec, rng, copies=3, count=16, stats=stats, prev=prev)
         got = s3_extract(fn, docs, copies=3)
     else:
-        docs = s4_embed(fn, tx, m, h, spec, rng, copies=3, stats=stats)
+        docs = s4_embed(fn, tx, m, spec, rng, copies=3, stats=stats, prev=prev)
         got = s4_extract(fn, rx, docs, copies=3)
-    return repr(([d.id for d in docs], h.ids(), astuple(stats), got,
+    ids = [d.id for d in docs]
+    # The pinned transcripts list the conditioning document before the
+    # emitted ones, as the sender's whole history.
+    return repr((ids, [prev] + ids, astuple(stats), got,
                  tx.value, rx.value, rng.random()))
 
 
@@ -620,3 +620,27 @@ def test_prior_system_runs_are_pinned(system, channel_name, fn_kind):
     transcript = _prior_run_transcript(system, channel_name, fn_kind)
     digest = hashlib.sha256(transcript.encode()).hexdigest()
     assert digest == GOLDEN_PRIOR_RUNS[system, channel_name, fn_kind]
+
+
+# The same transcripts on markov2 from document 0.  Its row 1 equals its
+# initial vector, so a run from document 1 above draws as one from no
+# document would; only a run from 0 shows that the embedders honour
+# `prev`.  Recorded through a one-document history before the embedders
+# took the id itself.
+GOLDEN_PRIOR_RUNS_FROM_0 = {
+    ("s1", "keyed"): "39596d9440150e0f802bb0446c6b5c7901a8697ce50c87d4a247d68e8f2988d0",
+    ("s1", "random"): "bb5c3387609eee844f1ff2da0b08bcdb84d6d0262cad148074f4a3c3bc388d20",
+    ("s2", "keyed"): "26de4113a9a93d1e1949302d5694b8d968961dec64e4c1da396855ef709e2291",
+    ("s2", "random"): "8cc5060b0099d156f90c12df08fa6b6ccd03dc6938a3427d4444e65de5acb90d",
+    ("s3", "keyed"): "c5ecb65971bd6a53c3e5e63081b288998a8c55115497205e619ef87a38122bf5",
+    ("s3", "random"): "5bf66900cc3b91f1e767fcdcf5f40271c3927aa8b7f885c6a2a564e50bb8f7cc",
+    ("s4", "keyed"): "d74700de530b96291441ca1eb1c8179d8e2d658df80364521536cd0c4ad5253c",
+    ("s4", "random"): "e213f2524d0ab6811d70b128c7ed5f601f6420676e5c00f9fcd6c9fff1d6f41d",
+}
+
+
+@pytest.mark.parametrize("system, fn_kind", sorted(GOLDEN_PRIOR_RUNS_FROM_0))
+def test_prior_system_runs_from_document_0_are_pinned(system, fn_kind):
+    transcript = _prior_run_transcript(system, "markov2", fn_kind, prev=0)
+    digest = hashlib.sha256(transcript.encode()).hexdigest()
+    assert digest == GOLDEN_PRIOR_RUNS_FROM_0[system, fn_kind]

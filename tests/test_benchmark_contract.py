@@ -143,13 +143,12 @@ def test_embed_calls_match_embed_stats(system, monkeypatch):
     # The traced run checks channel.sample_id and the embed-side PRF calls
     # against EmbedStats, and p1/p2 against one of each per bit, so an embed
     # that fuses either call away must fail here too.
-    from stegomail import (BitFunction, ChannelSpec, Counter, EmbedStats, History,
+    from stegomail import (BitFunction, ChannelSpec, Counter, EmbedStats,
                            RngState, p1_embed, p2_embed, s2_embed)
     draws = _count_calls(monkeypatch, "stegomail.channel", "sample_id")
     evals = _count_calls(monkeypatch, "stegomail.prf", "eval_bit_sync")
     fn, stats, n = BitFunction.random_oracle(3), EmbedStats(), 200
-    args = (fn, Counter(), RngState(5).bits(n), History(), ChannelSpec.uniform(4),
-            RngState(7))
+    args = (fn, Counter(), RngState(5).bits(n), ChannelSpec.uniform(4), RngState(7))
     if system == "s2":
         s2_embed(*args, repetition=3, stats=stats)
         assert draws[0] == stats.samples_drawn > 3 * n

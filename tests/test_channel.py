@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stegomail import (ChannelSpec, ConfigError, Document, History, RngState,
+from stegomail import (ChannelSpec, ConfigError, Document, RngState,
                        load_channel_spec, min_entropy)
 
 from stegomail.channel import sample_id
@@ -15,29 +15,27 @@ from stegomail.channel import sample_id
 from conftest import MARKOV2
 
 
-def draw_many(spec, h, rng, n):
-    return [sample_id(spec, h.last_id, rng) for _ in range(n)]
+def draw_many(spec, prev, rng, n):
+    return [sample_id(spec, prev, rng) for _ in range(n)]
 
 
 def test_uniform_sample_frequencies():
     spec = ChannelSpec.uniform(4)
-    ids = draw_many(spec, History(), RngState(1), 10_000)
+    ids = draw_many(spec, None, RngState(1), 10_000)
     for doc_id in range(4):
         assert abs(ids.count(doc_id) / 10_000 - 0.25) <= 0.02
 
 
 def test_point_mass_always_hits_target():
     spec = ChannelSpec.stationary([1.0, 0.0, 0.0, 0.0])
-    ids = draw_many(spec, History(), RngState(2), 1_000)
+    ids = draw_many(spec, None, RngState(2), 1_000)
     assert set(ids) == {0}
 
 
 def test_markov_row_frequency():
-    h = History([Document(0), Document(1)])
-    ids = draw_many(MARKOV2, h, RngState(3), 10_000)
+    ids = draw_many(MARKOV2, 1, RngState(3), 10_000)
     # row for prev=1 is (0.5, 0.5); use prev=0 for the (0.9, 0.1) row
-    h0 = History([Document(0)])
-    ids0 = draw_many(MARKOV2, h0, RngState(3), 10_000)
+    ids0 = draw_many(MARKOV2, 0, RngState(3), 10_000)
     assert abs(ids0.count(0) / 10_000 - 0.9) <= 0.02
     assert abs(ids.count(0) / 10_000 - 0.5) <= 0.02
 
@@ -54,20 +52,19 @@ def test_prob_uniform_and_point_mass():
 def test_prob_markov_reads_conditioning_row():
     spec = ChannelSpec.markov1([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.3, 0.7, 0.0]],
                                [1.0, 0.0, 0.0])
-    h = History([Document(2)])
-    assert spec.row(h.last_id)[1] == 0.7
+    assert spec.row(2)[1] == 0.7
     assert spec.row(None)[0] == 1.0
 
 
 def test_min_entropy_values():
-    assert min_entropy(ChannelSpec.uniform(1024), History()) == 10.0
-    assert min_entropy(ChannelSpec.point_mass(4), History()) == 0.0
-    assert min_entropy(ChannelSpec.stationary([0.5, 0.25, 0.25]), History()) == 1.0
+    assert min_entropy(ChannelSpec.uniform(1024)) == 10.0
+    assert min_entropy(ChannelSpec.point_mass(4)) == 0.0
+    assert min_entropy(ChannelSpec.stationary([0.5, 0.25, 0.25])) == 1.0
 
 
 def test_min_entropy_exact_for_powers_of_two():
     for m in range(1, 12):
-        assert min_entropy(ChannelSpec.uniform(2 ** m), History()) == float(m)
+        assert min_entropy(ChannelSpec.uniform(2 ** m)) == float(m)
 
 
 def test_load_channel_spec_stationary():
@@ -148,33 +145,33 @@ def test_markov1_accepts_a_generator_of_rows():
     assert spec.alphabet_size == 2
 
 
-@pytest.mark.parametrize("spec,h", [
-    (ChannelSpec.uniform(4), History()),
-    (ChannelSpec.stationary([0.7, 0.2, 0.1]), History()),
-    (MARKOV2, History([Document(0)])),
-    (MARKOV2, History([Document(1)])),
-    (ChannelSpec.point_mass(4), History()),
-])
-def test_sampling_consistency_against_prob(spec, h):
+@pytest.mark.parametrize("spec,prev", [
+    (ChannelSpec.uniform(4), None),
+    (ChannelSpec.stationary([0.7, 0.2, 0.1]), None),
+    (MARKOV2, 0),
+    (MARKOV2, 1),
+    (ChannelSpec.point_mass(4), None),
+], ids=[f"spec{i}-h{i}" for i in range(5)])  # h: the case's conditioning history
+def test_sampling_consistency_against_prob(spec, prev):
     n = 100_000
     rng = RngState(5)
     counts = [0] * spec.alphabet_size
     for _ in range(n):
-        counts[sample_id(spec, h.last_id, rng)] += 1
+        counts[sample_id(spec, prev, rng)] += 1
     for doc_id in range(spec.alphabet_size):
-        p = spec.row(h.last_id)[doc_id]
+        p = spec.row(prev)[doc_id]
         bound = 4 * math.sqrt(p * (1 - p) / n)
         assert abs(counts[doc_id] / n - p) <= bound
 
 
 def test_rng_determinism_and_spawning():
-    a = draw_many(ChannelSpec.uniform(64), History(), RngState(9), 1_000)
-    b = draw_many(ChannelSpec.uniform(64), History(), RngState(9), 1_000)
+    a = draw_many(ChannelSpec.uniform(64), None, RngState(9), 1_000)
+    b = draw_many(ChannelSpec.uniform(64), None, RngState(9), 1_000)
     assert a == b
-    child1 = draw_many(ChannelSpec.uniform(64), History(), RngState(9).spawn(0), 100)
-    child2 = draw_many(ChannelSpec.uniform(64), History(), RngState(9).spawn(1), 100)
+    child1 = draw_many(ChannelSpec.uniform(64), None, RngState(9).spawn(0), 100)
+    child2 = draw_many(ChannelSpec.uniform(64), None, RngState(9).spawn(1), 100)
     assert child1 != child2
-    assert draw_many(ChannelSpec.uniform(64), History(), RngState(9).spawn(0), 100) == child1
+    assert draw_many(ChannelSpec.uniform(64), None, RngState(9).spawn(0), 100) == child1
 
 
 def _stream_transcript(r: RngState) -> str:
@@ -206,23 +203,6 @@ def test_rng_streams_match_golden_digests():
         "7b594f18fa0ee3725c1eb2aa207774fe90b9bf7a31b331a7eb8111163db9cae7")
     assert _stream_digest(second_child) == (
         "72e76145b8897c6387cd4031a3dea2cb1b3d45912958a9e5cc43143c4e79f1c7")
-
-
-def test_history_last_id():
-    h = History()
-    assert h.last_id is None
-    h.append(Document(3))
-    h.append(Document(1))
-    assert h.last_id == 1 == h[-1].id
-
-
-def test_history_append_grows_by_one():
-    h = History()
-    for i in range(5):
-        h.append(Document(i))
-        assert len(h) == i + 1
-        assert h[-1] == Document(i)
-    assert h.ids() == [0, 1, 2, 3, 4]
 
 
 def test_document_canonical_bytes_distinct():
@@ -331,8 +311,25 @@ def _vectors(n):
                        min_size=n, max_size=n))
 
 
+def _vector_lookalikes(n):
+    """A string or an object that ``tuple()`` reads as a valid length-n
+    vector, its characters or its keys taken as numbers: it loads unless
+    the loader asks for a JSON array."""
+    return (st.permutations("1" + "0" * (n - 1)).map("".join)
+            | st.permutations(["1", "0", "0.0", "-0"][:n]).map(dict.fromkeys))
+
+
+def _matrix_lookalikes(n):
+    """An object whose keys are the rows of an n×n permutation matrix, each
+    row a string, and for n = 1 the string "1" itself."""
+    rows = ["".join("1" if j == i else "0" for j in range(n)) for i in range(n)]
+    objects = st.permutations(rows).map(dict.fromkeys)
+    return (objects | st.just("1")) if n == 1 else objects
+
+
 # Objects whose fields are each drawn apart, and objects consistent in
-# kind and size, so that the property also reaches the specs that load.
+# kind and size, so that the property also reaches the specs that load,
+# with each vector, the matrix and each of its rows a JSON array or not.
 _channel_objects = st.fixed_dictionaries({}, optional={
     "kind": st.sampled_from(["stationary", "markov1"]) | _json_values,
     "alphabet_size": st.integers(-1, 4) | _json_values,
@@ -343,9 +340,10 @@ _channel_objects = st.fixed_dictionaries({}, optional={
 _near_valid_objects = st.integers(1, 4).flatmap(lambda n: st.fixed_dictionaries({
     "kind": st.sampled_from(["stationary", "markov1"]),
     "alphabet_size": st.sampled_from([n, float(n), str(n)]),
-    "probs": _vectors(n),
-    "matrix": st.lists(_vectors(n), min_size=n, max_size=n),
-    "initial": _vectors(n),
+    "probs": _vectors(n) | _vector_lookalikes(n),
+    "matrix": (st.lists(_vectors(n) | _vector_lookalikes(n), min_size=n, max_size=n)
+               | _matrix_lookalikes(n)),
+    "initial": _vectors(n) | _vector_lookalikes(n),
 }))
 
 

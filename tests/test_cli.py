@@ -269,6 +269,22 @@ def test_corrupt_trace_is_protocol_error(tmp_path, channel):
                 "--in", str(trace)]) == 3
 
 
+@pytest.mark.parametrize("command", [
+    ["embed", "--protocol", "p1", "--key", KEY],
+    ["simulate", "--system", "p1", "--key", KEY, "--bits", "8", "--trials", "2"],
+    ["bench", "--systems", "p1", "--lengths", "8,16", "--repeats", "1"],
+], ids=["embed", "simulate", "bench"])
+def test_output_in_a_missing_directory_is_config_error(command, tmp_path, channel,
+                                                       message_file, capsys):
+    args = command + ["--channel", channel(UNIFORM_4), "--seed", "5",
+                      "--out", str(tmp_path / "missing" / "out")]
+    if command[0] == "embed":
+        args += ["--message", message_file]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "No such file" in err
+
+
 def test_counter_overflow_exit_code(tmp_path, channel, message_file):
     spec = channel(UNIFORM_4)
     trace = str(tmp_path / "trace.tsv")

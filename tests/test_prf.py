@@ -134,6 +134,11 @@ def test_counter_validation():
         Counter(2 ** 64)
     with pytest.raises(ConfigError):
         Counter(-1)
+    # Both passed the range check and reached the PRF: 1.5 failed there
+    # with an AttributeError, True was encoded as 1.
+    for bad, name in ((1.5, "float"), (True, "bool"), ("1", "str")):
+        with pytest.raises(ConfigError, match=f"^counter value must be an int, not {name}$"):
+            Counter(bad)
 
 
 def test_key_validation_and_generation():

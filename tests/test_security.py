@@ -4,7 +4,7 @@ import pytest
 
 from stegomail import (AddressFrequencyDistinguisher, BitFunction, ChannelSpec,
                        ConfigError, ConstantGuessDistinguisher, Document,
-                       DocumentFrequencyDistinguisher, History,
+                       DocumentFrequencyDistinguisher,
                        Mail, ProtocolError, RngState, SystemConfig,
                        benchmark_scaling, build_distinguisher, capacity,
                        channel_goodness_of_fit, ct_oracle, embed_message,
@@ -40,7 +40,7 @@ def test_st_oracle_response_lengths():
         (SystemConfig("s4", copies=3), 1, 3),
     ]:
         fn = make_fn(cfg, rng.spawn(0))
-        out = embed_message(cfg, fn, [1] * bits, History(), UNIFORM_4, rng.spawn(1))
+        out = embed_message(cfg, fn, [1] * bits, UNIFORM_4, rng.spawn(1))
         assert len(out) == expected
 
 
@@ -49,30 +49,28 @@ def test_ct_matches_st_length_for_every_system():
     for name in ("s1", "s2", "s3", "s4", "p1", "p2"):
         cfg = SystemConfig(name, count=8, copies=3, repetition=5)
         fn = make_fn(cfg, rng.spawn(0))
-        st = embed_message(cfg, fn, [0, 1] * 6, History(), UNIFORM_4, rng.spawn(1))
+        st = embed_message(cfg, fn, [0, 1] * 6, UNIFORM_4, rng.spawn(1))
         ct = ct_oracle(UNIFORM_4, address_set_for(cfg), output_length(cfg, 12),
-                       History(), rng.spawn(2))
+                       rng.spawn(2))
         assert len(st) == len(ct)
 
 
 def test_ct_oracle_addresses_uniform_and_ticks_sequential():
     rng = RngState(5)
-    mails = ct_oracle(UNIFORM_4, P1_ARRAYS, 10_000, History(), rng)
+    mails = ct_oracle(UNIFORM_4, P1_ARRAYS, 10_000, rng)
     assert [m.sent_at for m in mails] == list(range(10_000))
     hits = sum(1 for m in mails if m.addresses == (ADDRESS1,))
     assert abs(hits / 10_000 - 0.5) <= 0.02
 
 
-def test_ct_oracle_point_mass_and_history_untouched():
-    h = History([Document(2)])
-    out = ct_oracle(ChannelSpec.point_mass(4), None, 100, h, RngState(7))
+def test_ct_oracle_point_mass():
+    out = ct_oracle(ChannelSpec.point_mass(4), None, 100, RngState(7))
     assert all(d == Document(0) for d in out)
-    assert h.ids() == [2]
 
 
 def test_ct_oracle_document_marginal_fits_channel():
     rng = RngState(9)
-    docs = ct_oracle(MARKOV2, None, 100_000, History(), rng)
+    docs = ct_oracle(MARKOV2, None, 100_000, rng)
     gof = channel_goodness_of_fit(MARKOV2, docs)
     assert gof.pvalue >= 0.01
 
@@ -172,7 +170,7 @@ def test_document_frequency_calibration_on_true_channel():
     rng = RngState(19)
     guesses = []
     for trial in range(400):
-        docs = ct_oracle(UNIFORM_2, None, 100, History(), rng.spawn(trial))
+        docs = ct_oracle(UNIFORM_2, None, 100, rng.spawn(trial))
         guesses.append(warden.decide(docs))
     assert 0.01 <= sum(guesses) / 400 <= 0.11
 
@@ -184,7 +182,7 @@ def test_document_frequency_detects_separating_key_s1():
                          and eval_bit(fn, Document(1)) == 1)
     cfg = SystemConfig("s1", count=128)
     warden = DocumentFrequencyDistinguisher(UNIFORM_2)
-    docs = embed_message(cfg, BitFunction.keyed(key), [0] * 100, History(),
+    docs = embed_message(cfg, BitFunction.keyed(key), [0] * 100,
                          UNIFORM_2, RngState(21))
     assert warden.decide(docs) == 1
 
@@ -305,7 +303,7 @@ def test_extract_message_round_trips_every_system():
         cfg = SystemConfig(name, count=128, copies=3)
         fn = make_fn(cfg, rng.spawn(0))
         m = rng.spawn(1).bits(24)
-        out = embed_message(cfg, fn, m, History(), ChannelSpec.uniform(256),
+        out = embed_message(cfg, fn, m, ChannelSpec.uniform(256),
                             rng.spawn(2))
         assert extract_message(cfg, fn, out) == m
 
