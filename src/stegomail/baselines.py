@@ -15,9 +15,9 @@ All four hide bits by steering which channel draws get emitted:
 Each embedder draws its first document conditioned on `prev`, the id of
 the last document already sent (None before any), and every channel
 draw / PRF query is tallied in EmbedStats so that rate and work-bound
-claims can be checked on real runs rather than asserted.  s2 and s4
-check counter headroom before the first draw or PRF call, so a failed
-embed or extract mutates nothing.
+claims can be checked on real runs rather than asserted.  Each checks
+`prev` with ``spec.row`` before its first draw, and s2 and s4 check
+counter headroom there too, so a failed embed or extract mutates nothing.
 """
 
 from __future__ import annotations
@@ -108,8 +108,11 @@ def s1_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
     query.  F1 of a bare document depends on its id alone, so each id is
     hashed once per message and a repeated query is answered from the
     memo `known`; the random oracle, which already holds the id, spends
-    its coins in the same order either way.  The draw is ``sample_id``
-    inlined: one bit's draws share their conditioning id and so its CDF.
+    its coins in the same order either way.  Every drawn id enters the
+    memo, so the `Document` built for its query in `made` is the one
+    emitted each time that id is kept.  The draw is ``sample_id``
+    inlined: one bit's draws share their conditioning id and so its CDF,
+    which a stationary channel holds in ``_cum`` for every id.
 
     Once the memo holds every id of the alphabet and all of them carry the
     same bit, the other bit is `dead`: no draw, in any row of the channel,
@@ -122,22 +125,25 @@ def s1_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
     fills and nothing is skipped.
     """
     count = _budget(fn, count)
+    spec.row(prev)
     gen = rng._rand  # rng.random()'s generator; reading _rand seeds it
     rand = gen.random
     size = spec.alphabet_size
     known: dict[int, int] = {}
+    made: dict[int, Document] = {}
     dead = -1  # no bit is dead yet; an int compares faster than None
     docs = []
     draws = 0
     for bit in m:
-        cdf = spec._cdf(prev)
+        cdf = spec._cum or spec._cdf(prev)
         n = 0
         if bit != dead:
             for n in range(1, count + 1):
                 i = bisect_right(cdf, rand())
                 got = known.get(i)
                 if got is None:
-                    got = known[i] = eval_bit(fn, Document(i))
+                    doc = made[i] = Document(i)
+                    got = known[i] = eval_bit(fn, doc)
                     if len(known) == size and len(set(known.values())) == 1:
                         dead = 1 - got
                         if bit == dead:
@@ -150,7 +156,7 @@ def s1_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
             n = count
         draws += n
         prev = i
-        docs.append(Document(i))
+        docs.append(made[i])
     if stats is not None:
         stats.add(draws, len(m), len(docs), draws)
     return docs
@@ -173,6 +179,7 @@ def s2_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
     evaluated, the last included: the random oracle draws a coin at each
     new input.
     """
+    spec.row(prev)
     coded = enc(m, repetition)
     counter.check_headroom(len(coded))
     docs = []
@@ -218,6 +225,7 @@ def s3_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
     """
     count = _budget(fn, count)
     _check_copies(copies, odd=False)
+    spec.row(prev)
     docs: list[Document] = []
     evals = 0
     for bit in m:
@@ -255,6 +263,7 @@ def s4_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
     one per emitted document.
     """
     _check_copies(copies, odd=True)
+    spec.row(prev)
     counter.check_headroom(len(m) * copies)
     docs = []
     for bit in m:

@@ -150,7 +150,15 @@ class ChannelSpec:
         return cls("markov1", len(rows), matrix=rows, initial=initial)
 
     def row(self, prev_id: int | None) -> tuple[float, ...]:
-        """Conditional distribution given the id of the last sent document."""
+        """Conditional distribution given the id of the last sent document.
+
+        `prev_id` must be None or an id of the alphabet, else ConfigError;
+        the embedders call this once to check their `prev` before drawing.
+        """
+        if prev_id is not None and (type(prev_id) is not int
+                                    or not 0 <= prev_id < self.alphabet_size):
+            raise ConfigError(f"previous document id must be None or an int in "
+                              f"[0, {self.alphabet_size}), got {prev_id!r}")
         if self.kind == "stationary":
             return self.probs
         if prev_id is None:

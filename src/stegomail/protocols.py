@@ -46,7 +46,8 @@ def _embed_multi(fn: BitFunction, counter: Counter, arrays, m: Sequence[int],
     Counter headroom for the whole message is checked before the first
     draw, so an embed that would overflow raises CounterError with the
     counter and the random stream as they were.  The first draw is
-    conditioned on `prev`, the id of the last document already sent.
+    conditioned on `prev`, the id of the last document already sent,
+    which ``spec.row`` checks first.
     Each bit calls ``sample_id`` and ``eval_bit_sync`` once: the
     benchmark's traced run counts both against ``EmbedStats``.  The
     address arrays are the module's constants, so mails are built without
@@ -55,6 +56,7 @@ def _embed_multi(fn: BitFunction, counter: Counter, arrays, m: Sequence[int],
     n = len(m)
     if n < 1:
         raise ConfigError("message must contain at least one bit")
+    spec.row(prev)
     counter.check_headroom(n)
     mails: list[Mail] = []
     for i, bit in enumerate(m):

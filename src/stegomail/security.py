@@ -138,13 +138,16 @@ def ct_oracle(spec: ChannelSpec, arrays, n: int, rng: RngState):
     embedder's is.  Address arrays are chosen uniformly from the
     protocol's pair and ticks count from 0 as the embedder's do, so
     neither carries a signal.  With no pair, bare documents are returned
-    (the baselines' traffic model).
+    (the baselines' traffic model).  Draws of one id share one `Document`.
     """
     prev = None
+    made: dict[int, Document] = {}
     out = []
     for i in range(n):
-        doc = Document(sample_id(spec, prev, rng))
-        prev = doc.id
+        prev = sample_id(spec, prev, rng)
+        doc = made.get(prev)
+        if doc is None:
+            doc = made[prev] = Document(prev)
         if arrays is None:
             out.append(doc)
         else:
@@ -168,21 +171,24 @@ def channel_goodness_of_fit(spec: ChannelSpec, docs: Sequence[Document]) -> GofR
     stationary channels, one group per predecessor id for markov1, with
     the first draw conditioned on the initial vector), so the test is
     exact-model even under history dependence.  Zero-probability cells are
-    excluded; any observation landing in one is impossible under the
-    channel and forces p = 0.
+    excluded; any observation landing in one, or outside the alphabet, is
+    impossible under the channel and forces p = 0.
     """
     groups: dict[int | None, list[int]] = {}
-    if spec.kind == "stationary":
-        counts = [0] * spec.alphabet_size
-        for d in docs:
-            counts[d.id] += 1
-        groups[None] = counts
-    else:
-        prev = None
-        for d in docs:
-            counts = groups.setdefault(prev, [0] * spec.alphabet_size)
-            counts[d.id] += 1
-            prev = d.id
+    try:
+        if spec.kind == "stationary":
+            counts = [0] * spec.alphabet_size
+            for d in docs:
+                counts[d.id] += 1
+            groups[None] = counts
+        else:
+            prev = None
+            for d in docs:
+                counts = groups.setdefault(prev, [0] * spec.alphabet_size)
+                counts[d.id] += 1
+                prev = d.id
+    except IndexError:  # an id past the alphabet; Document ids are never negative
+        return GofResult(float("inf"), 1, 0.0)
     statistic = 0.0
     dof = 0
     for prev, counts in groups.items():

@@ -1,6 +1,6 @@
 import pytest
 
-from stegomail import BitFunction, ChannelSpec, Key
+from stegomail import BitFunction, ChannelSpec, Document, Key
 
 MASTER_SEED = 20260811
 
@@ -33,3 +33,17 @@ def find_key_where(predicate, limit: int = 4096) -> Key:
         if predicate(fn):
             return key
     raise AssertionError("no key satisfying the predicate in search range")
+
+
+@pytest.fixture
+def documents_built(monkeypatch) -> list[int]:
+    """The id of every Document built while the test runs, in order."""
+    built: list[int] = []
+    init = Document.__init__
+
+    def counting_init(self, id):
+        built.append(id)
+        init(self, id)
+
+    monkeypatch.setattr(Document, "__init__", counting_init)
+    return built

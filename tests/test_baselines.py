@@ -13,8 +13,8 @@ from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter,
                        CounterError, Document, EmbedStats, Key,
                        ProtocolError, RngState, eval_bit, eval_bit_sync,
                        eval_bit_tuple, load_channel_file,
-                       s1_embed, s1_extract, s2_embed, s2_extract, s3_embed,
-                       s3_extract, s4_embed, s4_extract)
+                       p1_embed, p2_embed, s1_embed, s1_extract, s2_embed,
+                       s2_extract, s3_embed, s3_extract, s4_embed, s4_extract)
 from stegomail.channel import sample_id
 
 from conftest import find_key_where
@@ -169,6 +169,23 @@ def test_s1_memo_matches_per_draw_loop(channel_name, count, fn_kind, seed,
         prev = docs[-1].id if docs else prev
         assert fn.table == ref_fn.table
     assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("prev", [None, 0])
+@pytest.mark.parametrize("channel_name", MEMO_CHANNELS)
+def test_s1_builds_one_document_per_distinct_id(channel_name, prev, documents_built):
+    # Every emitted document of one id is the instance built for its F1
+    # query, and the output still equals the per-draw reference's.
+    spec = MEMO_SPECS[channel_name]
+    fn = BitFunction.keyed(Key(bytes(range(16))))
+    m = RngState(3).bits(300)
+    ref_docs, ref_stats = _s1_embed_per_draw(fn, m, spec, RngState(4), 16, prev)
+    documents_built.clear()
+    stats = EmbedStats()
+    docs = s1_embed(fn, m, spec, RngState(4), count=16, stats=stats, prev=prev)
+    assert (docs, stats) == (ref_docs, ref_stats)
+    assert len(documents_built) == len(set(documents_built))
+    assert len({id(d) for d in docs}) == len({d.id for d in docs})
 
 
 class CountingBitFunction(BitFunction):
@@ -644,3 +661,37 @@ def test_prior_system_runs_from_document_0_are_pinned(system, fn_kind):
     transcript = _prior_run_transcript(system, "markov2", fn_kind, prev=0)
     digest = hashlib.sha256(transcript.encode()).hexdigest()
     assert digest == GOLDEN_PRIOR_RUNS_FROM_0[system, fn_kind]
+
+
+# --- every embedder --------------------------------------------------------
+
+# Each of the six embedders, called on (fn, counter, m, spec, rng, prev).
+EMBEDDERS = {
+    "s1": lambda fn, c, m, spec, rng, prev: s1_embed(fn, m, spec, rng, count=8, prev=prev),
+    "s2": lambda fn, c, m, spec, rng, prev: s2_embed(fn, c, m, spec, rng, prev=prev),
+    "s3": lambda fn, c, m, spec, rng, prev: s3_embed(fn, m, spec, rng, copies=2,
+                                                     count=8, prev=prev),
+    "s4": lambda fn, c, m, spec, rng, prev: s4_embed(fn, c, m, spec, rng, copies=3,
+                                                     prev=prev),
+    "p1": lambda fn, c, m, spec, rng, prev: p1_embed(fn, c, m, spec, rng, prev=prev),
+    "p2": lambda fn, c, m, spec, rng, prev: p2_embed(fn, c, m, spec, rng, prev=prev),
+}
+
+
+@pytest.mark.parametrize("system", sorted(EMBEDDERS))
+def test_embedders_reject_a_prev_outside_the_alphabet(system):
+    # A negative id would silently condition on the last matrix row, and a
+    # stationary channel would ignore any id; both are ConfigErrors raised
+    # before the first draw, so the counter and the stream are untouched.
+    embed = EMBEDDERS[system]
+    fn = BitFunction.keyed(Key(bytes(16)))
+    markov = load_channel_file(CHANNEL_DIR / "markov2.json")
+    for spec in (ChannelSpec.uniform(2), markov):
+        for prev in (-1, 2, 9, 2 ** 64, 1.0, True, "0"):
+            counter, rng = Counter(5), RngState(1)
+            with pytest.raises(ConfigError, match="previous document id"):
+                embed(fn, counter, [1, 0, 1], spec, rng, prev)
+            assert counter.value == 5
+            assert rng.random() == RngState(1).random()
+        for prev in (None, 0, 1):
+            assert embed(fn, Counter(5), [1, 0, 1], spec, RngState(1), prev)

@@ -56,6 +56,15 @@ def test_prob_markov_reads_conditioning_row():
     assert spec.row(None)[0] == 1.0
 
 
+@pytest.mark.parametrize("spec", [ChannelSpec.uniform(3), MARKOV2],
+                         ids=["stationary", "markov1"])
+def test_row_rejects_a_conditioning_id_outside_the_alphabet(spec):
+    for prev in (-1, spec.alphabet_size, 2 ** 64, 0.0, False, "0"):
+        with pytest.raises(ConfigError, match="previous document id"):
+            spec.row(prev)
+    assert spec.row(spec.alphabet_size - 1) == (spec.probs or spec.matrix[-1])
+
+
 def test_min_entropy_values():
     assert min_entropy(ChannelSpec.uniform(1024)) == 10.0
     assert min_entropy(ChannelSpec.point_mass(4)) == 0.0

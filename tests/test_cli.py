@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import stegomail
 from stegomail import read_trace, write_trace
@@ -312,6 +314,62 @@ def test_embed_prints_next_counter_for_chained_messages(protocol, tmp_path, chan
                     "--counter", str(counter), "--in", trace]) == 0
         assert out_lines(capsys) == ["deadbeef0badf00d"]
         counter = int(next_counter.split(": ")[1])
+
+
+# Message files of at most 64 bytes, the empty file included: hex text
+# (with whitespace and mixed case), bytes that are mostly not hex, and raw.
+MESSAGE_FILES = st.one_of(
+    st.binary(min_size=1, max_size=32).map(lambda b: (b.hex().encode(), "hex")),
+    st.text(alphabet="0123456789abcdefABCDEF \n\t", max_size=64).map(
+        lambda t: (t.encode(), "hex")),
+    st.binary(max_size=64).map(lambda b: (b, "hex")),
+    st.binary(max_size=64).map(lambda b: (b, "raw")))
+# Keys of a valid length, any length up to 72 bytes, and arbitrary text.
+KEYS = st.one_of(st.binary(min_size=8, max_size=64).map(bytes.hex),
+                 st.binary(max_size=72).map(bytes.hex), st.text(max_size=40))
+# Counters near both edges of the 64-bit range, where headroom runs out,
+# and anywhere in and around it.
+COUNTERS = st.one_of(st.integers(-3, 600), st.integers(0, 2 ** 64),
+                     st.integers(2 ** 64 - 600, 2 ** 64 + 2),
+                     st.integers(-2 ** 70, 2 ** 70))
+BIG_INTS = st.integers(-2 ** 70, 2 ** 70)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(protocol=st.sampled_from(["p1", "p2"]),
+       channel_spec=st.sampled_from([UNIFORM_4, MIXED_3, MARKOV_2]),
+       key=KEYS, counter=COUNTERS, start_tick=BIG_INTS, seed=BIG_INTS,
+       message=MESSAGE_FILES)
+def test_untrusted_embed_then_extract_argv_exits_cleanly(tmp_path, capsys, protocol,
+                                                         channel_spec, key, counter,
+                                                         start_tick, seed, message):
+    # No traceback: every outcome is exit 0 or a documented error code.  A
+    # failed embed writes no trace; a successful one round-trips and names
+    # the next unused counter value.
+    data, message_format = message
+    spec_path = tmp_path / "channel.json"
+    spec_path.write_text(json.dumps(channel_spec))
+    message_path = tmp_path / "message"
+    message_path.write_bytes(data)
+    trace = tmp_path / "trace.tsv"
+    trace.unlink(missing_ok=True)
+    capsys.readouterr()
+    code = run(["embed", "--protocol", protocol, "--key", key, "--counter", str(counter),
+                "--message", str(message_path), "--message-format", message_format,
+                "--channel", str(spec_path), "--seed", str(seed),
+                "--start-tick", str(start_tick), "--out", str(trace)])
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert not trace.exists()
+        return
+    sent = (data if message_format == "raw"
+            else bytes.fromhex("".join(data.decode("ascii").split())))
+    assert out_lines(capsys)[-1] == f"next counter: {counter + 8 * len(sent)}"
+    assert all(mail.doc.id < channel_spec["alphabet_size"] for mail in read_trace(trace))
+    assert run(["extract", "--protocol", protocol, "--key", key,
+                "--counter", str(counter), "--in", str(trace)]) == 0
+    assert out_lines(capsys) == [sent.hex()]
 
 
 def _gc_case_argv(case, tmp_path, channel, message_file):

@@ -10,6 +10,7 @@ from stegomail import (AddressFrequencyDistinguisher, BitFunction, ChannelSpec,
                        channel_goodness_of_fit, ct_oracle, embed_message,
                        eval_bit, extract_message, reliability_estimate,
                        run_game, transmission_rate)
+from stegomail.channel import sample_id
 from stegomail.protocols import ADDRESS1, ADDRESS2, P1_ARRAYS
 from stegomail.security import address_set_for, make_fn, output_length
 
@@ -68,6 +69,32 @@ def test_ct_oracle_point_mass():
     assert all(d == Document(0) for d in out)
 
 
+def _ct_oracle_per_draw(spec, arrays, n, rng):
+    """Reference covertext oracle: one sample_id and one Document per draw."""
+    prev = None
+    out = []
+    for i in range(n):
+        doc = Document(sample_id(spec, prev, rng))
+        prev = doc.id
+        out.append(doc if arrays is None else Mail(doc, arrays[rng.randrange(2)], i))
+    return out
+
+
+@pytest.mark.parametrize("arrays", [None, P1_ARRAYS], ids=["documents", "mails"])
+@pytest.mark.parametrize("spec", [UNIFORM_2, MARKOV2, ChannelSpec.uniform(1024)],
+                         ids=["uniform2", "markov2", "uniform1024"])
+def test_ct_oracle_builds_one_document_per_distinct_id(spec, arrays, documents_built):
+    ref_rng, rng = RngState(11), RngState(11)
+    ref = _ct_oracle_per_draw(spec, arrays, 500, ref_rng)
+    documents_built.clear()
+    out = ct_oracle(spec, arrays, 500, rng)
+    assert out == ref
+    assert rng.random() == ref_rng.random()
+    docs = out if arrays is None else [mail.doc for mail in out]
+    assert sorted(documents_built) == sorted({d.id for d in docs})
+    assert len({id(d) for d in docs}) == len(documents_built)
+
+
 def test_ct_oracle_document_marginal_fits_channel():
     rng = RngState(9)
     docs = ct_oracle(MARKOV2, None, 100_000, rng)
@@ -85,6 +112,14 @@ def test_gof_point_mass_degenerate():
 def test_gof_impossible_document_rejects_outright():
     gof = channel_goodness_of_fit(ChannelSpec.point_mass(4), [Document(1)])
     assert gof.pvalue == 0.0
+
+
+@pytest.mark.parametrize("docs", [[Document(5)], [Document(0), Document(5), Document(1)]],
+                         ids=["first", "later"])
+@pytest.mark.parametrize("spec", [UNIFORM_2, MARKOV2], ids=["stationary", "markov1"])
+def test_gof_document_outside_the_alphabet_rejects_outright(spec, docs):
+    gof = channel_goodness_of_fit(spec, docs)
+    assert (gof.statistic, gof.dof, gof.pvalue) == (math.inf, 1, 0.0)
 
 
 def test_gof_statistic_hand_computed():
