@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .channel import ChannelSpec, Document, sample_id
-from .ecc import dec, enc
+from .ecc import _check_repetition, dec, enc
 from .errors import ConfigError, ProtocolError
 from .prf import (BitFunction, Counter, encode_doc, encode_sync_run, encode_tuple,
                   eval_bit, eval_bit_sync, eval_bit_tuple)
@@ -205,7 +205,7 @@ def s2_extract(fn: BitFunction, counter: Counter, docs: Sequence[Document],
     One counter value per document, all checked before the one batched
     PRF call.
     """
-    _check_copies(repetition, odd=True)
+    _check_repetition(repetition)
     _check_framing(docs, repetition)
     counter.check_headroom(len(docs))
     coded = fn.bits(encode_sync_run(counter.value, docs))
@@ -283,4 +283,5 @@ def s4_extract(fn: BitFunction, counter: Counter, docs: Sequence[Document],
                copies: int) -> list[int]:
     # The same vote as s2's: one synchronized bit per document, the
     # majority over each bit's copies.
+    _check_copies(copies, odd=True)
     return s2_extract(fn, counter, docs, copies)

@@ -168,7 +168,8 @@ def attack(system, distinguisher, channel_path, trials, bits_per_game,
     click.echo(_config_header(command="attack", system=system,
                               distinguisher=distinguisher, channel=channel_path,
                               trials=trials, bits_per_game=bits_per_game,
-                              significance=significance, seed=seed))
+                              significance=significance, count=count, copies=copies,
+                              repetition=repetition, random_fn=random_fn, seed=seed))
     click.echo("system,distinguisher,trials,advantage,halfwidth,p_st,p_ct")
     click.echo(f"{system},{distinguisher},{trials},{estimate.value!r},"
                f"{estimate.halfwidth!r},{estimate.p_st!r},{estimate.p_ct!r}")
@@ -246,7 +247,8 @@ def bench(systems, lengths, channel_path, count, copies, repetition, repeats,
     except ValueError as e:
         raise ConfigError(f"--lengths must be comma-separated integers, got {lengths!r}") from e
     header = _config_header(command="bench", systems=systems, lengths=lengths,
-                            channel=channel_path, repeats=repeats, seed=seed)
+                            channel=channel_path, count=count, copies=copies,
+                            repetition=repetition, repeats=repeats, seed=seed)
     lines = [header, "system,bits,embed_seconds,extract_seconds,samples_drawn,"
                      "docs_emitted,prf_evals"]
     slopes = []

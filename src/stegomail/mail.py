@@ -8,29 +8,25 @@ always pairwise distinct and the two-mailbox merge is unambiguous.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .channel import Document
 from .errors import ConfigError, ProtocolError
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Mail:
     doc: Document
     addresses: tuple[str, ...]
     sent_at: int
 
-    # Written by hand for the same reason as Document.__init__: one Mail is
-    # built per embedded bit and per parsed trace line.
-    def __init__(self, doc: Document, addresses: tuple[str, ...],
-                 sent_at: int) -> None:
-        if not addresses:
+    def __post_init__(self) -> None:
+        if not self.addresses:
             raise ProtocolError("mail must have at least one recipient address")
-        if not all(addresses):
+        if not all(self.addresses):
             raise ProtocolError("recipient addresses must be nonempty strings")
-        _set_mail_doc(self, doc)
-        _set_mail_addresses(self, addresses)
-        _set_mail_sent_at(self, sent_at)
 
 
 _set_mail_doc = Mail.doc.__set__
@@ -52,32 +48,28 @@ def _mail(doc: Document, addresses: tuple[str, ...], sent_at: int) -> Mail:
     return mail
 
 
+def _check_send_order(mails: Sequence[Mail], noun: str) -> None:
+    """Raise ProtocolError unless the send ticks strictly increase."""
+    for a, b in pairwise(mails):
+        if b.sent_at <= a.sent_at:
+            raise ProtocolError(f"{noun} is not sorted by send date")
+
+
 def merge_by_date(seq1: Sequence[Mail], seq2: Sequence[Mail]) -> list[Mail]:
-    """Linear two-way merge of two tick-sorted mail sequences.
+    """Merge two tick-sorted mail sequences into one, by send tick.
 
     Inputs must each be sorted ascending by sent_at with no tick shared
     between them; a duplicate tick would make the extracted bit order
-    ambiguous and is rejected.
+    ambiguous and is rejected.  The sort finds the two ascending runs and
+    merges them.
     """
-    for seq in (seq1, seq2):
-        for a, b in zip(seq, seq[1:]):
-            if b.sent_at <= a.sent_at:
-                raise ProtocolError("mail sequence is not sorted by send date")
-    out: list[Mail] = []
-    i = j = 0
-    while i < len(seq1) and j < len(seq2):
-        t1, t2 = seq1[i].sent_at, seq2[j].sent_at
-        if t1 == t2:
-            raise ProtocolError(f"duplicate send tick {t1} across mailboxes")
-        if t1 < t2:
-            out.append(seq1[i])
-            i += 1
-        else:
-            out.append(seq2[j])
-            j += 1
-    out.extend(seq1[i:])
-    out.extend(seq2[j:])
-    return out
+    _check_send_order(seq1, "mail sequence")
+    _check_send_order(seq2, "mail sequence")
+    merged = sorted([*seq1, *seq2], key=attrgetter("sent_at"))
+    for a, b in pairwise(merged):
+        if a.sent_at == b.sent_at:
+            raise ProtocolError(f"duplicate send tick {a.sent_at} across mailboxes")
+    return merged
 
 
 def format_trace(mails: Iterable[Mail]) -> str:

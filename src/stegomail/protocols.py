@@ -23,7 +23,7 @@ from typing import Sequence
 from .baselines import EmbedStats
 from .channel import ChannelSpec, Document, sample_id
 from .errors import ConfigError, ProtocolError
-from .mail import Mail, _mail, merge_by_date
+from .mail import Mail, _check_send_order, _mail, merge_by_date
 from .prf import BitFunction, Counter, encode_sync_run, eval_bit_sync
 from .rng import RngState
 
@@ -140,7 +140,5 @@ def p2_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
 def p2_extract(fn: BitFunction, counter: Counter, box: Sequence[Mail]) -> list[int]:
     """Extract from a single mailbox; every broadcast lands in both boxes."""
     mails = list(box)
-    for a, b in zip(mails, mails[1:]):
-        if b.sent_at <= a.sent_at:
-            raise ProtocolError("mailbox is not sorted by send date")
+    _check_send_order(mails, "mailbox")
     return _extract_multi(fn, counter, P2_ARRAYS, mails)

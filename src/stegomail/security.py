@@ -26,7 +26,7 @@ from .baselines import (EmbedStats, s1_embed, s1_extract, s2_embed, s2_extract,
                         s3_embed, s3_extract, s4_embed, s4_extract)
 from .channel import ChannelSpec, Document, sample_id
 from .errors import ConfigError, ProtocolError
-from .mail import Mail
+from .mail import Mail, _mail
 from .prf import BitFunction, Counter, Key
 from .protocols import (P1_ARRAYS, P2_ARRAYS, p1_embed, p1_extract, p1_route,
                         p2_embed, p2_extract)
@@ -136,9 +136,10 @@ def ct_oracle(spec: ChannelSpec, arrays, n: int, rng: RngState):
 
     The first draw is conditioned on no previous document, as the
     embedder's is.  Address arrays are chosen uniformly from the
-    protocol's pair and ticks count from 0 as the embedder's do, so
-    neither carries a signal.  With no pair, bare documents are returned
-    (the baselines' traffic model).  Draws of one id share one `Document`.
+    protocol's constant pair, so mails skip ``Mail``'s checks, and ticks
+    count from 0 as the embedder's do, so neither carries a signal.  With
+    no pair, bare documents are returned (the baselines' traffic model).
+    Draws of one id share one `Document`.
     """
     prev = None
     made: dict[int, Document] = {}
@@ -151,7 +152,7 @@ def ct_oracle(spec: ChannelSpec, arrays, n: int, rng: RngState):
         if arrays is None:
             out.append(doc)
         else:
-            out.append(Mail(doc, arrays[rng.randrange(2)], i))
+            out.append(_mail(doc, arrays[rng.randrange(2)], i))
     return out
 
 
@@ -216,8 +217,6 @@ def channel_goodness_of_fit(spec: ChannelSpec, docs: Sequence[Document]) -> GofR
 class ConstantGuessDistinguisher:
     """Ignores the response and always guesses ST; the estimator-sanity baseline."""
 
-    name = "constant"
-
     def pick_message(self, n_bits: int, rng: RngState) -> list[int]:
         return rng.bits(n_bits)
 
@@ -232,8 +231,6 @@ class AddressFrequencyDistinguisher:
     the given significance, i.e. it attacks the uniformity that the
     random-function version of the embedder provably has.
     """
-
-    name = "address-frequency"
 
     def __init__(self, arrays, significance: float = 0.05) -> None:
         self.arrays = arrays
@@ -260,8 +257,6 @@ class DocumentFrequencyDistinguisher:
     chi-squared fit rejects the channel at the given significance.  This
     is the classic low-min-entropy attack surface.
     """
-
-    name = "document-frequency"
 
     def __init__(self, spec: ChannelSpec, significance: float = 0.05) -> None:
         self.spec = spec

@@ -448,6 +448,18 @@ def test_s4_requires_odd_copies():
         s4_extract(fn, Counter(), [Document(0)] * 2, copies=2)
 
 
+def test_s2_names_its_factor_as_a_repetition_factor_and_s4_as_copies():
+    fn = BitFunction.random_oracle(37)
+    docs = [Document(0)] * 2
+    factor = "^repetition factor must be odd and >= 1, got 2$"
+    with pytest.raises(ConfigError, match=factor):
+        s2_extract(fn, Counter(), docs, repetition=2)
+    with pytest.raises(ConfigError, match=factor):
+        s2_embed(fn, Counter(), [1], UNIFORM_2_16, RngState(37), repetition=2)
+    with pytest.raises(ConfigError, match="^copies per bit must be odd and >= 1, got 2$"):
+        s4_extract(fn, Counter(), docs, copies=2)
+
+
 def test_s4_stats_and_counter_discipline():
     fn = BitFunction.random_oracle(39)
     counter = Counter(0)

@@ -258,6 +258,27 @@ def test_bench_unfittable_sizes_are_config_errors(channel, capsys, systems, leng
     assert "configuration error" in capsys.readouterr().err
 
 
+def _config_line(argv, capsys):
+    capsys.readouterr()
+    assert run(argv) == 0
+    return out_lines(capsys)[0]
+
+
+@pytest.mark.parametrize("argv, options", [
+    (["attack", "--system", "s1", "--distinguisher", "document-frequency",
+      "--trials", "100", "--bits-per-game", "10", "--seed", "1"],
+     [["--count", "2"], ["--copies", "5"], ["--ecc-repetition", "3"], ["--random-fn"]]),
+    (["bench", "--systems", "p1", "--lengths", "16,32", "--repeats", "1", "--seed", "5"],
+     [["--count", "2"], ["--copies", "5"], ["--ecc-repetition", "3"]]),
+], ids=["attack", "bench"])
+def test_config_header_records_every_system_option(argv, options, channel, capsys):
+    argv = [*argv, "--channel", channel(UNIFORM_4)]
+    base = _config_line(argv, capsys)
+    assert base.startswith("# config: ")
+    for option in options:
+        assert _config_line([*argv, *option], capsys) != base, option
+
+
 def test_bad_channel_file_is_config_error(channel):
     spec = channel(BAD_SUM, "bad.json")
     assert run(["channel-info", "--channel", spec]) == 2
@@ -370,6 +391,86 @@ def test_untrusted_embed_then_extract_argv_exits_cleanly(tmp_path, capsys, proto
     assert run(["extract", "--protocol", protocol, "--key", key,
                 "--counter", str(counter), "--in", str(trace)]) == 0
     assert out_lines(capsys) == [sent.hex()]
+
+
+# Every size stays small: a generated size only has to reach each check,
+# not to stress the run.  Valid values come first and outnumber the
+# invalid ones, so most runs get past the argument checks.
+def _flag(name, values):
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [name, str(v)]))
+
+
+SYSTEM_NAMES = st.sampled_from(["p1", "p2", "s1", "s2", "s3", "s4", " s2"])
+SYSTEM_FLAGS = st.tuples(_flag("--count", [1, 2, 16, 4096, 0, -1]),
+                         _flag("--copies", [1, 3, 5, 9, 2, 0]),
+                         _flag("--ecc-repetition", [1, 3, 5, 9, 2, 0])).map(
+    lambda flags: [arg for flag in flags for arg in flag])
+SEEDS = st.integers(-2 ** 70, 2 ** 70).map(lambda v: ["--seed", str(v)])
+CSV_SYSTEMS = st.lists(SYSTEM_NAMES, min_size=1, max_size=2).map(",".join)
+SIMULATE = st.tuples(
+    st.just(["simulate"]), SYSTEM_NAMES.map(lambda v: ["--system", v]),
+    st.sampled_from([["--key", KEY], ["--random-fn"], [], ["--key", KEY, "--random-fn"],
+                     ["--key", "zz"]]),
+    _flag("--bits", [1, 7, 64, 0, -1]), _flag("--trials", [1, 3, 8, 0]),
+    SYSTEM_FLAGS, SEEDS)
+ATTACK = st.tuples(
+    st.just(["attack"]), SYSTEM_NAMES.map(lambda v: ["--system", v]),
+    st.sampled_from(["document-frequency", "constant", "address-frequency"]).map(
+        lambda v: ["--distinguisher", v]),
+    st.sampled_from([100, 120, 110, 99]).map(lambda v: ["--trials", str(v)]),
+    st.sampled_from([1, 10, 64, 0]).map(lambda v: ["--bits-per-game", str(v)]),
+    _flag("--significance", [0.05, 0.5, 0.999, 1.0, float("nan")]),
+    SYSTEM_FLAGS, st.sampled_from([[], ["--random-fn"]]), SEEDS)
+RATE = st.tuples(st.just(["rate"]), (st.just("all") | CSV_SYSTEMS).map(
+                     lambda v: ["--system", v]),
+                 _flag("--bits", [1, 7, 64, 0, -1]), SYSTEM_FLAGS, SEEDS)
+BENCH = st.tuples(
+    st.just(["bench"]), CSV_SYSTEMS.map(lambda v: ["--systems", v]),
+    st.one_of(st.lists(st.sampled_from(["1", "16", "64"]), min_size=2, max_size=3,
+                       unique=True).map(",".join),
+              st.sampled_from(["16", "16,16", "0,16", "x,16", ""])).map(
+        lambda v: ["--lengths", v]),
+    st.sampled_from([1, 2, 0]).map(lambda v: ["--repeats", str(v)]), SYSTEM_FLAGS, SEEDS)
+# Mailbox traces: lines of valid shape with ticks, ids and address fields
+# that may clash, or arbitrary text over the trace alphabet.
+TRACE_LINES = st.tuples(st.integers(-2, 8), st.integers(-1, 2 ** 64),
+                        st.sampled_from(["address1", "address2", "address1,address2",
+                                         "address2,address1", "address3", ""]))
+TRACES = st.one_of(
+    st.lists(TRACE_LINES, max_size=6).map(
+        lambda lines: "".join(f"{t}\t{d}\t{a}\n" for t, d, a in lines)),
+    st.text(alphabet="0123456789-\t\n,address", max_size=40))
+EXTRACT_IN2 = st.tuples(
+    st.just(["extract"]), st.sampled_from(["p1", "p2"]).map(lambda v: ["--protocol", v]),
+    KEYS.map(lambda v: ["--key", v]), COUNTERS.map(lambda v: ["--counter", str(v)]),
+    st.just(["--in", "box1.tsv", "--in2", "box2.tsv"]))
+
+
+def _argv(parts):
+    return [arg for part in parts for arg in part]
+
+
+CLI_COMMANDS = st.one_of(
+    st.one_of(SIMULATE, ATTACK, RATE, BENCH, st.just((["channel-info"],))).map(
+        lambda parts: [*_argv(parts), "--channel", "channel.json"]),
+    EXTRACT_IN2.map(_argv))
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=CLI_COMMANDS,
+       channel_spec=st.sampled_from([UNIFORM_4, MIXED_3, MARKOV_2, BAD_SUM]),
+       box1=TRACES, box2=TRACES)
+def test_untrusted_command_argv_exits_cleanly(tmp_path, monkeypatch, capsys, argv,
+                                              channel_spec, box1, box2):
+    # No traceback from any command but embed (its own property is above):
+    # every outcome is exit 0 or a documented error code.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "channel.json").write_text(json.dumps(channel_spec))
+    (tmp_path / "box1.tsv").write_text(box1)
+    (tmp_path / "box2.tsv").write_text(box2)
+    assert run(argv) in (0, 2, 3, 4), argv
+    capsys.readouterr()
 
 
 def _gc_case_argv(case, tmp_path, channel, message_file):

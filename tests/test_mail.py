@@ -66,11 +66,20 @@ def test_merge_matches_full_sort_oracle():
 def test_merge_rejects_duplicate_ticks():
     with pytest.raises(ProtocolError):
         merge_by_date([mk(1)], [mk(1)])
+    # The error names the smallest tick the two boxes share.
+    with pytest.raises(ProtocolError,
+                       match="^duplicate send tick 4 across mailboxes$"):
+        merge_by_date([mk(1), mk(4), mk(6), mk(9)], [mk(2), mk(4), mk(9)])
 
 
 def test_merge_rejects_unsorted_input():
-    with pytest.raises(ProtocolError):
-        merge_by_date([mk(2), mk(1)], [])
+    # Box 1's order is checked first, then box 2's, then ticks shared
+    # across the boxes.
+    for box1, box2 in (([mk(2), mk(1)], []), ([], [mk(3), mk(3)]),
+                       ([mk(1), mk(1)], [mk(1)]), ([mk(1)], [mk(5), mk(1)])):
+        with pytest.raises(ProtocolError,
+                           match="^mail sequence is not sorted by send date$"):
+            merge_by_date(box1, box2)
 
 
 def test_trace_round_trip_bit_exact(tmp_path):

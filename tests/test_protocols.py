@@ -183,6 +183,13 @@ def test_p2_extract_requires_sorted_box():
              Mail(Document(0), (ADDRESS2, ADDRESS1), 0)]
     with pytest.raises(ProtocolError):
         p2_extract(oracle(27), Counter(0), mails)
+    # Ticks must strictly increase: two equal ticks are out of order too.
+    counter = Counter(0)
+    mails = [Mail(Document(0), (ADDRESS1, ADDRESS2), 4),
+             Mail(Document(1), (ADDRESS2, ADDRESS1), 4)]
+    with pytest.raises(ProtocolError, match="^mailbox is not sorted by send date$"):
+        p2_extract(oracle(27), counter, mails)
+    assert counter.value == 0
 
 
 @pytest.mark.parametrize("channel_name", sorted(TEST_CHANNELS))
