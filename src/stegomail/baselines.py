@@ -269,8 +269,8 @@ def s4_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
     for bit in m:
         for _ in range(copies):
             first = Document(sample_id(spec, prev, rng))
-            second = Document(sample_id(spec, prev, rng))
-            kept = first if eval_bit_sync(fn, counter, first) == bit else second
+            second_id = sample_id(spec, prev, rng)  # a Document only if kept
+            kept = first if eval_bit_sync(fn, counter, first) == bit else Document(second_id)
             counter.value += 1
             prev = kept.id
             docs.append(kept)

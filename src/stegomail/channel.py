@@ -138,6 +138,8 @@ class ChannelSpec:
 
     @classmethod
     def uniform(cls, n: int) -> "ChannelSpec":
+        if n < 1:
+            raise ConfigError(f"alphabet_size must be positive, got {n}")
         return cls.stationary([1.0 / n] * n)
 
     @classmethod

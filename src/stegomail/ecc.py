@@ -37,26 +37,35 @@ def dec(bits: Sequence[int], r: int = 5) -> list[int]:
             for i in range(0, len(bits), r)]
 
 
+# Byte-wide tables for the codecs: ASCII "0"/"1" to bit values, and any
+# byte value to the ASCII digit of its low bit.
+_BIT_VALUE = bytes.maketrans(b"01", b"\x00\x01")
+_LOW_BIT_DIGIT = b"01" * 128
+
+
 def bits_from_bytes(data: bytes) -> list[int]:
     """Unpack bytes to bits, most significant bit of each byte first."""
-    out = []
-    for byte in data:
-        for shift in range(7, -1, -1):
-            out.append((byte >> shift) & 1)
-    return out
+    if not data:
+        return []
+    digits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
+    return list(digits.encode().translate(_BIT_VALUE))
 
 
 def bytes_from_bits(bits: Sequence[int]) -> bytes:
-    """Pack bits (MSB first per byte) back into bytes."""
+    """Pack bits (MSB first per byte) back into bytes.
+
+    Only each value's low bit counts (``b & 1``), as when packing by
+    shifts: 2 packs as 0, and 3 and -1 pack as 1.
+    """
     if len(bits) % 8:
         raise ProtocolError(f"bit count {len(bits)} is not a multiple of 8")
-    out = bytearray()
-    for i in range(0, len(bits), 8):
-        byte = 0
-        for b in bits[i:i + 8]:
-            byte = (byte << 1) | (b & 1)
-        out.append(byte)
-    return bytes(out)
+    if not bits:
+        return b""
+    try:
+        raw = bytearray(bits)
+    except ValueError:  # a value outside 0..255
+        raw = bytearray(b & 1 for b in bits)
+    return int(raw.translate(_LOW_BIT_DIGIT), 2).to_bytes(len(bits) // 8, "big")
 
 
 def bits_from_hex(text: str) -> list[int]:

@@ -28,6 +28,7 @@ from .rng import RngState
 _TAG_DOC = b"F1"
 _TAG_SYNC = b"F2"
 _TAG_TUPLE = b"F3"
+_LEN_ID = (8).to_bytes(4, "big")  # F3's length prefix of one 8-byte id
 
 
 @dataclass(frozen=True)
@@ -173,7 +174,7 @@ def encode_sync_run(value: int, docs: Iterable[Document]) -> list[bytes]:
     Equal to ``[encode_sync(value + k, d) for k, d in enumerate(docs)]``:
     the inputs a synchronized extractor evaluates.
     """
-    return [_TAG_SYNC + v.to_bytes(8, "big") + d.id.to_bytes(8, "big")
+    return [_TAG_SYNC + (v << 64 | d.id).to_bytes(16, "big")
             for v, d in zip(count(value), docs)]
 
 
@@ -182,12 +183,8 @@ def encode_tuple(docs: Sequence[Document]) -> bytes:
     # must degenerate exactly to the single-document ones at size 1.
     if len(docs) == 1:
         return encode_doc(docs[0])
-    parts = [_TAG_TUPLE]
-    for d in docs:
-        raw = d.to_bytes()
-        parts.append(len(raw).to_bytes(4, "big"))
-        parts.append(raw)
-    return b"".join(parts)
+    # Every element is an 8-byte id, so every length prefix is the same.
+    return _TAG_TUPLE + b"".join([_LEN_ID + d.id.to_bytes(8, "big") for d in docs])
 
 
 def eval_bit(fn: BitFunction, d: Document) -> int:
@@ -203,13 +200,17 @@ def eval_bit_sync(fn: BitFunction, counter: Counter, d: Document) -> int:
     """Bit of (counter value, document); does not advance the counter.
 
     The input is ``encode_sync(counter.value, d)``, built inline because
-    this is the email protocols' per-bit embed path, and the keyed hash is
-    inlined too, so a call costs one Python frame.
+    this is the email protocols' per-bit embed path.  The keyed hash and
+    the random oracle's lookup are inlined too (the oracle spends its
+    coins as ``fn.bit`` does), so a call costs one Python frame.
     """
-    data = _TAG_SYNC + counter.value.to_bytes(8, "big") + d.id.to_bytes(8, "big")
+    data = _TAG_SYNC + (counter.value << 64 | d.id).to_bytes(16, "big")
     h = fn._keyed_hash
     if h is None:
-        return fn.bit(data)
+        got = fn.table.get(data)
+        if got is None:
+            got = fn.table[data] = fn._coins.getrandbits(1)
+        return got
     h = h.copy()
     h.update(data)
     return h.digest()[0] & 1

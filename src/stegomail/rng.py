@@ -14,16 +14,22 @@ import random
 class RngState:
     """Seeded pseudo-random stream with deterministic child derivation."""
 
-    __slots__ = ("seed", "path", "_rand")
+    # `random` is a slot, not a method: it holds ``self._rand.random``, the
+    # generator's own C method, so a channel draw (``rng.random()``) opens
+    # no Python frame of its own.  Both slots are set once, on first use.
+    __slots__ = ("seed", "path", "_rand", "random")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()) -> None:
         self.seed = seed
         self.path = path
 
     def __getattr__(self, name: str):
-        # Only the unset _rand slot lands here.  Seeding random.Random is
-        # most of a spawn's cost, and many streams are only spawned from,
-        # so the generator is built on the first draw.
+        # Only the unset _rand and random slots land here.  Seeding
+        # random.Random is most of a spawn's cost, and many streams are
+        # only spawned from, so the generator is built on the first draw.
+        if name == "random":
+            rand = self.random = self._rand.random
+            return rand
         if name != "_rand":
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -36,9 +42,6 @@ class RngState:
     def spawn(self, index: int) -> "RngState":
         """Independent child stream for trial `index` (same seed, longer path)."""
         return RngState(self.seed, self.path + (index,))
-
-    def random(self) -> float:
-        return self._rand.random()
 
     def randrange(self, n: int) -> int:
         return self._rand.randrange(n)

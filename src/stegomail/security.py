@@ -40,6 +40,16 @@ ALL_SYSTEMS = PRIOR_SYSTEMS + EMAIL_SYSTEMS
 # Least wall time one benchmark_scaling sample covers, by re-running its trial.
 _MIN_SAMPLE_S = 0.05
 
+# Longest message a generated run takes: each bit is a list entry and at
+# least one draw, so a size with no bound allocates and loops without end.
+_MAX_MESSAGE_BITS = 1 << 20
+
+
+def _check_message_bits(bits: int, what: str) -> None:
+    if bits > _MAX_MESSAGE_BITS:
+        raise ConfigError(f"{what} = {bits} exceeds the cap of {_MAX_MESSAGE_BITS} "
+                          f"message bits")
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -325,6 +335,7 @@ def run_game(distinguisher, cfg: SystemConfig, spec: ChannelSpec, trials: int,
         raise ConfigError(f"need at least 100 trials for a meaningful estimate, got {trials}")
     if bits_per_game < 1:
         raise ConfigError(f"need at least one bit per game, got {bits_per_game}")
+    _check_message_bits(bits_per_game, "bits_per_game")
     hits = [0, 0]
     for t in range(trials):
         trial_rng = rng.spawn(t)
@@ -341,6 +352,7 @@ def run_game(distinguisher, cfg: SystemConfig, spec: ChannelSpec, trials: int,
 def transmission_rate(cfg: SystemConfig, spec: ChannelSpec, rng: RngState,
                       bits: int = 120) -> float:
     """Measured hiddentext bits per document from an actual embed run."""
+    _check_message_bits(bits, "bits")
     stats = EmbedStats()
     fn = make_fn(cfg, rng.spawn(0))
     msg = rng.spawn(1).bits(bits)
@@ -417,6 +429,7 @@ def reliability_estimate(cfg: SystemConfig, spec: ChannelSpec, bits: int,
     if bits < 1 or trials < 1:
         raise ConfigError(f"need at least one bit and one trial, got bits={bits}, "
                           f"trials={trials}")
+    _check_message_bits(bits, "bits")
     total = EmbedStats()
     rows = []
     for t in range(trials):
@@ -485,6 +498,7 @@ def benchmark_scaling(cfg: SystemConfig, spec: ChannelSpec,
     if repeats < 1 or len(set(lengths)) < 2 or min(lengths) < 1:
         raise ConfigError(f"need repeats >= 1 and two or more distinct lengths >= 1, "
                           f"got repeats={repeats}, lengths={list(lengths)}")
+    _check_message_bits(max(lengths), "max(lengths)")
     best_embed = [float("inf")] * len(lengths)
     best_extract = best_embed.copy()
     last_stats: list[EmbedStats | None] = [None] * len(lengths)

@@ -10,8 +10,10 @@ The third runs one op of every workload in ``perfbench/workloads.py``, so a
 changed signature fails here too.  The fourth counts
 ``channel.sample_id`` over one op, as the traced run does:
 the benchmark's checks expect every workload to draw through it.  The
-last counts ``sample_id`` and ``eval_bit_sync`` over single embeds, as the
-traced run's cross-check does against ``EmbedStats``.
+fifth counts ``sample_id`` and ``eval_bit_sync`` over single embeds, as the
+traced run's cross-check does against ``EmbedStats``.  The last holds each
+of those two calls to one Python frame, the cost the benchmark times per
+draw and per PRF query.
 """
 
 import ast
@@ -156,3 +158,39 @@ def test_embed_calls_match_embed_stats(system, monkeypatch):
     else:
         {"p1": p1_embed, "p2": p2_embed}[system](*args, stats=stats)
         assert draws[0] == evals[0] == stats.samples_drawn == stats.prf_evals == n
+
+
+def _python_frames(fn, *args) -> int:
+    """Python frames that ``fn(*args)`` opens, its own included."""
+    frames = [0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            frames[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return frames[0]
+
+
+@pytest.mark.parametrize("call", ["sample_id", "eval_bit_sync-keyed",
+                                  "eval_bit_sync-random_oracle"])
+def test_each_draw_and_query_opens_one_python_frame(call):
+    # A draw is rng.random(), the generator's own C method, and a query
+    # hashes or looks up its input inline, so neither opens a second frame.
+    from stegomail import (BitFunction, ChannelSpec, Counter, Document, Key,
+                           RngState, eval_bit_sync)
+    from stegomail.channel import sample_id
+    if call == "sample_id":
+        spec, rng = ChannelSpec.uniform(1024), RngState(3)
+        sample_id(spec, None, rng)  # the first draw seeds the stream
+        assert _python_frames(sample_id, spec, None, rng) == 1
+        return
+    fn = (BitFunction.keyed(Key(bytes(16))) if call.endswith("keyed")
+          else BitFunction.random_oracle(3))
+    counter = Counter(5)
+    for d in (Document(1), Document(2), Document(1)):  # two misses, then a hit
+        assert _python_frames(eval_bit_sync, fn, counter, d) == 1

@@ -110,6 +110,10 @@ def test_load_rejects_garbage():
         load_channel_spec('{"kind": "quantum", "alphabet_size": 2, "probs": [0.5, 0.5]}')
     with pytest.raises(ConfigError):
         load_channel_spec('{"kind": "stationary", "alphabet_size": 3, "probs": [0.5, 0.5]}')
+    # A size below 1 is refused before the 1/n division, naming the n given.
+    for n in (0, -1):
+        with pytest.raises(ConfigError, match=f"^alphabet_size must be positive, got {n}$"):
+            ChannelSpec.uniform(n)
 
 
 @pytest.mark.parametrize("text,field", [

@@ -406,29 +406,33 @@ SYSTEM_FLAGS = st.tuples(_flag("--count", [1, 2, 16, 4096, 0, -1]),
                          _flag("--ecc-repetition", [1, 3, 5, 9, 2, 0])).map(
     lambda flags: [arg for flag in flags for arg in flag])
 SEEDS = st.integers(-2 ** 70, 2 ** 70).map(lambda v: ["--seed", str(v)])
+# Message sizes past the 2^20-bit cap, which must be refused (exit 2)
+# before any message is built.
+PAST_CAP = [2 ** 20 + 1, 10 ** 20]
 CSV_SYSTEMS = st.lists(SYSTEM_NAMES, min_size=1, max_size=2).map(",".join)
 SIMULATE = st.tuples(
     st.just(["simulate"]), SYSTEM_NAMES.map(lambda v: ["--system", v]),
     st.sampled_from([["--key", KEY], ["--random-fn"], [], ["--key", KEY, "--random-fn"],
                      ["--key", "zz"]]),
-    _flag("--bits", [1, 7, 64, 0, -1]), _flag("--trials", [1, 3, 8, 0]),
+    _flag("--bits", [1, 7, 64, 0, -1, *PAST_CAP]), _flag("--trials", [1, 3, 8, 0]),
     SYSTEM_FLAGS, SEEDS)
 ATTACK = st.tuples(
     st.just(["attack"]), SYSTEM_NAMES.map(lambda v: ["--system", v]),
     st.sampled_from(["document-frequency", "constant", "address-frequency"]).map(
         lambda v: ["--distinguisher", v]),
     st.sampled_from([100, 120, 110, 99]).map(lambda v: ["--trials", str(v)]),
-    st.sampled_from([1, 10, 64, 0]).map(lambda v: ["--bits-per-game", str(v)]),
+    st.sampled_from([1, 10, 64, 0, *PAST_CAP]).map(lambda v: ["--bits-per-game", str(v)]),
     _flag("--significance", [0.05, 0.5, 0.999, 1.0, float("nan")]),
     SYSTEM_FLAGS, st.sampled_from([[], ["--random-fn"]]), SEEDS)
 RATE = st.tuples(st.just(["rate"]), (st.just("all") | CSV_SYSTEMS).map(
                      lambda v: ["--system", v]),
-                 _flag("--bits", [1, 7, 64, 0, -1]), SYSTEM_FLAGS, SEEDS)
+                 _flag("--bits", [1, 7, 64, 0, -1, *PAST_CAP]), SYSTEM_FLAGS, SEEDS)
 BENCH = st.tuples(
     st.just(["bench"]), CSV_SYSTEMS.map(lambda v: ["--systems", v]),
     st.one_of(st.lists(st.sampled_from(["1", "16", "64"]), min_size=2, max_size=3,
                        unique=True).map(",".join),
-              st.sampled_from(["16", "16,16", "0,16", "x,16", ""])).map(
+              st.sampled_from(["16", "16,16", "0,16", "x,16", "",
+                               *(f"16,{n}" for n in PAST_CAP)])).map(
         lambda v: ["--lengths", v]),
     st.sampled_from([1, 2, 0]).map(lambda v: ["--repeats", str(v)]), SYSTEM_FLAGS, SEEDS)
 # Mailbox traces: lines of valid shape with ticks, ids and address fields

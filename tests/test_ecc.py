@@ -87,3 +87,39 @@ def test_bit_byte_hex_conversions():
         bytes_from_bits([1, 0, 1])
     with pytest.raises(ConfigError):
         bits_from_hex("0g")
+
+
+def _bits_from_bytes_loop(data: bytes) -> list[int]:
+    """Reference: the per-bit unpacking loop."""
+    out = []
+    for byte in data:
+        for shift in range(7, -1, -1):
+            out.append((byte >> shift) & 1)
+    return out
+
+
+def _bytes_from_bits_loop(bits) -> bytes:
+    """Reference: the per-bit packing loop; only each value's low bit counts."""
+    out = bytearray()
+    for i in range(0, len(bits), 8):
+        byte = 0
+        for b in bits[i:i + 8]:
+            byte = (byte << 1) | (b & 1)
+        out.append(byte)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("size", [0, *range(1, 65), 2048])
+def test_codecs_match_the_per_bit_loops(size):
+    data = RngState(size).bytes(size)
+    bits = bits_from_bytes(data)
+    assert bits == _bits_from_bytes_loop(data)
+    assert bytes_from_bits(bits) == _bytes_from_bits_loop(bits) == data
+    # Values other than 0 and 1 pack by their low bit: 2 and 3 (inside a
+    # byte's range), then -1 and -2 (outside it).
+    rng = RngState(size, (1,))
+    for step in (2, -2):
+        noisy = [b + step * rng.randrange(2) for b in bits]
+        assert bytes_from_bits(noisy) == _bytes_from_bits_loop(noisy) == data
+    with pytest.raises(ProtocolError, match="not a multiple of 8"):
+        bytes_from_bits(bits + [1])

@@ -68,6 +68,10 @@ def test_tuple_order_matters():
     oracle = BitFunction.random_oracle(19)
     a, b = Document(1), Document(2)
     assert encode_tuple([a, b]) != encode_tuple([b, a])
+    # Tag, then per element a 4-byte length and the 8-byte big-endian id.
+    assert encode_tuple([a, Document(2 ** 64 - 1)]) == (
+        b"F3" b"\x00\x00\x00\x08" b"\x00\x00\x00\x00\x00\x00\x00\x01"
+        b"\x00\x00\x00\x08" b"\xff\xff\xff\xff\xff\xff\xff\xff")
     agree = 0
     for i in range(0, 4_000, 2):
         x, y = Document(i), Document(i + 1)
@@ -156,16 +160,25 @@ def test_key_validation_and_generation():
 @pytest.mark.parametrize("low_bits", [8, 16, 64])
 @pytest.mark.parametrize("mode", ["keyed", "random_oracle"])
 def test_eval_bit_sync_matches_reference_encoding(low_bits, mode):
-    if mode == "keyed":
-        fn = BitFunction.keyed(Key.from_hex("000102030405060708090a0b0c0d0e0f"))
-    else:
-        fn = BitFunction.random_oracle(41)
+    # Two twin functions: one answers through eval_bit_sync, the other
+    # through fn.bit on encode_sync, so a wrong input or a coin spent out
+    # of order shows in the bits, in the oracle's table or in its next coin.
+    def make():
+        if mode == "keyed":
+            return BitFunction.keyed(Key.from_hex("000102030405060708090a0b0c0d0e0f"))
+        return BitFunction.random_oracle(41)
+    fn, ref = make(), make()
     top = (1 << low_bits) - 1
-    docs = [Document(0), Document(7), Document(2 ** 40 + 3)]
-    for value in (0, 1, 255, top // 2, top):
+    docs = [Document(0), Document(7), Document(2 ** 40 + 3), Document(2 ** 64 - 1)]
+    values = (0, 1, 255, top // 2, top, 2 ** 64 - 2)
+    for value in values + values:  # the second pass repeats every input
         c = Counter(value)
         for d in docs:
-            assert eval_bit_sync(fn, c, d) == fn.bit(encode_sync(c.value, d))
+            assert eval_bit_sync(fn, c, d) == ref.bit(encode_sync(c.value, d))
+    assert fn.table == ref.table
+    if mode == "random_oracle":
+        assert len(fn.table) == len(set(values)) * len(docs)
+        assert fn._coins.getrandbits(64) == ref._coins.getrandbits(64)
 
 
 def test_keyed_bit_matches_one_shot_blake2b():
