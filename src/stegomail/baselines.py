@@ -135,7 +135,7 @@ def s1_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
     docs = []
     draws = 0
     for bit in m:
-        cdf = spec._cum or spec._cdf(prev)
+        cdf = spec._cum or spec._cum_rows[prev]
         n = 0
         if bit != dead:
             for n in range(1, count + 1):

@@ -93,8 +93,11 @@ def _pinned_cdf(probs: tuple[float, ...]) -> list[float]:
 class ChannelSpec:
     """Validated, immutable channel definition with precomputed CDFs."""
 
+    # A draw reads ``_cum`` (stationary) or ``_cum_rows[prev_id]`` (markov1,
+    # where the key None holds the initial vector's CDF): one subscript, no
+    # method frame.
     __slots__ = ("kind", "alphabet_size", "probs", "matrix", "initial",
-                 "_cum", "_cum_rows", "_cum_initial")
+                 "_cum", "_cum_rows")
 
     def __init__(self, kind: str, alphabet_size: int, probs=None,
                  matrix=None, initial=None) -> None:
@@ -110,7 +113,6 @@ class ChannelSpec:
             self.initial = None
             self._cum = _pinned_cdf(self.probs)
             self._cum_rows = None
-            self._cum_initial = None
         elif kind == "markov1":
             if matrix is None or initial is None:
                 raise ConfigError("markov1 channel needs a matrix and an initial vector")
@@ -126,8 +128,8 @@ class ChannelSpec:
                 for i, row in enumerate(matrix))
             self.initial = _check_vector(initial, alphabet_size, "initial")
             self._cum = None
-            self._cum_rows = [_pinned_cdf(row) for row in self.matrix]
-            self._cum_initial = _pinned_cdf(self.initial)
+            self._cum_rows = {None: _pinned_cdf(self.initial)}
+            self._cum_rows.update(enumerate(map(_pinned_cdf, self.matrix)))
         else:
             raise ConfigError(f"unknown channel kind {kind!r}")
 
@@ -144,6 +146,10 @@ class ChannelSpec:
 
     @classmethod
     def point_mass(cls, n: int, target: int = 0) -> "ChannelSpec":
+        if n < 1:
+            raise ConfigError(f"alphabet_size must be positive, got {n}")
+        if not 0 <= target < n:
+            raise ConfigError(f"target {target} is outside the alphabet [0, {n})")
         return cls.stationary([1.0 if i == target else 0.0 for i in range(n)])
 
     @classmethod
@@ -167,20 +173,13 @@ class ChannelSpec:
             return self.initial
         return self.matrix[prev_id]
 
-    def _cdf(self, prev_id: int | None) -> list[float]:
-        if self.kind == "stationary":
-            return self._cum
-        if prev_id is None:
-            return self._cum_initial
-        return self._cum_rows[prev_id]
-
     def __repr__(self) -> str:
         return f"ChannelSpec(kind={self.kind!r}, alphabet_size={self.alphabet_size})"
 
 
 def sample_id(spec: ChannelSpec, prev_id: int | None, rng: RngState) -> int:
     """Draw a document id by inverse CDF, conditioned on the previous id."""
-    return bisect_right(spec._cum or spec._cdf(prev_id), rng.random())
+    return bisect_right(spec._cum or spec._cum_rows[prev_id], rng.random())
 
 
 def min_entropy(spec: ChannelSpec) -> float:

@@ -189,15 +189,17 @@ def rate(systems, channel_path, bits, count, copies, repetition, seed) -> None:
     """Measured transmission rate (hiddentext bits per document)."""
     spec = load_channel_file(channel_path)
     names = list(ALL_SYSTEMS) if systems == "all" else systems.split(",")
-    click.echo(_config_header(command="rate", systems=",".join(names),
-                              channel=channel_path, bits=bits, count=count,
-                              copies=copies, repetition=repetition, seed=seed))
-    click.echo("system,bits,docs,rate")
+    # Every row is computed before anything is printed, so a refused run
+    # leaves no partial table on stdout.
+    lines = [_config_header(command="rate", systems=",".join(names),
+                            channel=channel_path, bits=bits, count=count,
+                            copies=copies, repetition=repetition, seed=seed),
+             "system,bits,docs,rate"]
     for i, name in enumerate(names):
         cfg = SystemConfig(name.strip(), count, copies, repetition)
         value = transmission_rate(cfg, spec, RngState(seed).spawn(i), bits=bits)
-        docs = round(bits / value)
-        click.echo(f"{cfg.system},{bits},{docs},{value!r}")
+        lines.append(f"{cfg.system},{bits},{round(bits / value)},{value!r}")
+    click.echo("".join(line + "\n" for line in lines), nl=False)
 
 
 @main.command("capacity")

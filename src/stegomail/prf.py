@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
 from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Sequence
@@ -29,6 +30,9 @@ _TAG_DOC = b"F1"
 _TAG_SYNC = b"F2"
 _TAG_TUPLE = b"F3"
 _LEN_ID = (8).to_bytes(4, "big")  # F3's length prefix of one 8-byte id
+# An F2 input: the tag, the counter value and the document id, both 8 bytes
+# big-endian.  One pack call builds the 18 bytes that encode_sync joins.
+_pack_sync = struct.Struct(">2sQQ").pack
 
 
 @dataclass(frozen=True)
@@ -174,8 +178,7 @@ def encode_sync_run(value: int, docs: Iterable[Document]) -> list[bytes]:
     Equal to ``[encode_sync(value + k, d) for k, d in enumerate(docs)]``:
     the inputs a synchronized extractor evaluates.
     """
-    return [_TAG_SYNC + (v << 64 | d.id).to_bytes(16, "big")
-            for v, d in zip(count(value), docs)]
+    return [_pack_sync(_TAG_SYNC, v, d.id) for v, d in zip(count(value), docs)]
 
 
 def encode_tuple(docs: Sequence[Document]) -> bytes:
@@ -199,12 +202,12 @@ def eval_bit(fn: BitFunction, d: Document) -> int:
 def eval_bit_sync(fn: BitFunction, counter: Counter, d: Document) -> int:
     """Bit of (counter value, document); does not advance the counter.
 
-    The input is ``encode_sync(counter.value, d)``, built inline because
-    this is the email protocols' per-bit embed path.  The keyed hash and
-    the random oracle's lookup are inlined too (the oracle spends its
-    coins as ``fn.bit`` does), so a call costs one Python frame.
+    The input is ``encode_sync(counter.value, d)``, packed in one call
+    because this is the email protocols' per-bit embed path.  The keyed
+    hash and the random oracle's lookup are inlined too (the oracle spends
+    its coins as ``fn.bit`` does), so a call costs one Python frame.
     """
-    data = _TAG_SYNC + (counter.value << 64 | d.id).to_bytes(16, "big")
+    data = _pack_sync(_TAG_SYNC, counter.value, d.id)
     h = fn._keyed_hash
     if h is None:
         got = fn.table.get(data)

@@ -21,9 +21,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from .baselines import EmbedStats
-from .channel import ChannelSpec, Document, sample_id
+from .channel import ChannelSpec, Document, _set_doc_id, sample_id
 from .errors import ConfigError, ProtocolError
-from .mail import Mail, _check_send_order, _mail, merge_by_date
+from .mail import (Mail, _check_send_order, _set_mail_addresses, _set_mail_doc,
+                   _set_mail_sent_at, merge_by_date)
 from .prf import BitFunction, Counter, encode_sync_run, eval_bit_sync
 from .rng import RngState
 
@@ -49,21 +50,28 @@ def _embed_multi(fn: BitFunction, counter: Counter, arrays, m: Sequence[int],
     conditioned on `prev`, the id of the last document already sent,
     which ``spec.row`` checks first.
     Each bit calls ``sample_id`` and ``eval_bit_sync`` once: the
-    benchmark's traced run counts both against ``EmbedStats``.  The
-    address arrays are the module's constants, so mails are built without
-    ``Mail``'s checks.
+    benchmark's traced run counts both against ``EmbedStats``.  A drawn id
+    is in the alphabet and the address arrays are the module's constants,
+    so each document and mail is built in place through its slots, as
+    ``mail._mail`` does, without ``Document``'s and ``Mail``'s checks.
     """
     n = len(m)
     if n < 1:
         raise ConfigError("message must contain at least one bit")
     spec.row(prev)
     counter.check_headroom(n)
+    new = object.__new__
     mails: list[Mail] = []
-    for i, bit in enumerate(m):
+    append = mails.append
+    for tick, bit in enumerate(m, start_tick):
         prev = sample_id(spec, prev, rng)
-        doc = Document(prev)
-        mails.append(_mail(doc, arrays[eval_bit_sync(fn, counter, doc) != bit],
-                           start_tick + i))
+        doc = new(Document)
+        _set_doc_id(doc, prev)
+        mail = new(Mail)
+        _set_mail_doc(mail, doc)
+        _set_mail_addresses(mail, arrays[eval_bit_sync(fn, counter, doc) != bit])
+        _set_mail_sent_at(mail, tick)
+        append(mail)
         counter.value += 1
     if stats is not None:
         stats.add(n, n, n, n)

@@ -10,6 +10,9 @@ from __future__ import annotations
 import hashlib
 import random
 
+# Byte -> its top bit, for RngState.bits.
+_TOP_BIT = bytes(b >> 7 for b in range(256))
+
 
 class RngState:
     """Seeded pseudo-random stream with deterministic child derivation."""
@@ -53,8 +56,16 @@ class RngState:
         return self._rand.getrandbits(8 * n).to_bytes(n, "big") if n else b""
 
     def bits(self, n: int) -> list[int]:
-        """n independent fair bits."""
-        return [self._rand.getrandbits(1) for _ in range(n)]
+        """n independent fair bits, as n calls of ``getrandbits(1)`` give them.
+
+        Each such call returns the top bit of one 32-bit word, and one
+        ``getrandbits(32 * n)`` fills its n words least significant first,
+        so byte 3 of each little-endian 4-byte group holds that top bit.
+        """
+        if n <= 0:
+            return []
+        words = self._rand.getrandbits(32 * n).to_bytes(4 * n, "little")
+        return list(words[3::4].translate(_TOP_BIT))
 
     def __repr__(self) -> str:
         return f"RngState(seed={self.seed}, path={self.path})"

@@ -26,9 +26,9 @@ from .baselines import (EmbedStats, s1_embed, s1_extract, s2_embed, s2_extract,
                         s3_embed, s3_extract, s4_embed, s4_extract)
 from .channel import ChannelSpec, Document, sample_id
 from .errors import ConfigError, ProtocolError
-from .mail import Mail, _mail
+from .mail import Mail, _check_send_order, _mail
 from .prf import BitFunction, Counter, Key
-from .protocols import (P1_ARRAYS, P2_ARRAYS, p1_embed, p1_extract, p1_route,
+from .protocols import (P1_ARRAYS, P2_ARRAYS, _extract_multi, p1_embed,
                         p2_embed, p2_extract)
 from .rng import RngState
 from .stats import binom_half_pvalue, chi2_sf
@@ -125,7 +125,11 @@ def embed_message(cfg: SystemConfig, fn: BitFunction, m: Sequence[int],
 
 def extract_message(cfg: SystemConfig, fn: BitFunction, outputs,
                     counter_value: int = 0) -> list[int]:
-    """Invert the configured system's embedder on its emitted sequence."""
+    """Invert the configured system's embedder on its emitted sequence.
+
+    A ``p1`` sequence is read as sent, so it must be in send order; two
+    separate mailboxes go through ``p1_extract``, which merges them.
+    """
     if cfg.system == "s1":
         return s1_extract(fn, outputs)
     if cfg.system == "s2":
@@ -135,7 +139,8 @@ def extract_message(cfg: SystemConfig, fn: BitFunction, outputs,
     if cfg.system == "s4":
         return s4_extract(fn, Counter(counter_value), outputs, copies=cfg.copies)
     if cfg.system == "p1":
-        return p1_extract(fn, Counter(counter_value), *p1_route(outputs))
+        _check_send_order(outputs, "mail sequence")
+        return _extract_multi(fn, Counter(counter_value), P1_ARRAYS, outputs)
     return p2_extract(fn, Counter(counter_value), outputs)
 
 
@@ -424,7 +429,8 @@ def reliability_estimate(cfg: SystemConfig, spec: ChannelSpec, bits: int,
                          fn: BitFunction | None = None) -> ReliabilityReport:
     """Embed/extract round trips on random messages, one row per trial.
 
-    Each trial draws a fresh function per `cfg` unless `fn` is given.
+    Each trial draws a fresh function per `cfg` unless `fn` is given.  The
+    garbage collector is paused over the trials, as in ``benchmark_scaling``.
     """
     if bits < 1 or trials < 1:
         raise ConfigError(f"need at least one bit and one trial, got bits={bits}, "
@@ -432,15 +438,16 @@ def reliability_estimate(cfg: SystemConfig, spec: ChannelSpec, bits: int,
     _check_message_bits(bits, "bits")
     total = EmbedStats()
     rows = []
-    for t in range(trials):
-        msg, recovered, stats, embed_s, extract_s = _round_trip(cfg, spec, bits,
-                                                                rng.spawn(t), fn)
-        errors = sum(a != b for a, b in zip(msg, recovered))
-        failed = int(bool(errors) or len(recovered) != len(msg))
-        rows.append(TrialRow(errors, failed, stats.samples_drawn,
-                             stats.docs_emitted, embed_s + extract_s))
-        total.add(stats.samples_drawn, stats.bits_embedded, stats.docs_emitted,
-                  stats.prf_evals)
+    with _gc_paused():
+        for t in range(trials):
+            msg, recovered, stats, embed_s, extract_s = _round_trip(
+                cfg, spec, bits, rng.spawn(t), fn)
+            errors = sum(a != b for a, b in zip(msg, recovered))
+            failed = int(bool(errors) or len(recovered) != len(msg))
+            rows.append(TrialRow(errors, failed, stats.samples_drawn,
+                                 stats.docs_emitted, embed_s + extract_s))
+            total.add(stats.samples_drawn, stats.bits_embedded, stats.docs_emitted,
+                      stats.prf_evals)
     return ReliabilityReport(trials, bits, sum(r.failed for r in rows),
                              sum(r.bit_errors for r in rows), total, tuple(rows))
 

@@ -176,18 +176,22 @@ def _python_frames(fn, *args) -> int:
     return frames[0]
 
 
-@pytest.mark.parametrize("call", ["sample_id", "eval_bit_sync-keyed",
-                                  "eval_bit_sync-random_oracle"])
+@pytest.mark.parametrize("call", ["sample_id", "sample_id-markov1",
+                                  "eval_bit_sync-keyed", "eval_bit_sync-random_oracle"])
 def test_each_draw_and_query_opens_one_python_frame(call):
-    # A draw is rng.random(), the generator's own C method, and a query
-    # hashes or looks up its input inline, so neither opens a second frame.
+    # A draw is rng.random(), the generator's own C method, on a CDF read by
+    # one subscript, and a query hashes or looks up its input inline, so
+    # neither opens a second frame.
     from stegomail import (BitFunction, ChannelSpec, Counter, Document, Key,
                            RngState, eval_bit_sync)
     from stegomail.channel import sample_id
-    if call == "sample_id":
-        spec, rng = ChannelSpec.uniform(1024), RngState(3)
+    if call.startswith("sample_id"):
+        spec = (ChannelSpec.markov1([[0.9, 0.1], [0.5, 0.5]], [0.5, 0.5])
+                if call.endswith("markov1") else ChannelSpec.uniform(1024))
+        rng = RngState(3)
         sample_id(spec, None, rng)  # the first draw seeds the stream
-        assert _python_frames(sample_id, spec, None, rng) == 1
+        for prev in (None, 0, 1):
+            assert _python_frames(sample_id, spec, prev, rng) == 1
         return
     fn = (BitFunction.keyed(Key(bytes(16))) if call.endswith("keyed")
           else BitFunction.random_oracle(3))

@@ -110,10 +110,17 @@ def test_load_rejects_garbage():
         load_channel_spec('{"kind": "quantum", "alphabet_size": 2, "probs": [0.5, 0.5]}')
     with pytest.raises(ConfigError):
         load_channel_spec('{"kind": "stationary", "alphabet_size": 3, "probs": [0.5, 0.5]}')
-    # A size below 1 is refused before the 1/n division, naming the n given.
-    for n in (0, -1):
-        with pytest.raises(ConfigError, match=f"^alphabet_size must be positive, got {n}$"):
-            ChannelSpec.uniform(n)
+    # A size below 1 is refused before the vector is built, naming the n given.
+    for make in (ChannelSpec.uniform, ChannelSpec.point_mass):
+        for n in (0, -1):
+            with pytest.raises(ConfigError,
+                               match=f"^alphabet_size must be positive, got {n}$"):
+                make(n)
+    # A point mass outside the alphabet names its target, not the sum.
+    for target in (-1, 2, 5):
+        with pytest.raises(ConfigError,
+                           match=rf"^target {target} is outside the alphabet \[0, 2\)$"):
+            ChannelSpec.point_mass(2, target=target)
 
 
 @pytest.mark.parametrize("text,field", [
@@ -216,6 +223,16 @@ def test_rng_streams_match_golden_digests():
         "7b594f18fa0ee3725c1eb2aa207774fe90b9bf7a31b331a7eb8111163db9cae7")
     assert _stream_digest(second_child) == (
         "72e76145b8897c6387cd4031a3dea2cb1b3d45912958a9e5cc43143c4e79f1c7")
+
+
+@pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 64, 1000])
+def test_rng_bits_reads_the_words_of_single_bit_calls(n):
+    # bits(n) reads n 32-bit words in one call; each bit and the stream
+    # after it are those of n calls of getrandbits(1).
+    fast, ref = RngState(57).spawn(n), RngState(57).spawn(n)
+    assert fast.bits(n) == [ref._rand.getrandbits(1) for _ in range(n)]
+    assert fast.random() == ref.random()
+    assert RngState(57).bits(-n) == []
 
 
 def test_document_canonical_bytes_distinct():

@@ -217,6 +217,17 @@ def test_rate_table(channel, capsys):
     assert float(table["s1"][3]) == 1.0
 
 
+@pytest.mark.parametrize("flags", [["--system", "p1", "--bits", "0"],
+                                   ["--system", "p1,zz"],
+                                   ["--system", "p1", "--bits", str(2 ** 20 + 1)]],
+                         ids=["no-bits", "unknown-system", "past-the-cap"])
+def test_refused_rate_prints_no_partial_table(flags, channel, capsys):
+    assert run(["rate", *flags, "--channel", channel(UNIFORM_4), "--seed", "37"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error" in captured.err
+
+
 def test_capacity_command(capsys):
     assert run(["capacity", "--p", "0.25"]) == 0
     value = float(out_lines(capsys)[-1])
@@ -290,6 +301,25 @@ def test_corrupt_trace_is_protocol_error(tmp_path, channel):
     trace.write_text("0\t1\taddress1\n0\t2\taddress1\n")
     assert run(["extract", "--protocol", "p1", "--key", KEY,
                 "--in", str(trace)]) == 3
+
+
+def test_p1_trace_out_of_send_order_is_protocol_error(tmp_path, channel, message_file,
+                                                     capsys):
+    # Each address's mails stay in order, but the single trace is the sent
+    # sequence and is read as such, not re-sorted.
+    trace = tmp_path / "trace.tsv"
+    assert run(["embed", "--protocol", "p1", "--key", KEY, "--message", message_file,
+                "--channel", channel(UNIFORM_4), "--seed", "7", "--out", str(trace)]) == 0
+    lines = trace.read_text().splitlines(keepends=True)
+    i = next(i for i in range(len(lines) - 1)
+             if lines[i].split("\t")[2] != lines[i + 1].split("\t")[2])
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    trace.write_text("".join(lines))
+    capsys.readouterr()
+    assert run(["extract", "--protocol", "p1", "--key", KEY, "--in", str(trace)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not sorted by send date" in captured.err
 
 
 @pytest.mark.parametrize("command", [

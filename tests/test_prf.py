@@ -230,4 +230,7 @@ def test_encode_sync_run_matches_encode_sync(low_bytes):
     for value in (0, 1, (1 << (8 * low_bytes)) - len(docs)):
         assert encode_sync_run(value, docs) == [
             encode_sync(value + k, d) for k, d in enumerate(docs)]
+    # The top run: the last two counter values a document can carry.
+    assert encode_sync_run(2 ** 64 - 2, docs[2:4]) == [
+        encode_sync(2 ** 64 - 2, docs[2]), encode_sync(2 ** 64 - 1, docs[3])]
     assert encode_sync_run(5, []) == []

@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import math
 
 import pytest
@@ -10,6 +12,7 @@ from stegomail import (AddressFrequencyDistinguisher, BitFunction, ChannelSpec,
                        channel_goodness_of_fit, ct_oracle, embed_message,
                        eval_bit, extract_message, reliability_estimate,
                        run_game, transmission_rate)
+from stegomail import security
 from stegomail.channel import sample_id
 from stegomail.protocols import ADDRESS1, ADDRESS2, P1_ARRAYS
 from stegomail.security import address_set_for, make_fn, output_length
@@ -348,6 +351,45 @@ def test_extract_message_p1_rejects_foreign_mail():
     fn = make_fn(cfg, RngState(37))
     with pytest.raises(ProtocolError):
         extract_message(cfg, fn, [Mail(Document(0), ("other",), 0)])
+
+
+def test_extract_message_p1_reads_the_sequence_in_send_order():
+    # A sent p1 sequence is read as it was sent, not routed and merged: two
+    # neighbours to different addresses, swapped, leave each mailbox sorted
+    # but the sequence out of order.
+    cfg = SystemConfig("p1")
+    fn = make_fn(cfg, RngState(49))
+    mails = embed_message(cfg, fn, RngState(51).bits(24), UNIFORM_4, RngState(53))
+    i = next(i for i in range(23) if mails[i].addresses != mails[i + 1].addresses)
+    mails[i], mails[i + 1] = mails[i + 1], mails[i]
+    with pytest.raises(ProtocolError, match="^mail sequence is not sorted by send date$"):
+        extract_message(cfg, fn, mails)
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["ok", "raises"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_reliability_pauses_and_restores_the_collector(enabled, fails, monkeypatch):
+    seen = []
+    round_trip = security._round_trip
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        if fails and len(seen) == 2:
+            raise ProtocolError("injected")
+        return round_trip(*args)
+
+    monkeypatch.setattr(security, "_round_trip", spy)
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        with (pytest.raises(ProtocolError, match="^injected$") if fails
+              else contextlib.nullcontext()):
+            reliability_estimate(SystemConfig("p1"), UNIFORM_4, bits=8, trials=3,
+                                 rng=RngState(47))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False] * (2 if fails else 3)
 
 
 def test_benchmark_scaling_smoke():
