@@ -18,14 +18,14 @@ from .baselines import EmbedStats
 from .channel import load_channel_file, min_entropy
 from .ecc import bits_from_bytes, bits_from_hex, hex_from_bits
 from .errors import ConfigError, CounterError, ProtocolError
-from .mail import read_trace, write_trace
+from .mail import _read_trace_text, _trace_columns, read_trace, write_trace
 from .prf import BitFunction, Counter, Key
-from .protocols import p1_extract
+from .protocols import _extract_trace, p1_extract
 from .rng import RngState
 from .security import (ALL_SYSTEMS, DISTINGUISHER_NAMES, SystemConfig,
                        _gc_paused, benchmark_scaling, build_distinguisher,
-                       capacity, embed_message, extract_message,
-                       reliability_estimate, run_game, transmission_rate)
+                       capacity, embed_message, reliability_estimate,
+                       run_game, transmission_rate)
 
 DEFAULT_BENCH_LENGTHS = "256,512,1024,2048,4096,8192,16384"
 
@@ -90,16 +90,17 @@ def embed(protocol, key_hex, counter, message_path, message_format,
 def extract(protocol, key_hex, counter, in_path, in2_path) -> None:
     """Recover the hiddentext from trace file(s); prints hex."""
     fn = BitFunction.keyed(Key.from_hex(key_hex))
-    mails = read_trace(in_path)
     if in2_path is None:
-        # A single p1 trace is the full sent sequence, routed into the two
-        # mailboxes; a p2 trace is one mailbox.
-        bits = extract_message(SystemConfig(protocol), fn, mails, counter)
-    elif protocol == "p1":
+        # A single p1 trace is the full sent sequence; a p2 trace is one
+        # mailbox.  It is read into columns, with no Mail per line.
+        bits = _extract_trace(fn, counter, protocol,
+                              *_trace_columns(_read_trace_text(in_path)))
+    else:
+        mails = read_trace(in_path)
+        if protocol != "p1":
+            raise ConfigError("p2 extraction reads a single mailbox trace")
         # Two traces are the two mailboxes themselves.
         bits = p1_extract(fn, Counter(counter), mails, read_trace(in2_path))
-    else:
-        raise ConfigError("p2 extraction reads a single mailbox trace")
     click.echo(hex_from_bits(bits))
 
 

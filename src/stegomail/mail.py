@@ -7,13 +7,19 @@ always pairwise distinct and the two-mailbox merge is unambiguous.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import pairwise
-from operator import attrgetter
+from operator import attrgetter, lt
 from typing import Iterable, Sequence
 
 from .channel import Document
 from .errors import ConfigError, ProtocolError
+
+
+# The trace's field and line separators: a comma, a tab, and every
+# character str.splitlines breaks a line at.
+_SEPARATOR = re.compile("[,\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -23,10 +29,27 @@ class Mail:
     sent_at: int
 
     def __post_init__(self) -> None:
-        if not self.addresses:
+        # A mail holds only what one trace line carries, so format_trace
+        # writes every mail and parse_trace reads the same mail back.
+        # Type first, as in Document and Counter: a float or a bool is no tick.
+        if type(self.sent_at) is not int:
+            raise ProtocolError(
+                f"send tick must be an int, not {type(self.sent_at).__name__}")
+        if not isinstance(self.doc, Document):
+            raise ProtocolError(
+                f"mail document must be a Document, not {type(self.doc).__name__}")
+        addresses = self.addresses
+        if not addresses:
             raise ProtocolError("mail must have at least one recipient address")
-        if not all(self.addresses):
+        if type(addresses) is not tuple:
+            raise ProtocolError(
+                f"recipient addresses must be a tuple, not {type(addresses).__name__}")
+        if not all(type(a) is str and a for a in addresses):
             raise ProtocolError("recipient addresses must be nonempty strings")
+        for a in addresses:
+            if _SEPARATOR.search(a):
+                raise ProtocolError(
+                    f"recipient address {a!r} holds a comma, tab or line break")
 
 
 _set_mail_doc = Mail.doc.__set__
@@ -36,10 +59,10 @@ _new_mail = object.__new__
 
 
 def _mail(doc: Document, addresses: tuple[str, ...], sent_at: int) -> Mail:
-    """``Mail(doc, addresses, sent_at)`` without its address checks.
+    """``Mail(doc, addresses, sent_at)`` without its checks.
 
-    Only for callers whose address array is already known to be valid:
-    the protocols' constant arrays and fields parse_trace has checked.
+    Only for callers whose fields are already known to be valid: the
+    protocols' constant arrays and the columns parse_trace has checked.
     """
     mail = _new_mail(Mail)
     _set_mail_doc(mail, doc)
@@ -48,11 +71,10 @@ def _mail(doc: Document, addresses: tuple[str, ...], sent_at: int) -> Mail:
     return mail
 
 
-def _check_send_order(mails: Sequence[Mail], noun: str) -> None:
+def _check_send_order(ticks: list[int], noun: str) -> None:
     """Raise ProtocolError unless the send ticks strictly increase."""
-    for a, b in pairwise(mails):
-        if b.sent_at <= a.sent_at:
-            raise ProtocolError(f"{noun} is not sorted by send date")
+    if not all(map(lt, ticks, ticks[1:])):
+        raise ProtocolError(f"{noun} is not sorted by send date")
 
 
 def merge_by_date(seq1: Sequence[Mail], seq2: Sequence[Mail]) -> list[Mail]:
@@ -63,8 +85,8 @@ def merge_by_date(seq1: Sequence[Mail], seq2: Sequence[Mail]) -> list[Mail]:
     ambiguous and is rejected.  The sort finds the two ascending runs and
     merges them.
     """
-    _check_send_order(seq1, "mail sequence")
-    _check_send_order(seq2, "mail sequence")
+    _check_send_order([m.sent_at for m in seq1], "mail sequence")
+    _check_send_order([m.sent_at for m in seq2], "mail sequence")
     merged = sorted([*seq1, *seq2], key=attrgetter("sent_at"))
     for a, b in pairwise(merged):
         if a.sent_at == b.sent_at:
@@ -78,16 +100,20 @@ def format_trace(mails: Iterable[Mail]) -> str:
                     for m in mails])
 
 
-def parse_trace(text: str) -> list[Mail]:
-    """Inverse of format_trace; blank lines are skipped.
+def _trace_columns(text: str) -> tuple[list[int], list[Document],
+                                        list[tuple[str, ...]]]:
+    """Parse a trace into three columns: send ticks, documents, address arrays.
 
-    A trace names few distinct document ids and address fields, so each
-    distinct field is parsed and checked once per call, when first seen,
-    and the mails that carry it share one Document or one address tuple.
-    A document id must fit the 8-byte encoding the PRF reads.
+    Blank lines are skipped.  A trace names few distinct document ids and
+    address fields, so each distinct field is parsed and checked once per
+    call, when first seen, and the lines that carry it share one Document
+    or one address tuple.  A document id must fit the 8-byte encoding the
+    PRF reads.
     """
-    mails = []
-    docs: dict[str, Document] = {}
+    ticks: list[int] = []
+    docs: list[Document] = []
+    addresses: list[tuple[str, ...]] = []
+    seen_docs: dict[str, Document] = {}
     split_fields: dict[str, tuple[str, ...]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line or line.isspace():
@@ -98,15 +124,16 @@ def parse_trace(text: str) -> list[Mail]:
             raise ProtocolError(
                 f"trace line {lineno}: expected 3 tab-separated fields") from None
         try:
-            sent_at = int(raw_sent)
+            ticks.append(int(raw_sent))
         except ValueError as e:
             raise ProtocolError(f"trace line {lineno}: {e}") from e
-        doc = docs.get(raw_doc)
+        doc = seen_docs.get(raw_doc)
         if doc is None:
             try:
-                doc = docs[raw_doc] = Document(int(raw_doc))
+                doc = seen_docs[raw_doc] = Document(int(raw_doc))
             except (ValueError, ConfigError) as e:
                 raise ProtocolError(f"trace line {lineno}: {e}") from e
+        docs.append(doc)
         addrs = split_fields.get(raw_addrs)
         if addrs is None:
             addrs = tuple(raw_addrs.split(","))
@@ -114,19 +141,30 @@ def parse_trace(text: str) -> list[Mail]:
                 raise ProtocolError(
                     f"trace line {lineno}: recipient addresses must be nonempty strings")
             split_fields[raw_addrs] = addrs
-        mails.append(_mail(doc, addrs, sent_at))
-    return mails
+        addresses.append(addrs)
+    return ticks, docs, addresses
+
+
+def parse_trace(text: str) -> list[Mail]:
+    """Inverse of format_trace: the trace's columns, one mail per line."""
+    ticks, docs, addresses = _trace_columns(text)
+    return list(map(_mail, docs, addresses, ticks))
 
 
 def write_trace(mails: Iterable[Mail], path) -> None:
+    """Format the whole trace first, so a mail that fails leaves `path` as it was."""
+    text = format_trace(mails)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(format_trace(mails))
+        f.write(text)
+
+
+def _read_trace_text(path) -> str:
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            raise ProtocolError(f"trace file {path} is not UTF-8 text: {e}") from e
 
 
 def read_trace(path) -> list[Mail]:
-    with open(path, encoding="utf-8") as f:
-        try:
-            text = f.read()
-        except UnicodeDecodeError as e:
-            raise ProtocolError(f"trace file {path} is not UTF-8 text: {e}") from e
-    return parse_trace(text)
+    return parse_trace(_read_trace_text(path))

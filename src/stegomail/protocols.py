@@ -18,6 +18,7 @@ the identity on messages for any channel and any bit function.
 
 from __future__ import annotations
 
+from operator import xor
 from typing import Sequence
 
 from .baselines import EmbedStats
@@ -79,24 +80,41 @@ def _embed_multi(fn: BitFunction, counter: Counter, arrays, m: Sequence[int],
 
 
 def _extract_multi(fn: BitFunction, counter: Counter, arrays,
-                   mails: Sequence[Mail]) -> list[int]:
+                   docs: Sequence[Document],
+                   addresses: Sequence[tuple[str, ...]]) -> list[int]:
     """Recompute each mail's bit; the second address array complements it.
 
-    Addresses and counter headroom are checked before the first PRF
-    evaluation, so an extract that fails leaves the counter as it was.
+    The mails come as two columns, their documents and their address
+    arrays.  Addresses and counter headroom are checked before the first
+    PRF evaluation, so an extract that fails leaves the counter as it was.
     The whole message is evaluated in one batched call.
     """
     complement = {arrays[0]: 0, arrays[1]: 1}
-    flips = [complement.get(s.addresses) for s in mails]
+    flips = list(map(complement.get, addresses))
     if None in flips:
-        arr = mails[flips.index(None)].addresses
+        arr = addresses[flips.index(None)]
         variant = "p1" if arrays == P1_ARRAYS else "p2"
         raise ProtocolError(f"mail addressed to {arr!r} is outside the {variant} address set")
-    n = len(mails)
+    n = len(docs)
     counter.check_headroom(n)
-    bits = fn.bits(encode_sync_run(counter.value, [s.doc for s in mails]))
+    bits = fn.bits(encode_sync_run(counter.value, docs))
     counter.value += n
-    return [b ^ flip for b, flip in zip(bits, flips)]
+    return list(map(xor, bits, flips))
+
+
+def _extract_trace(fn: BitFunction, counter_value: int, protocol: str,
+                   ticks: list[int], docs: Sequence[Document],
+                   addresses: Sequence[tuple[str, ...]]) -> list[int]:
+    """Extract one trace, given as columns.
+
+    A ``p1`` trace is the whole sequence as sent, checked for send order
+    before the counter is built; a ``p2`` trace is one mailbox, read as
+    ``p2_extract`` reads it.
+    """
+    if protocol == "p1":
+        _check_send_order(ticks, "mail sequence")
+        return _extract_multi(fn, Counter(counter_value), P1_ARRAYS, docs, addresses)
+    return _extract_mailbox(fn, Counter(counter_value), ticks, docs, addresses)
 
 
 # --- protocol 1: recipient choice ------------------------------------------
@@ -117,7 +135,9 @@ def p1_extract(fn: BitFunction, counter: Counter, box1: Sequence[Mail],
 
     Mails to address2 complement the document's bit.
     """
-    return _extract_multi(fn, counter, P1_ARRAYS, merge_by_date(list(box1), list(box2)))
+    mails = merge_by_date(list(box1), list(box2))
+    return _extract_multi(fn, counter, P1_ARRAYS, [s.doc for s in mails],
+                          [s.addresses for s in mails])
 
 
 def p1_route(mails: Sequence[Mail]) -> tuple[list[Mail], list[Mail]]:
@@ -148,5 +168,13 @@ def p2_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
 def p2_extract(fn: BitFunction, counter: Counter, box: Sequence[Mail]) -> list[int]:
     """Extract from a single mailbox; every broadcast lands in both boxes."""
     mails = list(box)
-    _check_send_order(mails, "mailbox")
-    return _extract_multi(fn, counter, P2_ARRAYS, mails)
+    return _extract_mailbox(fn, counter, [s.sent_at for s in mails],
+                            [s.doc for s in mails], [s.addresses for s in mails])
+
+
+def _extract_mailbox(fn: BitFunction, counter: Counter, ticks: list[int],
+                     docs: Sequence[Document],
+                     addresses: Sequence[tuple[str, ...]]) -> list[int]:
+    """``p2_extract`` on a mailbox given as columns."""
+    _check_send_order(ticks, "mailbox")
+    return _extract_multi(fn, counter, P2_ARRAYS, docs, addresses)

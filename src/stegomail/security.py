@@ -26,9 +26,9 @@ from .baselines import (EmbedStats, s1_embed, s1_extract, s2_embed, s2_extract,
                         s3_embed, s3_extract, s4_embed, s4_extract)
 from .channel import ChannelSpec, Document, sample_id
 from .errors import ConfigError, ProtocolError
-from .mail import Mail, _check_send_order, _mail
+from .mail import Mail, _mail
 from .prf import BitFunction, Counter, Key
-from .protocols import (P1_ARRAYS, P2_ARRAYS, _extract_multi, p1_embed,
+from .protocols import (P1_ARRAYS, P2_ARRAYS, _extract_trace, p1_embed,
                         p2_embed, p2_extract)
 from .rng import RngState
 from .stats import binom_half_pvalue, chi2_sf
@@ -139,8 +139,8 @@ def extract_message(cfg: SystemConfig, fn: BitFunction, outputs,
     if cfg.system == "s4":
         return s4_extract(fn, Counter(counter_value), outputs, copies=cfg.copies)
     if cfg.system == "p1":
-        _check_send_order(outputs, "mail sequence")
-        return _extract_multi(fn, Counter(counter_value), P1_ARRAYS, outputs)
+        return _extract_trace(fn, counter_value, "p1", [s.sent_at for s in outputs],
+                              [s.doc for s in outputs], [s.addresses for s in outputs])
     return p2_extract(fn, Counter(counter_value), outputs)
 
 

@@ -1,3 +1,6 @@
+import importlib
+import sys
+
 import pytest
 
 from stegomail import BitFunction, ChannelSpec, Document, Key
@@ -47,3 +50,22 @@ def documents_built(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(Document, "__init__", counting_init)
     return built
+
+
+def count_calls(monkeypatch, module: str, name: str) -> list[int]:
+    """Rebind `module.name` in every stegomail namespace that holds it, as the
+    tracer does, with a wrapper that counts calls; monkeypatch puts each
+    original back.  Returns a one-element list holding the count."""
+    original = getattr(importlib.import_module(module), name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname == "stegomail" or modname.startswith("stegomail."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls

@@ -25,6 +25,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import count_calls
+
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 SRC = ROOT / "src" / "stegomail"
@@ -112,30 +114,11 @@ def test_every_workload_op_runs(name, tmp_path):
     assert workload.op(state, 0).ok
 
 
-def _count_calls(monkeypatch, module: str, name: str) -> list[int]:
-    """Rebind `module.name` in every stegomail namespace that holds it, as the
-    tracer does, with a wrapper that counts calls; monkeypatch puts each
-    original back.  Returns a one-element list holding the count."""
-    original = getattr(importlib.import_module(module), name)
-    calls = [0]
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    for modname, mod in list(sys.modules.items()):
-        if modname == "stegomail" or modname.startswith("stegomail."):
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counted)
-    return calls
-
-
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_every_workload_op_calls_sample_id(name, tmp_path, monkeypatch):
     workload = WORKLOADS[name]
     state = workload.setup(1, tmp_path)
-    calls = _count_calls(monkeypatch, "stegomail.channel", "sample_id")
+    calls = count_calls(monkeypatch, "stegomail.channel", "sample_id")
     assert workload.op(state, 0).ok
     assert calls[0] > 0
 
@@ -147,8 +130,8 @@ def test_embed_calls_match_embed_stats(system, monkeypatch):
     # that fuses either call away must fail here too.
     from stegomail import (BitFunction, ChannelSpec, Counter, EmbedStats,
                            RngState, p1_embed, p2_embed, s2_embed)
-    draws = _count_calls(monkeypatch, "stegomail.channel", "sample_id")
-    evals = _count_calls(monkeypatch, "stegomail.prf", "eval_bit_sync")
+    draws = count_calls(monkeypatch, "stegomail.channel", "sample_id")
+    evals = count_calls(monkeypatch, "stegomail.prf", "eval_bit_sync")
     fn, stats, n = BitFunction.random_oracle(3), EmbedStats(), 200
     args = (fn, Counter(), RngState(5).bits(n), ChannelSpec.uniform(4), RngState(7))
     if system == "s2":

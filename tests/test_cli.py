@@ -11,9 +11,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stegomail
-from stegomail import read_trace, write_trace
+from stegomail import (BitFunction, ChannelSpec, ConfigError, CounterError, Key, Mail,
+                       ProtocolError, RngState, SystemConfig, bits_from_bytes,
+                       embed_message, extract_message, hex_from_bits, read_trace,
+                       write_trace)
 from stegomail.cli import run
+from stegomail.mail import format_trace, parse_trace
 from stegomail.protocols import p1_route
+
+from conftest import count_calls
 
 KEY = "00112233445566778899aabbccddeeff"
 REPO = Path(__file__).resolve().parent.parent
@@ -87,6 +93,27 @@ def test_embed_extract_round_trip_p2(tmp_path, channel, message_file, capsys):
     assert run(["extract", "--protocol", "p2", "--key", KEY,
                 "--in", trace]) == 0
     assert out_lines(capsys)[-1] == "deadbeef0badf00d"
+
+
+@pytest.mark.parametrize("protocol", ["p1", "p2"])
+def test_single_trace_extract_builds_no_mail(protocol, tmp_path, channel, message_file,
+                                             capsys, monkeypatch):
+    trace = str(tmp_path / "trace.tsv")
+    assert run(["embed", "--protocol", protocol, "--key", KEY, "--message", message_file,
+                "--channel", channel(UNIFORM_4), "--seed", "5", "--out", trace]) == 0
+    capsys.readouterr()
+    unchecked = count_calls(monkeypatch, "stegomail.mail", "_mail")
+    checked = [0]
+    init = Mail.__init__
+
+    def counted_init(self, *args, **kwargs):
+        checked[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Mail, "__init__", counted_init)
+    assert run(["extract", "--protocol", protocol, "--key", KEY, "--in", trace]) == 0
+    assert out_lines(capsys) == ["deadbeef0badf00d"]
+    assert unchecked == checked == [0]
 
 
 def test_extract_p2_rejects_second_trace(tmp_path, channel, message_file, capsys):
@@ -679,3 +706,62 @@ def test_python_m_stegomail_runs_the_cli(p, code, out, tmp_path):
         assert (module, done.returncode, done.stdout) == (module, code, out)
         if code:
             assert "configuration error" in done.stderr
+
+
+# The alphabet of test_mail.py's test_parse_trace_raises_only_protocol_error.
+TRACE_TEXT = st.text(alphabet=st.sampled_from("0123456789-+ _\t\n\r,a\u00a0\u0663"))
+ADDRESS_FIELDS = st.sampled_from(["address1", "address2", "address1,address2",
+                                  "address2,address1", "address3", "address1,", ""])
+KEYED = BitFunction.keyed(Key.from_hex(KEY))
+
+
+@st.composite
+def damaged_traces(draw):
+    """A valid p1 or p2 trace with one line swapped, edited or readdressed."""
+    protocol = draw(st.sampled_from(["p1", "p2"]))
+    message = bits_from_bytes(draw(st.binary(min_size=1, max_size=3)))
+    mails = embed_message(SystemConfig(protocol), KEYED, message, ChannelSpec.uniform(4),
+                          RngState(draw(st.integers(0, 99))))
+    lines = format_trace(mails).splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    change = draw(st.sampled_from(["none", "swap", "edit", "readdress"]))
+    if change == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif change == "edit":
+        lines[i] = draw(TRACE_TEXT)
+    elif change == "readdress":
+        sent, doc, _ = lines[i].split("\t")
+        lines[i] = f"{sent}\t{doc}\t{draw(ADDRESS_FIELDS)}\n"
+    return protocol, "".join(lines)
+
+
+def _library_extract(protocol: str, text: str, counter: int) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``extract`` as the library's mail API
+    computes it, with errors mapped as cli.run maps them."""
+    try:
+        bits = extract_message(SystemConfig(protocol), KEYED, parse_trace(text), counter)
+        return 0, hex_from_bits(bits) + "\n", ""
+    except ConfigError as e:
+        return 2, "", f"configuration error: {e}\n"
+    except ProtocolError as e:
+        return 3, "", f"protocol error: {e}\n"
+    except CounterError as e:
+        return 4, "", f"counter error: {e}\n"
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.tuples(st.sampled_from(["p1", "p2"]), TRACE_TEXT) | damaged_traces(),
+       counter=st.none() | st.sampled_from([0, 1, -1, 2 ** 64 - 3, 2 ** 64 - 1, 2 ** 64]))
+def test_cli_extract_agrees_with_the_library(tmp_path, capsys, case, counter):
+    protocol, text = case
+    trace = tmp_path / "trace.tsv"
+    trace.write_bytes(text.encode("utf-8"))
+    argv = ["extract", "--protocol", protocol, "--key", KEY, "--in", str(trace)]
+    if counter is not None:
+        argv += ["--counter", str(counter)]
+    capsys.readouterr()
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert (code, out, err) == _library_extract(protocol, text, counter or 0)

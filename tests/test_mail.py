@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from stegomail import (Document, Mail, ProtocolError, RngState, merge_by_date,
                        read_trace, write_trace)
-from stegomail.mail import format_trace, parse_trace
+from stegomail.mail import _mail, format_trace, parse_trace
 
 
 def mk(tick, doc_id=0, addrs=("address1",)):
@@ -33,6 +33,51 @@ def test_mail_requires_recipient():
         with pytest.raises(ProtocolError,
                            match="^recipient addresses must be nonempty strings$"):
             Mail(Document(0), addrs, 0)
+
+
+def test_mail_holds_only_what_a_trace_line_carries():
+    for doc, addrs, tick, message in (
+            (Document(1), (5,), 0, "^recipient addresses must be nonempty strings$"),
+            (Document(1), ("address1", b"x"), 0,
+             "^recipient addresses must be nonempty strings$"),
+            (Document(1), "address1", 0, "^recipient addresses must be a tuple, not str$"),
+            (Document(1), ["address1"], 0, "^recipient addresses must be a tuple, not list$"),
+            (1, ("address1",), 0, "^mail document must be a Document, not int$"),
+            (Document(1), ("address1",), 1.0, "^send tick must be an int, not float$"),
+            (Document(1), ("address1",), True, "^send tick must be an int, not bool$"),
+            (Document(1), ("address1",), "0", "^send tick must be an int, not str$")):
+        with pytest.raises(ProtocolError, match=message):
+            Mail(doc, addrs, tick)
+
+
+def test_mail_rejects_every_trace_separator_in_an_address():
+    # Every character str.splitlines breaks at, which the address strategy
+    # below leaves out too.
+    breaks = [c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) > 1]
+    assert sorted(breaks) == sorted(_LINE_BREAKS)
+    for c in [",", "\t", *breaks]:
+        for addr in (c, f"a{c}b", f"ab{c}"):
+            with pytest.raises(ProtocolError, match="holds a comma, tab or line break$"):
+                Mail(Document(1), ("address1", addr), 0)
+
+
+def test_write_trace_of_a_bad_mail_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "trace.tsv"
+    path.write_text("0\t1\taddress1\n")
+    with pytest.raises(TypeError):
+        write_trace([mk(0), _mail(Document(1), (5,), 1)], path)
+    assert path.read_text() == "0\t1\taddress1\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(Document, st.integers(min_value=0, max_value=2 ** 64 - 1)),
+       st.lists(st.text(max_size=4), max_size=3).map(tuple), st.integers())
+def test_every_mail_that_builds_reads_back_from_its_trace(doc, addrs, tick):
+    try:
+        mail = Mail(doc, addrs, tick)
+    except ProtocolError:
+        return
+    assert parse_trace(format_trace([mail])) == [mail]
 
 
 def test_mail_round_trip_construct_extract():
