@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .channel import ChannelSpec, Document, sample_id
+from .channel import ChannelSpec, Document, _set_doc_id, sample_id
 from .ecc import _check_repetition, dec, enc
 from .errors import ConfigError, ProtocolError
 from .prf import (BitFunction, Counter, encode_doc, encode_sync_run, encode_tuple,
@@ -177,16 +177,19 @@ def s2_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
     the second draw either way: a silent mismatch, which is exactly the
     unreliability the repetition code exists to fix.  Every draw is
     evaluated, the last included: the random oracle draws a coin at each
-    new input.
+    new input.  A drawn id is in the alphabet, so each document is built
+    in place, as ``protocols._embed_multi`` does.
     """
     spec.row(prev)
     coded = enc(m, repetition)
     counter.check_headroom(len(coded))
+    new = object.__new__
     docs = []
     draws = 0
     for bit in coded:
         for n in range(1, 3):
-            doc = Document(sample_id(spec, prev, rng))
+            doc = new(Document)
+            _set_doc_id(doc, sample_id(spec, prev, rng))
             if eval_bit_sync(fn, counter, doc) == bit:
                 break
         draws += n
@@ -222,10 +225,12 @@ def s3_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
 
     Each attempt draws its documents conditioned on the one before, starting
     from the last committed document; only the accepted tuple is kept.
+    Each drawn document is built in place, as in s2.
     """
     count = _budget(fn, count)
     _check_copies(copies, odd=False)
     spec.row(prev)
+    new = object.__new__
     docs: list[Document] = []
     evals = 0
     for bit in m:
@@ -234,7 +239,9 @@ def s3_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
             last = prev
             for _ in range(copies):
                 last = sample_id(spec, last, rng)
-                group.append(Document(last))
+                doc = new(Document)
+                _set_doc_id(doc, last)
+                group.append(doc)
             evals += 1
             if eval_bit_tuple(fn, group) == bit:
                 break
@@ -260,17 +267,22 @@ def s4_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
     """Emit `copies` documents per bit, each the better of two draws.
 
     Sender and receiver consume the same counter values in the same order,
-    one per emitted document.
+    one per emitted document.  Each document is built in place, as in s2,
+    the second draw's only if it is kept.
     """
     _check_copies(copies, odd=True)
     spec.row(prev)
     counter.check_headroom(len(m) * copies)
+    new = object.__new__
     docs = []
     for bit in m:
         for _ in range(copies):
-            first = Document(sample_id(spec, prev, rng))
-            second_id = sample_id(spec, prev, rng)  # a Document only if kept
-            kept = first if eval_bit_sync(fn, counter, first) == bit else Document(second_id)
+            kept = new(Document)
+            _set_doc_id(kept, sample_id(spec, prev, rng))
+            second_id = sample_id(spec, prev, rng)
+            if eval_bit_sync(fn, counter, kept) != bit:
+                kept = new(Document)
+                _set_doc_id(kept, second_id)
             counter.value += 1
             prev = kept.id
             docs.append(kept)

@@ -33,8 +33,11 @@ class Document:
 
     id: int
 
-    # Written by hand because one Document is built per channel draw, and
-    # the generated frozen __init__ plus a __post_init__ is markedly slower.
+    # Written by hand because the generated frozen __init__ plus a
+    # __post_init__ is markedly slower.  It checks ids from outside (a trace
+    # line, a caller) and the one build per distinct id of s1 and ct_oracle;
+    # the embedders build each drawn document in place through _set_doc_id,
+    # since a drawn id is in the alphabet.
     # The id is stored through the slot descriptor, bound once below,
     # which is what the generated one does through object.__setattr__.
     def __init__(self, id: int) -> None:
@@ -65,9 +68,9 @@ def _check_vector(vec, size: int, label: str) -> tuple[float, ...]:
         raise ConfigError(f"{label} must be a list of numbers, not booleans")
     if len(probs) != size:
         raise ConfigError(f"{label} has length {len(probs)}, expected {size}")
-    if not all(isfinite(p) for p in probs):
+    if not all(map(isfinite, probs)):
         raise ConfigError(f"{label} contains a non-finite probability")
-    if any(p < 0 for p in probs):
+    if min(probs) < 0:
         raise ConfigError(f"{label} contains a negative probability")
     total = sum(probs)
     if abs(total - 1.0) > SUM_TOLERANCE:

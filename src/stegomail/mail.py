@@ -50,6 +50,10 @@ class Mail:
             if _SEPARATOR.search(a):
                 raise ProtocolError(
                     f"recipient address {a!r} holds a comma, tab or line break")
+            try:
+                a.encode()  # a trace is UTF-8, and a lone surrogate has no UTF-8 form
+            except UnicodeEncodeError:
+                raise ProtocolError(f"recipient address {a!r} is not UTF-8 text") from None
 
 
 _set_mail_doc = Mail.doc.__set__
@@ -152,10 +156,11 @@ def parse_trace(text: str) -> list[Mail]:
 
 
 def write_trace(mails: Iterable[Mail], path) -> None:
-    """Format the whole trace first, so a mail that fails leaves `path` as it was."""
-    text = format_trace(mails)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+    """Format and encode the whole trace first, so a mail that fails leaves
+    `path` as it was."""
+    data = format_trace(mails).encode()
+    with open(path, "wb") as f:
+        f.write(data)
 
 
 def _read_trace_text(path) -> str:

@@ -17,7 +17,7 @@ from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter,
                        s2_extract, s3_embed, s3_extract, s4_embed, s4_extract)
 from stegomail.channel import sample_id
 
-from conftest import find_key_where
+from conftest import TEST_CHANNELS, find_key_where
 
 UNIFORM_2_16 = ChannelSpec.uniform(2 ** 16)
 CHANNEL_DIR = Path(__file__).resolve().parent.parent / "channels"
@@ -186,6 +186,21 @@ def test_s1_builds_one_document_per_distinct_id(channel_name, prev, documents_bu
     assert (docs, stats) == (ref_docs, ref_stats)
     assert len(documents_built) == len(set(documents_built))
     assert len({id(d) for d in docs}) == len({d.id for d in docs})
+
+
+@pytest.mark.parametrize("system", ["s2", "s3", "s4"])
+@pytest.mark.parametrize("channel_name", sorted(TEST_CHANNELS))
+def test_s2_s3_s4_build_drawn_documents_in_place(system, channel_name, documents_built):
+    # A drawn id is in the alphabet, so these embeds build no document
+    # through the checked Document.__init__; each output is still one.
+    spec = TEST_CHANNELS[channel_name]
+    fn, m, rng = BitFunction.random_oracle(3), RngState(5).bits(60), RngState(7)
+    docs = {"s2": lambda: s2_embed(fn, Counter(), m, spec, rng, repetition=3),
+            "s3": lambda: s3_embed(fn, m, spec, rng, copies=3, count=8),
+            "s4": lambda: s4_embed(fn, Counter(), m, spec, rng, copies=3)}[system]()
+    assert documents_built == []
+    assert docs and all(type(d) is Document and 0 <= d.id < spec.alphabet_size
+                        for d in docs)
 
 
 class CountingBitFunction(BitFunction):

@@ -10,10 +10,10 @@ The third runs one op of every workload in ``perfbench/workloads.py``, so a
 changed signature fails here too.  The fourth counts
 ``channel.sample_id`` over one op, as the traced run does:
 the benchmark's checks expect every workload to draw through it.  The
-fifth counts ``sample_id`` and ``eval_bit_sync`` over single embeds, as the
-traced run's cross-check does against ``EmbedStats``.  The last holds each
-of those two calls to one Python frame, the cost the benchmark times per
-draw and per PRF query.
+fifth counts ``sample_id`` and ``eval_bit_sync`` (``eval_bit_tuple`` for
+``s3``) over single embeds, as the traced run's cross-check does against
+``EmbedStats``.  The last holds each of those two calls to one Python frame,
+the cost the benchmark times per draw and per PRF query.
 """
 
 import ast
@@ -123,21 +123,32 @@ def test_every_workload_op_calls_sample_id(name, tmp_path, monkeypatch):
     assert calls[0] > 0
 
 
-@pytest.mark.parametrize("system", ["p1", "p2", "s2"])
+@pytest.mark.parametrize("system", ["p1", "p2", "s2", "s3", "s4"])
 def test_embed_calls_match_embed_stats(system, monkeypatch):
     # The traced run checks channel.sample_id and the embed-side PRF calls
     # against EmbedStats, and p1/p2 against one of each per bit, so an embed
     # that fuses either call away must fail here too.
     from stegomail import (BitFunction, ChannelSpec, Counter, EmbedStats,
-                           RngState, p1_embed, p2_embed, s2_embed)
+                           RngState, p1_embed, p2_embed, s2_embed, s3_embed,
+                           s4_embed)
     draws = count_calls(monkeypatch, "stegomail.channel", "sample_id")
-    evals = count_calls(monkeypatch, "stegomail.prf", "eval_bit_sync")
+    evals = count_calls(monkeypatch, "stegomail.prf",
+                        "eval_bit_tuple" if system == "s3" else "eval_bit_sync")
     fn, stats, n = BitFunction.random_oracle(3), EmbedStats(), 200
-    args = (fn, Counter(), RngState(5).bits(n), ChannelSpec.uniform(4), RngState(7))
+    m, spec, rng = RngState(5).bits(n), ChannelSpec.uniform(4), RngState(7)
+    args = (fn, Counter(), m, spec, rng)
     if system == "s2":
         s2_embed(*args, repetition=3, stats=stats)
         assert draws[0] == stats.samples_drawn > 3 * n
         assert evals[0] == stats.prf_evals == stats.samples_drawn
+    elif system == "s3":
+        s3_embed(fn, m, spec, rng, copies=3, count=8, stats=stats)
+        assert draws[0] == stats.samples_drawn == 3 * stats.prf_evals
+        assert evals[0] == stats.prf_evals > n
+    elif system == "s4":
+        s4_embed(*args, copies=3, stats=stats)
+        assert draws[0] == stats.samples_drawn == 2 * 3 * n
+        assert evals[0] == stats.prf_evals == 3 * n
     else:
         {"p1": p1_embed, "p2": p2_embed}[system](*args, stats=stats)
         assert draws[0] == evals[0] == stats.samples_drawn == stats.prf_evals == n
