@@ -27,28 +27,24 @@ from .rng import RngState
 SUM_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Document:
     """One cover document, identified by its index in the channel alphabet."""
 
     id: int
 
-    # Written by hand because the generated frozen __init__ plus a
-    # __post_init__ is markedly slower.  It checks ids from outside (a trace
-    # line, a caller) and the one build per distinct id of s1 and ct_oracle;
-    # the embedders build each drawn document in place through _set_doc_id,
-    # since a drawn id is in the alphabet.
-    # The id is stored through the slot descriptor, bound once below,
-    # which is what the generated one does through object.__setattr__.
-    def __init__(self, id: int) -> None:
+    def __post_init__(self) -> None:
         # The 8-byte id every PRF input encodes; type first, so that a
-        # float or a string never reaches the comparison.
-        if type(id) is not int or not 0 <= id < 1 << 64:
-            raise ConfigError(
-                f"document id must be an int, not {type(id).__name__}"
-                if type(id) is not int else f"negative document id {id}" if id < 0
-                else f"document id {id} does not fit in 8 bytes")
-        _set_doc_id(self, id)
+        # float or a string never reaches the comparison.  The embedders
+        # build each drawn document in place through _set_doc_id instead,
+        # since a drawn id is in the alphabet.
+        id = self.id
+        if type(id) is not int:
+            raise ConfigError(f"document id must be an int, not {type(id).__name__}")
+        if id < 0:
+            raise ConfigError(f"negative document id {id}")
+        if id >= 1 << 64:
+            raise ConfigError(f"document id {id} does not fit in 8 bytes")
 
     def to_bytes(self) -> bytes:
         """Canonical injective encoding: the 8-byte big-endian id."""

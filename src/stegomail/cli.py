@@ -20,7 +20,7 @@ from .ecc import bits_from_bytes, bits_from_hex, hex_from_bits
 from .errors import ConfigError, CounterError, ProtocolError
 from .mail import _read_trace_text, _trace_columns, read_trace, write_trace
 from .prf import BitFunction, Counter, Key
-from .protocols import _extract_trace, p1_extract
+from .protocols import _extract, p1_extract
 from .rng import RngState
 from .security import (ALL_SYSTEMS, DISTINGUISHER_NAMES, SystemConfig,
                        _gc_paused, benchmark_scaling, build_distinguisher,
@@ -30,7 +30,13 @@ from .security import (ALL_SYSTEMS, DISTINGUISHER_NAMES, SystemConfig,
 DEFAULT_BENCH_LENGTHS = "256,512,1024,2048,4096,8192,16384"
 
 
-def _config_header(**params) -> str:
+def _config_header(**overrides) -> str:
+    """The running command and every option it was given, but the secret key
+    and the output path, as one comment line; `overrides` replace values."""
+    ctx = click.get_current_context()
+    params = {"channel" if k == "channel_path" else k: v for k, v in ctx.params.items()
+              if k not in ("key_hex", "out_path")}
+    params.update(command=ctx.info_name, **overrides)
     items = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
     return f"# config: {items}"
 
@@ -89,18 +95,20 @@ def embed(protocol, key_hex, counter, message_path, message_format,
               help="Second mailbox trace (p1 only).")
 def extract(protocol, key_hex, counter, in_path, in2_path) -> None:
     """Recover the hiddentext from trace file(s); prints hex."""
+    if in2_path is not None and protocol != "p1":
+        raise ConfigError("p2 extraction reads a single mailbox trace")
     fn = BitFunction.keyed(Key.from_hex(key_hex))
+    # Each trace is parsed before the counter is built, as for the library's
+    # extractors, which take parsed mails.
     if in2_path is None:
         # A single p1 trace is the full sent sequence; a p2 trace is one
         # mailbox.  It is read into columns, with no Mail per line.
-        bits = _extract_trace(fn, counter, protocol,
-                              *_trace_columns(_read_trace_text(in_path)))
+        columns = _trace_columns(_read_trace_text(in_path))
+        bits = _extract(fn, Counter(counter), protocol, *columns)
     else:
-        mails = read_trace(in_path)
-        if protocol != "p1":
-            raise ConfigError("p2 extraction reads a single mailbox trace")
         # Two traces are the two mailboxes themselves.
-        bits = p1_extract(fn, Counter(counter), mails, read_trace(in2_path))
+        box1, box2 = read_trace(in_path), read_trace(in2_path)
+        bits = p1_extract(fn, Counter(counter), box1, box2)
     click.echo(hex_from_bits(bits))
 
 
@@ -125,9 +133,7 @@ def simulate(system, channel_path, key_hex, bits, trials, count, copies,
     cfg = SystemConfig(system, count, copies, repetition, random_fn=random_fn)
     if (key_hex is None) != random_fn:
         raise ConfigError("give exactly one of --key and --random-fn")
-    header = _config_header(command="simulate", system=system, channel=channel_path,
-                            bits=bits, trials=trials, count=count, copies=copies,
-                            repetition=repetition, random_fn=random_fn, seed=seed)
+    header = _config_header()
     fn = BitFunction.keyed(Key.from_hex(key_hex)) if key_hex is not None else None
     report = reliability_estimate(cfg, spec, bits, trials, RngState(seed), fn=fn)
     if out_path is not None:
@@ -166,11 +172,7 @@ def attack(system, distinguisher, channel_path, trials, bits_per_game,
     cfg = SystemConfig(system, count, copies, repetition, random_fn=random_fn)
     warden = build_distinguisher(distinguisher, cfg, spec, significance)
     estimate = run_game(warden, cfg, spec, trials, RngState(seed), bits_per_game)
-    click.echo(_config_header(command="attack", system=system,
-                              distinguisher=distinguisher, channel=channel_path,
-                              trials=trials, bits_per_game=bits_per_game,
-                              significance=significance, count=count, copies=copies,
-                              repetition=repetition, random_fn=random_fn, seed=seed))
+    click.echo(_config_header())
     click.echo("system,distinguisher,trials,advantage,halfwidth,p_st,p_ct")
     click.echo(f"{system},{distinguisher},{trials},{estimate.value!r},"
                f"{estimate.halfwidth!r},{estimate.p_st!r},{estimate.p_ct!r}")
@@ -192,10 +194,7 @@ def rate(systems, channel_path, bits, count, copies, repetition, seed) -> None:
     names = list(ALL_SYSTEMS) if systems == "all" else systems.split(",")
     # Every row is computed before anything is printed, so a refused run
     # leaves no partial table on stdout.
-    lines = [_config_header(command="rate", systems=",".join(names),
-                            channel=channel_path, bits=bits, count=count,
-                            copies=copies, repetition=repetition, seed=seed),
-             "system,bits,docs,rate"]
+    lines = [_config_header(systems=",".join(names)), "system,bits,docs,rate"]
     for i, name in enumerate(names):
         cfg = SystemConfig(name.strip(), count, copies, repetition)
         value = transmission_rate(cfg, spec, RngState(seed).spawn(i), bits=bits)
@@ -249,11 +248,8 @@ def bench(systems, lengths, channel_path, count, copies, repetition, repeats,
         sizes = [int(x) for x in lengths.split(",")]
     except ValueError as e:
         raise ConfigError(f"--lengths must be comma-separated integers, got {lengths!r}") from e
-    header = _config_header(command="bench", systems=systems, lengths=lengths,
-                            channel=channel_path, count=count, copies=copies,
-                            repetition=repetition, repeats=repeats, seed=seed)
-    lines = [header, "system,bits,embed_seconds,extract_seconds,samples_drawn,"
-                     "docs_emitted,prf_evals"]
+    lines = [_config_header(), "system,bits,embed_seconds,extract_seconds,samples_drawn,"
+                               "docs_emitted,prf_evals"]
     slopes = []
     for i, name in enumerate(systems.split(",")):
         cfg = SystemConfig(name.strip(), count, copies, repetition)

@@ -81,6 +81,13 @@ def _check_send_order(ticks: list[int], noun: str) -> None:
         raise ProtocolError(f"{noun} is not sorted by send date")
 
 
+def _columns(mails: Sequence[Mail]) -> tuple[list[int], list[Document],
+                                               list[tuple[str, ...]]]:
+    """A mail sequence as three columns: send ticks, documents, address arrays."""
+    return ([m.sent_at for m in mails], [m.doc for m in mails],
+            [m.addresses for m in mails])
+
+
 def merge_by_date(seq1: Sequence[Mail], seq2: Sequence[Mail]) -> list[Mail]:
     """Merge two tick-sorted mail sequences into one, by send tick.
 

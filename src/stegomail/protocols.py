@@ -24,8 +24,8 @@ from typing import Sequence
 from .baselines import EmbedStats
 from .channel import ChannelSpec, Document, _set_doc_id, sample_id
 from .errors import ConfigError, ProtocolError
-from .mail import (Mail, _check_send_order, _set_mail_addresses, _set_mail_doc,
-                   _set_mail_sent_at, merge_by_date)
+from .mail import (Mail, _check_send_order, _columns, _set_mail_addresses,
+                   _set_mail_doc, _set_mail_sent_at, merge_by_date)
 from .prf import BitFunction, Counter, encode_sync_run, eval_bit_sync
 from .rng import RngState
 
@@ -38,6 +38,7 @@ ADDRESS2 = "address2"
 # does not (and signals complement on extraction).
 P1_ARRAYS = ((ADDRESS1,), (ADDRESS2,))
 P2_ARRAYS = ((ADDRESS1, ADDRESS2), (ADDRESS2, ADDRESS1))
+ARRAYS = {"p1": P1_ARRAYS, "p2": P2_ARRAYS}
 
 
 def _embed_multi(fn: BitFunction, counter: Counter, arrays, m: Sequence[int],
@@ -79,42 +80,30 @@ def _embed_multi(fn: BitFunction, counter: Counter, arrays, m: Sequence[int],
     return mails
 
 
-def _extract_multi(fn: BitFunction, counter: Counter, arrays,
-                   docs: Sequence[Document],
-                   addresses: Sequence[tuple[str, ...]]) -> list[int]:
+def _extract(fn: BitFunction, counter: Counter, protocol: str, ticks: list[int],
+             docs: Sequence[Document],
+             addresses: Sequence[tuple[str, ...]]) -> list[int]:
     """Recompute each mail's bit; the second address array complements it.
 
-    The mails come as two columns, their documents and their address
-    arrays.  Addresses and counter headroom are checked before the first
-    PRF evaluation, so an extract that fails leaves the counter as it was.
-    The whole message is evaluated in one batched call.
+    The mails come as three columns: send ticks, documents and address
+    arrays.  A ``p1`` input is the whole mail sequence as sent, a ``p2``
+    input one mailbox.  Send order, addresses and counter headroom are
+    checked in that order, all before the first PRF evaluation, so an
+    extract that fails leaves the counter as it was.  The whole message is
+    evaluated in one batched call.
     """
+    _check_send_order(ticks, "mail sequence" if protocol == "p1" else "mailbox")
+    arrays = ARRAYS[protocol]
     complement = {arrays[0]: 0, arrays[1]: 1}
     flips = list(map(complement.get, addresses))
     if None in flips:
         arr = addresses[flips.index(None)]
-        variant = "p1" if arrays == P1_ARRAYS else "p2"
-        raise ProtocolError(f"mail addressed to {arr!r} is outside the {variant} address set")
+        raise ProtocolError(f"mail addressed to {arr!r} is outside the {protocol} address set")
     n = len(docs)
     counter.check_headroom(n)
     bits = fn.bits(encode_sync_run(counter.value, docs))
     counter.value += n
     return list(map(xor, bits, flips))
-
-
-def _extract_trace(fn: BitFunction, counter_value: int, protocol: str,
-                   ticks: list[int], docs: Sequence[Document],
-                   addresses: Sequence[tuple[str, ...]]) -> list[int]:
-    """Extract one trace, given as columns.
-
-    A ``p1`` trace is the whole sequence as sent, checked for send order
-    before the counter is built; a ``p2`` trace is one mailbox, read as
-    ``p2_extract`` reads it.
-    """
-    if protocol == "p1":
-        _check_send_order(ticks, "mail sequence")
-        return _extract_multi(fn, Counter(counter_value), P1_ARRAYS, docs, addresses)
-    return _extract_mailbox(fn, Counter(counter_value), ticks, docs, addresses)
 
 
 # --- protocol 1: recipient choice ------------------------------------------
@@ -136,8 +125,7 @@ def p1_extract(fn: BitFunction, counter: Counter, box1: Sequence[Mail],
     Mails to address2 complement the document's bit.
     """
     mails = merge_by_date(list(box1), list(box2))
-    return _extract_multi(fn, counter, P1_ARRAYS, [s.doc for s in mails],
-                          [s.addresses for s in mails])
+    return _extract(fn, counter, "p1", *_columns(mails))
 
 
 def p1_route(mails: Sequence[Mail]) -> tuple[list[Mail], list[Mail]]:
@@ -167,14 +155,4 @@ def p2_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
 
 def p2_extract(fn: BitFunction, counter: Counter, box: Sequence[Mail]) -> list[int]:
     """Extract from a single mailbox; every broadcast lands in both boxes."""
-    mails = list(box)
-    return _extract_mailbox(fn, counter, [s.sent_at for s in mails],
-                            [s.doc for s in mails], [s.addresses for s in mails])
-
-
-def _extract_mailbox(fn: BitFunction, counter: Counter, ticks: list[int],
-                     docs: Sequence[Document],
-                     addresses: Sequence[tuple[str, ...]]) -> list[int]:
-    """``p2_extract`` on a mailbox given as columns."""
-    _check_send_order(ticks, "mailbox")
-    return _extract_multi(fn, counter, P2_ARRAYS, docs, addresses)
+    return _extract(fn, counter, "p2", *_columns(list(box)))

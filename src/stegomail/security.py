@@ -26,10 +26,9 @@ from .baselines import (EmbedStats, s1_embed, s1_extract, s2_embed, s2_extract,
                         s3_embed, s3_extract, s4_embed, s4_extract)
 from .channel import ChannelSpec, Document, sample_id
 from .errors import ConfigError, ProtocolError
-from .mail import Mail, _mail
+from .mail import Mail, _columns, _mail
 from .prf import BitFunction, Counter, Key
-from .protocols import (P1_ARRAYS, P2_ARRAYS, _extract_trace, p1_embed,
-                        p2_embed, p2_extract)
+from .protocols import ARRAYS, _extract, p1_embed, p2_embed, p2_extract
 from .rng import RngState
 from .stats import binom_half_pvalue, chi2_sf
 
@@ -83,7 +82,7 @@ class AdvantageEstimate:
 
 def address_set_for(cfg: SystemConfig):
     """The protocol's pair of address arrays; None for the document-only baselines."""
-    return {"p1": P1_ARRAYS, "p2": P2_ARRAYS}.get(cfg.system)
+    return ARRAYS.get(cfg.system)
 
 
 def output_length(cfg: SystemConfig, n_bits: int) -> int:
@@ -139,8 +138,7 @@ def extract_message(cfg: SystemConfig, fn: BitFunction, outputs,
     if cfg.system == "s4":
         return s4_extract(fn, Counter(counter_value), outputs, copies=cfg.copies)
     if cfg.system == "p1":
-        return _extract_trace(fn, counter_value, "p1", [s.sent_at for s in outputs],
-                              [s.doc for s in outputs], [s.addresses for s in outputs])
+        return _extract(fn, Counter(counter_value), "p1", *_columns(outputs))
     return p2_extract(fn, Counter(counter_value), outputs)
 
 

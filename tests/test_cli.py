@@ -15,7 +15,7 @@ from stegomail import (BitFunction, ChannelSpec, ConfigError, CounterError, Key,
                        ProtocolError, RngState, SystemConfig, bits_from_bytes,
                        embed_message, extract_message, hex_from_bits, read_trace,
                        write_trace)
-from stegomail.cli import run
+from stegomail.cli import main, run
 from stegomail.mail import format_trace, parse_trace
 from stegomail.protocols import p1_route
 
@@ -123,6 +123,13 @@ def test_extract_p2_rejects_second_trace(tmp_path, channel, message_file, capsys
          "--channel", spec, "--seed", "13", "--out", trace])
     assert run(["extract", "--protocol", "p2", "--key", KEY,
                 "--in", trace, "--in2", trace]) == 2
+    # The option pair is refused before either trace is read.
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("not a trace\n")
+    capsys.readouterr()
+    assert run(["extract", "--protocol", "p2", "--key", KEY,
+                "--in", str(bad), "--in2", trace]) == 2
+    assert "reads a single mailbox trace" in capsys.readouterr().err
 
 
 def test_embed_raw_message_format(tmp_path, channel, capsys):
@@ -302,19 +309,44 @@ def _config_line(argv, capsys):
     return out_lines(capsys)[0]
 
 
-@pytest.mark.parametrize("argv, options", [
-    (["attack", "--system", "s1", "--distinguisher", "document-frequency",
-      "--trials", "100", "--bits-per-game", "10", "--seed", "1"],
-     [["--count", "2"], ["--copies", "5"], ["--ecc-repetition", "3"], ["--random-fn"]]),
-    (["bench", "--systems", "p1", "--lengths", "16,32", "--repeats", "1", "--seed", "5"],
-     [["--count", "2"], ["--copies", "5"], ["--ecc-repetition", "3"]]),
-], ids=["attack", "bench"])
-def test_config_header_records_every_system_option(argv, options, channel, capsys):
-    argv = [*argv, "--channel", channel(UNIFORM_4)]
-    base = _config_line(argv, capsys)
-    assert base.startswith("# config: ")
-    for option in options:
-        assert _config_line([*argv, *option], capsys) != base, option
+@pytest.mark.parametrize("command, base, changes", [
+    ("simulate", {"--system": "s1", "--key": KEY, "--bits": "8", "--trials": "2",
+                  "--seed": "1"},
+     [{"--system": "s2"}, {"--bits": "9"}, {"--trials": "3"}, {"--count": "2"},
+      {"--copies": "5"}, {"--ecc-repetition": "3"}, {"--key": None, "--random-fn": True},
+      {"--seed": "2"}]),
+    ("attack", {"--system": "s1", "--distinguisher": "document-frequency",
+                "--trials": "100", "--bits-per-game": "10", "--seed": "1"},
+     [{"--system": "s2"}, {"--distinguisher": "constant"}, {"--trials": "101"},
+      {"--bits-per-game": "11"}, {"--significance": "0.1"}, {"--count": "2"},
+      {"--copies": "5"}, {"--ecc-repetition": "3"}, {"--random-fn": True},
+      {"--seed": "2"}]),
+    ("rate", {"--system": "s1", "--bits": "8", "--seed": "1"},
+     [{"--system": "s2"}, {"--bits": "9"}, {"--count": "2"}, {"--copies": "5"},
+      {"--ecc-repetition": "3"}, {"--seed": "2"}]),
+    ("bench", {"--systems": "p1", "--lengths": "16,32", "--repeats": "1", "--seed": "5"},
+     [{"--systems": "p2"}, {"--lengths": "16,48"}, {"--count": "2"}, {"--copies": "5"},
+      {"--ecc-repetition": "3"}, {"--repeats": "2"}, {"--seed": "6"}]),
+], ids=["simulate", "attack", "rate", "bench"])
+def test_config_header_records_every_system_option(command, base, changes, channel, capsys):
+    # Every option but the key and the output path shows in the header, and
+    # the key never does.  A value of None leaves the option out; True is a flag.
+    changes = [*changes, {"--channel": channel(MIXED_3, "m3.json")}]
+    options = {p.opts[0] for p in main.commands[command].params}
+    assert options - {"--key", "--out"} == set().union(*changes) - {"--key"}
+    base = {**base, "--channel": channel(UNIFORM_4)}
+
+    def header(args):
+        argv = [command]
+        for option, value in args.items():
+            argv += [] if value is None else [option] if value is True else [option, value]
+        line = _config_line(argv, capsys)
+        assert line.startswith("# config: ") and KEY not in line
+        return line
+
+    first = header(base)
+    for change in changes:
+        assert header({**base, **change}) != first, change
 
 
 def test_bad_channel_file_is_config_error(channel):
@@ -347,6 +379,23 @@ def test_p1_trace_out_of_send_order_is_protocol_error(tmp_path, channel, message
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not sorted by send date" in captured.err
+
+
+@pytest.mark.parametrize("protocol", ["p1", "p2"])
+def test_bad_counter_fails_before_send_order(protocol, tmp_path, capsys):
+    # Both protocols build the counter before they read the mails' order,
+    # in the library and in the CLI alike.
+    cfg = SystemConfig(protocol)
+    mails = embed_message(cfg, KEYED, [0, 1, 1], ChannelSpec.uniform(4), RngState(3))
+    mails[0], mails[1] = mails[1], mails[0]
+    with pytest.raises(ConfigError, match="^counter value -1 outside 64-bit range$"):
+        extract_message(cfg, KEYED, mails, -1)
+    trace = tmp_path / "trace.tsv"
+    write_trace(mails, trace)
+    capsys.readouterr()
+    assert run(["extract", "--protocol", protocol, "--key", KEY, "--in", str(trace),
+                "--counter", "-1"]) == 2
+    assert "counter value -1 outside 64-bit range" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [
