@@ -31,7 +31,7 @@ _TAG_SYNC = b"F2"
 _TAG_TUPLE = b"F3"
 _LEN_ID = (8).to_bytes(4, "big")  # F3's length prefix of one 8-byte id
 # An F2 input: the tag, the counter value and the document id, both 8 bytes
-# big-endian.  One pack call builds the 18 bytes that encode_sync joins.
+# big-endian, built in one pack call.  The tests hold the reference encoding.
 _pack_sync = struct.Struct(">2sQQ").pack
 
 
@@ -168,15 +168,11 @@ def encode_doc(d: Document) -> bytes:
     return _TAG_DOC + d.to_bytes()
 
 
-def encode_sync(value: int, d: Document) -> bytes:
-    return _TAG_SYNC + value.to_bytes(8, "big") + d.to_bytes()
-
-
 def encode_sync_run(value: int, docs: Iterable[Document]) -> list[bytes]:
     """F2 inputs of consecutive counter values ``value, value + 1, ...``.
 
-    Equal to ``[encode_sync(value + k, d) for k, d in enumerate(docs)]``:
-    the inputs a synchronized extractor evaluates.
+    Each is the tag ``F2``, then the counter value and the document id,
+    both 8 bytes big-endian: the inputs a synchronized extractor evaluates.
     """
     return [_pack_sync(_TAG_SYNC, v, d.id) for v, d in zip(count(value), docs)]
 
@@ -202,10 +198,10 @@ def eval_bit(fn: BitFunction, d: Document) -> int:
 def eval_bit_sync(fn: BitFunction, counter: Counter, d: Document) -> int:
     """Bit of (counter value, document); does not advance the counter.
 
-    The input is ``encode_sync(counter.value, d)``, packed in one call
-    because this is the email protocols' per-bit embed path.  The keyed
-    hash and the random oracle's lookup are inlined too (the oracle spends
-    its coins as ``fn.bit`` does), so a call costs one Python frame.
+    The input is the F2 encoding of ``counter.value`` and ``d``, packed in
+    one call because this is the email protocols' per-bit embed path.  The
+    keyed hash and the random oracle's lookup are inlined too (the oracle
+    spends its coins as ``fn.bit`` does), so a call costs one Python frame.
     """
     data = _pack_sync(_TAG_SYNC, counter.value, d.id)
     h = fn._keyed_hash

@@ -18,6 +18,7 @@ the identity on messages for any channel and any bit function.
 
 from __future__ import annotations
 
+from itertools import count
 from operator import xor
 from typing import Sequence
 
@@ -87,12 +88,16 @@ def _extract(fn: BitFunction, counter: Counter, protocol: str, ticks: list[int],
 
     The mails come as three columns: send ticks, documents and address
     arrays.  A ``p1`` input is the whole mail sequence as sent, a ``p2``
-    input one mailbox.  Send order, addresses and counter headroom are
-    checked in that order, all before the first PRF evaluation, so an
-    extract that fails leaves the counter as it was.  The whole message is
-    evaluated in one batched call.
+    input one mailbox.  Send order, missing ticks (the embed sends
+    consecutive ones), addresses and counter headroom are checked in that
+    order, all before the first PRF evaluation, so an extract that fails
+    leaves the counter as it was.  The whole message is evaluated in one
+    batched call.
     """
     _check_send_order(ticks, "mail sequence" if protocol == "p1" else "mailbox")
+    if ticks and ticks[-1] - ticks[0] != len(ticks) - 1:
+        missing = next(t for t, sent in zip(count(ticks[0]), ticks) if t != sent)
+        raise ProtocolError(f"send tick {missing} is missing from the {protocol} input")
     arrays = ARRAYS[protocol]
     complement = {arrays[0]: 0, arrays[1]: 1}
     flips = list(map(complement.get, addresses))
@@ -126,22 +131,6 @@ def p1_extract(fn: BitFunction, counter: Counter, box1: Sequence[Mail],
     """
     mails = merge_by_date(list(box1), list(box2))
     return _extract(fn, counter, "p1", *_columns(mails))
-
-
-def p1_route(mails: Sequence[Mail]) -> tuple[list[Mail], list[Mail]]:
-    """Split a sent p1 sequence into the address1 and address2 mailboxes."""
-    box1: list[Mail] = []
-    box2: list[Mail] = []
-    to1, to2 = P1_ARRAYS
-    for s in mails:
-        if s.addresses == to1:
-            box1.append(s)
-        elif s.addresses == to2:
-            box2.append(s)
-        else:
-            raise ProtocolError(
-                f"mail addressed to {s.addresses!r} is outside the p1 address set")
-    return box1, box2
 
 
 # --- protocol 2: broadcast order --------------------------------------------

@@ -122,8 +122,7 @@ def embed_message(cfg: SystemConfig, fn: BitFunction, m: Sequence[int],
     return p2_embed(fn, Counter(counter_value), m, spec, rng, start_tick, stats)
 
 
-def extract_message(cfg: SystemConfig, fn: BitFunction, outputs,
-                    counter_value: int = 0) -> list[int]:
+def extract_message(cfg: SystemConfig, fn: BitFunction, outputs) -> list[int]:
     """Invert the configured system's embedder on its emitted sequence.
 
     A ``p1`` sequence is read as sent, so it must be in send order; two
@@ -132,14 +131,14 @@ def extract_message(cfg: SystemConfig, fn: BitFunction, outputs,
     if cfg.system == "s1":
         return s1_extract(fn, outputs)
     if cfg.system == "s2":
-        return s2_extract(fn, Counter(counter_value), outputs, repetition=cfg.repetition)
+        return s2_extract(fn, Counter(), outputs, repetition=cfg.repetition)
     if cfg.system == "s3":
         return s3_extract(fn, outputs, copies=cfg.copies)
     if cfg.system == "s4":
-        return s4_extract(fn, Counter(counter_value), outputs, copies=cfg.copies)
+        return s4_extract(fn, Counter(), outputs, copies=cfg.copies)
     if cfg.system == "p1":
-        return _extract(fn, Counter(counter_value), "p1", *_columns(outputs))
-    return p2_extract(fn, Counter(counter_value), outputs)
+        return _extract(fn, Counter(), "p1", *_columns(list(outputs)))
+    return p2_extract(fn, Counter(), outputs)
 
 
 # --- the covertext oracle (the stegotext oracle is embed_message) -------------

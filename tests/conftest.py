@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from stegomail import BitFunction, ChannelSpec, Document, Key
+from stegomail import (ADDRESS1, ADDRESS2, BitFunction, ChannelSpec, Document,
+                       Key, Mail, ProtocolError)
 
 MASTER_SEED = 20260811
 
@@ -26,6 +27,23 @@ def fixed_key() -> Key:
 @pytest.fixture
 def keyed_fn(fixed_key) -> BitFunction:
     return BitFunction.keyed(fixed_key)
+
+
+def encode_sync(value: int, d: Document) -> bytes:
+    """The reference F2 input: the tag, then the counter value and the
+    document id, each 8 bytes big-endian."""
+    return b"F2" + value.to_bytes(8, "big") + d.id.to_bytes(8, "big")
+
+
+def p1_route(mails: list[Mail]) -> tuple[list[Mail], list[Mail]]:
+    """Split a sent p1 sequence into the address1 and address2 mailboxes."""
+    boxes: dict[tuple[str, ...], list[Mail]] = {(ADDRESS1,): [], (ADDRESS2,): []}
+    for mail in mails:
+        if mail.addresses not in boxes:
+            raise ProtocolError(
+                f"mail addressed to {mail.addresses!r} is outside the p1 address set")
+        boxes[mail.addresses].append(mail)
+    return boxes[(ADDRESS1,)], boxes[(ADDRESS2,)]
 
 
 def find_key_where(predicate, limit: int = 4096) -> Key:

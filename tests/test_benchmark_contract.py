@@ -5,7 +5,11 @@ rebinds those names at run time, so a rename in ``src/`` would only show
 when the benchmark runs with ``--trace 1``.  The first test reads the list
 from the tracer's source, without importing it, and checks every target
 resolves.  The second, also with ``ast``, checks that the package or the
-benchmark reaches every public name, so no library code serves only tests.
+benchmark reaches every module-level function and class in ``src/``, public
+or private, and every public name: each must be read by module code outside
+those definitions, by a click command, by the console entry point, by
+``perfbench/`` or by a definition already reached, so no code in ``src/``
+serves only tests.
 The third runs one op of every workload in ``perfbench/workloads.py``, so a
 changed signature fails here too.  The fourth counts
 ``channel.sample_id`` over one op, as the traced run does:
@@ -19,6 +23,7 @@ the cost the benchmark times per draw and per PRF query.
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 import types
 from pathlib import Path
@@ -59,35 +64,50 @@ def test_every_traced_layer_target_resolves():
     assert [t for t in targets if _missing(t)] == []
 
 
+def _names_read(node: ast.AST) -> set[str]:
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)}
+
+
+def _is_click_command(node: ast.AST) -> bool:
+    return any(isinstance(d, ast.Call) and getattr(d.func, "attr", None) in ("command", "group")
+               for d in node.decorator_list)
+
+
 def test_every_public_name_is_used_by_the_package_or_the_benchmark():
-    # A public name that only tests call is code no run of the CLI or the
-    # benchmark reaches.  Names are reached from code outside the public
-    # names' own definitions, then from the definitions of reached names;
-    # the re-exports in __init__ do not count.
+    # A definition that only tests call is code no run of the CLI or the
+    # benchmark reaches.  Every module-level function and class in
+    # src/stegomail, public or private, and every public name must be read by
+    # module code outside those definitions, by a click command, by the
+    # console entry point, by perfbench/, or by the definition of a name
+    # already reached.  Names are matched by identifier; the re-exports in
+    # __init__ do not count.
     import stegomail
     public = {name for name, value in vars(stegomail).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    # public name -> the names its definition reads; None -> the names all
-    # other code reads
-    refs: dict[str | None, set[str]] = {}
+    entry_points = set(re.findall(r'"stegomail\.(\w+):(\w+)"',
+                                  (ROOT / "pyproject.toml").read_text(encoding="utf-8")))
+    # "module.name" of a module-level function or class -> the names its
+    # definition reads; None -> the names all other code reads
+    refs: dict[str | None, set[str]] = {None: set()}
     for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]:
         if path == SRC / "__init__.py":
             continue
-        module = f"stegomail.{path.stem}" if path.parent == SRC else None
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            name = getattr(node, "name", None)
-            owner = name if name in public and getattr(
-                getattr(stegomail, name), "__module__", None) == module else None
-            refs.setdefault(owner, set()).update(
-                sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
-                if isinstance(sub, (ast.Name, ast.Attribute)))
-    used, todo = set(), [None]
-    while todo:
-        reached = refs.get(todo.pop(), set()) & public - used
-        used |= reached
-        todo += reached
-    assert len(public) > 50
-    assert sorted(public - used) == []
+            if (path.parent == SRC and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and (path.stem, node.name) not in entry_points
+                    and not _is_click_command(node)):
+                refs[f"{path.stem}.{node.name}"] = _names_read(node)
+            else:
+                refs[None] |= _names_read(node)
+    reached, grew = {None}, True
+    while grew:
+        names = set().union(*(refs[key] for key in reached))
+        grew = {key for key in refs.keys() - reached if key.split(".")[1] in names}
+        reached |= grew
+    assert len(public) > 50 and len(refs) > 90
+    assert sorted(refs.keys() - reached) == []
+    assert sorted(public - names) == []
 
 
 def _load_workloads():

@@ -11,15 +11,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stegomail
-from stegomail import (BitFunction, ChannelSpec, ConfigError, CounterError, Key, Mail,
-                       ProtocolError, RngState, SystemConfig, bits_from_bytes,
-                       embed_message, extract_message, hex_from_bits, read_trace,
-                       write_trace)
+from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter, CounterError,
+                       Key, Mail, ProtocolError, RngState, SystemConfig,
+                       bits_from_bytes, embed_message, hex_from_bits,
+                       p1_extract, p2_extract, read_trace, write_trace)
 from stegomail.cli import main, run
 from stegomail.mail import format_trace, parse_trace
-from stegomail.protocols import p1_route
 
-from conftest import count_calls
+from conftest import count_calls, p1_route
 
 KEY = "00112233445566778899aabbccddeeff"
 REPO = Path(__file__).resolve().parent.parent
@@ -82,6 +81,40 @@ def test_extract_p1_from_two_mailbox_traces(tmp_path, channel, message_file, cap
     assert run(["extract", "--protocol", "p1", "--key", KEY,
                 "--in", box1, "--in2", box2]) == 0
     assert out_lines(capsys)[-1] == "deadbeef0badf00d"
+
+
+@pytest.mark.parametrize("protocol", ["p1", "p2"])
+def test_extract_of_a_trace_with_lines_removed_exits_3(protocol, tmp_path, channel,
+                                                       message_file, capsys):
+    trace = tmp_path / "trace.tsv"
+    run(["embed", "--protocol", protocol, "--key", KEY, "--message", message_file,
+         "--channel", channel(UNIFORM_4), "--seed", "11", "--out", str(trace)])
+    lines = trace.read_text().splitlines(keepends=True)
+    trace.write_text("".join(lines[:3] + lines[5:]))
+    capsys.readouterr()
+    assert run(["extract", "--protocol", protocol, "--key", KEY,
+                "--in", str(trace)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"send tick 3 is missing from the {protocol} input" in captured.err
+
+
+@pytest.mark.parametrize("box", [0, 1])
+def test_extract_p1_with_a_mail_lost_from_one_mailbox_exits_3(box, tmp_path, channel,
+                                                              message_file, capsys):
+    trace = str(tmp_path / "trace.tsv")
+    run(["embed", "--protocol", "p1", "--key", KEY, "--message", message_file,
+         "--channel", channel(UNIFORM_4), "--seed", "11", "--out", trace])
+    boxes = list(p1_route(read_trace(trace)))
+    lost = boxes[box].pop(1)  # neither the first nor the last mail sent
+    paths = [str(tmp_path / "box1.tsv"), str(tmp_path / "box2.tsv")]
+    for mails, path in zip(boxes, paths):
+        write_trace(mails, path)
+    capsys.readouterr()
+    assert run(["extract", "--protocol", "p1", "--key", KEY,
+                "--in", paths[0], "--in2", paths[1]]) == 3
+    assert (f"send tick {lost.sent_at} is missing from the p1 input"
+            in capsys.readouterr().err)
 
 
 def test_embed_extract_round_trip_p2(tmp_path, channel, message_file, capsys):
@@ -384,12 +417,13 @@ def test_p1_trace_out_of_send_order_is_protocol_error(tmp_path, channel, message
 @pytest.mark.parametrize("protocol", ["p1", "p2"])
 def test_bad_counter_fails_before_send_order(protocol, tmp_path, capsys):
     # Both protocols build the counter before they read the mails' order,
-    # in the library and in the CLI alike.
-    cfg = SystemConfig(protocol)
-    mails = embed_message(cfg, KEYED, [0, 1, 1], ChannelSpec.uniform(4), RngState(3))
+    # in the library (whose extractors take a built Counter) and in the CLI
+    # alike.
+    mails = embed_message(SystemConfig(protocol), KEYED, [0, 1, 1],
+                          ChannelSpec.uniform(4), RngState(3))
     mails[0], mails[1] = mails[1], mails[0]
     with pytest.raises(ConfigError, match="^counter value -1 outside 64-bit range$"):
-        extract_message(cfg, KEYED, mails, -1)
+        _library_mail_extract(protocol, mails, -1)
     trace = tmp_path / "trace.tsv"
     write_trace(mails, trace)
     capsys.readouterr()
@@ -766,15 +800,18 @@ KEYED = BitFunction.keyed(Key.from_hex(KEY))
 
 @st.composite
 def damaged_traces(draw):
-    """A valid p1 or p2 trace with one line swapped, edited or readdressed."""
+    """A valid p1 or p2 trace with one line swapped, edited, readdressed or
+    dropped."""
     protocol = draw(st.sampled_from(["p1", "p2"]))
     message = bits_from_bytes(draw(st.binary(min_size=1, max_size=3)))
     mails = embed_message(SystemConfig(protocol), KEYED, message, ChannelSpec.uniform(4),
                           RngState(draw(st.integers(0, 99))))
     lines = format_trace(mails).splitlines(keepends=True)
     i = draw(st.integers(0, len(lines) - 1))
-    change = draw(st.sampled_from(["none", "swap", "edit", "readdress"]))
-    if change == "swap":
+    change = draw(st.sampled_from(["none", "swap", "edit", "readdress", "drop"]))
+    if change == "drop":
+        del lines[i]
+    elif change == "swap":
         j = draw(st.integers(0, len(lines) - 1))
         lines[i], lines[j] = lines[j], lines[i]
     elif change == "edit":
@@ -785,11 +822,19 @@ def damaged_traces(draw):
     return protocol, "".join(lines)
 
 
+def _library_mail_extract(protocol: str, mails: list[Mail], counter: int) -> list[int]:
+    """The library's extract of a sent p1 sequence or a p2 mailbox, from
+    `counter`: a single p1 sequence is the address1 box with no address2 box."""
+    if protocol == "p1":
+        return p1_extract(KEYED, Counter(counter), mails, [])
+    return p2_extract(KEYED, Counter(counter), mails)
+
+
 def _library_extract(protocol: str, text: str, counter: int) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of ``extract`` as the library's mail API
     computes it, with errors mapped as cli.run maps them."""
     try:
-        bits = extract_message(SystemConfig(protocol), KEYED, parse_trace(text), counter)
+        bits = _library_mail_extract(protocol, parse_trace(text), counter)
         return 0, hex_from_bits(bits) + "\n", ""
     except ConfigError as e:
         return 2, "", f"configuration error: {e}\n"

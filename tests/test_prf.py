@@ -6,7 +6,9 @@ import pytest
 from stegomail import (BitFunction, ConfigError, Counter, CounterError,
                        Document, Key, RngState, eval_bit, eval_bit_sync,
                        eval_bit_tuple)
-from stegomail.prf import encode_doc, encode_sync, encode_sync_run, encode_tuple
+from stegomail.prf import encode_doc, encode_sync_run, encode_tuple
+
+from conftest import encode_sync
 
 
 def test_eval_bit_deterministic(keyed_fn):

@@ -9,9 +9,9 @@ from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter,
                        load_channel_file,
                        p1_embed, p1_extract, p2_embed, p2_extract)
 from stegomail.mail import format_trace
-from stegomail.protocols import ADDRESS1, ADDRESS2, P1_ARRAYS, P2_ARRAYS, p1_route
+from stegomail.protocols import ADDRESS1, ADDRESS2, P1_ARRAYS, P2_ARRAYS
 
-from conftest import MARKOV2, TEST_CHANNELS, find_key_where
+from conftest import MARKOV2, TEST_CHANNELS, find_key_where, p1_route
 
 POINT_MASS_1 = ChannelSpec.point_mass(2)
 CHANNEL_DIR = Path(__file__).resolve().parent.parent / "channels"
@@ -338,3 +338,37 @@ def test_p1_route_splits_and_rejects_foreign_addresses():
     assert sorted(box1 + box2, key=lambda m: m.sent_at) == mails
     with pytest.raises(ProtocolError):
         p1_route(mails + [Mail(Document(0), (ADDRESS1, ADDRESS2), 99)])
+
+
+@pytest.mark.parametrize("variant", ["p1", "p2"])
+def test_a_gap_in_the_send_ticks_fails_at_the_gap(variant):
+    # The embed sends consecutive ticks, and after a lost mail every later bit
+    # would be read at the wrong counter, so the extract names the first
+    # missing tick before any PRF evaluation.
+    embed_fn = {"p1": p1_embed, "p2": p2_embed}[variant]
+    mails = embed_fn(oracle(59), Counter(0), RngState(59).bits(8), MARKOV2, RngState(59))
+    kept = [mail for mail in mails if mail.sent_at not in (3, 4)]
+    fn, rx = oracle(59), Counter(0)
+    with pytest.raises(ProtocolError, match=f"^send tick 3 is missing from the {variant} input$"):
+        if variant == "p1":
+            p1_extract(fn, rx, *p1_route(kept))
+        else:
+            p2_extract(fn, rx, kept)
+    assert rx.value == 0
+    assert fn.table == {}
+
+
+@pytest.mark.parametrize("box", [0, 1])
+def test_p1_mail_lost_from_one_mailbox_fails_at_its_tick(box):
+    fn = oracle(61)
+    boxes = list(p1_route(p1_embed(fn, Counter(0), [0, 1] * 8, MARKOV2, RngState(61))))
+    assert len(boxes[box]) > 2  # the lost mail is neither the first nor the last sent
+    lost = boxes[box].pop(1)
+    with pytest.raises(ProtocolError,
+                       match=f"^send tick {lost.sent_at} is missing from the p1 input$"):
+        p1_extract(fn, Counter(0), *boxes)
+
+
+def test_empty_input_extracts_to_no_bits():
+    assert p1_extract(oracle(63), Counter(0), [], []) == []
+    assert p2_extract(oracle(63), Counter(0), []) == []

@@ -366,6 +366,25 @@ def test_extract_message_p1_reads_the_sequence_in_send_order():
         extract_message(cfg, fn, mails)
 
 
+@pytest.mark.parametrize("name", ["p1", "p2"])
+def test_extract_message_reads_an_iterator_as_the_list(name):
+    cfg = SystemConfig(name)
+    fn = make_fn(cfg, RngState(55))
+    m = RngState(57).bits(24)
+    mails = embed_message(cfg, fn, m, UNIFORM_4, RngState(59))
+    assert extract_message(cfg, fn, iter(mails)) == extract_message(cfg, fn, mails) == m
+
+
+@pytest.mark.parametrize("name", ["p1", "p2"])
+def test_extract_message_rejects_a_gap_in_the_send_ticks(name):
+    cfg = SystemConfig(name)
+    fn = make_fn(cfg, RngState(61))
+    mails = embed_message(cfg, fn, RngState(63).bits(8), UNIFORM_4, RngState(65))
+    del mails[3:5]
+    with pytest.raises(ProtocolError, match=f"^send tick 3 is missing from the {name} input$"):
+        extract_message(cfg, fn, mails)
+
+
 @pytest.mark.parametrize("fails", [False, True], ids=["ok", "raises"])
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 def test_reliability_pauses_and_restores_the_collector(enabled, fails, monkeypatch):
