@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import islice, pairwise
 from operator import attrgetter, lt
 from typing import Iterable, Sequence
 
@@ -20,6 +20,10 @@ from .errors import ConfigError, ProtocolError
 # The trace's field and line separators: a comma, a tab, and every
 # character str.splitlines breaks a line at.
 _SEPARATOR = re.compile("[,\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+# Mails write_trace formats per call: besides the encoded trace, it holds
+# the line strings and text of one chunk only.
+_TRACE_CHUNK = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,10 +168,14 @@ def parse_trace(text: str) -> list[Mail]:
 
 def write_trace(mails: Iterable[Mail], path) -> None:
     """Format and encode the whole trace first, so a mail that fails leaves
-    `path` as it was."""
-    data = format_trace(mails).encode()
+    `path` as it was.  Mails are formatted and encoded _TRACE_CHUNK at a
+    time, so the trace is held once, as bytes."""
+    mails = iter(mails)
+    chunks = []
+    while chunk := list(islice(mails, _TRACE_CHUNK)):
+        chunks.append(format_trace(chunk).encode())
     with open(path, "wb") as f:
-        f.write(data)
+        f.writelines(chunks)
 
 
 def _read_trace_text(path) -> str:

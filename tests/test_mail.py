@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 
 from stegomail import (Document, Mail, ProtocolError, RngState, merge_by_date,
                        read_trace, write_trace)
-from stegomail.mail import _mail, format_trace, parse_trace
+from stegomail.mail import _TRACE_CHUNK, _mail, format_trace, parse_trace
+from stegomail.protocols import P1_ARRAYS, P2_ARRAYS
 
 
 def mk(tick, doc_id=0, addrs=("address1",)):
@@ -64,12 +66,49 @@ def test_mail_rejects_every_trace_separator_in_an_address():
 
 
 def test_write_trace_of_a_bad_mail_leaves_the_file_as_it_was(tmp_path):
+    # At _TRACE_CHUNK + 3 the bad mail is in the second chunk, so a writer
+    # that opened the file after the first one would fail here.
     path = tmp_path / "trace.tsv"
     path.write_text("0\t1\taddress1\n")
-    for addrs, error in (((5,), TypeError), (("a\ud800",), UnicodeEncodeError)):
-        with pytest.raises(error):
-            write_trace([mk(0), _mail(Document(1), addrs, 1)], path)
-        assert path.read_text() == "0\t1\taddress1\n"
+    for bad_at in (1, _TRACE_CHUNK + 3):
+        good = [mk(t) for t in range(bad_at)]
+        for addrs, error in (((5,), TypeError), (("a\ud800",), UnicodeEncodeError)):
+            with pytest.raises(error):
+                write_trace([*good, _mail(Document(1), addrs, bad_at)], path)
+            assert path.read_text() == "0\t1\taddress1\n"
+
+
+def _drawn_mails(arrays, n, seed=7):
+    """n mails with drawn document ids and address arrays, in send order."""
+    rng = RngState(seed)
+    return [_mail(Document(rng.randrange(1024)), arrays[rng.bit()], t)
+            for t in range(n)]
+
+
+@pytest.mark.parametrize("as_generator", [False, True], ids=["list", "generator"])
+@pytest.mark.parametrize("n", [0, 1, _TRACE_CHUNK - 1, _TRACE_CHUNK,
+                               _TRACE_CHUNK + 1, 2 * _TRACE_CHUNK + 7])
+@pytest.mark.parametrize("arrays", [P1_ARRAYS, P2_ARRAYS], ids=["p1", "p2"])
+def test_write_trace_writes_the_formatted_trace(tmp_path, arrays, n, as_generator):
+    mails = _drawn_mails(arrays, n)
+    path = tmp_path / "trace.tsv"
+    write_trace((m for m in mails) if as_generator else mails, path)
+    assert path.read_bytes() == format_trace(mails).encode()
+
+
+def test_write_trace_holds_the_trace_about_once(tmp_path):
+    # Counted from after the mails are built.  Formatting the whole trace
+    # into one text before encoding it peaks at ~4x the bytes written.
+    mails = _drawn_mails(P2_ARRAYS, 65536)
+    path = tmp_path / "trace.tsv"
+    tracemalloc.start()
+    try:
+        write_trace(mails, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = path.stat().st_size
+    assert peak <= 2 * written, (peak, written)
 
 
 @settings(max_examples=200, deadline=None)
