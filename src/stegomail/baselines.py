@@ -68,7 +68,7 @@ def _budget(fn: BitFunction, count: int | None) -> int:
         if count < 1:
             raise ConfigError(f"iteration budget must be >= 1, got {count}")
         return count
-    return fn.key.bit_length if fn.mode == "keyed" else 128
+    return 128 if fn._keyed_hash is None else fn.key.bit_length
 
 
 def _check_copies(copies: int, odd: bool) -> None:

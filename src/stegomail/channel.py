@@ -46,10 +46,6 @@ class Document:
         if id >= 1 << 64:
             raise ConfigError(f"document id {id} does not fit in 8 bytes")
 
-    def to_bytes(self) -> bytes:
-        """Canonical injective encoding: the 8-byte big-endian id."""
-        return self.id.to_bytes(8, "big")
-
 
 _set_doc_id = Document.id.__set__
 
@@ -142,14 +138,6 @@ class ChannelSpec:
         if n < 1:
             raise ConfigError(f"alphabet_size must be positive, got {n}")
         return cls.stationary([1.0 / n] * n)
-
-    @classmethod
-    def point_mass(cls, n: int, target: int = 0) -> "ChannelSpec":
-        if n < 1:
-            raise ConfigError(f"alphabet_size must be positive, got {n}")
-        if not 0 <= target < n:
-            raise ConfigError(f"target {target} is outside the alphabet [0, {n})")
-        return cls.stationary([1.0 if i == target else 0.0 for i in range(n)])
 
     @classmethod
     def markov1(cls, matrix, initial) -> "ChannelSpec":

@@ -191,12 +191,13 @@ def attack(system, distinguisher, channel_path, trials, bits_per_game,
 def rate(systems, channel_path, bits, count, copies, repetition, seed) -> None:
     """Measured transmission rate (hiddentext bits per document)."""
     spec = load_channel_file(channel_path)
-    names = list(ALL_SYSTEMS) if systems == "all" else systems.split(",")
+    names = (list(ALL_SYSTEMS) if systems == "all"
+             else [name.strip() for name in systems.split(",")])
     # Every row is computed before anything is printed, so a refused run
     # leaves no partial table on stdout.
     lines = [_config_header(systems=",".join(names)), "system,bits,docs,rate"]
     for i, name in enumerate(names):
-        cfg = SystemConfig(name.strip(), count, copies, repetition)
+        cfg = SystemConfig(name, count, copies, repetition)
         value = transmission_rate(cfg, spec, RngState(seed).spawn(i), bits=bits)
         lines.append(f"{cfg.system},{bits},{round(bits / value)},{value!r}")
     click.echo("".join(line + "\n" for line in lines), nl=False)
@@ -248,11 +249,13 @@ def bench(systems, lengths, channel_path, count, copies, repetition, repeats,
         sizes = [int(x) for x in lengths.split(",")]
     except ValueError as e:
         raise ConfigError(f"--lengths must be comma-separated integers, got {lengths!r}") from e
-    lines = [_config_header(), "system,bits,embed_seconds,extract_seconds,samples_drawn,"
-                               "docs_emitted,prf_evals"]
+    names = [name.strip() for name in systems.split(",")]
+    lines = [_config_header(systems=",".join(names), lengths=",".join(map(str, sizes))),
+             "system,bits,embed_seconds,extract_seconds,samples_drawn,"
+             "docs_emitted,prf_evals"]
     slopes = []
-    for i, name in enumerate(systems.split(",")):
-        cfg = SystemConfig(name.strip(), count, copies, repetition)
+    for i, name in enumerate(names):
+        cfg = SystemConfig(name, count, copies, repetition)
         report = benchmark_scaling(cfg, spec, sizes, RngState(seed).spawn(i),
                                    repeats=repeats)
         for row in report.rows:

@@ -1,15 +1,15 @@
 """Keyed one-bit functions and their idealized random-function twin.
 
-The keyed mode is a BLAKE2b keyed hash truncated to its least significant
-bit.  Three input signatures are used by the different systems and kept
-apart by domain tags:
+A keyed function is a BLAKE2b keyed hash truncated to its least
+significant bit.  Three input signatures are used by the different
+systems and kept apart by domain tags:
 
 * ``F1`` — a bare document,
 * ``F2`` — a synchronized counter value followed by a document,
 * ``F3`` — a tuple of documents, length-prefixed per element.
 
-``random_oracle`` mode replaces the keyed hash with a lazily sampled true
-random function over the same encoded inputs; the address-uniformity
+A function with no key (``BitFunction.random_oracle``) is a lazily sampled
+true random function over the same encoded inputs; the address-uniformity
 properties and the random-function games swap it in for the keyed side.
 """
 
@@ -95,41 +95,37 @@ class Counter:
 
 
 class BitFunction:
-    """One-bit function over encoded inputs: keyed hash or true random."""
+    """One-bit function over encoded inputs: keyed hash or true random.
 
-    __slots__ = ("mode", "key", "table", "_coins", "_keyed_hash")
+    A function is keyed if and only if it holds a key.
+    """
 
-    def __init__(self, mode: str, key: Key | None = None,
-                 oracle_seed: int | None = None) -> None:
-        if mode == "keyed":
-            if key is None:
-                raise ConfigError("keyed mode requires a key")
-            self.key = key
+    __slots__ = ("key", "table", "_coins", "_keyed_hash")
+
+    def __init__(self, key: Key | None = None, oracle_seed: int = 0) -> None:
+        self.key = key
+        if key is None:
+            self.table: dict[bytes, int] = {}
+            self._coins = random.Random(oracle_seed)
+            self._keyed_hash = None
+        else:
             self.table = None
             self._coins = None
             # Keying BLAKE2b hashes a whole key block; copying a keyed state
             # is cheaper than keying a fresh one on every evaluation.
             self._keyed_hash = hashlib.blake2b(digest_size=1, key=key.data)
-        elif mode == "random_oracle":
-            self.key = None
-            self.table: dict[bytes, int] = {}
-            self._coins = random.Random(oracle_seed)
-            self._keyed_hash = None
-        else:
-            raise ConfigError(f"unknown bit-function mode {mode!r}")
-        self.mode = mode
 
     @classmethod
     def keyed(cls, key: Key) -> "BitFunction":
-        return cls("keyed", key=key)
+        return cls(key)
 
     @classmethod
     def random_oracle(cls, seed: int = 0) -> "BitFunction":
-        return cls("random_oracle", oracle_seed=seed)
+        return cls(oracle_seed=seed)
 
     def bit(self, data: bytes) -> int:
         """The function's bit for an already-encoded input."""
-        if self.mode == "keyed":
+        if self._keyed_hash is not None:
             h = self._keyed_hash.copy()
             h.update(data)
             return h.digest()[0] & 1
@@ -147,7 +143,7 @@ class BitFunction:
         """
         out: list[int] = []
         append = out.append
-        if self.mode == "keyed":
+        if self._keyed_hash is not None:
             copy = self._keyed_hash.copy
             for data in inputs:
                 h = copy()
@@ -165,7 +161,8 @@ class BitFunction:
 
 
 def encode_doc(d: Document) -> bytes:
-    return _TAG_DOC + d.to_bytes()
+    """The F1 input: the tag, then the document id, 8 bytes big-endian."""
+    return _TAG_DOC + d.id.to_bytes(8, "big")
 
 
 def encode_sync_run(value: int, docs: Iterable[Document]) -> list[bytes]:

@@ -49,9 +49,6 @@ class RngState:
     def randrange(self, n: int) -> int:
         return self._rand.randrange(n)
 
-    def bit(self) -> int:
-        return self._rand.getrandbits(1)
-
     def bytes(self, n: int) -> bytes:
         return self._rand.getrandbits(8 * n).to_bytes(n, "big") if n else b""
 

@@ -80,20 +80,6 @@ class AdvantageEstimate:
     p_ct: float
 
 
-def address_set_for(cfg: SystemConfig):
-    """The protocol's pair of address arrays; None for the document-only baselines."""
-    return ARRAYS.get(cfg.system)
-
-
-def output_length(cfg: SystemConfig, n_bits: int) -> int:
-    """Documents (or mails) emitted for an n-bit hiddentext."""
-    if cfg.system == "s2":
-        return cfg.repetition * n_bits
-    if cfg.system in ("s3", "s4"):
-        return cfg.copies * n_bits
-    return n_bits
-
-
 def make_fn(cfg: SystemConfig, rng: RngState) -> BitFunction:
     """Fresh bit function for one game/trial, keyed or random per config."""
     if cfg.random_fn:
@@ -293,7 +279,7 @@ def build_distinguisher(name: str, cfg: SystemConfig, spec: ChannelSpec,
     if name == "constant":
         return ConstantGuessDistinguisher()
     if name == "address-frequency":
-        arrays = address_set_for(cfg)
+        arrays = ARRAYS.get(cfg.system)
         if arrays is None:
             raise ConfigError(
                 f"system {cfg.system!r} emits bare documents; no addresses to test")
@@ -305,46 +291,35 @@ def build_distinguisher(name: str, cfg: SystemConfig, spec: ChannelSpec,
 
 # --- the game ----------------------------------------------------------------
 
-def _play(distinguisher, cfg: SystemConfig, spec: ChannelSpec,
-          bits_per_game: int, trial_rng: RngState, covertext: bool) -> int:
-    """One game: the distinguisher picks a hiddentext and guesses from one response.
-
-    The response is the embedder's output under a fresh function drawn per
-    `cfg` (the ST oracle), or with `covertext` set, equally long normal
-    traffic (the CT oracle), which needs no function.
-    """
-    key_rng = trial_rng.spawn(0)
-    msg_rng = trial_rng.spawn(1)
-    draw_rng = trial_rng.spawn(2)
-    m = distinguisher.pick_message(bits_per_game, msg_rng)
-    if covertext:
-        response = ct_oracle(spec, address_set_for(cfg),
-                             output_length(cfg, bits_per_game), draw_rng)
-    else:
-        response = embed_message(cfg, make_fn(cfg, key_rng), m, spec, draw_rng)
-    return distinguisher.decide(response)
-
-
 def run_game(distinguisher, cfg: SystemConfig, spec: ChannelSpec, trials: int,
              rng: RngState, bits_per_game: int = 100) -> AdvantageEstimate:
     """Estimate |p̂_ST - p̂_CT| over `trials` pairs of games.
 
-    Each ST game embeds under a fresh function drawn per `cfg`.  Trial t
-    plays its ST game on ``rng.spawn(t).spawn(0)`` and its CT game on
-    ``rng.spawn(t).spawn(1)``.
+    In each game the distinguisher picks a hiddentext on the game's
+    ``spawn(1)`` and guesses from one response.  Trial t's ST game runs on
+    ``rng.spawn(t).spawn(0)``: the embedder's output under a fresh function
+    drawn per `cfg` on ``spawn(0)``, with its draws on ``spawn(2)``.  Its CT
+    game runs on ``rng.spawn(t).spawn(1)``: normal traffic as long as the ST
+    response, drawn on ``spawn(2)``.
     """
     if trials < 100:
         raise ConfigError(f"need at least 100 trials for a meaningful estimate, got {trials}")
     if bits_per_game < 1:
         raise ConfigError(f"need at least one bit per game, got {bits_per_game}")
     _check_message_bits(bits_per_game, "bits_per_game")
-    hits = [0, 0]
+    arrays = ARRAYS.get(cfg.system)
+    st_hits = ct_hits = 0
     for t in range(trials):
         trial_rng = rng.spawn(t)
-        for side, covertext in enumerate((False, True)):
-            hits[side] += _play(distinguisher, cfg, spec, bits_per_game,
-                                trial_rng.spawn(side), covertext)
-    p_st, p_ct = hits[0] / trials, hits[1] / trials
+        st_rng, ct_rng = trial_rng.spawn(0), trial_rng.spawn(1)
+        m = distinguisher.pick_message(bits_per_game, st_rng.spawn(1))
+        stegotext = embed_message(cfg, make_fn(cfg, st_rng.spawn(0)), m, spec,
+                                  st_rng.spawn(2))
+        st_hits += distinguisher.decide(stegotext)
+        distinguisher.pick_message(bits_per_game, ct_rng.spawn(1))  # CT ignores it
+        covertext = ct_oracle(spec, arrays, len(stegotext), ct_rng.spawn(2))
+        ct_hits += distinguisher.decide(covertext)
+    p_st, p_ct = st_hits / trials, ct_hits / trials
     halfwidth = 1.96 * sqrt(p_st * (1 - p_st) / trials + p_ct * (1 - p_ct) / trials)
     return AdvantageEstimate(abs(p_st - p_ct), trials, halfwidth, p_st, p_ct)
 
@@ -353,14 +328,8 @@ def run_game(distinguisher, cfg: SystemConfig, spec: ChannelSpec, trials: int,
 
 def transmission_rate(cfg: SystemConfig, spec: ChannelSpec, rng: RngState,
                       bits: int = 120) -> float:
-    """Measured hiddentext bits per document from an actual embed run."""
-    _check_message_bits(bits, "bits")
-    stats = EmbedStats()
-    fn = make_fn(cfg, rng.spawn(0))
-    msg = rng.spawn(1).bits(bits)
-    embed_message(cfg, fn, msg, spec, rng.spawn(2), stats=stats)
-    if stats.docs_emitted == 0:
-        raise ConfigError("no documents emitted; rate undefined")
+    """Measured hiddentext bits per document, from one `reliability_estimate` trial."""
+    stats = reliability_estimate(cfg, spec, bits, 1, rng).stats
     return stats.bits_embedded / stats.docs_emitted
 
 

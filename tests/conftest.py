@@ -8,8 +8,14 @@ from stegomail import (ADDRESS1, ADDRESS2, BitFunction, ChannelSpec, Document,
 
 MASTER_SEED = 20260811
 
+
+def point_mass(n: int, target: int = 0) -> ChannelSpec:
+    """The channel over n documents that always sends document `target`."""
+    return ChannelSpec.stationary([float(i == target) for i in range(n)])
+
+
 UNIFORM_1024 = ChannelSpec.uniform(1024)
-POINT_MASS = ChannelSpec.point_mass(4)
+POINT_MASS = point_mass(4)
 MARKOV2 = ChannelSpec.markov1([[0.9, 0.1], [0.5, 0.5]], [0.5, 0.5])
 
 TEST_CHANNELS = {

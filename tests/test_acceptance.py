@@ -18,13 +18,13 @@ from stegomail import (BitFunction, ChannelSpec, Counter, Document,
 from stegomail.protocols import P1_ARRAYS, P2_ARRAYS
 from stegomail.security import EMAIL_SYSTEMS, embed_message
 
-from conftest import find_key_where
+from conftest import find_key_where, point_mass
 
 MASTER_SEED = 20260811
 
 CHANNELS = {
     "uniform_1024": ChannelSpec.uniform(1024),
-    "point_mass": ChannelSpec.point_mass(4),
+    "point_mass": point_mass(4),
     "markov1": ChannelSpec.markov1([[0.9, 0.1], [0.5, 0.5]], [0.5, 0.5]),
 }
 

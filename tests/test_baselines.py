@@ -17,7 +17,7 @@ from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter,
                        s2_extract, s3_embed, s3_extract, s4_embed, s4_extract)
 from stegomail.channel import sample_id
 
-from conftest import TEST_CHANNELS, find_key_where
+from conftest import TEST_CHANNELS, find_key_where, point_mass
 
 UNIFORM_2_16 = ChannelSpec.uniform(2 ** 16)
 CHANNEL_DIR = Path(__file__).resolve().parent.parent / "channels"
@@ -52,7 +52,7 @@ def majority_failure(copies: int, per_copy: float) -> float:
 # --- s1 ---------------------------------------------------------------------
 
 def test_s1_rs_point_mass_immediate_match():
-    spec = ChannelSpec.point_mass(4)
+    spec = point_mass(4)
     key = find_key_where(lambda fn: eval_bit(fn, Document(0)) == 1)
     stats = EmbedStats()
     [doc] = s1_embed(BitFunction.keyed(key), [1], spec, RngState(1),
@@ -62,7 +62,7 @@ def test_s1_rs_point_mass_immediate_match():
 
 
 def test_s1_rs_point_mass_mismatch_exhausts_budget():
-    spec = ChannelSpec.point_mass(4)
+    spec = point_mass(4)
     key = find_key_where(lambda fn: eval_bit(fn, Document(0)) == 0)
     stats = EmbedStats()
     [doc] = s1_embed(BitFunction.keyed(key), [1], spec, RngState(1),
@@ -95,7 +95,7 @@ def test_s1_round_trip_on_large_channel():
 
 
 def test_s1_point_mass_failure_regime():
-    spec = ChannelSpec.point_mass(4)
+    spec = point_mass(4)
     key = find_key_where(lambda fn: eval_bit(fn, Document(0)) == 1)
     fn = BitFunction.keyed(key)
     reachable = s1_embed(fn, [1, 1, 1], spec, RngState(7), count=8)
@@ -222,7 +222,7 @@ def test_s1_hashes_each_document_once_per_message(f1):
     # the whole budget.
     key = find_key_where(lambda fn: (eval_bit(fn, Document(0)),
                                      eval_bit(fn, Document(1))) == f1)
-    fn = CountingBitFunction("keyed", key=key)
+    fn = CountingBitFunction.keyed(key)
     stats = EmbedStats()
     s1_embed(fn, [0] * 100, MEMO_SPECS["binary"], RngState(1),
              stats=stats)
@@ -313,7 +313,7 @@ def test_s2_repetition_five_failure_matches_binomial_tail():
 def test_s2_point_mass_failure_half():
     fn = BitFunction.random_oracle(15)
     rng = RngState(15)
-    spec = ChannelSpec.point_mass(4)
+    spec = point_mass(4)
     m = rng.spawn(0).bits(10_000)
     docs = s2_embed(fn, Counter(), m, spec, rng.spawn(1), repetition=1)
     got = s2_extract(fn, Counter(), docs, repetition=1)
@@ -375,7 +375,7 @@ def test_s3_round_trip_small_alphabet():
 def test_s3_point_mass_success_rate_is_a_coin_flip():
     # On a point-mass channel every tuple is identical, so retries cannot
     # change the tuple's bit and each message bit survives with prob 1/2.
-    spec = ChannelSpec.point_mass(4)
+    spec = point_mass(4)
     rng = RngState(25)
     successes = 0
     trials = 1_000
@@ -383,7 +383,7 @@ def test_s3_point_mass_success_rate_is_a_coin_flip():
         trial_rng = rng.spawn(trial)
         fn = BitFunction.random_oracle(
             int.from_bytes(trial_rng.spawn(0).bytes(8), "big"))
-        m = [trial_rng.spawn(1).bit()]
+        m = [trial_rng.spawn(1).bits(1)[0]]
         docs = s3_embed(fn, m, spec, trial_rng.spawn(2), copies=8,
                         count=128)
         successes += s3_extract(fn, docs, copies=8) == m

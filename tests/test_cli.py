@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -380,6 +381,20 @@ def test_config_header_records_every_system_option(command, base, changes, chann
     first = header(base)
     for change in changes:
         assert header({**base, **change}) != first, change
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["rate", "--system", "p1, p2", "--bits", "8", "--seed", "1"], "systems=p1,p2"),
+    (["bench", "--systems", "p1, p2", "--lengths", "8, 16", "--repeats", "1",
+      "--seed", "5"], "lengths=8,16"),
+], ids=["rate", "bench"])
+def test_config_header_items_are_key_value_tokens(argv, expected, channel, capsys):
+    # A list given with spaces is written as the names and lengths the rows
+    # use, so the line splits on spaces into key=value items.
+    line = _config_line([*argv, "--channel", channel(UNIFORM_4)], capsys)
+    items = line.removeprefix("# config: ").split(" ")
+    assert [item for item in items if not re.fullmatch(r"\w+=\S+", item)] == []
+    assert expected in items and "systems=p1,p2" in items
 
 
 def test_bad_channel_file_is_config_error(channel):
@@ -765,6 +780,58 @@ def test_simulate_csv_is_pinned(system, fn_flag, tmp_path, monkeypatch, capsys):
     stdout = [line.rsplit(",", 1)[0] for line in out_lines(capsys)]
     digest = hashlib.sha256(repr((per_trial, stdout)).encode()).hexdigest()
     assert digest == GOLDEN_SIMULATE[system, fn_flag]
+
+
+# A warden that each system accepts: the baselines emit bare documents, and
+# s2's repetition code leaves the document-frequency test nothing to find.
+ATTACK_WARDENS = {"s1": "document-frequency", "s2": "constant",
+                  "s3": "document-frequency", "s4": "document-frequency",
+                  "p1": "address-frequency", "p2": "address-frequency"}
+
+# SHA-256 of attack's stdout over channels/markov2.json; recorded before the
+# covertext oracle took its length from the stegotext.
+GOLDEN_ATTACK = {
+    ("p1", "keyed"): "43f1eb3a7752c885b07cc243c0fdbaef394a922e44d6f2925d8c897131d43594",
+    ("p1", "random-fn"): "081f84947905f855b59228de73945cf6d8d165dbb972d470f9a831adcd4e08a5",
+    ("p2", "keyed"): "ab6f9d121582bd14727a78d542b1b1ec43a8613ea34c0c89ad4d57d6e6565823",
+    ("p2", "random-fn"): "0f7c0bb535a84e22bea4f2341a0cadc5b5e80ee53408d8c69a552979c797fdd0",
+    ("s1", "keyed"): "d430b9b89f91b35ad9e214eda0c985f5ccc246767eb2fd549be188c976c30ac7",
+    ("s1", "random-fn"): "00eee20752407baa3b23bd14a10db6a0481f6159931b3fb182c78c95714975ca",
+    ("s2", "keyed"): "9982d0b53feccb81899f27056674cae5e691bbeda8728e0abf482054164e353c",
+    ("s2", "random-fn"): "902b37145dd8763254af22b7e5f3662fd4a26c3248c128782ca05938aba39ffe",
+    ("s3", "keyed"): "04f89284d58b1bd8801ea5c4076eae47b94a5014ad4eda4a3a7772466d4f47fb",
+    ("s3", "random-fn"): "4894428497e41c744bffc3d14c61faf54ffcbeab18b1c153535c7bc08ec7c178",
+    ("s4", "keyed"): "59afa09c503d0b107a37926a119c09b9d31802ca16610dc4e591bc7ec14458a8",
+    ("s4", "random-fn"): "8562703cf8c49ac3a0806676f8a14fe0a1276f99015fa9ba50f02e2ef2ccaadc",
+}
+
+
+@pytest.mark.parametrize("system, fn_flag", sorted(GOLDEN_ATTACK))
+def test_attack_csv_is_pinned(system, fn_flag, monkeypatch, capsys):
+    monkeypatch.chdir(REPO)
+    flags = ["--random-fn"] if fn_flag == "random-fn" else []
+    assert run(["attack", "--system", system, "--distinguisher", ATTACK_WARDENS[system],
+                "--channel", "channels/markov2.json", "--trials", "100",
+                "--bits-per-game", "24", "--count", "8", *flags, "--seed", "53"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN_ATTACK[system, fn_flag]
+
+
+# SHA-256 of `rate --system all`'s stdout; recorded before the rate was
+# taken from a round trip.
+GOLDEN_RATE = {
+    "markov2": "9d9a49633edb6f648c7a5bad9efc5c02836b209f526e895462da28f0c8ae2c1c",
+    "uniform4": "d5f1845ba283b3b5eab48b5ecadf1385266f4337df4e7108154aaf74ef4a68c6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RATE))
+def test_rate_table_is_pinned(name, monkeypatch, capsys):
+    monkeypatch.chdir(REPO)
+    assert run(["rate", "--system", "all", "--channel", f"channels/{name}.json",
+                "--seed", "67"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN_RATE[name]
 
 
 def test_cli_import_loads_neither_scipy_nor_numpy():

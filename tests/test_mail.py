@@ -81,7 +81,7 @@ def test_write_trace_of_a_bad_mail_leaves_the_file_as_it_was(tmp_path):
 def _drawn_mails(arrays, n, seed=7):
     """n mails with drawn document ids and address arrays, in send order."""
     rng = RngState(seed)
-    return [_mail(Document(rng.randrange(1024)), arrays[rng.bit()], t)
+    return [_mail(Document(rng.randrange(1024)), arrays[rng.bits(1)[0]], t)
             for t in range(n)]
 
 
@@ -150,7 +150,7 @@ def test_merge_matches_full_sort_oracle():
         ticks = sorted({rng.randrange(10_000) for _ in range(20)})
         left, right = [], []
         for t in ticks:
-            (left if rng.bit() else right).append(mk(t))
+            (left if rng.bits(1)[0] else right).append(mk(t))
         merged = merge_by_date(left, right)
         assert merged == sorted(left + right, key=lambda m: m.sent_at)
 

@@ -11,9 +11,9 @@ from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter,
 from stegomail.mail import format_trace
 from stegomail.protocols import ADDRESS1, ADDRESS2, P1_ARRAYS, P2_ARRAYS
 
-from conftest import MARKOV2, TEST_CHANNELS, find_key_where, p1_route
+from conftest import MARKOV2, TEST_CHANNELS, find_key_where, p1_route, point_mass
 
-POINT_MASS_1 = ChannelSpec.point_mass(2)
+POINT_MASS_1 = point_mass(2)
 CHANNEL_DIR = Path(__file__).resolve().parent.parent / "channels"
 
 
@@ -53,7 +53,7 @@ def test_p1_address_frequency_under_random_function():
     hits = 0
     n = 10_000
     for i in range(n):
-        [mail] = p1_embed(fn, counter, [rng.bit()], POINT_MASS_1, rng, i)
+        [mail] = p1_embed(fn, counter, rng.bits(1), POINT_MASS_1, rng, i)
         hits += mail.addresses == (ADDRESS1,)
     assert abs(hits / n - 0.5) <= 0.02
 
@@ -70,7 +70,7 @@ def test_p1_one_bit_round_trip_exhaustive():
     # every message bit, every document of a 2^8 alphabet, every counter < 2^8
     fn = BitFunction.keyed(Key.from_hex("0f" * 16))
     for doc_id in range(256):
-        spec = ChannelSpec.point_mass(256, doc_id)
+        spec = point_mass(256, doc_id)
         for n in range(256):
             for m in (0, 1):
                 mails = p1_embed(fn, Counter(n), [m], spec, RngState(0))
@@ -168,7 +168,7 @@ def test_p2_address_order_frequency_under_random_function():
     hits = 0
     n = 10_000
     for i in range(n):
-        [mail] = p2_embed(fn, counter, [rng.bit()], POINT_MASS_1, rng, i)
+        [mail] = p2_embed(fn, counter, rng.bits(1), POINT_MASS_1, rng, i)
         hits += mail.addresses == (ADDRESS1, ADDRESS2)
     assert abs(hits / n - 0.5) <= 0.02
 

@@ -15,9 +15,9 @@ from stegomail import (AddressFrequencyDistinguisher, BitFunction, ChannelSpec,
 from stegomail import security
 from stegomail.channel import sample_id
 from stegomail.protocols import ADDRESS1, ADDRESS2, P1_ARRAYS
-from stegomail.security import address_set_for, make_fn, output_length
+from stegomail.security import ALL_SYSTEMS, make_fn
 
-from conftest import MARKOV2, find_key_where
+from conftest import MARKOV2, find_key_where, point_mass
 
 UNIFORM_2 = ChannelSpec.uniform(2)
 UNIFORM_4 = ChannelSpec.uniform(4)
@@ -29,18 +29,14 @@ def test_system_config_validation():
     assert SystemConfig("s3", copies=4).copies == 4
 
 
-def test_output_lengths():
-    assert output_length(SystemConfig("p1"), 4) == 4
-    assert output_length(SystemConfig("s2", repetition=5), 2) == 10
-    assert output_length(SystemConfig("s4", copies=3), 1) == 3
-    assert output_length(SystemConfig("s3", copies=7), 2) == 14
-
-
 def test_st_oracle_response_lengths():
     rng = RngState(1)
     for cfg, bits, expected in [
         (SystemConfig("p1"), 4, 4),
+        (SystemConfig("p2"), 5, 5),
+        (SystemConfig("s1", count=8), 6, 6),
         (SystemConfig("s2", repetition=5), 2, 10),
+        (SystemConfig("s3", copies=7, count=8), 2, 14),
         (SystemConfig("s4", copies=3), 1, 3),
     ]:
         fn = make_fn(cfg, rng.spawn(0))
@@ -48,15 +44,29 @@ def test_st_oracle_response_lengths():
         assert len(out) == expected
 
 
+class RecordingDistinguisher(ConstantGuessDistinguisher):
+    """Guesses ST and keeps every response it is shown, in order."""
+
+    def __init__(self) -> None:
+        self.responses = []
+
+    def decide(self, response) -> int:
+        self.responses.append(response)
+        return 1
+
+
 def test_ct_matches_st_length_for_every_system():
-    rng = RngState(3)
-    for name in ("s1", "s2", "s3", "s4", "p1", "p2"):
+    # Trial t shows its ST response, then its CT response.
+    for name in ALL_SYSTEMS:
         cfg = SystemConfig(name, count=8, copies=3, repetition=5)
-        fn = make_fn(cfg, rng.spawn(0))
-        st = embed_message(cfg, fn, [0, 1] * 6, UNIFORM_4, rng.spawn(1))
-        ct = ct_oracle(UNIFORM_4, address_set_for(cfg), output_length(cfg, 12),
-                       rng.spawn(2))
-        assert len(st) == len(ct)
+        warden = RecordingDistinguisher()
+        run_game(warden, cfg, UNIFORM_4, 100, RngState(3), bits_per_game=12)
+        st, ct = warden.responses[0::2], warden.responses[1::2]
+        assert len(st) == len(ct) == 100
+        assert [len(r) for r in ct] == [len(r) for r in st]
+        assert {len(r) for r in st} == {{"s2": 60, "s3": 36, "s4": 36}.get(name, 12)}
+        kinds = {type(s) for r in warden.responses for s in r}
+        assert kinds == ({Mail} if name in ("p1", "p2") else {Document})
 
 
 def test_ct_oracle_addresses_uniform_and_ticks_sequential():
@@ -68,7 +78,7 @@ def test_ct_oracle_addresses_uniform_and_ticks_sequential():
 
 
 def test_ct_oracle_point_mass():
-    out = ct_oracle(ChannelSpec.point_mass(4), None, 100, RngState(7))
+    out = ct_oracle(point_mass(4), None, 100, RngState(7))
     assert all(d == Document(0) for d in out)
 
 
@@ -107,13 +117,13 @@ def test_ct_oracle_document_marginal_fits_channel():
 
 def test_gof_point_mass_degenerate():
     docs = [Document(0)] * 500
-    gof = channel_goodness_of_fit(ChannelSpec.point_mass(4), docs)
+    gof = channel_goodness_of_fit(point_mass(4), docs)
     assert gof.pvalue == 1.0
     assert gof.statistic == 0.0
 
 
 def test_gof_impossible_document_rejects_outright():
-    gof = channel_goodness_of_fit(ChannelSpec.point_mass(4), [Document(1)])
+    gof = channel_goodness_of_fit(point_mass(4), [Document(1)])
     assert gof.pvalue == 0.0
 
 
