@@ -178,7 +178,7 @@ def s2_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
     unreliability the repetition code exists to fix.  Every draw is
     evaluated, the last included: the random oracle draws a coin at each
     new input.  A drawn id is in the alphabet, so each document is built
-    in place, as ``protocols._embed_multi`` does.
+    in place, as ``protocols._embed`` does.
     """
     spec.row(prev)
     coded = enc(m, repetition)

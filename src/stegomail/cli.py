@@ -9,6 +9,7 @@ configuration.  Exit codes: 0 success, 2 configuration or file error
 
 from __future__ import annotations
 
+import shlex
 import sys
 from math import log2
 
@@ -20,24 +21,26 @@ from .ecc import bits_from_bytes, bits_from_hex, hex_from_bits
 from .errors import ConfigError, CounterError, ProtocolError
 from .mail import _read_trace_text, _trace_columns, read_trace, write_trace
 from .prf import BitFunction, Counter, Key
-from .protocols import _extract, p1_extract
+from .protocols import _embed, _extract, p1_extract
 from .rng import RngState
 from .security import (ALL_SYSTEMS, DISTINGUISHER_NAMES, SystemConfig,
                        _gc_paused, benchmark_scaling, build_distinguisher,
-                       capacity, embed_message, reliability_estimate,
-                       run_game, transmission_rate)
+                       capacity, reliability_estimate, run_game, transmission_rate)
 
 DEFAULT_BENCH_LENGTHS = "256,512,1024,2048,4096,8192,16384"
 
 
 def _config_header(**overrides) -> str:
     """The running command and every option it was given, but the secret key
-    and the output path, as one comment line; `overrides` replace values."""
+    and the output path, as one comment line; `overrides` replace values.
+
+    Each value is shell-quoted, so ``shlex.split`` reads every item back as
+    one `key=value` token; a shell-safe value is written as it is."""
     ctx = click.get_current_context()
     params = {"channel" if k == "channel_path" else k: v for k, v in ctx.params.items()
               if k not in ("key_hex", "out_path")}
     params.update(command=ctx.info_name, **overrides)
-    items = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
+    items = " ".join(f"{k}={shlex.quote(str(v))}" for k, v in sorted(params.items()))
     return f"# config: {items}"
 
 
@@ -76,9 +79,9 @@ def embed(protocol, key_hex, counter, message_path, message_format,
     spec = load_channel_file(channel_path)
     bits = _read_message_bits(message_path, message_format)
     stats = EmbedStats()
-    mails = embed_message(SystemConfig(protocol), BitFunction.keyed(Key.from_hex(key_hex)),
-                          bits, spec, RngState(seed), start_tick, counter, stats)
-    write_trace(mails, out_path)
+    # The mails go to the writer as columns, with no Mail per bit.
+    write_trace(_embed(BitFunction.keyed(Key.from_hex(key_hex)), Counter(counter), protocol,
+                       bits, spec, RngState(seed), start_tick, stats, None), out_path)
     click.echo(f"embedded {stats.bits_embedded} bits into {stats.docs_emitted} mails "
                f"({stats.samples_drawn} channel draws) -> {out_path}")
     click.echo(f"next counter: {counter + len(bits)}")

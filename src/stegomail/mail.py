@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice, pairwise
+from itertools import chain, islice, pairwise
 from operator import attrgetter, lt
 from typing import Iterable, Sequence
 
@@ -21,8 +21,8 @@ from .errors import ConfigError, ProtocolError
 # character str.splitlines breaks a line at.
 _SEPARATOR = re.compile("[,\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
-# Mails write_trace formats per call: besides the encoded trace, it holds
-# the line strings and text of one chunk only.
+# Rows write_trace formats per format_trace call: besides the columns and
+# the encoded trace, it holds the line strings and text of one chunk only.
 _TRACE_CHUNK = 4096
 
 
@@ -69,14 +69,30 @@ _new_mail = object.__new__
 def _mail(doc: Document, addresses: tuple[str, ...], sent_at: int) -> Mail:
     """``Mail(doc, addresses, sent_at)`` without its checks.
 
-    Only for callers whose fields are already known to be valid: the
-    protocols' constant arrays and the columns parse_trace has checked.
+    Only for callers whose fields are already known to be valid, such as
+    the covertext oracle, whose address arrays are the protocols' constants.
     """
     mail = _new_mail(Mail)
     _set_mail_doc(mail, doc)
     _set_mail_addresses(mail, addresses)
     _set_mail_sent_at(mail, sent_at)
     return mail
+
+
+def _mails(ticks: Iterable[int], docs: Iterable[Document],
+           addresses: Iterable[tuple[str, ...]]) -> list[Mail]:
+    """Three columns as one mail per row, each built in place as ``_mail``
+    builds one: the columns of the ``p1``/``p2`` embed, whose address arrays
+    are the protocols' constants, and those parse_trace has checked."""
+    mails: list[Mail] = []
+    append = mails.append
+    for tick, doc, addrs in zip(ticks, docs, addresses):
+        mail = _new_mail(Mail)
+        _set_mail_doc(mail, doc)
+        _set_mail_addresses(mail, addrs)
+        _set_mail_sent_at(mail, tick)
+        append(mail)
+    return mails
 
 
 def _check_send_order(ticks: list[int], noun: str) -> None:
@@ -109,10 +125,15 @@ def merge_by_date(seq1: Sequence[Mail], seq2: Sequence[Mail]) -> list[Mail]:
     return merged
 
 
-def format_trace(mails: Iterable[Mail]) -> str:
-    """Wire format: one mail per line, `sent_at <TAB> doc_id <TAB> addrs`."""
-    return "".join([f"{m.sent_at}\t{m.doc.id}\t{','.join(m.addresses)}\n"
-                    for m in mails])
+def format_trace(columns) -> str:
+    """Wire format: one mail per line, `sent_at <TAB> doc_id <TAB> addrs`.
+
+    The mails come as three columns of equal length: send ticks, documents
+    and address arrays.
+    """
+    ticks, docs, addresses = columns
+    return "".join([f"{tick}\t{doc.id}\t{','.join(addrs)}\n"
+                    for tick, doc, addrs in zip(ticks, docs, addresses, strict=True)])
 
 
 def _trace_columns(text: str) -> tuple[list[int], list[Document],
@@ -162,18 +183,23 @@ def _trace_columns(text: str) -> tuple[list[int], list[Document],
 
 def parse_trace(text: str) -> list[Mail]:
     """Inverse of format_trace: the trace's columns, one mail per line."""
-    ticks, docs, addresses = _trace_columns(text)
-    return list(map(_mail, docs, addresses, ticks))
+    return _mails(*_trace_columns(text))
 
 
-def write_trace(mails: Iterable[Mail], path) -> None:
-    """Format and encode the whole trace first, so a mail that fails leaves
-    `path` as it was.  Mails are formatted and encoded _TRACE_CHUNK at a
-    time, so the trace is held once, as bytes."""
-    mails = iter(mails)
+def write_trace(columns, path) -> None:
+    """Write the mails given as three columns, as ``format_trace`` takes them.
+
+    Format and encode the whole trace first, so a row that fails, or a
+    column longer or shorter than the others, leaves `path` as it was.
+    Rows are formatted and encoded _TRACE_CHUNK at a time, so the trace is
+    held once, as bytes."""
+    ticks, docs, addresses = map(iter, columns)
     chunks = []
-    while chunk := list(islice(mails, _TRACE_CHUNK)):
-        chunks.append(format_trace(chunk).encode())
+    while chunk := list(islice(ticks, _TRACE_CHUNK)):
+        n = len(chunk)
+        chunks.append(format_trace((chunk, islice(docs, n), islice(addresses, n))).encode())
+    for _ in chain(docs, addresses):
+        raise ValueError("a trace column is longer than the send ticks")
     with open(path, "wb") as f:
         f.writelines(chunks)
 

@@ -25,8 +25,7 @@ from typing import Sequence
 from .baselines import EmbedStats
 from .channel import ChannelSpec, Document, _set_doc_id, sample_id
 from .errors import ConfigError, ProtocolError
-from .mail import (Mail, _check_send_order, _columns, _set_mail_addresses,
-                   _set_mail_doc, _set_mail_sent_at, merge_by_date)
+from .mail import Mail, _check_send_order, _columns, _mails, merge_by_date
 from .prf import BitFunction, Counter, encode_sync_run, eval_bit_sync
 from .rng import RngState
 
@@ -42,43 +41,45 @@ P2_ARRAYS = ((ADDRESS1, ADDRESS2), (ADDRESS2, ADDRESS1))
 ARRAYS = {"p1": P1_ARRAYS, "p2": P2_ARRAYS}
 
 
-def _embed_multi(fn: BitFunction, counter: Counter, arrays, m: Sequence[int],
-                 spec: ChannelSpec, rng: RngState, start_tick: int,
-                 stats: EmbedStats | None, prev: int | None) -> list[Mail]:
-    """One draw, one PRF evaluation and one mail per bit.
+def _embed(fn: BitFunction, counter: Counter, protocol: str, m: Sequence[int],
+           spec: ChannelSpec, rng: RngState, start_tick: int,
+           stats: EmbedStats | None, prev: int | None) -> tuple[
+               list[int], list[Document], list[tuple[str, ...]]]:
+    """One draw and one PRF evaluation per bit, sent as three columns.
 
-    Counter headroom for the whole message is checked before the first
-    draw, so an embed that would overflow raises CounterError with the
-    counter and the random stream as they were.  The first draw is
-    conditioned on `prev`, the id of the last document already sent,
-    which ``spec.row`` checks first.
+    The columns are the ones ``_extract`` takes: send ticks, documents and
+    address arrays, with no ``Mail`` built.  Counter headroom for the whole
+    message is checked, and the tick column built, before the first draw,
+    so an embed that would overflow, or whose start tick is no integer,
+    raises with the counter and the random stream as they were.  The first
+    draw is conditioned on `prev`, the id of the last document already
+    sent, which ``spec.row`` checks first.
     Each bit calls ``sample_id`` and ``eval_bit_sync`` once: the
     benchmark's traced run counts both against ``EmbedStats``.  A drawn id
-    is in the alphabet and the address arrays are the module's constants,
-    so each document and mail is built in place through its slots, as
-    ``mail._mail`` does, without ``Document``'s and ``Mail``'s checks.
+    is in the alphabet, so each document is built in place through its
+    slot, without ``Document``'s check.
     """
     n = len(m)
     if n < 1:
         raise ConfigError("message must contain at least one bit")
+    arrays = ARRAYS[protocol]
     spec.row(prev)
     counter.check_headroom(n)
+    ticks = list(range(start_tick, start_tick + n))
     new = object.__new__
-    mails: list[Mail] = []
-    append = mails.append
-    for tick, bit in enumerate(m, start_tick):
+    docs: list[Document] = []
+    addresses: list[tuple[str, ...]] = []
+    add_doc, add_addresses = docs.append, addresses.append
+    for bit in m:
         prev = sample_id(spec, prev, rng)
         doc = new(Document)
         _set_doc_id(doc, prev)
-        mail = new(Mail)
-        _set_mail_doc(mail, doc)
-        _set_mail_addresses(mail, arrays[eval_bit_sync(fn, counter, doc) != bit])
-        _set_mail_sent_at(mail, tick)
-        append(mail)
+        add_doc(doc)
+        add_addresses(arrays[eval_bit_sync(fn, counter, doc) != bit])
         counter.value += 1
     if stats is not None:
         stats.add(n, n, n, n)
-    return mails
+    return ticks, docs, addresses
 
 
 def _extract(fn: BitFunction, counter: Counter, protocol: str, ticks: list[int],
@@ -120,7 +121,7 @@ def p1_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
 
     One mail per bit, with strictly increasing ticks.
     """
-    return _embed_multi(fn, counter, P1_ARRAYS, m, spec, rng, start_tick, stats, prev)
+    return _mails(*_embed(fn, counter, "p1", m, spec, rng, start_tick, stats, prev))
 
 
 def p1_extract(fn: BitFunction, counter: Counter, box1: Sequence[Mail],
@@ -139,7 +140,7 @@ def p2_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
              spec: ChannelSpec, rng: RngState, start_tick: int = 0,
              stats: EmbedStats | None = None, prev: int | None = None) -> list[Mail]:
     """Hide each bit in the order of the broadcast address array."""
-    return _embed_multi(fn, counter, P2_ARRAYS, m, spec, rng, start_tick, stats, prev)
+    return _mails(*_embed(fn, counter, "p2", m, spec, rng, start_tick, stats, prev))
 
 
 def p2_extract(fn: BitFunction, counter: Counter, box: Sequence[Mail]) -> list[int]:

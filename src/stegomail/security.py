@@ -19,6 +19,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import log2, sqrt
+from operator import ne
 from statistics import linear_regression
 from typing import NamedTuple, Sequence
 
@@ -408,7 +409,7 @@ def reliability_estimate(cfg: SystemConfig, spec: ChannelSpec, bits: int,
         for t in range(trials):
             msg, recovered, stats, embed_s, extract_s = _round_trip(
                 cfg, spec, bits, rng.spawn(t), fn)
-            errors = sum(a != b for a, b in zip(msg, recovered))
+            errors = sum(map(ne, msg, recovered))
             failed = int(bool(errors) or len(recovered) != len(msg))
             rows.append(TrialRow(errors, failed, stats.samples_drawn,
                                  stats.docs_emitted, embed_s + extract_s))

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,10 +15,11 @@ from hypothesis import strategies as st
 import stegomail
 from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter, CounterError,
                        Key, Mail, ProtocolError, RngState, SystemConfig,
-                       bits_from_bytes, embed_message, hex_from_bits,
-                       p1_extract, p2_extract, read_trace, write_trace)
+                       bits_from_bytes, bits_from_hex, embed_message, hex_from_bits,
+                       load_channel_file, p1_embed, p1_extract, p2_embed, p2_extract,
+                       read_trace, write_trace)
 from stegomail.cli import main, run
-from stegomail.mail import format_trace, parse_trace
+from stegomail.mail import _columns, format_trace, parse_trace
 
 from conftest import count_calls, p1_route
 
@@ -76,8 +78,8 @@ def test_extract_p1_from_two_mailbox_traces(tmp_path, channel, message_file, cap
     to1, to2 = p1_route(read_trace(trace))
     box1 = str(tmp_path / "box1.tsv")
     box2 = str(tmp_path / "box2.tsv")
-    write_trace(to1, box1)
-    write_trace(to2, box2)
+    write_trace(_columns(to1), box1)
+    write_trace(_columns(to2), box2)
     capsys.readouterr()
     assert run(["extract", "--protocol", "p1", "--key", KEY,
                 "--in", box1, "--in2", box2]) == 0
@@ -110,7 +112,7 @@ def test_extract_p1_with_a_mail_lost_from_one_mailbox_exits_3(box, tmp_path, cha
     lost = boxes[box].pop(1)  # neither the first nor the last mail sent
     paths = [str(tmp_path / "box1.tsv"), str(tmp_path / "box2.tsv")]
     for mails, path in zip(boxes, paths):
-        write_trace(mails, path)
+        write_trace(_columns(mails), path)
     capsys.readouterr()
     assert run(["extract", "--protocol", "p1", "--key", KEY,
                 "--in", paths[0], "--in2", paths[1]]) == 3
@@ -148,6 +150,50 @@ def test_single_trace_extract_builds_no_mail(protocol, tmp_path, channel, messag
     assert run(["extract", "--protocol", protocol, "--key", KEY, "--in", trace]) == 0
     assert out_lines(capsys) == ["deadbeef0badf00d"]
     assert unchecked == checked == [0]
+
+
+@pytest.mark.parametrize("protocol", ["p1", "p2"])
+def test_embed_builds_no_mail(protocol, tmp_path, channel, message_file, capsys,
+                              monkeypatch):
+    # The send side writes the embedder's columns as they are.
+    built = count_calls(monkeypatch, "stegomail.mail", "_mails")
+    unchecked = count_calls(monkeypatch, "stegomail.mail", "_mail")
+    checked = [0]
+    init = Mail.__init__
+
+    def counted_init(self, *args, **kwargs):
+        checked[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Mail, "__init__", counted_init)
+    trace = tmp_path / "trace.tsv"
+    assert run(["embed", "--protocol", protocol, "--key", KEY, "--message", message_file,
+                "--channel", channel(UNIFORM_4), "--seed", "5", "--out", str(trace)]) == 0
+    assert out_lines(capsys)[0].startswith("embedded 64 bits into 64 mails")
+    assert len(trace.read_text().splitlines()) == 64
+    assert built == unchecked == checked == [0]
+
+
+@pytest.mark.parametrize("protocol", ["p1", "p2"])
+@pytest.mark.parametrize("spec", [UNIFORM_4, MARKOV_2], ids=["uniform4", "markov2"])
+def test_embed_trace_is_the_library_embed_written(protocol, spec, tmp_path, channel,
+                                                  message_file, capsys):
+    trace = tmp_path / "trace.tsv"
+    assert run(["embed", "--protocol", protocol, "--key", KEY, "--message", message_file,
+                "--channel", channel(spec), "--seed", "9", "--counter", "5",
+                "--start-tick", "7", "--out", str(trace)]) == 0
+    assert out_lines(capsys) == [
+        f"embedded 64 bits into 64 mails (64 channel draws) -> {trace}",
+        "next counter: 69"]
+    embed = {"p1": p1_embed, "p2": p2_embed}[protocol]
+    counter = Counter(5)
+    mails = embed(KEYED, counter, bits_from_hex("deadbeef0badf00d"),
+                  load_channel_file(channel(spec)), RngState(9), 7)
+    assert counter.value == 69
+    expected = tmp_path / "expected.tsv"
+    write_trace(_columns(mails), expected)
+    assert trace.read_bytes() == expected.read_bytes()
+    assert mails[0].sent_at == 7 and mails[-1].sent_at == 70
 
 
 def test_extract_p2_rejects_second_trace(tmp_path, channel, message_file, capsys):
@@ -397,6 +443,26 @@ def test_config_header_items_are_key_value_tokens(argv, expected, channel, capsy
     assert expected in items and "systems=p1,p2" in items
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--system", "s1", "--key", KEY, "--bits", "8", "--trials", "2",
+     "--seed", "1"],
+    ["attack", "--system", "s1", "--distinguisher", "constant", "--trials", "100",
+     "--bits-per-game", "10", "--seed", "1"],
+    ["rate", "--system", "s1", "--bits", "8", "--seed", "1"],
+    ["bench", "--systems", "p1", "--lengths", "16,32", "--repeats", "1", "--seed", "5"],
+], ids=["simulate", "attack", "rate", "bench"])
+def test_config_header_quotes_a_channel_path_with_a_space(argv, channel, capsys):
+    # The header reads back with shlex.split as one key=value token per item,
+    # the channel path among them.
+    path = channel(UNIFORM_4, "my channel.json")
+    line = _config_line([*argv, "--channel", path], capsys)
+    items = shlex.split(line.removeprefix("# config: "))
+    assert [item for item in items if not re.fullmatch(r"\w+=.+", item, re.S)] == []
+    config = dict(item.split("=", 1) for item in items)
+    assert config["channel"] == path and config["command"] == argv[0]
+    assert config["seed"] == argv[argv.index("--seed") + 1]
+
+
 def test_bad_channel_file_is_config_error(channel):
     spec = channel(BAD_SUM, "bad.json")
     assert run(["channel-info", "--channel", spec]) == 2
@@ -440,7 +506,7 @@ def test_bad_counter_fails_before_send_order(protocol, tmp_path, capsys):
     with pytest.raises(ConfigError, match="^counter value -1 outside 64-bit range$"):
         _library_mail_extract(protocol, mails, -1)
     trace = tmp_path / "trace.tsv"
-    write_trace(mails, trace)
+    write_trace(_columns(mails), trace)
     capsys.readouterr()
     assert run(["extract", "--protocol", protocol, "--key", KEY, "--in", str(trace),
                 "--counter", "-1"]) == 2
@@ -873,7 +939,7 @@ def damaged_traces(draw):
     message = bits_from_bytes(draw(st.binary(min_size=1, max_size=3)))
     mails = embed_message(SystemConfig(protocol), KEYED, message, ChannelSpec.uniform(4),
                           RngState(draw(st.integers(0, 99))))
-    lines = format_trace(mails).splitlines(keepends=True)
+    lines = format_trace(_columns(mails)).splitlines(keepends=True)
     i = draw(st.integers(0, len(lines) - 1))
     change = draw(st.sampled_from(["none", "swap", "edit", "readdress", "drop"]))
     if change == "drop":

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from stegomail import (Document, Mail, ProtocolError, RngState, merge_by_date,
                        read_trace, write_trace)
-from stegomail.mail import _TRACE_CHUNK, _mail, format_trace, parse_trace
+from stegomail.mail import _TRACE_CHUNK, _columns, _mail, format_trace, parse_trace
 from stegomail.protocols import P1_ARRAYS, P2_ARRAYS
 
 
@@ -74,7 +74,7 @@ def test_write_trace_of_a_bad_mail_leaves_the_file_as_it_was(tmp_path):
         good = [mk(t) for t in range(bad_at)]
         for addrs, error in (((5,), TypeError), (("a\ud800",), UnicodeEncodeError)):
             with pytest.raises(error):
-                write_trace([*good, _mail(Document(1), addrs, bad_at)], path)
+                write_trace(_columns([*good, _mail(Document(1), addrs, bad_at)]), path)
             assert path.read_text() == "0\t1\taddress1\n"
 
 
@@ -90,20 +90,37 @@ def _drawn_mails(arrays, n, seed=7):
                                _TRACE_CHUNK + 1, 2 * _TRACE_CHUNK + 7])
 @pytest.mark.parametrize("arrays", [P1_ARRAYS, P2_ARRAYS], ids=["p1", "p2"])
 def test_write_trace_writes_the_formatted_trace(tmp_path, arrays, n, as_generator):
-    mails = _drawn_mails(arrays, n)
+    columns = _columns(_drawn_mails(arrays, n))
     path = tmp_path / "trace.tsv"
-    write_trace((m for m in mails) if as_generator else mails, path)
-    assert path.read_bytes() == format_trace(mails).encode()
+    write_trace(tuple((x for x in c) for c in columns) if as_generator else columns, path)
+    assert path.read_bytes() == format_trace(columns).encode()
+
+
+@pytest.mark.parametrize("odd", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, _TRACE_CHUNK, _TRACE_CHUNK + 3])
+def test_write_trace_of_unequal_columns_leaves_the_file_as_it_was(tmp_path, n, odd):
+    # One column a row longer or shorter than the other two; at _TRACE_CHUNK
+    # the extra row starts a chunk of its own.
+    path = tmp_path / "trace.tsv"
+    path.write_text("0\t1\taddress1\n")
+    for delta in (-1, 1):
+        columns = list(_columns(_drawn_mails(P1_ARRAYS, n + delta)))
+        columns[odd] = _columns(_drawn_mails(P1_ARRAYS, n))[odd]
+        with pytest.raises(ValueError):
+            write_trace(columns, path)
+        with pytest.raises(ValueError):
+            format_trace(columns)
+        assert path.read_text() == "0\t1\taddress1\n"
 
 
 def test_write_trace_holds_the_trace_about_once(tmp_path):
-    # Counted from after the mails are built.  Formatting the whole trace
+    # Counted from after the columns are built.  Formatting the whole trace
     # into one text before encoding it peaks at ~4x the bytes written.
-    mails = _drawn_mails(P2_ARRAYS, 65536)
+    columns = _columns(_drawn_mails(P2_ARRAYS, 65536))
     path = tmp_path / "trace.tsv"
     tracemalloc.start()
     try:
-        write_trace(mails, path)
+        write_trace(columns, path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -124,7 +141,7 @@ def test_every_mail_that_builds_reads_back_from_its_trace(doc, addrs, tick):
     except ProtocolError:
         return
     # Through UTF-8, as write_trace and read_trace go.
-    assert parse_trace(format_trace([mail]).encode().decode()) == [mail]
+    assert parse_trace(format_trace(_columns([mail])).encode().decode()) == [mail]
 
 
 def test_mail_round_trip_construct_extract():
@@ -177,12 +194,12 @@ def test_merge_rejects_unsorted_input():
 def test_trace_round_trip_bit_exact(tmp_path):
     mails = [mk(0, 7, ("address1",)), mk(1, 3, ("address2", "address1")),
              mk(5, 0, ("address2",))]
-    text = format_trace(mails)
+    text = format_trace(_columns(mails))
     assert parse_trace(text) == mails
     path = tmp_path / "trace.tsv"
-    write_trace(mails, path)
+    write_trace(_columns(mails), path)
     assert read_trace(path) == mails
-    write_trace(read_trace(path), tmp_path / "again.tsv")
+    write_trace(_columns(read_trace(path)), tmp_path / "again.tsv")
     assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
 
 
@@ -274,7 +291,7 @@ _mails = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_mails, max_size=8))
 def test_trace_round_trip_property(mails):
-    assert parse_trace(format_trace(mails)) == mails
+    assert parse_trace(format_trace(_columns(mails))) == mails
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,7 +8,7 @@ from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter,
                        ProtocolError, RngState, channel_goodness_of_fit, eval_bit_sync,
                        load_channel_file,
                        p1_embed, p1_extract, p2_embed, p2_extract)
-from stegomail.mail import format_trace
+from stegomail.mail import _columns, format_trace
 from stegomail.protocols import ADDRESS1, ADDRESS2, P1_ARRAYS, P2_ARRAYS
 
 from conftest import MARKOV2, TEST_CHANNELS, find_key_where, p1_route, point_mass
@@ -240,7 +240,7 @@ def _trace_digest(variant: str, channel_name: str, prev: int | None = None) -> s
     mails = embed_fn(BitFunction.keyed(key), Counter(250), RngState(7).bits(200),
                      spec, RngState(20260811), 3, stats, prev)
     assert stats.samples_drawn == stats.prf_evals == stats.bits_embedded == 200
-    return hashlib.sha256(format_trace(mails).encode()).hexdigest()
+    return hashlib.sha256(format_trace(_columns(mails)).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("variant, channel_name", sorted(GOLDEN_TRACES))
@@ -282,6 +282,16 @@ def test_embed_without_counter_headroom_mutates_nothing(embed_fn):
     mails = embed_fn(fn, counter, [1, 0], MARKOV2, rng, prev=1)
     assert len(mails) == 2
     assert counter.value == NEAR_TOP + 2
+
+
+@pytest.mark.parametrize("embed_fn", [p1_embed, p2_embed])
+def test_embed_with_a_non_integer_start_tick_mutates_nothing(embed_fn):
+    # The tick column is built before the first draw.
+    fn, counter, rng, twin = oracle(39), Counter(4), RngState(39), RngState(39)
+    with pytest.raises(TypeError):
+        embed_fn(fn, counter, [1, 0, 1], MARKOV2, rng, 1.5)
+    assert counter.value == 4
+    assert rng.random() == twin.random()
 
 
 def test_failed_extract_leaves_counter_unchanged():
