@@ -22,7 +22,6 @@ counter headroom there too, so a failed embed or extract mutates nothing.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,7 +33,7 @@ from .prf import (BitFunction, Counter, encode_doc, encode_sync_run, encode_tupl
                   eval_bit, eval_bit_sync, eval_bit_tuple)
 from .rng import RngState
 
-_SPEND_CHUNK = 1024  # uniforms per getrandbits call in _spend_uniforms
+_SPEND_CHUNK = 1024  # uniforms per getrandbits call as s1 spends a dead bit's budget
 
 
 @dataclass
@@ -83,20 +82,6 @@ def _check_framing(docs: Sequence[Document], copies: int) -> None:
             f"received {len(docs)} documents, not a multiple of {copies} per bit")
 
 
-def _spend_uniforms(gen: random.Random, k: int) -> None:
-    """Advance `gen` exactly as `k` calls of ``gen.random()`` would.
-
-    CPython's ``random()`` consumes two 32-bit Mersenne-Twister words and
-    ``getrandbits(n)`` consumes ceil(n / 32), so 64 bits stand for one
-    uniform; a test in ``tests/test_baselines.py`` pins this.  Chunks keep
-    a large, user-set budget from building one huge integer.
-    """
-    while k > 0:
-        step = min(k, _SPEND_CHUNK)
-        gen.getrandbits(64 * step)
-        k -= step
-
-
 # --- s1: plain rejection sampling ---------------------------------------
 
 def s1_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
@@ -117,17 +102,22 @@ def s1_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
     Once the memo holds every id of the alphabet and all of them carry the
     same bit, the other bit is `dead`: no draw, in any row of the channel,
     can match it.  Such a bit's remaining draws all miss and the last one
-    is kept, so the stream is advanced past all but that last uniform in
-    one step (`_spend_uniforms`) and only the kept id is drawn.  The
-    stream, the emitted ids and the counters are the same as drawing each
-    one; no PRF input is new, so the random oracle spends no coin.  An id
-    of probability 0 is never drawn, so on such a channel the memo never
-    fills and nothing is skipped.
+    is kept, so the stream is advanced past all but that last uniform by
+    ``getrandbits(64 * k)`` calls of at most ``_SPEND_CHUNK`` uniforms,
+    which keep a large budget from building one huge integer, and only
+    the kept id is drawn.  CPython's ``random()`` consumes two 32-bit
+    Mersenne-Twister words and ``getrandbits(n)`` ceil(n / 32), so 64 bits
+    stand for one uniform; a test in ``tests/test_baselines.py`` pins this.
+    The stream, the emitted ids and the counters are the same as drawing
+    each one; no PRF input is new, so the random oracle spends no coin.
+    An id of probability 0 is never drawn, so on such a channel the memo
+    never fills and nothing is skipped.
     """
     count = _budget(fn, count)
     spec.row(prev)
     gen = rng._rand  # rng.random()'s generator; reading _rand seeds it
-    rand = gen.random
+    rand, getrandbits = gen.random, gen.getrandbits
+    tries = range(1, count + 1)
     size = spec.alphabet_size
     known: dict[int, int] = {}
     made: dict[int, Document] = {}
@@ -138,7 +128,7 @@ def s1_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
         cdf = spec._cum or spec._cum_rows[prev]
         n = 0
         if bit != dead:
-            for n in range(1, count + 1):
+            for n in tries:
                 i = bisect_right(cdf, rand())
                 got = known.get(i)
                 if got is None:
@@ -151,7 +141,11 @@ def s1_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
                 if got == bit:
                     break
         if bit == dead and n < count:
-            _spend_uniforms(gen, count - n - 1)
+            k = count - n - 1
+            while k > _SPEND_CHUNK:
+                getrandbits(64 * _SPEND_CHUNK)
+                k -= _SPEND_CHUNK
+            getrandbits(64 * k)
             i = bisect_right(cdf, rand())
             n = count
         draws += n

@@ -184,7 +184,7 @@ def channel_goodness_of_fit(spec: ChannelSpec, docs: Sequence[Document]) -> GofR
         else:
             prev = None
             for d in docs:
-                counts = groups.setdefault(prev, [0] * spec.alphabet_size)
+                counts = groups.get(prev) or groups.setdefault(prev, [0] * spec.alphabet_size)
                 counts[d.id] += 1
                 prev = d.id
     except IndexError:  # an id past the alphabet; Document ids are never negative
@@ -264,9 +264,11 @@ class DocumentFrequencyDistinguisher:
     def pick_message(self, n_bits: int, rng: RngState) -> list[int]:
         return [0] * n_bits
 
-    def decide(self, response) -> int:
-        docs = [s.doc if isinstance(s, Mail) else s for s in response]
-        gof = channel_goodness_of_fit(self.spec, docs)
+    def decide(self, response: Sequence) -> int:
+        # Documents are fitted as given; only a response holding mails is unwrapped.
+        if any(issubclass(kind, Mail) for kind in set(map(type, response))):
+            response = [s.doc if isinstance(s, Mail) else s for s in response]
+        gof = channel_goodness_of_fit(self.spec, response)
         return 1 if gof.pvalue < self.significance else 0
 
 

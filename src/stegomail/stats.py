@@ -3,18 +3,21 @@ chi-squared upper tail and the exact two-sided binomial test at p = 1/2."""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import exp, lgamma, log, sqrt
 
 _EPS = 2.220446049250313e-16
 _TINY = 1e-300
 
 
+@lru_cache(maxsize=1024)
 def chi2_sf(x: float, dof: int) -> float:
     """P(X > x) for X ~ chi-squared with `dof` degrees of freedom.
 
     The regularized upper incomplete gamma Q(dof/2, x/2): a power series
     for P below a + 1 and a modified-Lentz continued fraction for Q above
     it (Numerical Recipes §6.2).  Both converge in O(sqrt(a)) terms.
+    Memoized: a short response's statistic on a small channel takes few values.
     """
     if x <= 0.0:
         return 1.0

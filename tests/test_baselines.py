@@ -233,12 +233,13 @@ def test_s1_hashes_each_document_once_per_message(f1):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 20260811])
-@pytest.mark.parametrize("k", [1, 2, 127, 1024])
+@pytest.mark.parametrize("k", [0, 1, 2, 127, 1024, 1025])
 def test_getrandbits_64k_spends_k_uniforms(k, seed):
     # s1 spends a dead bit's budget with getrandbits(64 * k) in place of k
-    # random() calls.  Should a Python release change how either consumes
-    # Mersenne-Twister words, this fails rather than every s1 stream
-    # changing silently.
+    # random() calls, in chunks of 1024 uniforms, and calls getrandbits(0)
+    # when a bit goes dead on its next-to-last draw.  Should a Python
+    # release change how either consumes Mersenne-Twister words, this
+    # fails rather than every s1 stream changing silently.
     spent, drawn = random.Random(seed), random.Random(seed)
     spent.getrandbits(64 * k)
     for _ in range(k):
@@ -257,11 +258,12 @@ class CountingRandom(random.Random):
         return super().random()
 
 
-@pytest.mark.parametrize("bits,count", [(100, 128), (10, 5000)])
+@pytest.mark.parametrize("bits,count", [(100, 1), (100, 128), (10, 1026), (10, 5000)])
 def test_s1_spends_a_dead_bits_budget_in_one_step(bits, count):
     # F1 = 1 on both documents, so no draw can match a zero bit: after the
     # memo fills, each bit costs one random() call while still counting
-    # its whole budget.
+    # its whole budget.  A budget of 1 spends nothing, and 1026 spends
+    # 1025 uniforms per bit, across a chunk.
     key = find_key_where(lambda fn: (eval_bit(fn, Document(0)),
                                      eval_bit(fn, Document(1))) == (1, 1))
     fn = BitFunction.keyed(key)

@@ -159,6 +159,29 @@ def test_gof_markov_grouping():
     assert gof.pvalue > 0
 
 
+def _markov64() -> ChannelSpec:
+    weights = [[1 + (3 * i + 5 * j) % 7 for j in range(64)] for i in range(64)]
+    return ChannelSpec.markov1([[w / sum(row) for w in row] for row in weights],
+                               [1 / 64] * 64)
+
+
+# (statistic, dof, pvalue) of ct_oracle(spec, None, n, RngState(n)),
+# pinned bit for bit so that no change to the markov1 grouping moves them.
+GOLDEN_MARKOV_GOF = {
+    ("markov2", 100): (2.8080808080808084, 3, 0.4221713991818694),
+    ("markov2", 5000): (2.3397099058332094, 3, 0.5049562560112337),
+    ("markov64", 100): (3496.3803571428803, 3213, 0.00028611253057035386),
+    ("markov64", 5000): (4091.4459252417005, 4095, 0.5127305987322635),
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(GOLDEN_MARKOV_GOF))
+def test_gof_markov1_result_is_unchanged(name, n):
+    spec = MARKOV2 if name == "markov2" else _markov64()
+    gof = channel_goodness_of_fit(spec, ct_oracle(spec, None, n, RngState(n)))
+    assert (gof.statistic, gof.dof, gof.pvalue) == GOLDEN_MARKOV_GOF[name, n]
+
+
 def test_run_game_refuses_tiny_trials():
     cfg = SystemConfig("p1")
     with pytest.raises(ConfigError):
@@ -221,6 +244,22 @@ def test_document_frequency_calibration_on_true_channel():
         docs = ct_oracle(UNIFORM_2, None, 100, rng.spawn(trial))
         guesses.append(warden.decide(docs))
     assert 0.01 <= sum(guesses) / 400 <= 0.11
+
+
+@pytest.mark.parametrize("ids", [[0] * 70 + [1] * 30, [0, 1] * 50, [0, 0, 1] * 20],
+                         ids=["skewed", "balanced", "chained"])
+@pytest.mark.parametrize("spec", [UNIFORM_2, MARKOV2], ids=["stationary", "markov1"])
+def test_document_frequency_decide_ignores_the_response_form(spec, ids):
+    # Documents are fitted as given and mails unwrapped: a list, a tuple,
+    # mails and a mix of both are one response.
+    warden = DocumentFrequencyDistinguisher(spec)
+    docs = [Document(i) for i in ids]
+    mails = [Mail(d, (ADDRESS1,), t) for t, d in enumerate(docs)]
+    mixed = [m if t % 2 else d for t, (d, m) in enumerate(zip(docs, mails))]
+    answers = {warden.decide(r) for r in (docs, tuple(docs), mails, mixed)}
+    expected = int(channel_goodness_of_fit(spec, docs).pvalue < warden.significance)
+    assert answers == {expected}
+    assert warden.decide([]) == warden.decide(()) == 0
 
 
 def test_document_frequency_detects_separating_key_s1():

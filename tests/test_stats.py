@@ -32,6 +32,14 @@ def test_chi2_sf_matches_scipy():
         assert math.isclose(chi2_sf(x, dof), expected, rel_tol=1e-9), (x, dof)
 
 
+def test_chi2_sf_cache_is_bounded_and_exact():
+    assert chi2_sf.cache_info().maxsize is not None
+    chi2_sf.cache_clear()  # so the first call below misses and the second hits
+    for x, dof in _chi2_grid():
+        exact = chi2_sf.__wrapped__(x, dof)
+        assert chi2_sf(x, dof) == exact and chi2_sf(x, dof) == exact, (x, dof)
+
+
 def test_binom_half_pvalue_matches_scipy_for_every_k():
     for n in [*range(1, 61), 99, 100, 101, 399]:
         for k in range(n + 1):
