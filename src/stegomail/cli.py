@@ -2,9 +2,9 @@
 
 Every command takes an explicit seed, so runs are reproducible, and every
 CSV output starts with ``# config:`` comment lines recording the full run
-configuration.  Exit codes: 0 success, 2 configuration or file error
-(an unreadable input, an unwritable output), 3 protocol/framing error,
-4 counter error.
+configuration.  Exit codes: 0 success, 1 interrupted (click's Abort, as
+for Ctrl-C), 2 usage, configuration or file error (an unreadable input,
+an unwritable output), 3 protocol/framing error, 4 counter error.
 """
 
 from __future__ import annotations

@@ -89,24 +89,23 @@ def make_fn(cfg: SystemConfig, rng: RngState) -> BitFunction:
 
 
 def embed_message(cfg: SystemConfig, fn: BitFunction, m: Sequence[int],
-                  spec: ChannelSpec, rng: RngState,
-                  start_tick: int = 0, counter_value: int = 0,
-                  stats: EmbedStats | None = None):
-    """Run the configured system's embedder; mails for p1/p2, documents otherwise."""
+                  spec: ChannelSpec, rng: RngState, stats: EmbedStats | None = None):
+    """Run the configured system's embedder from counter 0, where ``extract_message``
+    reads; mails for p1/p2, documents otherwise."""
     if cfg.system == "s1":
         return s1_embed(fn, m, spec, rng, count=cfg.count, stats=stats)
     if cfg.system == "s2":
-        return s2_embed(fn, Counter(counter_value), m, spec, rng,
+        return s2_embed(fn, Counter(), m, spec, rng,
                         repetition=cfg.repetition, stats=stats)
     if cfg.system == "s3":
         return s3_embed(fn, m, spec, rng, copies=cfg.copies,
                         count=cfg.count, stats=stats)
     if cfg.system == "s4":
-        return s4_embed(fn, Counter(counter_value), m, spec, rng,
+        return s4_embed(fn, Counter(), m, spec, rng,
                         copies=cfg.copies, stats=stats)
     if cfg.system == "p1":
-        return p1_embed(fn, Counter(counter_value), m, spec, rng, start_tick, stats)
-    return p2_embed(fn, Counter(counter_value), m, spec, rng, start_tick, stats)
+        return p1_embed(fn, Counter(), m, spec, rng, stats=stats)
+    return p2_embed(fn, Counter(), m, spec, rng, stats=stats)
 
 
 def extract_message(cfg: SystemConfig, fn: BitFunction, outputs) -> list[int]:

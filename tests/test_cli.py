@@ -748,6 +748,20 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_no_command_is_a_usage_error(capsys):
+    assert run([]) == 2
+    capsys.readouterr()
+
+
+def test_interrupt_exit_code(monkeypatch, capsys):
+    # click turns a KeyboardInterrupt (Ctrl-C) into Abort, which run maps to 1.
+    def interrupt(p):
+        raise KeyboardInterrupt
+    monkeypatch.setattr("stegomail.cli.capacity", interrupt)
+    assert run(["capacity", "--p", "0.25"]) == 1
+    capsys.readouterr()
+
+
 def test_non_finite_channel_file_is_config_error(channel):
     spec = channel({"kind": "stationary", "alphabet_size": 2, "probs": ["nan", "1.0"]},
                    "nan.json")
