@@ -171,8 +171,9 @@ def s2_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
     the second draw either way: a silent mismatch, which is exactly the
     unreliability the repetition code exists to fix.  Every draw is
     evaluated, the last included: the random oracle draws a coin at each
-    new input.  A drawn id is in the alphabet, so each document is built
-    in place, as ``protocols._embed`` does.
+    new input.  The PRF takes each drawn id as it is, and only the kept
+    one becomes a document.  A drawn id is in the alphabet, so that
+    document is built in place, without ``Document``'s check.
     """
     spec.row(prev)
     coded = enc(m, repetition)
@@ -182,12 +183,13 @@ def s2_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
     draws = 0
     for bit in coded:
         for n in range(1, 3):
-            doc = new(Document)
-            _set_doc_id(doc, sample_id(spec, prev, rng))
-            if eval_bit_sync(fn, counter, doc) == bit:
+            drawn = sample_id(spec, prev, rng)
+            if eval_bit_sync(fn, counter, drawn) == bit:
                 break
         draws += n
-        prev = doc.id
+        prev = drawn
+        doc = new(Document)
+        _set_doc_id(doc, drawn)
         docs.append(doc)
         counter.value += 1
     if stats is not None:
@@ -205,7 +207,7 @@ def s2_extract(fn: BitFunction, counter: Counter, docs: Sequence[Document],
     _check_repetition(repetition)
     _check_framing(docs, repetition)
     counter.check_headroom(len(docs))
-    coded = fn.bits(encode_sync_run(counter.value, docs))
+    coded = fn.bits(encode_sync_run(counter.value, [d.id for d in docs]))
     counter.value += len(docs)
     return dec(coded, repetition)
 
@@ -219,7 +221,7 @@ def s3_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
 
     Each attempt draws its documents conditioned on the one before, starting
     from the last committed document; only the accepted tuple is kept.
-    Each drawn document is built in place, as in s2.
+    Each drawn document is built in place, without ``Document``'s check.
     """
     count = _budget(fn, count)
     _check_copies(copies, odd=False)
@@ -261,8 +263,8 @@ def s4_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
     """Emit `copies` documents per bit, each the better of two draws.
 
     Sender and receiver consume the same counter values in the same order,
-    one per emitted document.  Each document is built in place, as in s2,
-    the second draw's only if it is kept.
+    one per emitted document.  As in s2, the PRF takes the first draw's id,
+    and only the kept id is built in place as a document.
     """
     _check_copies(copies, odd=True)
     spec.row(prev)
@@ -271,15 +273,15 @@ def s4_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
     docs = []
     for bit in m:
         for _ in range(copies):
-            kept = new(Document)
-            _set_doc_id(kept, sample_id(spec, prev, rng))
-            second_id = sample_id(spec, prev, rng)
+            kept = sample_id(spec, prev, rng)
+            second = sample_id(spec, prev, rng)
             if eval_bit_sync(fn, counter, kept) != bit:
-                kept = new(Document)
-                _set_doc_id(kept, second_id)
+                kept = second
             counter.value += 1
-            prev = kept.id
-            docs.append(kept)
+            prev = kept
+            doc = new(Document)
+            _set_doc_id(doc, kept)
+            docs.append(doc)
     if stats is not None:
         stats.add(2 * len(docs), len(m), len(docs), len(docs))
     return docs

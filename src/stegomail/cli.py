@@ -19,9 +19,9 @@ from .baselines import EmbedStats
 from .channel import load_channel_file, min_entropy
 from .ecc import bits_from_bytes, bits_from_hex, hex_from_bits
 from .errors import ConfigError, CounterError, ProtocolError
-from .mail import _read_trace_text, _trace_columns, read_trace, write_trace
+from .mail import _trace_columns, _trace_pieces, read_trace, write_trace
 from .prf import BitFunction, Counter, Key
-from .protocols import _embed, _extract, p1_extract
+from .protocols import ARRAYS, _embed, _extract, _receive, p1_extract
 from .rng import RngState
 from .security import (ALL_SYSTEMS, DISTINGUISHER_NAMES, SystemConfig,
                        _gc_paused, benchmark_scaling, build_distinguisher,
@@ -79,9 +79,12 @@ def embed(protocol, key_hex, counter, message_path, message_format,
     spec = load_channel_file(channel_path)
     bits = _read_message_bits(message_path, message_format)
     stats = EmbedStats()
-    # The mails go to the writer as columns, with no Mail per bit.
-    write_trace(_embed(BitFunction.keyed(Key.from_hex(key_hex)), Counter(counter), protocol,
-                       bits, spec, RngState(seed), start_tick, stats, None), out_path)
+    # The mails go to the writer as compact columns, with no Mail or Document
+    # per bit; each flip picks its row's address array as the row is written.
+    ticks, ids, flips = _embed(BitFunction.keyed(Key.from_hex(key_hex)), Counter(counter),
+                               protocol, bits, spec, RngState(seed), start_tick, stats, None)
+    arrays = ARRAYS[protocol]
+    write_trace((ticks, ids, (arrays[flip] for flip in flips)), out_path)
     click.echo(f"embedded {stats.bits_embedded} bits into {stats.docs_emitted} mails "
                f"({stats.samples_drawn} channel draws) -> {out_path}")
     click.echo(f"next counter: {counter + len(bits)}")
@@ -105,9 +108,10 @@ def extract(protocol, key_hex, counter, in_path, in2_path) -> None:
     # extractors, which take parsed mails.
     if in2_path is None:
         # A single p1 trace is the full sent sequence; a p2 trace is one
-        # mailbox.  It is read into columns, with no Mail per line.
-        columns = _trace_columns(_read_trace_text(in_path))
-        bits = _extract(fn, Counter(counter), protocol, *columns)
+        # mailbox.  It is read piece by piece into compact columns, with no
+        # Mail per line.
+        received = _receive(protocol, _trace_columns(_trace_pieces(in_path)))
+        bits = _extract(fn, Counter(counter), received)
     else:
         # Two traces are the two mailboxes themselves.
         box1, box2 = read_trace(in_path), read_trace(in2_path)

@@ -165,13 +165,13 @@ def encode_doc(d: Document) -> bytes:
     return _TAG_DOC + d.id.to_bytes(8, "big")
 
 
-def encode_sync_run(value: int, docs: Iterable[Document]) -> list[bytes]:
+def encode_sync_run(value: int, ids: Iterable[int]) -> list[bytes]:
     """F2 inputs of consecutive counter values ``value, value + 1, ...``.
 
     Each is the tag ``F2``, then the counter value and the document id,
     both 8 bytes big-endian: the inputs a synchronized extractor evaluates.
     """
-    return [_pack_sync(_TAG_SYNC, v, d.id) for v, d in zip(count(value), docs)]
+    return [_pack_sync(_TAG_SYNC, v, i) for v, i in zip(count(value), ids)]
 
 
 def encode_tuple(docs: Sequence[Document]) -> bytes:
@@ -192,15 +192,17 @@ def eval_bit(fn: BitFunction, d: Document) -> int:
     return fn.bit(_TAG_DOC + d.id.to_bytes(8, "big"))
 
 
-def eval_bit_sync(fn: BitFunction, counter: Counter, d: Document) -> int:
-    """Bit of (counter value, document); does not advance the counter.
+def eval_bit_sync(fn: BitFunction, counter: Counter, doc_id: int) -> int:
+    """Bit of (counter value, document id); does not advance the counter.
 
-    The input is the F2 encoding of ``counter.value`` and ``d``, packed in
+    `doc_id` is an id a ``Document`` could hold, in [0, 2^64): the embedders
+    pass each drawn id and build no ``Document`` for a draw they drop.  The
+    input is the F2 encoding of ``counter.value`` and `doc_id`, packed in
     one call because this is the email protocols' per-bit embed path.  The
     keyed hash and the random oracle's lookup are inlined too (the oracle
     spends its coins as ``fn.bit`` does), so a call costs one Python frame.
     """
-    data = _pack_sync(_TAG_SYNC, counter.value, d.id)
+    data = _pack_sync(_TAG_SYNC, counter.value, doc_id)
     h = fn._keyed_hash
     if h is None:
         got = fn.table.get(data)

@@ -29,7 +29,7 @@ from .channel import ChannelSpec, Document, sample_id
 from .errors import ConfigError, ProtocolError
 from .mail import Mail, _columns, _mail
 from .prf import BitFunction, Counter, Key
-from .protocols import ARRAYS, _extract, p1_embed, p2_embed, p2_extract
+from .protocols import ARRAYS, _extract, _receive, p1_embed, p2_embed, p2_extract
 from .rng import RngState
 from .stats import binom_half_pvalue, chi2_sf
 
@@ -123,7 +123,7 @@ def extract_message(cfg: SystemConfig, fn: BitFunction, outputs) -> list[int]:
     if cfg.system == "s4":
         return s4_extract(fn, Counter(), outputs, copies=cfg.copies)
     if cfg.system == "p1":
-        return _extract(fn, Counter(), "p1", *_columns(list(outputs)))
+        return _extract(fn, Counter(), _receive("p1", [_columns(list(outputs))]))
     return p2_extract(fn, Counter(), outputs)
 
 

@@ -3,8 +3,8 @@ import sys
 
 import pytest
 
-from stegomail import (ADDRESS1, ADDRESS2, BitFunction, ChannelSpec, Document,
-                       Key, Mail, ProtocolError)
+from stegomail import (ADDRESS1, ADDRESS2, BitFunction, ChannelSpec, ConfigError,
+                       Document, Key, Mail, ProtocolError)
 
 MASTER_SEED = 20260811
 
@@ -39,6 +39,46 @@ def encode_sync(value: int, d: Document) -> bytes:
     """The reference F2 input: the tag, then the counter value and the
     document id, each 8 bytes big-endian."""
     return b"F2" + value.to_bytes(8, "big") + d.id.to_bytes(8, "big")
+
+
+def trace_columns_reference(text: str) -> tuple[list[int], list[Document],
+                                                 list[tuple[str, ...]]]:
+    """The whole-text trace parser the piecewise reader replaced, as the
+    reference for it: send ticks, documents and address arrays, one per
+    nonblank line, with the same checks, messages and first-bad-line order."""
+    ticks: list[int] = []
+    docs: list[Document] = []
+    addresses: list[tuple[str, ...]] = []
+    seen_docs: dict[str, Document] = {}
+    split_fields: dict[str, tuple[str, ...]] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line or line.isspace():
+            continue
+        try:
+            raw_sent, raw_doc, raw_addrs = line.split("\t")
+        except ValueError:
+            raise ProtocolError(
+                f"trace line {lineno}: expected 3 tab-separated fields") from None
+        try:
+            ticks.append(int(raw_sent))
+        except ValueError as e:
+            raise ProtocolError(f"trace line {lineno}: {e}") from e
+        doc = seen_docs.get(raw_doc)
+        if doc is None:
+            try:
+                doc = seen_docs[raw_doc] = Document(int(raw_doc))
+            except (ValueError, ConfigError) as e:
+                raise ProtocolError(f"trace line {lineno}: {e}") from e
+        docs.append(doc)
+        addrs = split_fields.get(raw_addrs)
+        if addrs is None:
+            addrs = tuple(raw_addrs.split(","))
+            if not all(addrs):
+                raise ProtocolError(
+                    f"trace line {lineno}: recipient addresses must be nonempty strings")
+            split_fields[raw_addrs] = addrs
+        addresses.append(addrs)
+    return ticks, docs, addresses
 
 
 def p1_route(mails: list[Mail]) -> tuple[list[Mail], list[Mail]]:

@@ -566,10 +566,10 @@ def test_extractors_match_per_document_calls(mode):
     fn, ref = make(), make()
     counter = Counter(v)
     assert s2_extract(fn, counter, docs, repetition=1) == [
-        eval_bit_sync(ref, Counter(v + k), d) for k, d in enumerate(docs)]
+        eval_bit_sync(ref, Counter(v + k), d.id) for k, d in enumerate(docs)]
     assert counter.value == v + len(docs)
     assert s4_extract(fn, counter, docs, copies=1) == [
-        eval_bit_sync(ref, Counter(v + len(docs) + k), d) for k, d in enumerate(docs)]
+        eval_bit_sync(ref, Counter(v + len(docs) + k), d.id) for k, d in enumerate(docs)]
     assert counter.value == v + 2 * len(docs)
     assert s1_extract(fn, docs) == [eval_bit(ref, d) for d in docs]
     assert s3_extract(fn, docs, copies=3) == [

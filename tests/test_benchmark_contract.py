@@ -196,8 +196,7 @@ def test_each_draw_and_query_opens_one_python_frame(call):
     # A draw is rng.random(), the generator's own C method, on a CDF read by
     # one subscript, and a query hashes or looks up its input inline, so
     # neither opens a second frame.
-    from stegomail import (BitFunction, ChannelSpec, Counter, Document, Key,
-                           RngState, eval_bit_sync)
+    from stegomail import BitFunction, ChannelSpec, Counter, Key, RngState, eval_bit_sync
     from stegomail.channel import sample_id
     if call.startswith("sample_id"):
         spec = (ChannelSpec.markov1([[0.9, 0.1], [0.5, 0.5]], [0.5, 0.5])
@@ -210,5 +209,5 @@ def test_each_draw_and_query_opens_one_python_frame(call):
     fn = (BitFunction.keyed(Key(bytes(16))) if call.endswith("keyed")
           else BitFunction.random_oracle(3))
     counter = Counter(5)
-    for d in (Document(1), Document(2), Document(1)):  # two misses, then a hit
-        assert _python_frames(eval_bit_sync, fn, counter, d) == 1
+    for doc_id in (1, 2, 1):  # two misses, then a hit
+        assert _python_frames(eval_bit_sync, fn, counter, doc_id) == 1

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,9 @@ from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter, CounterEr
                        bits_from_bytes, bits_from_hex, embed_message, hex_from_bits,
                        load_channel_file, p1_embed, p1_extract, p2_embed, p2_extract,
                        read_trace, write_trace)
+from stegomail import mail as mail_module
 from stegomail.cli import main, run
-from stegomail.mail import _columns, format_trace, parse_trace
+from stegomail.mail import _TRACE_CHUNK, _columns, format_trace, parse_trace
 
 from conftest import count_calls, p1_route
 
@@ -520,13 +522,15 @@ def test_bad_counter_fails_before_send_order(protocol, tmp_path, capsys):
 ], ids=["embed", "simulate", "bench"])
 def test_output_in_a_missing_directory_is_config_error(command, tmp_path, channel,
                                                        message_file, capsys):
-    args = command + ["--channel", channel(UNIFORM_4), "--seed", "5",
-                      "--out", str(tmp_path / "missing" / "out")]
+    out = str(tmp_path / "missing" / "out")
+    args = command + ["--channel", channel(UNIFORM_4), "--seed", "5", "--out", out]
     if command[0] == "embed":
         args += ["--message", message_file]
     assert run(args) == 2
     err = capsys.readouterr().err
+    # The error names the output path, not the new file embed writes beside it.
     assert err.startswith("configuration error: ") and "No such file" in err
+    assert err.endswith(f": {out!r}\n")
 
 
 def test_counter_overflow_exit_code(tmp_path, channel, message_file):
@@ -798,6 +802,39 @@ def test_non_utf8_trace_is_protocol_error(tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+def test_non_utf8_byte_names_its_offset_in_the_file(tmp_path, capsys, monkeypatch):
+    # The trace is decoded a piece at a time; the offset is the file's.
+    trace = tmp_path / "trace.tsv"
+    data = b"0\t1\taddress1\n" * 50 + b"50\t2\taddress\xff\n"
+    trace.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode()
+    assert whole.value.start == data.index(b"\xff")
+    monkeypatch.setattr(mail_module, "_READ_PIECE", 64)
+    assert run(["extract", "--protocol", "p1", "--key", KEY, "--in", str(trace)]) == 3
+    assert capsys.readouterr().err == (
+        f"protocol error: trace file {trace} is not UTF-8 text: "
+        f"invalid start byte at byte {whole.value.start}\n")
+
+
+@pytest.mark.parametrize("later_piece", [False, True], ids=["same-piece", "later-piece"])
+def test_malformed_line_before_a_non_utf8_piece_wins(later_piece, tmp_path, capsys,
+                                                     monkeypatch):
+    # Each piece is decoded just before its lines are parsed, so a byte that
+    # is not UTF-8 wins within its own piece, but a malformed line in an
+    # earlier piece is reported first.
+    trace = tmp_path / "trace.tsv"
+    trace.write_bytes(b"0\t1\n" + b"1\t1\taddress1\n" * 40 + b"41\t2\taddress\xff\n")
+    if later_piece:
+        monkeypatch.setattr(mail_module, "_READ_PIECE", 64)
+    assert run(["extract", "--protocol", "p1", "--key", KEY, "--in", str(trace)]) == 3
+    err = capsys.readouterr().err
+    if later_piece:
+        assert err == "protocol error: trace line 1: expected 3 tab-separated fields\n"
+    else:
+        assert "not UTF-8" in err
+
+
 def test_non_utf8_channel_file_is_config_error(tmp_path, capsys):
     spec = tmp_path / "channel.json"
     spec.write_bytes(b'{"kind": "stationary\xff"}')
@@ -1006,3 +1043,135 @@ def test_cli_extract_agrees_with_the_library(tmp_path, capsys, case, counter):
     code = run(argv)
     out, err = capsys.readouterr()
     assert (code, out, err) == _library_extract(protocol, text, counter or 0)
+
+
+# --- receive across pieces and PRF chunks; memory per message bit --------------
+
+def _long_trace_lines(protocol, n, seed=29):
+    mails = embed_message(SystemConfig(protocol), KEYED, RngState(seed).bits(n),
+                          ChannelSpec.uniform(1024), RngState(seed + 1))
+    return format_trace(_columns(mails)).splitlines(keepends=True)
+
+
+FOREIGN = {"p1": "address3", "p2": "address1,address3"}
+
+
+@pytest.mark.parametrize("piece", [4096, None], ids=["4KiB-pieces", "default-pieces"])
+@pytest.mark.parametrize("protocol", ["p1", "p2"])
+def test_trace_faults_in_different_chunks_keep_the_error_order(protocol, piece, tmp_path,
+                                                                capsys, monkeypatch):
+    # A foreign address array in the first PRF chunk, a missing tick in the
+    # second and a swap out of send order in the third, each in a different
+    # piece of the file: the order of the checks decides, not the position.
+    if piece is not None:
+        monkeypatch.setattr(mail_module, "_READ_PIECE", piece)
+    n = 2 * _TRACE_CHUNK + 48
+    clean = _long_trace_lines(protocol, n)
+    tick, doc, _ = clean[100].split("\t")
+    foreign = clean[:100] + [f"{tick}\t{doc}\t{FOREIGN[protocol]}\n"] + clean[101:]
+    gap = foreign[:5000] + foreign[5001:]
+    swapped = gap[:8150] + [gap[8151], gap[8150]] + gap[8152:]
+    noun = "mail sequence" if protocol == "p1" else "mailbox"
+    trace = tmp_path / "trace.tsv"
+    extract = ["extract", "--protocol", protocol, "--key", KEY, "--in", str(trace)]
+    for lines, counter, code, message in (
+            (swapped, 0, 3, f"protocol error: {noun} is not sorted by send date"),
+            (gap, 0, 3, f"protocol error: send tick 5000 is missing from the {protocol} input"),
+            (foreign, 0, 3, f"protocol error: mail addressed to "
+                            f"{tuple(FOREIGN[protocol].split(','))!r} is outside the "
+                            f"{protocol} address set"),
+            (clean, 2 ** 64 - n, 4, "counter error: counter overflow at width 64 bits"),
+            (swapped, -1, 2, "configuration error: counter value -1 outside 64-bit range"),
+            (swapped + ["x\n"], -1, 3,
+             f"protocol error: trace line {len(swapped) + 1}: expected 3 tab-separated "
+             "fields")):
+        trace.write_text("".join(lines))
+        assert run([*extract, "--counter", str(counter)]) == code, message
+        assert capsys.readouterr() == ("", message + "\n")
+    trace.write_text("".join(clean))
+    assert run(extract) == 0
+    assert capsys.readouterr().out == hex_from_bits(RngState(29).bits(n)) + "\n"
+
+
+@pytest.mark.parametrize("protocol", ["p1", "p2"])
+def test_embed_and_extract_hold_few_bytes_per_message_bit(protocol, tmp_path, monkeypatch,
+                                                          capsys):
+    # A Document, a tick and list slots per row, and the whole trace text,
+    # come to 150-168 B per message bit.
+    monkeypatch.chdir(REPO)
+    bits = 1 << 16
+    message = tmp_path / "message.hex"
+    message.write_text(stegomail.RngState(83).bytes(bits // 8).hex())
+    trace = tmp_path / "trace.tsv"
+    for argv in (["embed", "--protocol", protocol, "--key", KEY, "--message", str(message),
+                  "--channel", "channels/uniform1024.json", "--seed", "5",
+                  "--out", str(trace)],
+                 ["extract", "--protocol", protocol, "--key", KEY, "--in", str(trace)]):
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * bits, (argv[0], peak / bits)
+    assert capsys.readouterr().out.endswith("\n" + message.read_text() + "\n")
+
+
+def test_extract_of_distinct_ids_holds_few_bytes_per_line(tmp_path, monkeypatch, capsys):
+    # The parser's field memo is bounded: with every id distinct, an
+    # unbounded one holds about 130 B per line.
+    monkeypatch.setattr(mail_module, "_FIELD_MEMO", 1024)
+    n = 1 << 16
+    trace = tmp_path / "trace.tsv"
+    trace.write_text("".join(f"{t}\t{t * 7919}\taddress1\n" for t in range(n)))
+    tracemalloc.start()
+    try:
+        assert run(["extract", "--protocol", "p1", "--key", KEY, "--in", str(trace)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * n, peak / n
+    assert len(capsys.readouterr().out) == n // 4 + 1
+
+
+# SHA-256 of the trace file `embed` writes and of `extract`'s stdout (stripped)
+# for a 2^20-bit message, the cap, over channels/uniform1024.json; recorded
+# before the CLI held its columns compactly.
+GOLDEN_CAP = ("f111e084748bff94671d343f24fde12fc1e5b98d8d34cc9d4b4716dcff50fbcc",
+              "a62872a43bd18615c0bb61a18b570b79c2dae6cf4d7e2cd6fd9728a972e1c32f")
+
+# Runs `python -m stegomail` embed, then extract, as its own children, and
+# prints the peak RSS of its children in KiB after each: getrusage counts
+# only this wrapper's children, not any other test's.
+_CAP_WRAPPER = """
+import resource, subprocess, sys
+embed, extract, out_path = sys.argv[1].split("|"), sys.argv[2].split("|"), sys.argv[3]
+subprocess.run([sys.executable, "-m", "stegomail", *embed], check=True,
+               stdout=subprocess.DEVNULL)
+after_embed = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+with open(out_path, "wb") as out:
+    subprocess.run([sys.executable, "-m", "stegomail", *extract], check=True, stdout=out)
+print(after_embed, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_embed_and_extract_at_the_message_cap_in_bounded_memory(tmp_path):
+    # A 2^20-bit message: a Python object per row takes each command past
+    # 170 MB; compact columns hold about 39 and 41 MB.
+    message = tmp_path / "message.hex"
+    message.write_text(stegomail.RngState(71).bytes(1 << 17).hex())
+    trace, stdout = tmp_path / "trace.tsv", tmp_path / "stdout.txt"
+    embed = ["embed", "--protocol", "p1", "--key", KEY, "--message", str(message),
+             "--channel", str(REPO / "channels" / "uniform1024.json"), "--seed", "73",
+             "--out", str(trace)]
+    extract = ["extract", "--protocol", "p1", "--key", KEY, "--in", str(trace)]
+    src = str(Path(stegomail.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _CAP_WRAPPER, "|".join(embed),
+                           "|".join(extract), str(stdout)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, check=True)
+    embed_kib, both_kib = map(int, done.stdout.split())
+    assert embed_kib <= 64 * 1024 and both_kib <= 64 * 1024, (embed_kib, both_kib)
+    assert (hashlib.sha256(trace.read_bytes()).hexdigest(),
+            hashlib.sha256(stdout.read_bytes().strip()).hexdigest()) == GOLDEN_CAP

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import stat
 import tracemalloc
 
 import pytest
@@ -7,8 +9,12 @@ from hypothesis import strategies as st
 
 from stegomail import (Document, Mail, ProtocolError, RngState, merge_by_date,
                        read_trace, write_trace)
-from stegomail.mail import _TRACE_CHUNK, _columns, _mail, format_trace, parse_trace
+from stegomail import mail as mail_module
+from stegomail.mail import (_TRACE_CHUNK, _columns, _mail, _trace_columns, _trace_pieces,
+                            format_trace, parse_trace)
 from stegomail.protocols import P1_ARRAYS, P2_ARRAYS
+
+from conftest import trace_columns_reference
 
 
 def mk(tick, doc_id=0, addrs=("address1",)):
@@ -304,3 +310,149 @@ def test_parse_trace_raises_only_protocol_error(text):
         return
     assert all(0 <= m.doc.id < 2 ** 64 and m.addresses and all(m.addresses)
                for m in mails)
+
+
+# --- the piecewise trace reader against the whole-text reference parser ------
+
+def _read_columns(path):
+    """A trace file's columns as the CLI reads them, piece by piece, joined."""
+    ticks, ids, addresses = [], [], []
+    for piece_ticks, piece_ids, piece_addresses in _trace_columns(_trace_pieces(path)):
+        ticks += piece_ticks
+        ids += piece_ids
+        addresses += piece_addresses
+    return ticks, ids, addresses
+
+
+def _reference_columns(text):
+    ticks, docs, addresses = trace_columns_reference(text)
+    return ticks, [d.id for d in docs], addresses
+
+
+def _outcome(read, *args):
+    """The columns read, or the error class and message."""
+    try:
+        return read(*args)
+    except ProtocolError as e:
+        return type(e), str(e)
+
+
+def _read_in_pieces(path, size, memo=None):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mail_module, "_READ_PIECE", size)
+        if memo is not None:
+            patch.setattr(mail_module, "_FIELD_MEMO", memo)
+        return _outcome(_read_columns, path)
+
+
+# Every line break str.splitlines knows, "\r\n" among them; blank,
+# whitespace-only and malformed lines next to well-formed ones.
+_TERMINATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                "\u2028", "\u2029"]
+_GOOD_LINES = st.builds(
+    "{}\t{}\t{}".format, st.integers(-3, 10 ** 6),
+    st.integers(0, 40) | st.integers(0, 2 ** 64 - 1),
+    st.sampled_from(["address1", "address2", "address1,address2", "aé,b"]))
+_ODD_LINES = st.sampled_from(
+    ["", " ", "\t", " \t ", "\u3000", "\xa0", " 7 \t 3 \taddress1",
+     "1\t2", "one\t2\taddress1", "1\t-4\taddress1", f"1\t{2 ** 64}\taddress1",
+     "1\t2\taddress1,", "1\t2\t\t", "1\t2\ta\tb", "1\t\u0663\taddress1"])
+_TRACE_TEXTS = st.builds(
+    lambda pairs, last: "".join(line + end for line, end in pairs) + last,
+    st.lists(st.tuples(_GOOD_LINES | _ODD_LINES, st.sampled_from(_TERMINATORS)),
+             max_size=12),
+    st.just("") | _GOOD_LINES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_TRACE_TEXTS, size=st.integers(1, 24), memo=st.none() | st.integers(0, 3))
+def test_piecewise_reader_matches_the_whole_text_parser(tmp_path_factory, text, size, memo):
+    # Small pieces put read boundaries everywhere: inside "\r\n", inside a
+    # multibyte character, between a line and its break.  A small field
+    # memo is forgotten between pieces.
+    path = tmp_path_factory.mktemp("trace") / "trace.tsv"
+    path.write_bytes(text.encode())
+    assert _read_in_pieces(path, size, memo) == _outcome(_reference_columns, text)
+
+
+# "\r\n" across every possible read boundary, with a lone "\r" and "\n\r" too.
+_FIXED_TRACES = ["0\t1\taddress1\r\n1\t2\taddress2\r\n",
+                 "0\t1\taddress1\r1\t2\taddress2\n\r2\t3\taddress1",
+                 "0\t1\taddress1\r\n\r\n\n1\t2\taddress2  \n2\tx\taddress1\n"]
+
+
+@pytest.mark.parametrize("text", _FIXED_TRACES)
+def test_piecewise_reader_at_every_piece_size(tmp_path, text):
+    path = tmp_path / "trace.tsv"
+    path.write_bytes(text.encode())
+    expected = _outcome(_reference_columns, text)
+    for size in range(1, len(text.encode()) + 2):
+        assert _read_in_pieces(path, size) == expected, size
+
+
+@pytest.mark.parametrize("size", [1, 5, 16, 1 << 16])
+def test_trace_pieces_end_lines_and_rebuild_the_file(tmp_path, size, monkeypatch):
+    text = "".join(f"{t}\t{t % 7}\taddress{t % 2 + 1}\r\n" for t in range(200)) + "200\t0\ta"
+    path = tmp_path / "trace.tsv"
+    path.write_bytes(text.encode())
+    monkeypatch.setattr(mail_module, "_READ_PIECE", size)
+    pieces = list(_trace_pieces(path))
+    assert "".join(pieces) == text
+    assert all(piece.endswith("\n") for piece in pieces[:-1])
+    # A piece holds at most one read past its last full line.
+    longest = max(map(len, text.splitlines(keepends=True)))
+    assert max(map(len, pieces)) <= longest + size
+    path.write_bytes(b"")
+    assert list(_trace_pieces(path)) == []
+
+
+def test_read_trace_reads_the_pieces_as_one_trace(tmp_path, monkeypatch):
+    mails = _drawn_mails(P2_ARRAYS, 300)
+    path = tmp_path / "trace.tsv"
+    write_trace(_columns(mails), path)
+    monkeypatch.setattr(mail_module, "_READ_PIECE", 64)
+    assert read_trace(path) == mails
+
+
+# --- write_trace writes beside the path and replaces it ----------------------
+
+def test_failed_write_trace_leaves_no_temporary_file(tmp_path):
+    path = tmp_path / "trace.tsv"
+    path.write_text("0\t1\taddress1\n")
+    good = [mk(t) for t in range(_TRACE_CHUNK + 3)]
+    with pytest.raises(TypeError):
+        write_trace(_columns([*good, _mail(Document(1), (5,), _TRACE_CHUNK + 3)]), path)
+    assert os.listdir(tmp_path) == ["trace.tsv"]
+    assert path.read_text() == "0\t1\taddress1\n"
+
+
+def test_write_trace_gives_the_mode_of_a_plain_open(tmp_path):
+    # Not the 0o600 of a temporary file from tempfile.mkstemp.
+    plain = tmp_path / "plain"
+    with open(plain, "wb"):
+        pass
+    path = tmp_path / "trace.tsv"
+    write_trace(_columns([mk(0)]), path)
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["plain", "trace.tsv"]
+
+
+def test_write_trace_through_a_symlink_writes_its_target(tmp_path):
+    target = tmp_path / "target.tsv"
+    target.write_text("stale\n")
+    link = tmp_path / "link.tsv"
+    link.symlink_to(target)
+    write_trace(_columns([mk(0)]), link)
+    assert link.is_symlink()
+    assert target.read_text() == "0\t0\taddress1\n"
+
+
+def test_write_trace_writes_a_device_in_place(monkeypatch):
+    # Replacing os.devnull with a regular file would break it for every
+    # process, so os.replace must not be reached; here it would raise.
+    def no_replace(*args):
+        raise AssertionError(f"os.replace{args}")
+
+    monkeypatch.setattr(mail_module.os, "replace", no_replace)
+    write_trace(_columns([mk(0)]), os.devnull)
+    assert not os.path.isfile(os.devnull)

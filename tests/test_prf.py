@@ -34,15 +34,13 @@ def test_distinct_keys_agree_half_the_time():
 
 def test_eval_bit_sync_deterministic(keyed_fn):
     c = Counter(5)
-    d = Document(3)
-    assert eval_bit_sync(keyed_fn, c, d) == eval_bit_sync(keyed_fn, c, d)
+    assert eval_bit_sync(keyed_fn, c, 3) == eval_bit_sync(keyed_fn, c, 3)
     assert c.value == 5  # evaluation never advances the counter
 
 
 def test_oracle_counter_neighbours_independent():
     oracle = BitFunction.random_oracle(13)
-    d = Document(0)
-    bits = [eval_bit_sync(oracle, Counter(n), d) for n in range(10_001)]
+    bits = [eval_bit_sync(oracle, Counter(n), 0) for n in range(10_001)]
     agree = sum(bits[n] == bits[n + 1] for n in range(10_000))
     assert abs(agree / 10_000 - 0.5) <= 0.02
 
@@ -50,8 +48,7 @@ def test_oracle_counter_neighbours_independent():
 def test_keyed_sync_sequence_passes_monobit_test(keyed_fn):
     # two-sided frequency test at significance 0.01
     n = 10_000
-    d = Document(9)
-    ones = sum(eval_bit_sync(keyed_fn, Counter(i), d) for i in range(n))
+    ones = sum(eval_bit_sync(keyed_fn, Counter(i), 9) for i in range(n))
     assert abs(ones - n / 2) <= 2.576 * math.sqrt(n) / 2
 
 
@@ -176,7 +173,7 @@ def test_eval_bit_sync_matches_reference_encoding(low_bits, mode):
     for value in values + values:  # the second pass repeats every input
         c = Counter(value)
         for d in docs:
-            assert eval_bit_sync(fn, c, d) == ref.bit(encode_sync(c.value, d))
+            assert eval_bit_sync(fn, c, d.id) == ref.bit(encode_sync(c.value, d))
     assert fn.table == ref.table
     if mode == "random_oracle":
         assert len(fn.table) == len(set(values)) * len(docs)
@@ -229,10 +226,11 @@ def test_bits_matches_per_input_bit(mode):
 @pytest.mark.parametrize("low_bytes", [1, 2, 8])
 def test_encode_sync_run_matches_encode_sync(low_bytes):
     docs = [Document(0), Document(7), Document(7), Document(2 ** 64 - 1), Document(3)]
+    ids = [d.id for d in docs]
     for value in (0, 1, (1 << (8 * low_bytes)) - len(docs)):
-        assert encode_sync_run(value, docs) == [
+        assert encode_sync_run(value, ids) == [
             encode_sync(value + k, d) for k, d in enumerate(docs)]
     # The top run: the last two counter values a document can carry.
-    assert encode_sync_run(2 ** 64 - 2, docs[2:4]) == [
+    assert encode_sync_run(2 ** 64 - 2, ids[2:4]) == [
         encode_sync(2 ** 64 - 2, docs[2]), encode_sync(2 ** 64 - 1, docs[3])]
     assert encode_sync_run(5, []) == []

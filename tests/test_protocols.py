@@ -1,7 +1,10 @@
 import hashlib
+from itertools import count, pairwise
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter,
                        CounterError, Document, EmbedStats, Key, Mail,
@@ -9,7 +12,7 @@ from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter,
                        load_channel_file,
                        p1_embed, p1_extract, p2_embed, p2_extract)
 from stegomail.mail import _columns, format_trace
-from stegomail.protocols import ADDRESS1, ADDRESS2, P1_ARRAYS, P2_ARRAYS
+from stegomail.protocols import ADDRESS1, ADDRESS2, ARRAYS, P1_ARRAYS, P2_ARRAYS, _receive
 
 from conftest import MARKOV2, TEST_CHANNELS, find_key_where, p1_route, point_mass
 
@@ -23,7 +26,7 @@ def oracle(seed: int) -> BitFunction:
 
 def test_p1_matching_bit_goes_to_address1():
     key = find_key_where(
-        lambda fn: eval_bit_sync(fn, Counter(0), Document(0)) == 1)
+        lambda fn: eval_bit_sync(fn, Counter(0), 0) == 1)
     [mail] = p1_embed(BitFunction.keyed(key), Counter(0), [1], POINT_MASS_1,
                       RngState(1))
     assert mail.addresses == (ADDRESS1,)
@@ -31,7 +34,7 @@ def test_p1_matching_bit_goes_to_address1():
 
 def test_p1_mismatching_bit_goes_to_address2():
     key = find_key_where(
-        lambda fn: eval_bit_sync(fn, Counter(0), Document(0)) == 0)
+        lambda fn: eval_bit_sync(fn, Counter(0), 0) == 0)
     [mail] = p1_embed(BitFunction.keyed(key), Counter(0), [1], POINT_MASS_1,
                       RngState(1))
     assert mail.addresses == (ADDRESS2,)
@@ -60,7 +63,7 @@ def test_p1_address_frequency_under_random_function():
 
 def test_p1_extract_complement_rule():
     key = find_key_where(
-        lambda fn: eval_bit_sync(fn, Counter(0), Document(5)) == 1)
+        lambda fn: eval_bit_sync(fn, Counter(0), 5) == 1)
     fn = BitFunction.keyed(key)
     assert p1_extract(fn, Counter(0), [], [Mail(Document(5), (ADDRESS2,), 0)]) == [0]
     assert p1_extract(fn, Counter(0), [Mail(Document(5), (ADDRESS1,), 0)], []) == [1]
@@ -118,7 +121,7 @@ def test_p1_all_mails_in_one_box_still_extracts():
     key = Key.from_hex("aa" * 16)
     fn = BitFunction.keyed(key)
     probe = p1_embed(fn, Counter(0), [0] * 32, spec, RngState(15))
-    matched = [eval_bit_sync(fn, Counter(i), mail.doc)
+    matched = [eval_bit_sync(fn, Counter(i), mail.doc.id)
                for i, mail in enumerate(probe)]
     mails = p1_embed(fn, Counter(0), matched, spec, RngState(15))
     assert all(mail.addresses == (ADDRESS1,) for mail in mails)
@@ -134,7 +137,7 @@ def test_p1_extract_rejects_duplicate_ticks():
 
 def test_p2_broadcast_orders():
     key_match = find_key_where(
-        lambda fn: eval_bit_sync(fn, Counter(0), Document(0)) == 1)
+        lambda fn: eval_bit_sync(fn, Counter(0), 0) == 1)
     fn = BitFunction.keyed(key_match)
     [mail] = p2_embed(fn, Counter(0), [1], POINT_MASS_1, RngState(19))
     assert mail.addresses == (ADDRESS1, ADDRESS2)
@@ -144,7 +147,7 @@ def test_p2_broadcast_orders():
 
 def test_p2_extract_complement_on_reversed_order():
     key = find_key_where(
-        lambda fn: eval_bit_sync(fn, Counter(0), Document(3)) == 1)
+        lambda fn: eval_bit_sync(fn, Counter(0), 3) == 1)
     assert p2_extract(BitFunction.keyed(key), Counter(0),
                       [Mail(Document(3), (ADDRESS2, ADDRESS1), 0)]) == [0]
 
@@ -325,7 +328,7 @@ def test_extract_matches_per_mail_calls_and_advances_counter(variant, mode):
         got = p1_extract(fn, rx, *p1_route(mails))
     else:
         got = p2_extract(fn, rx, mails)
-    assert got == m == [eval_bit_sync(ref, Counter(250 + k), s.doc)
+    assert got == m == [eval_bit_sync(ref, Counter(250 + k), s.doc.id)
                         ^ (s.addresses == arrays[1]) for k, s in enumerate(mails)]
     assert rx.value == 250 + len(m)
     if mode == "random_oracle":
@@ -382,3 +385,52 @@ def test_p1_mail_lost_from_one_mailbox_fails_at_its_tick(box):
 def test_empty_input_extracts_to_no_bits():
     assert p1_extract(oracle(63), Counter(0), [], []) == []
     assert p2_extract(oracle(63), Counter(0), []) == []
+
+
+def _first_fault(protocol, ticks, addresses):
+    """The checks on a whole p1/p2 input in one list, in their order: send
+    order, a missing tick, an address array outside the pair."""
+    if not all(a < b for a, b in pairwise(ticks)):
+        return f"{'mail sequence' if protocol == 'p1' else 'mailbox'} is not sorted by send date"
+    if ticks and ticks[-1] - ticks[0] != len(ticks) - 1:
+        missing = next(t for t, sent in zip(count(ticks[0]), ticks) if t != sent)
+        return f"send tick {missing} is missing from the {protocol} input"
+    foreign = [a for a in addresses if a not in ARRAYS[protocol]]
+    if foreign:
+        return f"mail addressed to {foreign[0]!r} is outside the {protocol} address set"
+    return None
+
+
+@st.composite
+def _received_inputs(draw):
+    """A p1/p2 input with its send ticks nudged, lost or swapped and an
+    address array made foreign, cut into chunks at drawn rows."""
+    protocol = draw(st.sampled_from(["p1", "p2"]))
+    n = draw(st.integers(0, 30))
+    start = draw(st.integers(-5, 5))
+    ticks = list(range(start, start + n))
+    for _ in range(draw(st.integers(0, 2))):
+        if ticks:
+            i = draw(st.integers(0, len(ticks) - 1))
+            ticks[i] += draw(st.sampled_from([-2, -1, 1, 2]))
+    if ticks and draw(st.booleans()):
+        del ticks[draw(st.integers(0, len(ticks) - 1))]
+    arrays = ARRAYS[protocol] + ((ADDRESS1, "address3"),)
+    addresses = [arrays[draw(st.sampled_from([0, 1, 0, 1, 2]))] for _ in ticks]
+    ids = [draw(st.integers(0, 2 ** 64 - 1)) for _ in ticks]
+    cuts = sorted(draw(st.lists(st.integers(0, len(ticks)), max_size=6)))
+    bounds = [0, *cuts, len(ticks)]
+    chunks = [(ticks[a:b], ids[a:b], addresses[a:b]) for a, b in pairwise(bounds)]
+    return protocol, ticks, ids, addresses, chunks
+
+
+@settings(max_examples=400, deadline=None)
+@given(_received_inputs())
+def test_receive_finds_the_first_fault_whatever_the_chunks(case):
+    # Empty chunks and cuts between any two rows, a fault on either side.
+    protocol, ticks, ids, addresses, chunks = case
+    got_ids, got_flips, fault = _receive(protocol, chunks)
+    assert fault == _first_fault(protocol, ticks, addresses)
+    if fault is None:
+        assert list(got_ids) == ids
+        assert list(got_flips) == [ARRAYS[protocol].index(a) for a in addresses]

@@ -57,3 +57,45 @@ def test_binom_half_pvalue_past_float_overflow():
 @pytest.mark.parametrize("n", [2, 100, 2000])
 def test_binom_half_pvalue_at_the_centre_is_one(n):
     assert binom_half_pvalue(n // 2, n) == 1.0
+
+
+def _exact_binom_half_pvalue(k, n):
+    """min(1, 2 * sum_{i <= min(k, n-k)} C(n, i) / 2^n) in integers, divided once."""
+    m = min(k, n - k)
+    if 2 * k == n:
+        return 1.0
+    term = total = 1
+    for i in range(m):
+        term = term * (n - i) // (i + 1)
+        total += term
+    return min(1.0, total / (1 << (n - 1)))
+
+
+def _k_grid(n):
+    # Around the centre, where the ratio sum is longest, out to the far tail,
+    # and the small m where Stirling's error term switches method.
+    root = math.isqrt(n)
+    return sorted({n // 2 + d for d in (1, 2, 37, root, 3 * root, 6 * root, 20 * root)}
+                  | {n // 2 - 37, 1, 15, 16, 35, 36, 80, 81, 500, 501, n // 4, n - 3})
+
+
+@pytest.mark.parametrize("n", [4096, 4097, 5000, 10007, 16384])
+def test_binom_half_pvalue_past_the_exact_path_matches_the_integer_sum(n):
+    # 4096 is the largest n summed in integers; past it the float path.
+    for k in _k_grid(n):
+        expected = _exact_binom_half_pvalue(k, n)
+        assert math.isclose(binom_half_pvalue(k, n), expected, rel_tol=1e-12), (k, n)
+
+
+@pytest.mark.parametrize("n", [2 ** e for e in range(14, 21)])
+def test_binom_half_pvalue_matches_scipy_up_to_the_message_cap(n):
+    # Up to 2^20 trials, the longest message a game plays.
+    root = math.isqrt(n)
+    for k in (n // 2 + 1, n // 2 + 37, n // 2 - root, n // 2 + 3 * root, n // 2 + 6 * root):
+        expected = sps.binomtest(k, n, 0.5).pvalue
+        assert math.isclose(binom_half_pvalue(k, n), expected, rel_tol=1e-12), (k, n)
+
+
+def test_binom_half_pvalue_with_no_success_past_the_exact_path():
+    # 2 / 2^n is below the smallest float here, so the p-value is 0.0 exactly.
+    assert binom_half_pvalue(0, 4097) == binom_half_pvalue(4097, 4097) == 0.0
