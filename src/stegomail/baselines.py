@@ -17,7 +17,9 @@ the last document already sent (None before any), and every channel
 draw / PRF query is tallied in EmbedStats so that rate and work-bound
 claims can be checked on real runs rather than asserted.  Each checks
 `prev` with ``spec.row`` before its first draw, and s2 and s4 check
-counter headroom there too, so a failed embed or extract mutates nothing.
+counter headroom there too.  Documents are plain int ids, and each
+extractor checks the ids it is given before its first PRF evaluation, so
+a failed embed or extract mutates nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .channel import ChannelSpec, Document, _set_doc_id, sample_id
+from .channel import ChannelSpec, _check_ids, sample_id
 from .ecc import _check_repetition, dec, enc
 from .errors import ConfigError, ProtocolError
 from .prf import (BitFunction, Counter, encode_doc, encode_sync_run, encode_tuple,
@@ -76,7 +78,7 @@ def _check_copies(copies: int, odd: bool) -> None:
         raise ConfigError(f"copies per bit must be {parity}>= 1, got {copies}")
 
 
-def _check_framing(docs: Sequence[Document], copies: int) -> None:
+def _check_framing(docs: Sequence[int], copies: int) -> None:
     if len(docs) % copies:
         raise ProtocolError(
             f"received {len(docs)} documents, not a multiple of {copies} per bit")
@@ -86,16 +88,14 @@ def _check_framing(docs: Sequence[Document], copies: int) -> None:
 
 def s1_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
              rng: RngState, count: int | None = None,
-             stats: EmbedStats | None = None, prev: int | None = None) -> list[Document]:
+             stats: EmbedStats | None = None, prev: int | None = None) -> list[int]:
     """Per bit, redraw up to `count` times until the document's F1 bit matches.
 
     Every draw consumes one uniform and counts as one draw and one PRF
     query.  F1 of a bare document depends on its id alone, so each id is
     hashed once per message and a repeated query is answered from the
     memo `known`; the random oracle, which already holds the id, spends
-    its coins in the same order either way.  Every drawn id enters the
-    memo, so the `Document` built for its query in `made` is the one
-    emitted each time that id is kept.  The draw is ``sample_id``
+    its coins in the same order either way.  The draw is ``sample_id``
     inlined: one bit's draws share their conditioning id and so its CDF,
     which a stationary channel holds in ``_cum`` for every id.
 
@@ -120,7 +120,6 @@ def s1_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
     tries = range(1, count + 1)
     size = spec.alphabet_size
     known: dict[int, int] = {}
-    made: dict[int, Document] = {}
     dead = -1  # no bit is dead yet; an int compares faster than None
     docs = []
     draws = 0
@@ -132,8 +131,7 @@ def s1_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
                 i = bisect_right(cdf, rand())
                 got = known.get(i)
                 if got is None:
-                    doc = made[i] = Document(i)
-                    got = known[i] = eval_bit(fn, doc)
+                    got = known[i] = eval_bit(fn, i)
                     if len(known) == size and len(set(known.values())) == 1:
                         dead = 1 - got
                         if bit == dead:
@@ -150,35 +148,34 @@ def s1_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
             n = count
         draws += n
         prev = i
-        docs.append(made[i])
+        docs.append(i)
     if stats is not None:
         stats.add(draws, len(m), len(docs), draws)
     return docs
 
 
-def s1_extract(fn: BitFunction, docs: Sequence[Document]) -> list[int]:
-    return fn.bits([encode_doc(d) for d in docs])
+def s1_extract(fn: BitFunction, docs: Sequence[int]) -> list[int]:
+    docs = list(docs)  # _check_ids reads the ids three times, so an iterator is copied
+    _check_ids(docs)
+    return fn.bits(map(encode_doc, docs))
 
 
 # --- s2: synchronized counter + repetition code --------------------------
 
 def s2_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
              spec: ChannelSpec, rng: RngState, repetition: int = 5,
-             stats: EmbedStats | None = None, prev: int | None = None) -> list[Document]:
+             stats: EmbedStats | None = None, prev: int | None = None) -> list[int]:
     """Repetition-encode, then embed each coded bit with a 2-draw budget.
 
     A coded bit keeps the first draw whose synchronized bit equals it, or
     the second draw either way: a silent mismatch, which is exactly the
     unreliability the repetition code exists to fix.  Every draw is
     evaluated, the last included: the random oracle draws a coin at each
-    new input.  The PRF takes each drawn id as it is, and only the kept
-    one becomes a document.  A drawn id is in the alphabet, so that
-    document is built in place, without ``Document``'s check.
+    new input.
     """
     spec.row(prev)
     coded = enc(m, repetition)
     counter.check_headroom(len(coded))
-    new = object.__new__
     docs = []
     draws = 0
     for bit in coded:
@@ -188,26 +185,25 @@ def s2_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
                 break
         draws += n
         prev = drawn
-        doc = new(Document)
-        _set_doc_id(doc, drawn)
-        docs.append(doc)
+        docs.append(drawn)
         counter.value += 1
     if stats is not None:
         stats.add(draws, len(m), len(docs), draws)
     return docs
 
 
-def s2_extract(fn: BitFunction, counter: Counter, docs: Sequence[Document],
+def s2_extract(fn: BitFunction, counter: Counter, docs: Sequence[int],
                repetition: int = 5) -> list[int]:
     """Majority of the synchronized bits over each run of `repetition` documents.
 
-    One counter value per document, all checked before the one batched
-    PRF call.
+    One counter value per document id; the ids and the counter are checked
+    before the one batched PRF call.
     """
     _check_repetition(repetition)
     _check_framing(docs, repetition)
+    _check_ids(docs)
     counter.check_headroom(len(docs))
-    coded = fn.bits(encode_sync_run(counter.value, [d.id for d in docs]))
+    coded = fn.bits(encode_sync_run(counter.value, docs))
     counter.value += len(docs)
     return dec(coded, repetition)
 
@@ -216,18 +212,16 @@ def s2_extract(fn: BitFunction, counter: Counter, docs: Sequence[Document],
 
 def s3_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
              rng: RngState, copies: int, count: int | None = None,
-             stats: EmbedStats | None = None, prev: int | None = None) -> list[Document]:
+             stats: EmbedStats | None = None, prev: int | None = None) -> list[int]:
     """Resample whole `copies`-tuples until the tuple's bit equals the message bit.
 
     Each attempt draws its documents conditioned on the one before, starting
     from the last committed document; only the accepted tuple is kept.
-    Each drawn document is built in place, without ``Document``'s check.
     """
     count = _budget(fn, count)
     _check_copies(copies, odd=False)
     spec.row(prev)
-    new = object.__new__
-    docs: list[Document] = []
+    docs: list[int] = []
     evals = 0
     for bit in m:
         for _ in range(count):
@@ -235,9 +229,7 @@ def s3_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
             last = prev
             for _ in range(copies):
                 last = sample_id(spec, last, rng)
-                doc = new(Document)
-                _set_doc_id(doc, last)
-                group.append(doc)
+                group.append(last)
             evals += 1
             if eval_bit_tuple(fn, group) == bit:
                 break
@@ -248,9 +240,10 @@ def s3_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
     return docs
 
 
-def s3_extract(fn: BitFunction, docs: Sequence[Document], copies: int) -> list[int]:
+def s3_extract(fn: BitFunction, docs: Sequence[int], copies: int) -> list[int]:
     _check_copies(copies, odd=False)
     _check_framing(docs, copies)
+    _check_ids(docs)
     return fn.bits([encode_tuple(docs[i:i + copies])
                     for i in range(0, len(docs), copies)])
 
@@ -259,17 +252,15 @@ def s3_extract(fn: BitFunction, docs: Sequence[Document], copies: int) -> list[i
 
 def s4_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
              spec: ChannelSpec, rng: RngState, copies: int,
-             stats: EmbedStats | None = None, prev: int | None = None) -> list[Document]:
+             stats: EmbedStats | None = None, prev: int | None = None) -> list[int]:
     """Emit `copies` documents per bit, each the better of two draws.
 
     Sender and receiver consume the same counter values in the same order,
-    one per emitted document.  As in s2, the PRF takes the first draw's id,
-    and only the kept id is built in place as a document.
+    one per emitted document.  The PRF takes the first draw's id.
     """
     _check_copies(copies, odd=True)
     spec.row(prev)
     counter.check_headroom(len(m) * copies)
-    new = object.__new__
     docs = []
     for bit in m:
         for _ in range(copies):
@@ -279,15 +270,13 @@ def s4_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
                 kept = second
             counter.value += 1
             prev = kept
-            doc = new(Document)
-            _set_doc_id(doc, kept)
-            docs.append(doc)
+            docs.append(kept)
     if stats is not None:
         stats.add(2 * len(docs), len(m), len(docs), len(docs))
     return docs
 
 
-def s4_extract(fn: BitFunction, counter: Counter, docs: Sequence[Document],
+def s4_extract(fn: BitFunction, counter: Counter, docs: Sequence[int],
                copies: int) -> list[int]:
     # The same vote as s2's: one synchronized bit per document, the
     # majority over each bit's copies.

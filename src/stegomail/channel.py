@@ -20,11 +20,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from math import isfinite, log2
+from typing import Sequence
 
 from .errors import ConfigError
 from .rng import RngState
 
 SUM_TOLERANCE = 1e-9
+_ID_END = 1 << 64  # one past the largest id the 8-byte encoding holds
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,20 +36,24 @@ class Document:
     id: int
 
     def __post_init__(self) -> None:
-        # The 8-byte id every PRF input encodes; type first, so that a
-        # float or a string never reaches the comparison.  The embedders
-        # build each drawn document in place through _set_doc_id instead,
-        # since a drawn id is in the alphabet.
+        # The 8-byte id every PRF input encodes; type first, so that a float
+        # or a string never reaches the comparison.  The library passes plain
+        # ids; this checks one from outside (a trace field, a mail, an extract).
         id = self.id
         if type(id) is not int:
             raise ConfigError(f"document id must be an int, not {type(id).__name__}")
         if id < 0:
             raise ConfigError(f"negative document id {id}")
-        if id >= 1 << 64:
+        if id >= _ID_END:
             raise ConfigError(f"document id {id} does not fit in 8 bytes")
 
 
-_set_doc_id = Document.id.__set__
+def _check_ids(ids: Sequence[int]) -> None:
+    """Raise ConfigError unless a ``Document`` holds every id: three passes in C
+    (types, least, greatest), then, on a failure only, ``Document`` per id."""
+    if ids and (set(map(type, ids)) != {int} or min(ids) < 0 or max(ids) >= _ID_END):
+        for i in ids:
+            Document(i)
 
 
 def _check_vector(vec, size: int, label: str) -> tuple[float, ...]:

@@ -79,8 +79,8 @@ def embed(protocol, key_hex, counter, message_path, message_format,
     spec = load_channel_file(channel_path)
     bits = _read_message_bits(message_path, message_format)
     stats = EmbedStats()
-    # The mails go to the writer as compact columns, with no Mail or Document
-    # per bit; each flip picks its row's address array as the row is written.
+    # The mails go to the writer as compact columns, with no Mail per bit;
+    # each flip picks its row's address array as the row is written.
     ticks, ids, flips = _embed(BitFunction.keyed(Key.from_hex(key_hex)), Counter(counter),
                                protocol, bits, spec, RngState(seed), start_tick, stats, None)
     arrays = ARRAYS[protocol]

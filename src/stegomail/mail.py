@@ -1,6 +1,6 @@
 """Simulated email transport: mails, the mailbox merge, and the trace format.
 
-A mail is the triple (document, ordered address array, send tick).  Ticks
+A mail is the triple (document id, ordered address array, send tick).  Ticks
 are abstract integers incremented once per sent mail, so timestamps are
 always pairwise distinct and the two-mailbox merge is unambiguous.
 """
@@ -14,7 +14,7 @@ from itertools import chain, islice, pairwise
 from operator import attrgetter, lt
 from typing import Iterable, Iterator, Sequence
 
-from .channel import Document, _set_doc_id
+from .channel import Document
 from .errors import ConfigError, ProtocolError
 
 
@@ -39,7 +39,7 @@ _FIELD_MEMO = 1 << 16
 
 @dataclass(frozen=True, slots=True)
 class Mail:
-    doc: Document
+    doc: int
     addresses: tuple[str, ...]
     sent_at: int
 
@@ -50,9 +50,10 @@ class Mail:
         if type(self.sent_at) is not int:
             raise ProtocolError(
                 f"send tick must be an int, not {type(self.sent_at).__name__}")
-        if not isinstance(self.doc, Document):
-            raise ProtocolError(
-                f"mail document must be a Document, not {type(self.doc).__name__}")
+        try:
+            Document(self.doc)
+        except ConfigError as e:
+            raise ProtocolError(str(e)) from None
         addresses = self.addresses
         if not addresses:
             raise ProtocolError("mail must have at least one recipient address")
@@ -74,40 +75,20 @@ class Mail:
 _set_mail_doc = Mail.doc.__set__
 _set_mail_addresses = Mail.addresses.__set__
 _set_mail_sent_at = Mail.sent_at.__set__
-_new_mail = object.__new__
-
-
-def _mail(doc: Document, addresses: tuple[str, ...], sent_at: int) -> Mail:
-    """``Mail(doc, addresses, sent_at)`` without its checks.
-
-    Only for callers whose fields are already known to be valid, such as
-    the covertext oracle, whose address arrays are the protocols' constants.
-    """
-    mail = _new_mail(Mail)
-    _set_mail_doc(mail, doc)
-    _set_mail_addresses(mail, addresses)
-    _set_mail_sent_at(mail, sent_at)
-    return mail
 
 
 def _mails(ticks: Iterable[int], ids: Iterable[int],
            addresses: Iterable[tuple[str, ...]]) -> list[Mail]:
-    """Three columns as one mail per row, each built in place as ``_mail``
-    builds one: the columns of the ``p1``/``p2`` embed, whose ids are drawn
-    and whose address arrays are the protocols' constants, and those
-    ``_trace_columns`` has checked.  The rows of one id share one
-    ``Document``, built in place on its first row."""
+    """Three columns as one mail per row, built in place without ``Mail``'s
+    checks: for columns known to be valid, as those ``_trace_columns`` has
+    checked and those of the ``p1``/``p2`` embed and the covertext oracle,
+    whose ids are drawn and whose address arrays are the protocols' constants."""
     mails: list[Mail] = []
     append = mails.append
-    docs: dict[int, Document] = {}
     new = object.__new__
     for tick, doc_id, addrs in zip(ticks, ids, addresses):
-        doc = docs.get(doc_id)
-        if doc is None:
-            doc = docs[doc_id] = new(Document)
-            _set_doc_id(doc, doc_id)
         mail = new(Mail)
-        _set_mail_doc(mail, doc)
+        _set_mail_doc(mail, doc_id)
         _set_mail_addresses(mail, addrs)
         _set_mail_sent_at(mail, tick)
         append(mail)
@@ -123,7 +104,7 @@ def _check_send_order(ticks: list[int], noun: str) -> None:
 def _columns(mails: Sequence[Mail]) -> tuple[list[int], list[int],
                                                list[tuple[str, ...]]]:
     """A mail sequence as three columns: send ticks, document ids, address arrays."""
-    return ([m.sent_at for m in mails], [m.doc.id for m in mails],
+    return ([m.sent_at for m in mails], [m.doc for m in mails],
             [m.addresses for m in mails])
 
 
@@ -210,9 +191,11 @@ def _trace_columns(pieces: Iterable[str]) -> Iterator[
         yield ticks, ids, addresses
 
 
-def parse_trace(text: str) -> list[Mail]:
-    """Inverse of format_trace: the trace's columns, one mail per line."""
-    return _mails(*next(_trace_columns([text])))
+def parse_trace(text: str | Iterable[str]) -> list[Mail]:
+    """Inverse of format_trace: one mail per line of the text, or of its pieces
+    that each end a line, as ``read_trace`` reads a file, each parsed in turn."""
+    pieces = [text] if isinstance(text, str) else text
+    return list(chain.from_iterable(_mails(*columns) for columns in _trace_columns(pieces)))
 
 
 def write_trace(columns, path) -> None:
@@ -288,5 +271,6 @@ def _decode_piece(data: bytes, path, offset: int) -> str:
 
 
 def read_trace(path) -> list[Mail]:
-    """The mails of a trace file, whose text is read as ``_trace_pieces`` reads it."""
-    return parse_trace("".join(_trace_pieces(path)))
+    """The mails of a trace file, parsed piece by piece as ``_trace_pieces``
+    reads it, so its first fault is the one the piecewise extract meets."""
+    return parse_trace(_trace_pieces(path))

@@ -4,9 +4,9 @@ A keyed function is a BLAKE2b keyed hash truncated to its least
 significant bit.  Three input signatures are used by the different
 systems and kept apart by domain tags:
 
-* ``F1`` — a bare document,
-* ``F2`` — a synchronized counter value followed by a document,
-* ``F3`` — a tuple of documents, length-prefixed per element.
+* ``F1`` — a bare document id,
+* ``F2`` — a synchronized counter value followed by a document id,
+* ``F3`` — a tuple of document ids, length-prefixed per element.
 
 A function with no key (``BitFunction.random_oracle``) is a lazily sampled
 true random function over the same encoded inputs; the address-uniformity
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Sequence
 
-from .channel import Document
 from .errors import ConfigError, CounterError
 from .rng import RngState
 
@@ -160,9 +159,9 @@ class BitFunction:
         return out
 
 
-def encode_doc(d: Document) -> bytes:
+def encode_doc(doc_id: int) -> bytes:
     """The F1 input: the tag, then the document id, 8 bytes big-endian."""
-    return _TAG_DOC + d.id.to_bytes(8, "big")
+    return _TAG_DOC + doc_id.to_bytes(8, "big")
 
 
 def encode_sync_run(value: int, ids: Iterable[int]) -> list[bytes]:
@@ -174,29 +173,28 @@ def encode_sync_run(value: int, ids: Iterable[int]) -> list[bytes]:
     return [_pack_sync(_TAG_SYNC, v, i) for v, i in zip(count(value), ids)]
 
 
-def encode_tuple(docs: Sequence[Document]) -> bytes:
+def encode_tuple(ids: Sequence[int]) -> bytes:
     # A singleton tuple IS the bare-document signature: the tuple systems
     # must degenerate exactly to the single-document ones at size 1.
-    if len(docs) == 1:
-        return encode_doc(docs[0])
+    if len(ids) == 1:
+        return encode_doc(ids[0])
     # Every element is an 8-byte id, so every length prefix is the same.
-    return _TAG_TUPLE + b"".join([_LEN_ID + d.id.to_bytes(8, "big") for d in docs])
+    return _TAG_TUPLE + b"".join([_LEN_ID + i.to_bytes(8, "big") for i in ids])
 
 
-def eval_bit(fn: BitFunction, d: Document) -> int:
-    """Bit of a single document (the unsynchronized systems' signature).
+def eval_bit(fn: BitFunction, doc_id: int) -> int:
+    """Bit of a single document id (the unsynchronized systems' signature).
 
-    The input is ``encode_doc(d)``, built inline because this is the
+    The input is ``encode_doc(doc_id)``, built inline because this is the
     rejection samplers' per-draw hot path.
     """
-    return fn.bit(_TAG_DOC + d.id.to_bytes(8, "big"))
+    return fn.bit(_TAG_DOC + doc_id.to_bytes(8, "big"))
 
 
 def eval_bit_sync(fn: BitFunction, counter: Counter, doc_id: int) -> int:
     """Bit of (counter value, document id); does not advance the counter.
 
-    `doc_id` is an id a ``Document`` could hold, in [0, 2^64): the embedders
-    pass each drawn id and build no ``Document`` for a draw they drop.  The
+    `doc_id` is an id in [0, 2^64), as the embedders draw it.  The
     input is the F2 encoding of ``counter.value`` and `doc_id`, packed in
     one call because this is the email protocols' per-bit embed path.  The
     keyed hash and the random oracle's lookup are inlined too (the oracle
@@ -214,8 +212,8 @@ def eval_bit_sync(fn: BitFunction, counter: Counter, doc_id: int) -> int:
     return h.digest()[0] & 1
 
 
-def eval_bit_tuple(fn: BitFunction, docs: Sequence[Document]) -> int:
-    """Bit of an ordered document tuple."""
-    if not docs:
+def eval_bit_tuple(fn: BitFunction, ids: Sequence[int]) -> int:
+    """Bit of an ordered tuple of document ids."""
+    if not ids:
         raise ConfigError("document tuple must be nonempty")
-    return fn.bit(encode_tuple(docs))
+    return fn.bit(encode_tuple(ids))

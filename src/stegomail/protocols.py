@@ -50,8 +50,8 @@ def _embed(fn: BitFunction, counter: Counter, protocol: str, m: Sequence[int],
 
     The columns are send ticks (a range), document ids (an ``array('Q')``)
     and flips (a ``bytearray``): 1 where the mail takes the protocol's
-    second address array, ``ARRAYS[protocol][flip]``.  No ``Document`` or
-    ``Mail`` is built.  Counter headroom for the whole message is checked,
+    second address array, ``ARRAYS[protocol][flip]``.  No ``Mail`` is
+    built.  Counter headroom for the whole message is checked,
     and the tick column built, before the first draw, so an embed that
     would overflow, or whose start tick is no integer, raises with the
     counter and the random stream as they were.  The first draw is

@@ -25,9 +25,9 @@ from typing import NamedTuple, Sequence
 
 from .baselines import (EmbedStats, s1_embed, s1_extract, s2_embed, s2_extract,
                         s3_embed, s3_extract, s4_embed, s4_extract)
-from .channel import ChannelSpec, Document, sample_id
+from .channel import ChannelSpec, sample_id
 from .errors import ConfigError, ProtocolError
-from .mail import Mail, _columns, _mail
+from .mail import Mail, _columns, _mails
 from .prf import BitFunction, Counter, Key
 from .protocols import ARRAYS, _extract, _receive, p1_embed, p2_embed, p2_extract
 from .rng import RngState
@@ -91,7 +91,7 @@ def make_fn(cfg: SystemConfig, rng: RngState) -> BitFunction:
 def embed_message(cfg: SystemConfig, fn: BitFunction, m: Sequence[int],
                   spec: ChannelSpec, rng: RngState, stats: EmbedStats | None = None):
     """Run the configured system's embedder from counter 0, where ``extract_message``
-    reads; mails for p1/p2, documents otherwise."""
+    reads; mails for p1/p2, document ids otherwise."""
     if cfg.system == "s1":
         return s1_embed(fn, m, spec, rng, count=cfg.count, stats=stats)
     if cfg.system == "s2":
@@ -136,22 +136,16 @@ def ct_oracle(spec: ChannelSpec, arrays, n: int, rng: RngState):
     embedder's is.  Address arrays are chosen uniformly from the
     protocol's constant pair, so mails skip ``Mail``'s checks, and ticks
     count from 0 as the embedder's do, so neither carries a signal.  With
-    no pair, bare documents are returned (the baselines' traffic model).
-    Draws of one id share one `Document`.
+    no pair, bare document ids are returned (the baselines' traffic model).
     """
     prev = None
-    made: dict[int, Document] = {}
-    out = []
-    for i in range(n):
+    ids, addrs = [], []
+    for _ in range(n):
         prev = sample_id(spec, prev, rng)
-        doc = made.get(prev)
-        if doc is None:
-            doc = made[prev] = Document(prev)
-        if arrays is None:
-            out.append(doc)
-        else:
-            out.append(_mail(doc, arrays[rng.randrange(2)], i))
-    return out
+        ids.append(prev)
+        if arrays is not None:
+            addrs.append(arrays[rng.randrange(2)])
+    return ids if arrays is None else _mails(range(n), ids, addrs)
 
 
 # --- goodness of fit against the channel ------------------------------------
@@ -163,8 +157,8 @@ class GofResult:
     pvalue: float
 
 
-def channel_goodness_of_fit(spec: ChannelSpec, docs: Sequence[Document]) -> GofResult:
-    """Chi-squared fit of an observed document sequence to the channel.
+def channel_goodness_of_fit(spec: ChannelSpec, docs: Sequence[int]) -> GofResult:
+    """Chi-squared fit of an observed sequence of document ids to the channel.
 
     Draws are grouped by their conditioning state (a single group for
     stationary channels, one group per predecessor id for markov1, with
@@ -173,20 +167,23 @@ def channel_goodness_of_fit(spec: ChannelSpec, docs: Sequence[Document]) -> GofR
     excluded; any observation landing in one, or outside the alphabet, is
     impossible under the channel and forces p = 0.
     """
+    docs = list(docs)  # read twice: a negative id would count a cell from the end
+    if min(docs, default=0) < 0:
+        return GofResult(float("inf"), 1, 0.0)
     groups: dict[int | None, list[int]] = {}
     try:
         if spec.kind == "stationary":
             counts = [0] * spec.alphabet_size
             for d in docs:
-                counts[d.id] += 1
+                counts[d] += 1
             groups[None] = counts
         else:
             prev = None
             for d in docs:
                 counts = groups.get(prev) or groups.setdefault(prev, [0] * spec.alphabet_size)
-                counts[d.id] += 1
-                prev = d.id
-    except IndexError:  # an id past the alphabet; Document ids are never negative
+                counts[d] += 1
+                prev = d
+    except IndexError:  # an id past the alphabet
         return GofResult(float("inf"), 1, 0.0)
     statistic = 0.0
     dof = 0
@@ -264,7 +261,7 @@ class DocumentFrequencyDistinguisher:
         return [0] * n_bits
 
     def decide(self, response: Sequence) -> int:
-        # Documents are fitted as given; only a response holding mails is unwrapped.
+        # Document ids are fitted as given; only a response holding mails is unwrapped.
         if any(issubclass(kind, Mail) for kind in set(map(type, response))):
             response = [s.doc if isinstance(s, Mail) else s for s in response]
         gof = channel_goodness_of_fit(self.spec, response)

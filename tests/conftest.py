@@ -35,21 +35,21 @@ def keyed_fn(fixed_key) -> BitFunction:
     return BitFunction.keyed(fixed_key)
 
 
-def encode_sync(value: int, d: Document) -> bytes:
+def encode_sync(value: int, doc_id: int) -> bytes:
     """The reference F2 input: the tag, then the counter value and the
     document id, each 8 bytes big-endian."""
-    return b"F2" + value.to_bytes(8, "big") + d.id.to_bytes(8, "big")
+    return b"F2" + value.to_bytes(8, "big") + doc_id.to_bytes(8, "big")
 
 
-def trace_columns_reference(text: str) -> tuple[list[int], list[Document],
+def trace_columns_reference(text: str) -> tuple[list[int], list[int],
                                                  list[tuple[str, ...]]]:
     """The whole-text trace parser the piecewise reader replaced, as the
-    reference for it: send ticks, documents and address arrays, one per
+    reference for it: send ticks, document ids and address arrays, one per
     nonblank line, with the same checks, messages and first-bad-line order."""
     ticks: list[int] = []
-    docs: list[Document] = []
+    docs: list[int] = []
     addresses: list[tuple[str, ...]] = []
-    seen_docs: dict[str, Document] = {}
+    seen_docs: dict[str, int] = {}
     split_fields: dict[str, tuple[str, ...]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line or line.isspace():
@@ -66,7 +66,7 @@ def trace_columns_reference(text: str) -> tuple[list[int], list[Document],
         doc = seen_docs.get(raw_doc)
         if doc is None:
             try:
-                doc = seen_docs[raw_doc] = Document(int(raw_doc))
+                doc = seen_docs[raw_doc] = Document(int(raw_doc)).id
             except (ValueError, ConfigError) as e:
                 raise ProtocolError(f"trace line {lineno}: {e}") from e
         docs.append(doc)

@@ -9,7 +9,7 @@ import math
 import time
 from itertools import product
 
-from stegomail import (BitFunction, ChannelSpec, Counter, Document,
+from stegomail import (BitFunction, ChannelSpec, Counter,
                        EmbedStats, Key, RngState, SystemConfig,
                        benchmark_scaling, build_distinguisher, capacity,
                        channel_goodness_of_fit, eval_bit, p1_embed, p2_embed,
@@ -205,14 +205,14 @@ def test_criterion_8_low_min_entropy_attack():
 
 def test_criterion_9_rejection_sampler_distribution_oracle():
     spec = ChannelSpec.uniform(2)
-    key = find_key_where(lambda fn: eval_bit(fn, Document(0)) == 0
-                         and eval_bit(fn, Document(1)) == 1)
+    key = find_key_where(lambda fn: eval_bit(fn, 0) == 0
+                         and eval_bit(fn, 1) == 1)
     fn = BitFunction.keyed(key)
     # enumeration oracle over the two draws: match on first (1/2) or on
     # second after a miss (1/2 * 1/2)
     oracle = 0.5 + 0.5 * 0.5
     rng = RngState(MASTER_SEED + 9)
-    hits = sum(s1_embed(fn, [1], spec, rng, count=2) == [Document(1)]
+    hits = sum(s1_embed(fn, [1], spec, rng, count=2) == [1]
                for _ in range(10_000))
     freq = hits / 10_000
     ok = abs(freq - oracle) <= 0.02

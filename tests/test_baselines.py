@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter,
-                       CounterError, Document, EmbedStats, Key,
+                       CounterError, EmbedStats, Key, Mail,
                        ProtocolError, RngState, eval_bit, eval_bit_sync,
                        eval_bit_tuple, load_channel_file,
                        p1_embed, p2_embed, s1_embed, s1_extract, s2_embed,
                        s2_extract, s3_embed, s3_extract, s4_embed, s4_extract)
 from stegomail.channel import sample_id
+from stegomail.protocols import P1_ARRAYS
+from stegomail.security import ct_oracle
 
 from conftest import TEST_CHANNELS, find_key_where, point_mass
 
@@ -53,33 +55,33 @@ def majority_failure(copies: int, per_copy: float) -> float:
 
 def test_s1_rs_point_mass_immediate_match():
     spec = point_mass(4)
-    key = find_key_where(lambda fn: eval_bit(fn, Document(0)) == 1)
+    key = find_key_where(lambda fn: eval_bit(fn, 0) == 1)
     stats = EmbedStats()
     [doc] = s1_embed(BitFunction.keyed(key), [1], spec, RngState(1),
                      count=128, stats=stats)
-    assert doc == Document(0)
+    assert doc == 0
     assert stats.samples_drawn == 1
 
 
 def test_s1_rs_point_mass_mismatch_exhausts_budget():
     spec = point_mass(4)
-    key = find_key_where(lambda fn: eval_bit(fn, Document(0)) == 0)
+    key = find_key_where(lambda fn: eval_bit(fn, 0) == 0)
     stats = EmbedStats()
     [doc] = s1_embed(BitFunction.keyed(key), [1], spec, RngState(1),
                      count=7, stats=stats)
-    assert doc == Document(0)
+    assert doc == 0
     assert stats.samples_drawn == 7
 
 
 def test_s1_rs_two_doc_distribution_matches_enumeration_oracle():
     spec = ChannelSpec.uniform(2)
-    key = find_key_where(lambda fn: eval_bit(fn, Document(0)) == 0
-                         and eval_bit(fn, Document(1)) == 1)
+    key = find_key_where(lambda fn: eval_bit(fn, 0) == 0
+                         and eval_bit(fn, 1) == 1)
     fn = BitFunction.keyed(key)
     oracle = two_draw_match_probability(0.5)
     assert oracle == 0.75
     rng = RngState(3)
-    hits = sum(s1_embed(fn, [1], spec, rng, count=2) == [Document(1)]
+    hits = sum(s1_embed(fn, [1], spec, rng, count=2) == [1]
                for _ in range(10_000))
     assert abs(hits / 10_000 - oracle) <= 0.02
 
@@ -96,7 +98,7 @@ def test_s1_round_trip_on_large_channel():
 
 def test_s1_point_mass_failure_regime():
     spec = point_mass(4)
-    key = find_key_where(lambda fn: eval_bit(fn, Document(0)) == 1)
+    key = find_key_where(lambda fn: eval_bit(fn, 0) == 1)
     fn = BitFunction.keyed(key)
     reachable = s1_embed(fn, [1, 1, 1], spec, RngState(7), count=8)
     assert s1_extract(fn, reachable) == [1, 1, 1]
@@ -121,11 +123,11 @@ def _s1_embed_per_draw(fn, m, spec, rng, count, prev=None):
     draws = 0
     for bit in m:
         for n in range(1, count + 1):
-            doc = Document(sample_id(spec, prev, rng))
+            doc = sample_id(spec, prev, rng)
             if eval_bit(fn, doc) == bit:
                 break
         draws += n
-        prev = doc.id
+        prev = doc
         docs.append(doc)
     return docs, EmbedStats(draws, len(m), len(docs), draws)
 
@@ -166,7 +168,7 @@ def test_s1_memo_matches_per_draw_loop(channel_name, count, fn_kind, seed,
         ref_docs, ref_stats = _s1_embed_per_draw(
             ref_fn, m, spec, ref_rng, 128 if count is None else count, prev)
         assert (docs, stats) == (ref_docs, ref_stats)
-        prev = docs[-1].id if docs else prev
+        prev = docs[-1] if docs else prev
         assert fn.table == ref_fn.table
     assert rng.random() == ref_rng.random()
 
@@ -174,8 +176,9 @@ def test_s1_memo_matches_per_draw_loop(channel_name, count, fn_kind, seed,
 @pytest.mark.parametrize("prev", [None, 0])
 @pytest.mark.parametrize("channel_name", MEMO_CHANNELS)
 def test_s1_builds_one_document_per_distinct_id(channel_name, prev, documents_built):
-    # Every emitted document of one id is the instance built for its F1
-    # query, and the output still equals the per-draw reference's.
+    # At most one document per distinct id, and in fact none: the memo
+    # hands each id on as a plain int, and the output still equals the
+    # per-draw reference's.
     spec = MEMO_SPECS[channel_name]
     fn = BitFunction.keyed(Key(bytes(range(16))))
     m = RngState(3).bits(300)
@@ -184,23 +187,8 @@ def test_s1_builds_one_document_per_distinct_id(channel_name, prev, documents_bu
     stats = EmbedStats()
     docs = s1_embed(fn, m, spec, RngState(4), count=16, stats=stats, prev=prev)
     assert (docs, stats) == (ref_docs, ref_stats)
-    assert len(documents_built) == len(set(documents_built))
-    assert len({id(d) for d in docs}) == len({d.id for d in docs})
-
-
-@pytest.mark.parametrize("system", ["s2", "s3", "s4"])
-@pytest.mark.parametrize("channel_name", sorted(TEST_CHANNELS))
-def test_s2_s3_s4_build_drawn_documents_in_place(system, channel_name, documents_built):
-    # A drawn id is in the alphabet, so these embeds build no document
-    # through the checked Document.__init__; each output is still one.
-    spec = TEST_CHANNELS[channel_name]
-    fn, m, rng = BitFunction.random_oracle(3), RngState(5).bits(60), RngState(7)
-    docs = {"s2": lambda: s2_embed(fn, Counter(), m, spec, rng, repetition=3),
-            "s3": lambda: s3_embed(fn, m, spec, rng, copies=3, count=8),
-            "s4": lambda: s4_embed(fn, Counter(), m, spec, rng, copies=3)}[system]()
     assert documents_built == []
-    assert docs and all(type(d) is Document and 0 <= d.id < spec.alphabet_size
-                        for d in docs)
+    assert all(type(i) is int and 0 <= i < spec.alphabet_size for i in docs)
 
 
 class CountingBitFunction(BitFunction):
@@ -220,8 +208,8 @@ def test_s1_hashes_each_document_once_per_message(f1):
     # On the two-document channel only two F1 inputs exist; with F1 = 1 on
     # both, no draw can match the all-zero message and every bit spends
     # the whole budget.
-    key = find_key_where(lambda fn: (eval_bit(fn, Document(0)),
-                                     eval_bit(fn, Document(1))) == f1)
+    key = find_key_where(lambda fn: (eval_bit(fn, 0),
+                                     eval_bit(fn, 1)) == f1)
     fn = CountingBitFunction.keyed(key)
     stats = EmbedStats()
     s1_embed(fn, [0] * 100, MEMO_SPECS["binary"], RngState(1),
@@ -264,8 +252,8 @@ def test_s1_spends_a_dead_bits_budget_in_one_step(bits, count):
     # memo fills, each bit costs one random() call while still counting
     # its whole budget.  A budget of 1 spends nothing, and 1026 spends
     # 1025 uniforms per bit, across a chunk.
-    key = find_key_where(lambda fn: (eval_bit(fn, Document(0)),
-                                     eval_bit(fn, Document(1))) == (1, 1))
+    key = find_key_where(lambda fn: (eval_bit(fn, 0),
+                                     eval_bit(fn, 1)) == (1, 1))
     fn = BitFunction.keyed(key)
     spec = MEMO_SPECS["binary"]
     rng, ref_rng = RngState(1), RngState(1)
@@ -397,7 +385,7 @@ def test_s3_point_mass_success_rate_is_a_coin_flip():
 def test_s3_framing_error():
     fn = BitFunction.random_oracle(27)
     with pytest.raises(ProtocolError):
-        s3_extract(fn, [Document(0)] * 5, copies=2)
+        s3_extract(fn, [0] * 5, copies=2)
 
 
 def test_s3_stats_bounds():
@@ -462,12 +450,12 @@ def test_s4_requires_odd_copies():
         s4_embed(fn, Counter(), [1], UNIFORM_2_16, RngState(37),
                  copies=2)
     with pytest.raises(ConfigError):
-        s4_extract(fn, Counter(), [Document(0)] * 2, copies=2)
+        s4_extract(fn, Counter(), [0] * 2, copies=2)
 
 
 def test_s2_names_its_factor_as_a_repetition_factor_and_s4_as_copies():
     fn = BitFunction.random_oracle(37)
-    docs = [Document(0)] * 2
+    docs = [0] * 2
     factor = "^repetition factor must be odd and >= 1, got 2$"
     with pytest.raises(ConfigError, match=factor):
         s2_extract(fn, Counter(), docs, repetition=2)
@@ -534,9 +522,9 @@ def test_extract_without_counter_headroom_leaves_counter(extract):
     fn = BitFunction.random_oracle(47)
     counter = Counter(NEAR_TOP)
     with pytest.raises(CounterError):
-        extract(fn, counter, [Document(0)] * 3, 3)
+        extract(fn, counter, [0] * 3, 3)
     assert counter.value == NEAR_TOP
-    assert len(extract(fn, counter, [Document(0)], 1)) == 1
+    assert len(extract(fn, counter, [0], 1)) == 1
     assert counter.value == NEAR_TOP + 1
 
 
@@ -545,9 +533,9 @@ def test_extract_framing_error_leaves_counter(extract):
     fn = BitFunction.random_oracle(49)
     counter = Counter(5)
     with pytest.raises(ProtocolError):
-        extract(fn, counter, [Document(0)] * 4, 3)
+        extract(fn, counter, [0] * 4, 3)
     with pytest.raises(ConfigError):
-        extract(fn, counter, [Document(0)] * 4, 2)
+        extract(fn, counter, [0] * 4, 2)
     assert counter.value == 5
 
 
@@ -561,15 +549,15 @@ def test_extractors_match_per_document_calls(mode):
             return BitFunction.keyed(Key.from_hex("000102030405060708090a0b0c0d0e0f"))
         return BitFunction.random_oracle(53)
     rng = RngState(53)
-    docs = [Document(rng.randrange(6)) for _ in range(45)]
+    docs = [rng.randrange(6) for _ in range(45)]
     v = 250
     fn, ref = make(), make()
     counter = Counter(v)
     assert s2_extract(fn, counter, docs, repetition=1) == [
-        eval_bit_sync(ref, Counter(v + k), d.id) for k, d in enumerate(docs)]
+        eval_bit_sync(ref, Counter(v + k), d) for k, d in enumerate(docs)]
     assert counter.value == v + len(docs)
     assert s4_extract(fn, counter, docs, copies=1) == [
-        eval_bit_sync(ref, Counter(v + len(docs) + k), d.id) for k, d in enumerate(docs)]
+        eval_bit_sync(ref, Counter(v + len(docs) + k), d) for k, d in enumerate(docs)]
     assert counter.value == v + 2 * len(docs)
     assert s1_extract(fn, docs) == [eval_bit(ref, d) for d in docs]
     assert s3_extract(fn, docs, copies=3) == [
@@ -582,9 +570,9 @@ def test_extractors_match_per_document_calls(mode):
 def test_zero_copies_is_a_config_error():
     fn = BitFunction.random_oracle(51)
     with pytest.raises(ConfigError):
-        s3_extract(fn, [Document(0)] * 2, copies=0)
+        s3_extract(fn, [0] * 2, copies=0)
     with pytest.raises(ConfigError):
-        s4_extract(fn, Counter(), [Document(0)] * 2, copies=0)
+        s4_extract(fn, Counter(), [0] * 2, copies=0)
     with pytest.raises(ConfigError):
         s3_embed(fn, [1], UNIFORM_2_16, RngState(51), copies=0)
     with pytest.raises(ConfigError):
@@ -594,7 +582,7 @@ def test_zero_copies_is_a_config_error():
 def test_extraction_is_pure():
     fn = BitFunction.random_oracle(43)
     docs = s1_embed(fn, [1, 0, 1], UNIFORM_2_16, RngState(43))
-    assert s1_extract(fn, docs) == s1_extract(fn, docs)
+    assert s1_extract(fn, docs) == s1_extract(fn, docs) == s1_extract(fn, iter(docs))
     docs2 = s2_embed(fn, Counter(), [1, 0], UNIFORM_2_16,
                      RngState(44), repetition=3)
     assert (s2_extract(fn, Counter(), docs2, repetition=3)
@@ -654,7 +642,7 @@ def _prior_run_transcript(system: str, channel_name: str, fn_kind: str,
     else:
         docs = s4_embed(fn, tx, m, spec, rng, copies=3, stats=stats, prev=prev)
         got = s4_extract(fn, rx, docs, copies=3)
-    ids = [d.id for d in docs]
+    ids = list(docs)
     # The pinned transcripts list the conditioning document before the
     # emitted ones, as the sender's whole history.
     return repr((ids, [prev] + ids, astuple(stats), got,
@@ -724,3 +712,44 @@ def test_embedders_reject_a_prev_outside_the_alphabet(system):
             assert rng.random() == RngState(1).random()
         for prev in (None, 0, 1):
             assert embed(fn, Counter(5), [1, 0, 1], spec, RngState(1), prev)
+
+
+@pytest.mark.parametrize("source", [*sorted(EMBEDDERS), "ct_oracle", "ct_oracle_p1"])
+@pytest.mark.parametrize("channel_name", sorted(TEST_CHANNELS))
+def test_drawn_ids_stay_plain_ints(source, channel_name, documents_built):
+    # Every embedder and the covertext oracle, bare and with p1's address
+    # pair, pass each drawn id on as an int, with no Document built.
+    spec = TEST_CHANNELS[channel_name]
+    fn, m, rng = BitFunction.keyed(Key(bytes(range(16)))), RngState(5).bits(60), RngState(7)
+    if source == "ct_oracle":
+        out = ct_oracle(spec, None, 60, rng)
+    elif source == "ct_oracle_p1":
+        out = ct_oracle(spec, P1_ARRAYS, 60, rng)
+    else:
+        out = EMBEDDERS[source](fn, Counter(), m, spec, rng, None)
+    if source in ("p1", "p2", "ct_oracle_p1"):
+        assert all(type(s) is Mail for s in out)
+        out = [s.doc for s in out]
+    assert documents_built == []
+    assert out and all(type(i) is int and 0 <= i < spec.alphabet_size for i in out)
+
+
+# Each of the four extractors, on three ids: one message bit or one vote.
+EXTRACTORS = {
+    "s1": lambda fn, c, docs: s1_extract(fn, docs),
+    "s2": lambda fn, c, docs: s2_extract(fn, c, docs, repetition=3),
+    "s3": lambda fn, c, docs: s3_extract(fn, docs, copies=3),
+    "s4": lambda fn, c, docs: s4_extract(fn, c, docs, copies=3),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 2 ** 64, 1.0, True])
+@pytest.mark.parametrize("system", sorted(EXTRACTORS))
+def test_extractors_reject_an_id_outside_the_8_byte_encoding(system, bad):
+    # An id from outside is checked before the first PRF evaluation: the
+    # random oracle draws no coin and the counter stays where it was.
+    fn, counter = BitFunction.random_oracle(55), Counter(5)
+    with pytest.raises(ConfigError, match="document id"):
+        EXTRACTORS[system](fn, counter, [0, 2 ** 64 - 1, bad])
+    assert counter.value == 5 and fn.table == {}
+    assert len(EXTRACTORS[system](fn, counter, [0, 2 ** 64 - 1, 1])) in (1, 3)

@@ -140,7 +140,7 @@ def test_single_trace_extract_builds_no_mail(protocol, tmp_path, channel, messag
     assert run(["embed", "--protocol", protocol, "--key", KEY, "--message", message_file,
                 "--channel", channel(UNIFORM_4), "--seed", "5", "--out", trace]) == 0
     capsys.readouterr()
-    unchecked = count_calls(monkeypatch, "stegomail.mail", "_mail")
+    unchecked = count_calls(monkeypatch, "stegomail.mail", "_mails")
     checked = [0]
     init = Mail.__init__
 
@@ -159,7 +159,6 @@ def test_embed_builds_no_mail(protocol, tmp_path, channel, message_file, capsys,
                               monkeypatch):
     # The send side writes the embedder's columns as they are.
     built = count_calls(monkeypatch, "stegomail.mail", "_mails")
-    unchecked = count_calls(monkeypatch, "stegomail.mail", "_mail")
     checked = [0]
     init = Mail.__init__
 
@@ -173,7 +172,7 @@ def test_embed_builds_no_mail(protocol, tmp_path, channel, message_file, capsys,
                 "--channel", channel(UNIFORM_4), "--seed", "5", "--out", str(trace)]) == 0
     assert out_lines(capsys)[0].startswith("embedded 64 bits into 64 mails")
     assert len(trace.read_text().splitlines()) == 64
-    assert built == unchecked == checked == [0]
+    assert built == checked == [0]
 
 
 @pytest.mark.parametrize("protocol", ["p1", "p2"])
@@ -612,7 +611,7 @@ def test_untrusted_embed_then_extract_argv_exits_cleanly(tmp_path, capsys, proto
     sent = (data if message_format == "raw"
             else bytes.fromhex("".join(data.decode("ascii").split())))
     assert out_lines(capsys)[-1] == f"next counter: {counter + 8 * len(sent)}"
-    assert all(mail.doc.id < channel_spec["alphabet_size"] for mail in read_trace(trace))
+    assert all(mail.doc < channel_spec["alphabet_size"] for mail in read_trace(trace))
     assert run(["extract", "--protocol", protocol, "--key", key,
                 "--counter", str(counter), "--in", str(trace)]) == 0
     assert out_lines(capsys) == [sent.hex()]
@@ -822,17 +821,20 @@ def test_malformed_line_before_a_non_utf8_piece_wins(later_piece, tmp_path, caps
                                                      monkeypatch):
     # Each piece is decoded just before its lines are parsed, so a byte that
     # is not UTF-8 wins within its own piece, but a malformed line in an
-    # earlier piece is reported first.
-    trace = tmp_path / "trace.tsv"
+    # earlier piece is reported first; a trace read as a p1 mailbox through
+    # --in2 is read the same way.
+    trace, empty = tmp_path / "trace.tsv", tmp_path / "empty.tsv"
     trace.write_bytes(b"0\t1\n" + b"1\t1\taddress1\n" * 40 + b"41\t2\taddress\xff\n")
+    empty.write_text("")
     if later_piece:
         monkeypatch.setattr(mail_module, "_READ_PIECE", 64)
-    assert run(["extract", "--protocol", "p1", "--key", KEY, "--in", str(trace)]) == 3
-    err = capsys.readouterr().err
-    if later_piece:
-        assert err == "protocol error: trace line 1: expected 3 tab-separated fields\n"
-    else:
-        assert "not UTF-8" in err
+    for inputs in (["--in", str(trace)], ["--in", str(empty), "--in2", str(trace)]):
+        assert run(["extract", "--protocol", "p1", "--key", KEY, *inputs]) == 3
+        err = capsys.readouterr().err
+        if later_piece:
+            assert err == "protocol error: trace line 1: expected 3 tab-separated fields\n"
+        else:
+            assert "not UTF-8" in err
 
 
 def test_non_utf8_channel_file_is_config_error(tmp_path, capsys):

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stegomail import (Document, Mail, ProtocolError, RngState, merge_by_date,
+from stegomail import (Mail, ProtocolError, RngState, merge_by_date,
                        read_trace, write_trace)
 from stegomail import mail as mail_module
-from stegomail.mail import (_TRACE_CHUNK, _columns, _mail, _trace_columns, _trace_pieces,
+from stegomail.mail import (_TRACE_CHUNK, _columns, _trace_columns, _trace_pieces,
                             format_trace, parse_trace)
 from stegomail.protocols import P1_ARRAYS, P2_ARRAYS
 
@@ -18,12 +18,12 @@ from conftest import trace_columns_reference
 
 
 def mk(tick, doc_id=0, addrs=("address1",)):
-    return Mail(Document(doc_id), tuple(addrs), tick)
+    return Mail(doc_id, tuple(addrs), tick)
 
 
 def test_extract_document_projection():
-    assert mk(3, doc_id=7).doc == Document(7)
-    assert mk(0, doc_id=0, addrs=("address2", "address1")).doc == Document(0)
+    assert mk(3, doc_id=7).doc == 7
+    assert mk(0, doc_id=0, addrs=("address2", "address1")).doc == 0
 
 
 def test_extract_addresses_preserves_order():
@@ -36,26 +36,30 @@ def test_extract_addresses_preserves_order():
 def test_mail_requires_recipient():
     with pytest.raises(ProtocolError,
                        match="^mail must have at least one recipient address$"):
-        Mail(Document(0), (), 0)
+        Mail(0, (), 0)
     for addrs in (("",), (None,), ("address1", "")):
         with pytest.raises(ProtocolError,
                            match="^recipient addresses must be nonempty strings$"):
-            Mail(Document(0), addrs, 0)
+            Mail(0, addrs, 0)
 
 
 def test_mail_holds_only_what_a_trace_line_carries():
     for doc, addrs, tick, message in (
-            (Document(1), (5,), 0, "^recipient addresses must be nonempty strings$"),
-            (Document(1), ("address1", b"x"), 0,
+            (1, (5,), 0, "^recipient addresses must be nonempty strings$"),
+            (1, ("address1", b"x"), 0,
              "^recipient addresses must be nonempty strings$"),
-            (Document(1), "address1", 0, "^recipient addresses must be a tuple, not str$"),
-            (Document(1), ["address1"], 0, "^recipient addresses must be a tuple, not list$"),
-            (Document(1), ("address1", "a\ud800"), 0,
+            (1, "address1", 0, "^recipient addresses must be a tuple, not str$"),
+            (1, ["address1"], 0, "^recipient addresses must be a tuple, not list$"),
+            (1, ("address1", "a\ud800"), 0,
              "^recipient address 'a\\\\ud800' is not UTF-8 text$"),
-            (1, ("address1",), 0, "^mail document must be a Document, not int$"),
-            (Document(1), ("address1",), 1.0, "^send tick must be an int, not float$"),
-            (Document(1), ("address1",), True, "^send tick must be an int, not bool$"),
-            (Document(1), ("address1",), "0", "^send tick must be an int, not str$")):
+            (-1, ("address1",), 0, "^negative document id -1$"),
+            (2 ** 64, ("address1",), 0,
+             "^document id 18446744073709551616 does not fit in 8 bytes$"),
+            (1.0, ("address1",), 0, "^document id must be an int, not float$"),
+            (True, ("address1",), 0, "^document id must be an int, not bool$"),
+            (1, ("address1",), 1.0, "^send tick must be an int, not float$"),
+            (1, ("address1",), True, "^send tick must be an int, not bool$"),
+            (1, ("address1",), "0", "^send tick must be an int, not str$")):
         with pytest.raises(ProtocolError, match=message):
             Mail(doc, addrs, tick)
 
@@ -68,7 +72,7 @@ def test_mail_rejects_every_trace_separator_in_an_address():
     for c in [",", "\t", *breaks]:
         for addr in (c, f"a{c}b", f"ab{c}"):
             with pytest.raises(ProtocolError, match="holds a comma, tab or line break$"):
-                Mail(Document(1), ("address1", addr), 0)
+                Mail(1, ("address1", addr), 0)
 
 
 def test_write_trace_of_a_bad_mail_leaves_the_file_as_it_was(tmp_path):
@@ -80,15 +84,15 @@ def test_write_trace_of_a_bad_mail_leaves_the_file_as_it_was(tmp_path):
         good = [mk(t) for t in range(bad_at)]
         for addrs, error in (((5,), TypeError), (("a\ud800",), UnicodeEncodeError)):
             with pytest.raises(error):
-                write_trace(_columns([*good, _mail(Document(1), addrs, bad_at)]), path)
+                write_trace(_columns([*good, *mail_module._mails([bad_at], [1], [addrs])]), path)
             assert path.read_text() == "0\t1\taddress1\n"
 
 
 def _drawn_mails(arrays, n, seed=7):
     """n mails with drawn document ids and address arrays, in send order."""
     rng = RngState(seed)
-    return [_mail(Document(rng.randrange(1024)), arrays[rng.bits(1)[0]], t)
-            for t in range(n)]
+    drawn = [(rng.randrange(1024), arrays[rng.bits(1)[0]]) for _ in range(n)]
+    return mail_module._mails(range(n), [i for i, _ in drawn], [a for _, a in drawn])
 
 
 @pytest.mark.parametrize("as_generator", [False, True], ids=["list", "generator"])
@@ -135,7 +139,7 @@ def test_write_trace_holds_the_trace_about_once(tmp_path):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.builds(Document, st.integers(min_value=0, max_value=2 ** 64 - 1)),
+@given(st.integers(min_value=0, max_value=2 ** 64 - 1),
        st.lists(st.text(max_size=4)
                 | st.text(st.characters() | st.characters(categories=("Cs",)), max_size=4),
                 max_size=3).map(tuple), st.integers())
@@ -153,7 +157,7 @@ def test_every_mail_that_builds_reads_back_from_its_trace(doc, addrs, tick):
 def test_mail_round_trip_construct_extract():
     rng = RngState(41)
     for t in range(1_000):
-        doc = Document(rng.randrange(1_000))
+        doc = rng.randrange(1_000)
         mail = Mail(doc, ("address1",), t)
         assert mail.doc == doc
         assert mail.addresses == ("address1",)
@@ -223,18 +227,18 @@ def test_parse_trace_rejects_negative_document_id():
 
 def test_parse_trace_rejects_document_id_past_8_bytes():
     top = parse_trace(f"0\t{2 ** 64 - 1}\taddress1\n")
-    assert top[0].doc.id == 2 ** 64 - 1
+    assert top[0].doc == 2 ** 64 - 1
     with pytest.raises(ProtocolError, match="^trace line 2: document id 18446744073709551616 "
                                             "does not fit in 8 bytes$"):
         parse_trace(f"0\t1\taddress1\n1\t{2 ** 64}\taddress2\n")
 
 
-def test_parse_trace_checks_each_distinct_field_once():
+def test_parse_trace_checks_each_distinct_field_once(documents_built):
     # A field seen before is not re-checked, but a bad one on a later line
     # still names that line.
     mails = parse_trace("0\t5\taddress1\n1\t5\taddress1\n2\t6\taddress1\n")
-    assert mails[0].doc is mails[1].doc
-    assert mails[0].doc is not mails[2].doc
+    assert documents_built == [5, 6]
+    assert mails[0].addresses is mails[1].addresses is mails[2].addresses
     assert mails == [mk(0, 5), mk(1, 5), mk(2, 6)]
     with pytest.raises(ProtocolError, match="^trace line 3: recipient addresses"):
         parse_trace("0\t5\taddress1\n1\t5\taddress1\n2\t5\t,address1\n")
@@ -248,12 +252,11 @@ def test_mail_value_contract():
         mail.sent_at = 4
     with pytest.raises(dataclasses.FrozenInstanceError):
         mail.addresses = ("address2",)
-    assert mail == Mail(Document(7), ("address1",), 3)
+    assert mail == Mail(7, ("address1",), 3)
     assert mail != mk(3, doc_id=7, addrs=("address2",))
-    assert hash(mail) == hash(Mail(Document(7), ("address1",), 3))
-    assert repr(mail) == ("Mail(doc=Document(id=7), "
-                          "addresses=('address1',), sent_at=3)")
-    assert Mail(doc=Document(7), addresses=("address1",), sent_at=3) == mail
+    assert hash(mail) == hash(Mail(7, ("address1",), 3))
+    assert repr(mail) == "Mail(doc=7, addresses=('address1',), sent_at=3)"
+    assert Mail(doc=7, addresses=("address1",), sent_at=3) == mail
     assert dataclasses.replace(mail, sent_at=9).sent_at == 9
     with pytest.raises(ProtocolError, match="at least one recipient"):
         dataclasses.replace(mail, addresses=())
@@ -289,7 +292,7 @@ _addresses = st.text(
     min_size=1, max_size=8)
 # Ids fit the PRF's 8-byte encoding; ticks are unbounded.
 _mails = st.builds(
-    Mail, st.builds(Document, st.integers(min_value=0, max_value=2 ** 64 - 1)),
+    Mail, st.integers(min_value=0, max_value=2 ** 64 - 1),
     st.lists(_addresses, min_size=1, max_size=3).map(tuple),
     st.integers(min_value=-2 ** 70, max_value=2 ** 70))
 
@@ -308,7 +311,7 @@ def test_parse_trace_raises_only_protocol_error(text):
         mails = parse_trace(text)
     except ProtocolError:
         return
-    assert all(0 <= m.doc.id < 2 ** 64 and m.addresses and all(m.addresses)
+    assert all(0 <= m.doc < 2 ** 64 and m.addresses and all(m.addresses)
                for m in mails)
 
 
@@ -322,11 +325,6 @@ def _read_columns(path):
         ids += piece_ids
         addresses += piece_addresses
     return ticks, ids, addresses
-
-
-def _reference_columns(text):
-    ticks, docs, addresses = trace_columns_reference(text)
-    return ticks, [d.id for d in docs], addresses
 
 
 def _outcome(read, *args):
@@ -372,7 +370,7 @@ def test_piecewise_reader_matches_the_whole_text_parser(tmp_path_factory, text, 
     # memo is forgotten between pieces.
     path = tmp_path_factory.mktemp("trace") / "trace.tsv"
     path.write_bytes(text.encode())
-    assert _read_in_pieces(path, size, memo) == _outcome(_reference_columns, text)
+    assert _read_in_pieces(path, size, memo) == _outcome(trace_columns_reference, text)
 
 
 # "\r\n" across every possible read boundary, with a lone "\r" and "\n\r" too.
@@ -385,7 +383,7 @@ _FIXED_TRACES = ["0\t1\taddress1\r\n1\t2\taddress2\r\n",
 def test_piecewise_reader_at_every_piece_size(tmp_path, text):
     path = tmp_path / "trace.tsv"
     path.write_bytes(text.encode())
-    expected = _outcome(_reference_columns, text)
+    expected = _outcome(trace_columns_reference, text)
     for size in range(1, len(text.encode()) + 2):
         assert _read_in_pieces(path, size) == expected, size
 
@@ -421,7 +419,7 @@ def test_failed_write_trace_leaves_no_temporary_file(tmp_path):
     path.write_text("0\t1\taddress1\n")
     good = [mk(t) for t in range(_TRACE_CHUNK + 3)]
     with pytest.raises(TypeError):
-        write_trace(_columns([*good, _mail(Document(1), (5,), _TRACE_CHUNK + 3)]), path)
+        write_trace(_columns([*good, *mail_module._mails([_TRACE_CHUNK + 3], [1], [(5,)])]), path)
     assert os.listdir(tmp_path) == ["trace.tsv"]
     assert path.read_text() == "0\t1\taddress1\n"
 

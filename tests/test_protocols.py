@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter,
-                       CounterError, Document, EmbedStats, Key, Mail,
+                       CounterError, EmbedStats, Key, Mail,
                        ProtocolError, RngState, channel_goodness_of_fit, eval_bit_sync,
                        load_channel_file,
                        p1_embed, p1_extract, p2_embed, p2_extract)
@@ -65,8 +65,8 @@ def test_p1_extract_complement_rule():
     key = find_key_where(
         lambda fn: eval_bit_sync(fn, Counter(0), 5) == 1)
     fn = BitFunction.keyed(key)
-    assert p1_extract(fn, Counter(0), [], [Mail(Document(5), (ADDRESS2,), 0)]) == [0]
-    assert p1_extract(fn, Counter(0), [Mail(Document(5), (ADDRESS1,), 0)], []) == [1]
+    assert p1_extract(fn, Counter(0), [], [Mail(5, (ADDRESS2,), 0)]) == [0]
+    assert p1_extract(fn, Counter(0), [Mail(5, (ADDRESS1,), 0)], []) == [1]
 
 
 def test_p1_one_bit_round_trip_exhaustive():
@@ -82,9 +82,9 @@ def test_p1_one_bit_round_trip_exhaustive():
 
 def test_p1_extract_rejects_foreign_address():
     with pytest.raises(ProtocolError):
-        p1_extract(oracle(7), Counter(0), [Mail(Document(0), ("address3",), 0)], [])
+        p1_extract(oracle(7), Counter(0), [Mail(0, ("address3",), 0)], [])
     with pytest.raises(ProtocolError):
-        p1_extract(oracle(7), Counter(0), [Mail(Document(0), (ADDRESS1, ADDRESS2), 0)], [])
+        p1_extract(oracle(7), Counter(0), [Mail(0, (ADDRESS1, ADDRESS2), 0)], [])
 
 
 def test_p1_embed_ticks_and_counts():
@@ -121,7 +121,7 @@ def test_p1_all_mails_in_one_box_still_extracts():
     key = Key.from_hex("aa" * 16)
     fn = BitFunction.keyed(key)
     probe = p1_embed(fn, Counter(0), [0] * 32, spec, RngState(15))
-    matched = [eval_bit_sync(fn, Counter(i), mail.doc.id)
+    matched = [eval_bit_sync(fn, Counter(i), mail.doc)
                for i, mail in enumerate(probe)]
     mails = p1_embed(fn, Counter(0), matched, spec, RngState(15))
     assert all(mail.addresses == (ADDRESS1,) for mail in mails)
@@ -129,8 +129,8 @@ def test_p1_all_mails_in_one_box_still_extracts():
 
 
 def test_p1_extract_rejects_duplicate_ticks():
-    m1 = Mail(Document(0), (ADDRESS1,), 0)
-    m2 = Mail(Document(1), (ADDRESS2,), 0)
+    m1 = Mail(0, (ADDRESS1,), 0)
+    m2 = Mail(1, (ADDRESS2,), 0)
     with pytest.raises(ProtocolError):
         p1_extract(oracle(17), Counter(0), [m1], [m2])
 
@@ -149,7 +149,7 @@ def test_p2_extract_complement_on_reversed_order():
     key = find_key_where(
         lambda fn: eval_bit_sync(fn, Counter(0), 3) == 1)
     assert p2_extract(BitFunction.keyed(key), Counter(0),
-                      [Mail(Document(3), (ADDRESS2, ADDRESS1), 0)]) == [0]
+                      [Mail(3, (ADDRESS2, ADDRESS1), 0)]) == [0]
 
 
 def test_p2_round_trip_and_box_equivalence():
@@ -178,18 +178,18 @@ def test_p2_address_order_frequency_under_random_function():
 
 def test_p2_rejects_single_address_mail():
     with pytest.raises(ProtocolError):
-        p2_extract(oracle(25), Counter(0), [Mail(Document(0), (ADDRESS1,), 0)])
+        p2_extract(oracle(25), Counter(0), [Mail(0, (ADDRESS1,), 0)])
 
 
 def test_p2_extract_requires_sorted_box():
-    mails = [Mail(Document(0), (ADDRESS1, ADDRESS2), 1),
-             Mail(Document(0), (ADDRESS2, ADDRESS1), 0)]
+    mails = [Mail(0, (ADDRESS1, ADDRESS2), 1),
+             Mail(0, (ADDRESS2, ADDRESS1), 0)]
     with pytest.raises(ProtocolError):
         p2_extract(oracle(27), Counter(0), mails)
     # Ticks must strictly increase: two equal ticks are out of order too.
     counter = Counter(0)
-    mails = [Mail(Document(0), (ADDRESS1, ADDRESS2), 4),
-             Mail(Document(1), (ADDRESS2, ADDRESS1), 4)]
+    mails = [Mail(0, (ADDRESS1, ADDRESS2), 4),
+             Mail(1, (ADDRESS2, ADDRESS1), 4)]
     with pytest.raises(ProtocolError, match="^mailbox is not sorted by send date$"):
         p2_extract(oracle(27), counter, mails)
     assert counter.value == 0
@@ -328,7 +328,7 @@ def test_extract_matches_per_mail_calls_and_advances_counter(variant, mode):
         got = p1_extract(fn, rx, *p1_route(mails))
     else:
         got = p2_extract(fn, rx, mails)
-    assert got == m == [eval_bit_sync(ref, Counter(250 + k), s.doc.id)
+    assert got == m == [eval_bit_sync(ref, Counter(250 + k), s.doc)
                         ^ (s.addresses == arrays[1]) for k, s in enumerate(mails)]
     assert rx.value == 250 + len(m)
     if mode == "random_oracle":
@@ -350,7 +350,7 @@ def test_p1_route_splits_and_rejects_foreign_addresses():
     assert all(m.addresses == (ADDRESS2,) for m in box2)
     assert sorted(box1 + box2, key=lambda m: m.sent_at) == mails
     with pytest.raises(ProtocolError):
-        p1_route(mails + [Mail(Document(0), (ADDRESS1, ADDRESS2), 99)])
+        p1_route(mails + [Mail(0, (ADDRESS1, ADDRESS2), 99)])
 
 
 @pytest.mark.parametrize("variant", ["p1", "p2"])
