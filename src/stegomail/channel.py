@@ -16,6 +16,7 @@ the goodness-of-fit test reads, and exact min-entropy.
 from __future__ import annotations
 
 import json
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -27,6 +28,10 @@ from .rng import RngState
 
 SUM_TOLERANCE = 1e-9
 _ID_END = 1 << 64  # one past the largest id the 8-byte encoding holds
+# A CDF of this many entries or more is packed as C doubles (8 B an entry, not
+# a ~32 B float object plus its pointer); a shorter one stays a list, on which
+# bisect_right is faster.
+_PACKED_MIN = 1 << 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,18 +81,25 @@ def _check_vector(vec, size: int, label: str) -> tuple[float, ...]:
     return probs
 
 
-def _pinned_cdf(probs: tuple[float, ...]) -> list[float]:
+def _pinned_cdf(probs: tuple[float, ...]) -> list[float] | array:
     """Cumulative sums, pinned to 1.0 from the last positive entry on.
 
     A vector that sums to 1 only within tolerance leaves the final sum a
     little below 1, and a draw u in that gap would land one past the
     alphabet.  Pinning changes no draw that lands inside it.
+
+    From ``_PACKED_MIN`` entries on, the sums fill an ``array('d')``
+    straight from ``accumulate`` (a list built first would raise the
+    peak); shorter CDFs are lists.  A double holds each float sum exactly,
+    so ``bisect_right`` draws the same id from either.
     """
-    cum = list(accumulate(probs))
+    sums = accumulate(probs)
+    cum = array("d", sums) if len(probs) >= _PACKED_MIN else list(sums)
     last = len(probs) - 1
     while probs[last] <= 0:
         last -= 1
-    cum[last:] = [1.0] * (len(cum) - last)
+    for i in range(last, len(cum)):
+        cum[i] = 1.0
     return cum
 
 
@@ -96,7 +108,8 @@ class ChannelSpec:
 
     # A draw reads ``_cum`` (stationary) or ``_cum_rows[prev_id]`` (markov1,
     # where the key None holds the initial vector's CDF): one subscript, no
-    # method frame.
+    # method frame.  Each CDF is a list, or an ``array('d')`` from
+    # ``_PACKED_MIN`` entries on; ``bisect_right`` reads either.
     __slots__ = ("kind", "alphabet_size", "probs", "matrix", "initial",
                  "_cum", "_cum_rows")
 

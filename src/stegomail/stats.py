@@ -4,7 +4,7 @@ chi-squared upper tail and the exact two-sided binomial test at p = 1/2."""
 from __future__ import annotations
 
 from functools import lru_cache
-from math import exp, ldexp, lgamma, log, log1p, pi, sqrt
+from math import exp, inf, ldexp, lgamma, log, log1p, pi, sqrt
 
 _EPS = 2.220446049250313e-16
 _TINY = 1e-300
@@ -26,6 +26,8 @@ def chi2_sf(x: float, dof: int) -> float:
     """
     if x <= 0.0:
         return 1.0
+    if x == inf:  # the series and the fraction would read exp(nan)
+        return 0.0
     a, z = dof / 2.0, x / 2.0
     prefactor = exp(a * log(z) - z - lgamma(a))
     limit = 100 + int(20 * sqrt(a))

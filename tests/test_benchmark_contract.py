@@ -16,8 +16,10 @@ changed signature fails here too.  The fourth counts
 the benchmark's checks expect every workload to draw through it.  The
 fifth counts ``sample_id`` and ``eval_bit_sync`` (``eval_bit_tuple`` for
 ``s3``) over single embeds, as the traced run's cross-check does against
-``EmbedStats``.  The last holds each of those two calls to one Python frame,
-the cost the benchmark times per draw and per PRF query.
+``EmbedStats``.  The sixth checks that the workloads draw from both CDF
+layouts, a packed ``array('d')`` and a list.  The last holds each of those
+two calls to one Python frame, on either layout, the cost the benchmark
+times per draw and per PRF query.
 """
 
 import ast
@@ -174,6 +176,32 @@ def test_embed_calls_match_embed_stats(system, monkeypatch):
         assert draws[0] == evals[0] == stats.samples_drawn == stats.prf_evals == n
 
 
+def _cdf_types(workload, workdir: Path) -> set[str]:
+    """The type names of every CDF of the channels a workload draws from:
+    those its state holds, or, for the CLI, the one it loads by path."""
+    from stegomail.channel import load_channel_file
+    workdir.mkdir()
+    state = workload.setup(1, workdir)
+    if hasattr(state, "specs"):
+        specs = list(state.specs.values())
+    elif hasattr(state, "spec"):
+        specs = [state.spec]
+    else:
+        specs = [load_channel_file(state.channel_path)]
+    return {type(cdf).__name__ for spec in specs
+            for cdf in ([spec._cum] if spec._cum is not None else spec._cum_rows.values())}
+
+
+def test_the_workloads_cover_both_cdf_layouts(tmp_path):
+    # A CDF of channel._PACKED_MIN entries or more is an array('d'), a shorter
+    # one a list.  prior-systems draws from a packed CDF; the other three
+    # workloads, whose channels hold at most 1024 documents, from lists.
+    layouts = {name: _cdf_types(workload, tmp_path / name.replace("-", "_"))
+               for name, workload in WORKLOADS.items()}
+    assert layouts == {"email-roundtrip": {"list"}, "cli-trace": {"list"},
+                       "warden-game": {"list"}, "prior-systems": {"array"}}
+
+
 def _python_frames(fn, *args) -> int:
     """Python frames that ``fn(*args)`` opens, its own included."""
     frames = [0]
@@ -190,17 +218,18 @@ def _python_frames(fn, *args) -> int:
     return frames[0]
 
 
-@pytest.mark.parametrize("call", ["sample_id", "sample_id-markov1",
+@pytest.mark.parametrize("call", ["sample_id", "sample_id-packed", "sample_id-markov1",
                                   "eval_bit_sync-keyed", "eval_bit_sync-random_oracle"])
 def test_each_draw_and_query_opens_one_python_frame(call):
     # A draw is rng.random(), the generator's own C method, on a CDF read by
     # one subscript, and a query hashes or looks up its input inline, so
-    # neither opens a second frame.
+    # neither opens a second frame.  That holds for a list CDF and a packed one.
     from stegomail import BitFunction, ChannelSpec, Counter, Key, RngState, eval_bit_sync
     from stegomail.channel import sample_id
     if call.startswith("sample_id"):
         spec = (ChannelSpec.markov1([[0.9, 0.1], [0.5, 0.5]], [0.5, 0.5])
-                if call.endswith("markov1") else ChannelSpec.uniform(1024))
+                if call.endswith("markov1")
+                else ChannelSpec.uniform(1 << 12 if call.endswith("packed") else 1024))
         rng = RngState(3)
         sample_id(spec, None, rng)  # the first draw seeds the stream
         for prev in (None, 0, 1):

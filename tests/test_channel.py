@@ -1,15 +1,20 @@
+import copy
 import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stegomail import (ChannelSpec, ConfigError, Document, RngState,
-                       load_channel_spec, min_entropy)
+from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter, Document,
+                       EmbedStats, Key, RngState, load_channel_spec, min_entropy,
+                       s1_embed, s2_embed, s4_embed)
 
+from stegomail import channel
 from stegomail.channel import sample_id
 from stegomail.prf import encode_doc
 
@@ -386,3 +391,79 @@ def test_untrusted_channel_json_loads_or_is_config_error(value):
     for prev in [None, *range(spec.alphabet_size)]:
         for draw in (_FixedDraw(0.0), _FixedDraw(0.5), _FixedDraw(top), rng, rng):
             assert 0 <= sample_id(spec, prev, draw) < spec.alphabet_size
+
+
+# --- packed CDFs ---------------------------------------------------------------
+# From channel._PACKED_MIN entries on, a CDF is an array('d') rather than a
+# list.  A double holds each float sum exactly, so every draw, embed and
+# stream must be the one the list gives.
+
+_SHORT_OF_ONE_4096 = [1 / 4096] * 4095 + [1 / 4096 - 1e-10]  # sums to 1 - 1e-10
+
+
+def _as_lists(spec: ChannelSpec) -> ChannelSpec:
+    """A copy of `spec` whose CDFs are lists of the same floats."""
+    twin = copy.copy(spec)
+    if spec._cum is not None:
+        twin._cum = list(spec._cum)
+    else:
+        twin._cum_rows = {prev: list(cdf) for prev, cdf in spec._cum_rows.items()}
+    return twin
+
+
+def _draws_and_embeds(spec: ChannelSpec, prevs) -> list:
+    """Draws from each conditioning id, then s1, s2 and s4 embeds (ids and
+    EmbedStats), each followed by its stream's next uniform."""
+    out = []
+    rng = RngState(11)
+    for prev in prevs:
+        out.append([sample_id(spec, prev, rng) for _ in range(500)])
+    out.append(rng.random())
+    m = RngState(7).bits(64)
+    fn = BitFunction.keyed(Key(bytes(range(16))))
+    for embed in (lambda r, st: s1_embed(fn, m, spec, r, count=8, stats=st),
+                  lambda r, st: s2_embed(fn, Counter(3), m, spec, r, repetition=3, stats=st),
+                  lambda r, st: s4_embed(fn, Counter(3), m, spec, r, copies=3, stats=st)):
+        rng, stats = RngState(13), EmbedStats()
+        out.append((embed(rng, stats), stats, rng.random()))
+    return out
+
+
+@pytest.mark.parametrize("probs, packed", [
+    ([1 / 4095] * 4095, False),
+    ([1 / 4096] * 4096, True),
+    ([1 / 65536] * 65536, True),
+    (_SHORT_OF_ONE_4096, True),
+], ids=["uniform4095", "uniform4096", "uniform65536", "short-of-one4096"])
+def test_packed_cdf_draws_and_embeds_as_the_list_does(probs, packed):
+    spec = ChannelSpec.stationary(probs)
+    assert type(spec._cum) is (array if packed else list)
+    assert spec._cum[-1] == 1.0
+    assert _draws_and_embeds(spec, [None]) == _draws_and_embeds(_as_lists(spec), [None])
+
+
+def test_packed_cdf_pin_never_draws_past_the_alphabet():
+    spec = ChannelSpec.stationary(_SHORT_OF_ONE_4096)
+    assert sum(spec.probs) < 1.0 and list(spec._cum[-2:]) == [4095 / 4096, 1.0]
+    assert sample_id(spec, None, _FixedDraw(1.0 - 2.0 ** -53)) == 4095
+
+
+def test_packed_markov_rows_draw_and_embed_as_lists_do(monkeypatch):
+    monkeypatch.setattr(channel, "_PACKED_MIN", 1)
+    packed = ChannelSpec.markov1(MARKOV2.matrix, MARKOV2.initial)
+    assert all(type(cdf) is array for cdf in packed._cum_rows.values())
+    assert all(type(cdf) is list for cdf in MARKOV2._cum_rows.values())
+    assert (_draws_and_embeds(packed, [None, 0, 1])
+            == _draws_and_embeds(MARKOV2, [None, 0, 1]))
+
+
+def test_a_large_channel_is_built_below_two_mib():
+    # A list CDF of 2^16 floats peaks at ~3 MiB while the channel is built;
+    # the packed one at ~1.5 MiB.
+    tracemalloc.start()
+    try:
+        spec = ChannelSpec.uniform(2**16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.alphabet_size == 2**16 and peak < 2 * 2**20

@@ -144,6 +144,13 @@ def test_gof_of_no_documents_is_a_perfect_fit(spec):
     assert (gof.statistic, gof.dof, gof.pvalue) == (0.0, 0, 1.0)
 
 
+def test_gof_of_an_overflowing_cell_is_no_fit():
+    # The subnormal cell's expected count is so small that its statistic
+    # overflows to inf; the fit reads p = 0 rather than raising.
+    gof = channel_goodness_of_fit(ChannelSpec.stationary([1.0, 5e-324]), [1])
+    assert (gof.statistic, gof.dof, gof.pvalue) == (math.inf, 1, 0.0)
+
+
 def test_gof_markov_grouping():
     spec = ChannelSpec.markov1([[0.5, 0.5], [0.5, 0.5]], [1.0, 0.0])
     docs = [0, 0, 1, 0]

@@ -26,6 +26,11 @@ def test_chi2_sf_of_zero_is_one(dof):
     assert chi2_sf(0.0, dof) == 1.0
 
 
+@pytest.mark.parametrize("dof", [1, 2, 3, 255, 2**16 - 1])
+def test_chi2_sf_of_infinity_is_zero(dof):
+    assert chi2_sf(math.inf, dof) == 0.0
+
+
 def test_chi2_sf_matches_scipy():
     for x, dof in _chi2_grid():
         expected = float(sps.chi2.sf(x, dof))
