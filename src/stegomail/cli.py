@@ -21,7 +21,7 @@ from .ecc import bits_from_bytes, bits_from_hex, hex_from_bits
 from .errors import ConfigError, CounterError, ProtocolError
 from .mail import _trace_columns, _trace_pieces, read_trace, write_trace
 from .prf import BitFunction, Counter, Key
-from .protocols import ARRAYS, _embed, _extract, _receive, p1_extract
+from .protocols import _embed, _extract, _receive, p1_extract
 from .rng import RngState
 from .security import (ALL_SYSTEMS, DISTINGUISHER_NAMES, SystemConfig,
                        _gc_paused, benchmark_scaling, build_distinguisher,
@@ -79,12 +79,9 @@ def embed(protocol, key_hex, counter, message_path, message_format,
     spec = load_channel_file(channel_path)
     bits = _read_message_bits(message_path, message_format)
     stats = EmbedStats()
-    # The mails go to the writer as compact columns, with no Mail per bit;
-    # each flip picks its row's address array as the row is written.
-    ticks, ids, flips = _embed(BitFunction.keyed(Key.from_hex(key_hex)), Counter(counter),
-                               protocol, bits, spec, RngState(seed), start_tick, stats, None)
-    arrays = ARRAYS[protocol]
-    write_trace((ticks, ids, (arrays[flip] for flip in flips)), out_path)
+    # The mails go to the writer as compact columns, with no Mail per bit.
+    write_trace(_embed(BitFunction.keyed(Key.from_hex(key_hex)), Counter(counter), protocol,
+                       bits, spec, RngState(seed), start_tick, stats, None), out_path)
     click.echo(f"embedded {stats.bits_embedded} bits into {stats.docs_emitted} mails "
                f"({stats.samples_drawn} channel draws) -> {out_path}")
     click.echo(f"next counter: {counter + len(bits)}")

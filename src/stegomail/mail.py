@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
-from itertools import chain, islice, pairwise
+from collections import namedtuple
+from itertools import chain, islice, pairwise, repeat
 from operator import attrgetter, lt
 from typing import Iterable, Iterator, Sequence
 
@@ -37,24 +37,27 @@ _READ_PIECE = 1 << 16
 _FIELD_MEMO = 1 << 16
 
 
-@dataclass(frozen=True, slots=True)
-class Mail:
-    doc: int
-    addresses: tuple[str, ...]
-    sent_at: int
+class Mail(namedtuple("Mail", ("doc", "addresses", "sent_at"))):
+    """One sent mail: a document id, its ordered address array, its send tick.
 
-    def __post_init__(self) -> None:
+    An immutable tuple whose fields are checked however it is built:
+    ``Mail(...)``, ``Mail._make(...)`` and ``mail._replace(...)`` all run
+    ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, doc: int, addresses: tuple[str, ...], sent_at: int) -> None:
         # A mail holds only what one trace line carries, so format_trace
         # writes every mail and parse_trace reads the same mail back.
         # Type first, as in Document and Counter: a float or a bool is no tick.
-        if type(self.sent_at) is not int:
+        if type(sent_at) is not int:
             raise ProtocolError(
-                f"send tick must be an int, not {type(self.sent_at).__name__}")
+                f"send tick must be an int, not {type(sent_at).__name__}")
         try:
-            Document(self.doc)
+            Document(doc)
         except ConfigError as e:
             raise ProtocolError(str(e)) from None
-        addresses = self.addresses
         if not addresses:
             raise ProtocolError("mail must have at least one recipient address")
         if type(addresses) is not tuple:
@@ -71,28 +74,19 @@ class Mail:
             except UnicodeEncodeError:
                 raise ProtocolError(f"recipient address {a!r} is not UTF-8 text") from None
 
-
-_set_mail_doc = Mail.doc.__set__
-_set_mail_addresses = Mail.addresses.__set__
-_set_mail_sent_at = Mail.sent_at.__set__
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Mail:
+        # namedtuple's own _make, which _replace calls, skips __init__.
+        return cls(*iterable)
 
 
 def _mails(ticks: Iterable[int], ids: Iterable[int],
            addresses: Iterable[tuple[str, ...]]) -> list[Mail]:
-    """Three columns as one mail per row, built in place without ``Mail``'s
+    """Three columns as one mail per row, built in C without ``Mail``'s
     checks: for columns known to be valid, as those ``_trace_columns`` has
     checked and those of the ``p1``/``p2`` embed and the covertext oracle,
     whose ids are drawn and whose address arrays are the protocols' constants."""
-    mails: list[Mail] = []
-    append = mails.append
-    new = object.__new__
-    for tick, doc_id, addrs in zip(ticks, ids, addresses):
-        mail = new(Mail)
-        _set_mail_doc(mail, doc_id)
-        _set_mail_addresses(mail, addrs)
-        _set_mail_sent_at(mail, tick)
-        append(mail)
-    return mails
+    return list(map(tuple.__new__, repeat(Mail), zip(ids, addresses, ticks)))
 
 
 def _check_send_order(ticks: list[int], noun: str) -> None:

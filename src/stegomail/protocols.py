@@ -21,7 +21,7 @@ from __future__ import annotations
 from array import array
 from itertools import count
 from operator import lt, xor
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .baselines import EmbedStats
 from .channel import ChannelSpec, sample_id
@@ -45,12 +45,12 @@ ARRAYS = {"p1": P1_ARRAYS, "p2": P2_ARRAYS}
 def _embed(fn: BitFunction, counter: Counter, protocol: str, m: Sequence[int],
            spec: ChannelSpec, rng: RngState, start_tick: int,
            stats: EmbedStats | None, prev: int | None) -> tuple[
-               range, array, bytearray]:
+               range, array, Iterator[tuple[str, ...]]]:
     """One draw and one PRF evaluation per bit, sent as three compact columns.
 
     The columns are send ticks (a range), document ids (an ``array('Q')``)
-    and flips (a ``bytearray``): 1 where the mail takes the protocol's
-    second address array, ``ARRAYS[protocol][flip]``.  No ``Mail`` is
+    and address arrays, read lazily from the flips (a ``bytearray``, 1
+    where the mail takes the protocol's second array).  No ``Mail`` is
     built.  Counter headroom for the whole message is checked,
     and the tick column built, before the first draw, so an embed that
     would overflow, or whose start tick is no integer, raises with the
@@ -76,7 +76,7 @@ def _embed(fn: BitFunction, counter: Counter, protocol: str, m: Sequence[int],
         counter.value += 1
     if stats is not None:
         stats.add(n, n, n, n)
-    return ticks, ids, flips
+    return ticks, ids, map(ARRAYS[protocol].__getitem__, flips)
 
 
 def _receive(protocol: str, chunks: Iterable[tuple[Sequence[int], list[int],
@@ -161,8 +161,7 @@ def p1_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
 
     One mail per bit, with strictly increasing ticks.
     """
-    ticks, ids, flips = _embed(fn, counter, "p1", m, spec, rng, start_tick, stats, prev)
-    return _mails(ticks, ids, (P1_ARRAYS[flip] for flip in flips))
+    return _mails(*_embed(fn, counter, "p1", m, spec, rng, start_tick, stats, prev))
 
 
 def p1_extract(fn: BitFunction, counter: Counter, box1: Sequence[Mail],
@@ -181,8 +180,7 @@ def p2_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
              spec: ChannelSpec, rng: RngState, start_tick: int = 0,
              stats: EmbedStats | None = None, prev: int | None = None) -> list[Mail]:
     """Hide each bit in the order of the broadcast address array."""
-    ticks, ids, flips = _embed(fn, counter, "p2", m, spec, rng, start_tick, stats, prev)
-    return _mails(ticks, ids, (P2_ARRAYS[flip] for flip in flips))
+    return _mails(*_embed(fn, counter, "p2", m, spec, rng, start_tick, stats, prev))
 
 
 def p2_extract(fn: BitFunction, counter: Counter, box: Sequence[Mail]) -> list[int]:

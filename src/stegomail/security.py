@@ -72,8 +72,7 @@ class SystemConfig:
             raise ConfigError(f"unknown system {self.system!r}; expected one of {ALL_SYSTEMS}")
 
 
-@dataclass(frozen=True)
-class AdvantageEstimate:
+class AdvantageEstimate(NamedTuple):
     value: float
     trials: int
     halfwidth: float
@@ -150,8 +149,7 @@ def ct_oracle(spec: ChannelSpec, arrays, n: int, rng: RngState):
 
 # --- goodness of fit against the channel ------------------------------------
 
-@dataclass(frozen=True)
-class GofResult:
+class GofResult(NamedTuple):
     statistic: float
     dof: int
     pvalue: float
@@ -351,8 +349,7 @@ class TrialRow(NamedTuple):
     wall_s: float
 
 
-@dataclass(frozen=True)
-class ReliabilityReport:
+class ReliabilityReport(NamedTuple):
     trials: int
     bits_per_trial: int
     failed_trials: int
@@ -435,8 +432,7 @@ def _gc_paused():
 
 # --- scaling benchmark ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     system: str
     bits: int
     embed_seconds: float
@@ -446,8 +442,7 @@ class BenchRow:
     prf_evals: int
 
 
-@dataclass(frozen=True)
-class BenchReport:
+class BenchReport(NamedTuple):
     rows: list[BenchRow]
     embed_slope: float
     extract_slope: float

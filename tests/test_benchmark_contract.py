@@ -17,9 +17,10 @@ the benchmark's checks expect every workload to draw through it.  The
 fifth counts ``sample_id`` and ``eval_bit_sync`` (``eval_bit_tuple`` for
 ``s3``) over single embeds, as the traced run's cross-check does against
 ``EmbedStats``.  The sixth checks that the workloads draw from both CDF
-layouts, a packed ``array('d')`` and a list.  The last holds each of those
-two calls to one Python frame, on either layout, the cost the benchmark
-times per draw and per PRF query.
+layouts, a packed ``array('d')`` and a list.  The seventh holds each of
+those two calls to one Python frame, on either layout, the cost the
+benchmark times per draw and per PRF query, and the last holds
+``mail._mails`` to one frame whatever its row count.
 """
 
 import ast
@@ -240,3 +241,37 @@ def test_each_draw_and_query_opens_one_python_frame(call):
     counter = Counter(5)
     for doc_id in (1, 2, 1):  # two misses, then a hit
         assert _python_frames(eval_bit_sync, fn, counter, doc_id) == 1
+
+
+def _lines_run(fn, *args) -> int:
+    """Python lines that ``fn(*args)`` runs, in every frame it opens."""
+    lines = [0]
+
+    def trace(frame, event, arg):
+        if event == "line":
+            lines[0] += 1
+        return trace
+
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(None)
+    return lines[0]
+
+
+def test_mails_opens_one_python_frame():
+    # Each row is built in C: a per-row Python loop would run more lines for
+    # more rows, and a per-row helper or __init__ call would open more frames.
+    # The collector is paused: a collection may close an unreachable generator
+    # or run a finalizer or a gc callback, each a Python frame of its own.
+    from stegomail.mail import Mail, _mails
+    from stegomail.security import _gc_paused
+    lines = set()
+    for n in (0, 1, 4096):
+        columns = (list(range(n)), [7] * n, [("address1",)] * n)
+        with _gc_paused():
+            assert _python_frames(_mails, *columns) == 1
+            lines.add(_lines_run(_mails, *columns))
+        assert _mails(*columns) == [Mail(7, ("address1",), t) for t in range(n)]
+    assert len(lines) == 1

@@ -1019,9 +1019,23 @@ def _library_mail_extract(protocol: str, mails: list[Mail], counter: int) -> lis
 def _library_extract(protocol: str, text: str, counter: int) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of ``extract`` as the library's mail API
     computes it, with errors mapped as cli.run maps them."""
+    return _as_cli(lambda: _library_mail_extract(protocol, parse_trace(text), counter))
+
+
+def _library_boxes_extract(box1: Path, box2: Path, counter: int) -> tuple[int, str, str]:
+    """``extract --in box1 --in2 box2`` as the library computes it: both
+    traces read before the counter is built, as the CLI reads them."""
+    def extract() -> list[int]:
+        mails1, mails2 = read_trace(box1), read_trace(box2)
+        return p1_extract(KEYED, Counter(counter), mails1, mails2)
+    return _as_cli(extract)
+
+
+def _as_cli(extract) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of the bits `extract` returns, with
+    errors mapped as cli.run maps them."""
     try:
-        bits = _library_mail_extract(protocol, parse_trace(text), counter)
-        return 0, hex_from_bits(bits) + "\n", ""
+        return 0, hex_from_bits(extract()) + "\n", ""
     except ConfigError as e:
         return 2, "", f"configuration error: {e}\n"
     except ProtocolError as e:
@@ -1045,6 +1059,19 @@ def test_cli_extract_agrees_with_the_library(tmp_path, capsys, case, counter):
     code = run(argv)
     out, err = capsys.readouterr()
     assert (code, out, err) == _library_extract(protocol, text, counter or 0)
+    if protocol == "p1":
+        # The same lines as two mailboxes: those addressed to address2 alone
+        # in the second, every other line in the first.
+        lines = text.splitlines(keepends=True)
+        to_box2 = [line.rstrip("\r\n").endswith("\taddress2") for line in lines]
+        paths = tmp_path / "box1.tsv", tmp_path / "box2.tsv"
+        for path, box in zip(paths, (False, True)):
+            path.write_bytes("".join(line for line, to in zip(lines, to_box2) if to == box)
+                             .encode("utf-8"))
+        code = run(["extract", "--protocol", "p1", "--key", KEY, "--in", str(paths[0]),
+                    "--in2", str(paths[1]), *argv[argv.index("--in") + 2:]])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == _library_boxes_extract(*paths, counter or 0)
 
 
 # --- receive across pieces and PRF chunks; memory per message bit --------------

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import stat
 import tracemalloc
@@ -248,18 +247,27 @@ def test_parse_trace_checks_each_distinct_field_once(documents_built):
 
 def test_mail_value_contract():
     mail = mk(3, doc_id=7)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert isinstance(mail, tuple) and Mail._fields == ("doc", "addresses", "sent_at")
+    assert "__init__" in vars(Mail)  # the benchmark's tracer wraps it
+    with pytest.raises(AttributeError):
         mail.sent_at = 4
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         mail.addresses = ("address2",)
+    assert tuple(mail) == (7, ("address1",), 3)
     assert mail == Mail(7, ("address1",), 3)
     assert mail != mk(3, doc_id=7, addrs=("address2",))
     assert hash(mail) == hash(Mail(7, ("address1",), 3))
     assert repr(mail) == "Mail(doc=7, addresses=('address1',), sent_at=3)"
     assert Mail(doc=7, addresses=("address1",), sent_at=3) == mail
-    assert dataclasses.replace(mail, sent_at=9).sent_at == 9
+    assert mail._replace(sent_at=9) == Mail(7, ("address1",), 9)
+    assert type(mail._replace(sent_at=9)) is Mail
     with pytest.raises(ProtocolError, match="at least one recipient"):
-        dataclasses.replace(mail, addresses=())
+        mail._replace(addresses=())
+    assert Mail._make([7, ("address1",), 3]) == mail
+    with pytest.raises(ProtocolError, match="^send tick must be an int, not float$"):
+        Mail._make([7, ("address1",), 3.0])
+    with pytest.raises(ProtocolError, match="^negative document id -1$"):
+        Mail._make(iter([-1, ("address1",), 3]))
 
 
 def test_trace_error_messages_name_the_line():

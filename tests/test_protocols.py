@@ -1,4 +1,5 @@
 import hashlib
+import random
 from itertools import count, pairwise
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter,
                        ProtocolError, RngState, channel_goodness_of_fit, eval_bit_sync,
                        load_channel_file,
                        p1_embed, p1_extract, p2_embed, p2_extract)
+from stegomail.channel import sample_id
 from stegomail.mail import _columns, format_trace
 from stegomail.protocols import ADDRESS1, ADDRESS2, ARRAYS, P1_ARRAYS, P2_ARRAYS, _receive
 
@@ -434,3 +436,51 @@ def test_receive_finds_the_first_fault_whatever_the_chunks(case):
     if fault is None:
         assert list(got_ids) == ids
         assert list(got_flips) == [ARRAYS[protocol].index(a) for a in addresses]
+
+
+# --- exact statements behind criteria 6 and 7 ----------------------------------
+
+_SEED = 41
+_FUNCTIONS = st.one_of(
+    st.binary(min_size=8, max_size=64).map(lambda k: BitFunction.keyed(Key(k))),
+    st.integers(0, 2 ** 64).map(BitFunction.random_oracle))
+
+
+@pytest.mark.parametrize("spec", [ChannelSpec.uniform(4), MARKOV2],
+                         ids=["uniform4", "markov2"])
+@pytest.mark.parametrize("embed_fn", [p1_embed, p2_embed])
+@settings(max_examples=100, deadline=None)
+@given(fn=_FUNCTIONS, m=st.lists(st.integers(0, 1), min_size=1, max_size=64),
+       counter=st.integers(0, 2 ** 64 - 65))
+def test_embedded_documents_are_the_stream_alone(embed_fn, spec, fn, m, counter):
+    # The ids are the channel's own draws on the stream, and the stream is
+    # left where those draws leave it, whatever the key, message and counter:
+    # a document warden sees covertext (criterion 6).
+    reference = RngState(_SEED)
+    drawn, prev = [], None
+    for _ in m:
+        prev = sample_id(spec, prev, reference)
+        drawn.append(prev)
+    rng = RngState(_SEED)
+    mails = embed_fn(fn, Counter(counter), m, spec, rng)
+    assert [mail.doc for mail in mails] == drawn
+    assert rng.random() == reference.random()
+
+
+@pytest.mark.parametrize("spec", [ChannelSpec.uniform(4), MARKOV2],
+                         ids=["uniform4", "markov2"])
+@pytest.mark.parametrize("embed_fn", [p1_embed, p2_embed])
+@settings(max_examples=100, deadline=None)
+@given(oracle_seed=st.integers(0, 2 ** 64),
+       m=st.lists(st.integers(0, 1), min_size=1, max_size=64),
+       counter=st.integers(0, 2 ** 64 - 65))
+def test_random_function_flips_are_the_message_xor_fresh_coins(embed_fn, spec,
+                                                              oracle_seed, m, counter):
+    # Every F2 input carries a new counter value, so the random function
+    # answers each bit with its next coin, in counter order, and the address
+    # choice is the message masked by those coins (criterion 7).
+    arrays = P1_ARRAYS if embed_fn is p1_embed else P2_ARRAYS
+    mails = embed_fn(oracle(oracle_seed), Counter(counter), m, spec, RngState(_SEED))
+    coins = random.Random(oracle_seed)
+    assert [arrays.index(mail.addresses) for mail in mails] == [
+        bit ^ coins.getrandbits(1) for bit in m]

@@ -29,6 +29,44 @@ def test_system_config_validation():
     assert SystemConfig("s3", copies=4).copies == 4
 
 
+def test_result_records_keep_their_fields_and_reprs():
+    # The records are named tuples, so their field order is public: a caller
+    # may unpack one by position.
+    from stegomail.baselines import EmbedStats
+    from stegomail.security import (AdvantageEstimate, BenchReport, BenchRow,
+                                    GofResult, ReliabilityReport, TrialRow)
+    row = BenchRow("p1", 256, 0.5, 0.25, 256, 256, 256)
+    trial = TrialRow(3, 1, 8, 8, 0.5)
+    records = [
+        (AdvantageEstimate(0.5, 100, 0.125, 0.75, 0.25),
+            "AdvantageEstimate(value=0.5, trials=100, halfwidth=0.125, p_st=0.75, "
+            "p_ct=0.25)"),
+        (GofResult(3.5, 2, 0.25), "GofResult(statistic=3.5, dof=2, pvalue=0.25)"),
+        (ReliabilityReport(2, 8, 1, 3, EmbedStats(16, 16, 16, 16), (trial,)),
+            "ReliabilityReport(trials=2, bits_per_trial=8, failed_trials=1, "
+            "bit_errors=3, stats=EmbedStats(samples_drawn=16, bits_embedded=16, "
+            "docs_emitted=16, prf_evals=16), rows=(TrialRow(bit_errors=3, failed=1, "
+            "samples_drawn=8, docs_emitted=8, wall_s=0.5),))"),
+        (row, "BenchRow(system='p1', bits=256, embed_seconds=0.5, extract_seconds=0.25, "
+              "samples_drawn=256, docs_emitted=256, prf_evals=256)"),
+        (BenchReport([row], 1.0, 0.875),
+         f"BenchReport(rows=[{row!r}], embed_slope=1.0, extract_slope=0.875)"),
+        (trial, "TrialRow(bit_errors=3, failed=1, samples_drawn=8, docs_emitted=8, "
+                "wall_s=0.5)"),
+    ]
+    assert [repr(r) for r, _ in records] == [text for _, text in records]
+    assert {type(r).__name__: type(r)._fields for r, _ in records} == {
+        "AdvantageEstimate": ("value", "trials", "halfwidth", "p_st", "p_ct"),
+        "GofResult": ("statistic", "dof", "pvalue"),
+        "ReliabilityReport": ("trials", "bits_per_trial", "failed_trials",
+                              "bit_errors", "stats", "rows"),
+        "BenchRow": ("system", "bits", "embed_seconds", "extract_seconds",
+                     "samples_drawn", "docs_emitted", "prf_evals"),
+        "BenchReport": ("rows", "embed_slope", "extract_slope"),
+        "TrialRow": ("bit_errors", "failed", "samples_drawn", "docs_emitted", "wall_s"),
+    }
+
+
 def test_st_oracle_response_lengths():
     rng = RngState(1)
     for cfg, bits, expected in [
