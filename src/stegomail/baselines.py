@@ -69,7 +69,7 @@ def _budget(fn: BitFunction, count: int | None) -> int:
         if count < 1:
             raise ConfigError(f"iteration budget must be >= 1, got {count}")
         return count
-    return 128 if fn._keyed_hash is None else fn.key.bit_length
+    return 128 if fn.key is None else 8 * len(fn.key.data)
 
 
 def _check_copies(copies: int, odd: bool) -> None:

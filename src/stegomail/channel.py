@@ -189,8 +189,8 @@ def sample_id(spec: ChannelSpec, prev_id: int | None, rng: RngState) -> int:
 
 
 def min_entropy(spec: ChannelSpec) -> float:
-    """-log2 of the most probable first document, in bits."""
-    return -log2(max(spec.row(None)))
+    """-log2 of the most probable first document, in bits; 0.0, not -0.0, for a point mass."""
+    return 0.0 - log2(max(spec.row(None)))
 
 
 def load_channel_spec(text: str) -> ChannelSpec:

@@ -21,13 +21,21 @@ from .ecc import bits_from_bytes, bits_from_hex, hex_from_bits
 from .errors import ConfigError, CounterError, ProtocolError
 from .mail import _trace_columns, _trace_pieces, read_trace, write_trace
 from .prf import BitFunction, Counter, Key
-from .protocols import _embed, _extract, _receive, p1_extract
+from .protocols import ARRAYS, _embed, _extract, _receive, p1_extract
 from .rng import RngState
 from .security import (ALL_SYSTEMS, DISTINGUISHER_NAMES, SystemConfig,
                        _gc_paused, benchmark_scaling, build_distinguisher,
                        capacity, reliability_estimate, run_game, transmission_rate)
 
 DEFAULT_BENCH_LENGTHS = "256,512,1024,2048,4096,8192,16384"
+
+# Options that several commands take, each declared once.
+_CHANNEL = click.option("--channel", required=True, type=click.Path(exists=True, dir_okay=False))
+_KEY = click.option("--key", "key_hex", required=True, help="Secret key as hex.")
+_COUNT = click.option("--count", default=None, type=int, help="Rejection-sampling budget (s1/s3).")
+_COPIES = click.option("--copies", default=3, show_default=True, help="Documents per bit (s3/s4).")
+_REPETITION = click.option("--ecc-repetition", "repetition", default=5, show_default=True,
+                           help="Repetition code factor (s2).")
 
 
 def _config_header(**overrides) -> str:
@@ -37,8 +45,7 @@ def _config_header(**overrides) -> str:
     Each value is shell-quoted, so ``shlex.split`` reads every item back as
     one `key=value` token; a shell-safe value is written as it is."""
     ctx = click.get_current_context()
-    params = {"channel" if k == "channel_path" else k: v for k, v in ctx.params.items()
-              if k not in ("key_hex", "out_path")}
+    params = {k: v for k, v in ctx.params.items() if k not in ("key_hex", "out_path")}
     params.update(command=ctx.info_name, **overrides)
     items = " ".join(f"{k}={shlex.quote(str(v))}" for k, v in sorted(params.items()))
     return f"# config: {items}"
@@ -61,22 +68,21 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--protocol", type=click.Choice(["p1", "p2"]), required=True)
-@click.option("--key", "key_hex", required=True, help="Secret key as hex.")
+@click.option("--protocol", type=click.Choice(list(ARRAYS)), required=True)
+@_KEY
 @click.option("--counter", default=0, show_default=True, help="Initial counter value.")
 @click.option("--message", "message_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--message-format", type=click.Choice(["hex", "raw"]),
               default="hex", show_default=True)
-@click.option("--channel", "channel_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_CHANNEL
 @click.option("--seed", required=True, type=int)
 @click.option("--start-tick", default=0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def embed(protocol, key_hex, counter, message_path, message_format,
-          channel_path, seed, start_tick, out_path) -> None:
+          channel, seed, start_tick, out_path) -> None:
     """Embed a message file into a mail trace."""
-    spec = load_channel_file(channel_path)
+    spec = load_channel_file(channel)
     bits = _read_message_bits(message_path, message_format)
     stats = EmbedStats()
     # The mails go to the writer as compact columns, with no Mail per bit.
@@ -88,8 +94,8 @@ def embed(protocol, key_hex, counter, message_path, message_format,
 
 
 @main.command()
-@click.option("--protocol", type=click.Choice(["p1", "p2"]), required=True)
-@click.option("--key", "key_hex", required=True)
+@click.option("--protocol", type=click.Choice(list(ARRAYS)), required=True)
+@_KEY
 @click.option("--counter", default=0, show_default=True)
 @click.option("--in", "in_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
@@ -118,22 +124,21 @@ def extract(protocol, key_hex, counter, in_path, in2_path) -> None:
 
 @main.command()
 @click.option("--system", type=click.Choice(list(ALL_SYSTEMS)), required=True)
-@click.option("--channel", "channel_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_CHANNEL
 @click.option("--key", "key_hex", default=None, help="Secret key as hex (omit with --random-fn).")
 @click.option("--bits", default=64, show_default=True, help="Message bits per trial.")
 @click.option("--trials", default=100, show_default=True)
-@click.option("--count", default=None, type=int, help="Rejection-sampling budget (s1/s3).")
-@click.option("--copies", default=3, show_default=True, help="Documents per bit (s3/s4).")
-@click.option("--ecc-repetition", "repetition", default=5, show_default=True)
+@_COUNT
+@_COPIES
+@_REPETITION
 @click.option("--random-fn", is_flag=True, help="Replace the keyed PRF by a random function.")
 @click.option("--seed", required=True, type=int)
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False),
               help="Write the per-trial CSV here; aggregate always goes to stdout.")
-def simulate(system, channel_path, key_hex, bits, trials, count, copies,
+def simulate(system, channel, key_hex, bits, trials, count, copies,
              repetition, random_fn, seed, out_path) -> None:
     """Round-trip reliability simulation; per-trial and aggregate CSV."""
-    spec = load_channel_file(channel_path)
+    spec = load_channel_file(channel)
     cfg = SystemConfig(system, count, copies, repetition, random_fn=random_fn)
     if (key_hex is None) != random_fn:
         raise ConfigError("give exactly one of --key and --random-fn")
@@ -159,20 +164,19 @@ def simulate(system, channel_path, key_hex, bits, trials, count, copies,
 @click.option("--system", type=click.Choice(list(ALL_SYSTEMS)), required=True)
 @click.option("--distinguisher", type=click.Choice(list(DISTINGUISHER_NAMES)),
               required=True)
-@click.option("--channel", "channel_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_CHANNEL
 @click.option("--trials", default=1000, show_default=True)
 @click.option("--bits-per-game", default=100, show_default=True)
 @click.option("--significance", default=0.05, show_default=True)
-@click.option("--count", default=None, type=int)
-@click.option("--copies", default=3, show_default=True)
-@click.option("--ecc-repetition", "repetition", default=5, show_default=True)
+@_COUNT
+@_COPIES
+@_REPETITION
 @click.option("--random-fn", is_flag=True)
 @click.option("--seed", required=True, type=int)
-def attack(system, distinguisher, channel_path, trials, bits_per_game,
+def attack(system, distinguisher, channel, trials, bits_per_game,
            significance, count, copies, repetition, random_fn, seed) -> None:
     """Run the ST/CT distinguishing game; one CSV result row."""
-    spec = load_channel_file(channel_path)
+    spec = load_channel_file(channel)
     cfg = SystemConfig(system, count, copies, repetition, random_fn=random_fn)
     warden = build_distinguisher(distinguisher, cfg, spec, significance)
     estimate = run_game(warden, cfg, spec, trials, RngState(seed), bits_per_game)
@@ -185,16 +189,15 @@ def attack(system, distinguisher, channel_path, trials, bits_per_game,
 @main.command()
 @click.option("--system", "systems", default="all", show_default=True,
               help="Comma-separated system names, or 'all'.")
-@click.option("--channel", "channel_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_CHANNEL
 @click.option("--bits", default=120, show_default=True)
-@click.option("--count", default=None, type=int)
-@click.option("--copies", default=3, show_default=True)
-@click.option("--ecc-repetition", "repetition", default=5, show_default=True)
+@_COUNT
+@_COPIES
+@_REPETITION
 @click.option("--seed", required=True, type=int)
-def rate(systems, channel_path, bits, count, copies, repetition, seed) -> None:
+def rate(systems, channel, bits, count, copies, repetition, seed) -> None:
     """Measured transmission rate (hiddentext bits per document)."""
-    spec = load_channel_file(channel_path)
+    spec = load_channel_file(channel)
     names = (list(ALL_SYSTEMS) if systems == "all"
              else [name.strip() for name in systems.split(",")])
     # Every row is computed before anything is printed, so a refused run
@@ -215,21 +218,17 @@ def capacity_cmd(crossover) -> None:
 
 
 @main.command("channel-info")
-@click.option("--channel", "channel_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-def channel_info(channel_path) -> None:
+@_CHANNEL
+def channel_info(channel) -> None:
     """Alphabet size, min-entropy, and top document probabilities."""
-    spec = load_channel_file(channel_path)
+    spec = load_channel_file(channel)
     click.echo(f"kind: {spec.kind}")
     click.echo(f"alphabet_size: {spec.alphabet_size}")
     click.echo(f"min_entropy_bits: {min_entropy(spec)!r}")
     if spec.kind == "markov1":
-        rows_max = max(max(row) for row in spec.matrix)
-        click.echo(f"min_entropy_bits_worst_row: {-log2(rows_max)!r}")
-        probs = spec.initial
-    else:
-        probs = spec.probs
-    top = sorted(enumerate(probs), key=lambda kv: (-kv[1], kv[0]))[:5]
+        # 0.0 - x, not -x: a deterministic row reads 0.0, not -0.0.
+        click.echo(f"min_entropy_bits_worst_row: {0.0 - log2(max(map(max, spec.matrix)))!r}")
+    top = sorted(enumerate(spec.row(None)), key=lambda kv: (-kv[1], kv[0]))[:5]
     for doc_id, p in top:
         click.echo(f"doc {doc_id}: {p!r}")
 
@@ -237,18 +236,17 @@ def channel_info(channel_path) -> None:
 @main.command()
 @click.option("--systems", default="p1,p2", show_default=True)
 @click.option("--lengths", default=DEFAULT_BENCH_LENGTHS, show_default=True)
-@click.option("--channel", "channel_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--count", default=None, type=int)
-@click.option("--copies", default=3, show_default=True)
-@click.option("--ecc-repetition", "repetition", default=5, show_default=True)
+@_CHANNEL
+@_COUNT
+@_COPIES
+@_REPETITION
 @click.option("--repeats", default=3, show_default=True)
 @click.option("--seed", required=True, type=int)
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
-def bench(systems, lengths, channel_path, count, copies, repetition, repeats,
+def bench(systems, lengths, channel, count, copies, repetition, repeats,
           seed, out_path) -> None:
     """Wall-time scaling across message lengths, with log-log slope fits."""
-    spec = load_channel_file(channel_path)
+    spec = load_channel_file(channel)
     try:
         sizes = [int(x) for x in lengths.split(",")]
     except ValueError as e:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import re
 from collections import namedtuple
+from functools import partial
 from itertools import chain, islice, pairwise, repeat
 from operator import attrgetter, lt
 from typing import Iterable, Iterator, Sequence
@@ -89,10 +90,10 @@ def _mails(ticks: Iterable[int], ids: Iterable[int],
     return list(map(tuple.__new__, repeat(Mail), zip(ids, addresses, ticks)))
 
 
-def _check_send_order(ticks: list[int], noun: str) -> None:
+def _check_send_order(ticks: list[int]) -> None:
     """Raise ProtocolError unless the send ticks strictly increase."""
     if not all(map(lt, ticks, ticks[1:])):
-        raise ProtocolError(f"{noun} is not sorted by send date")
+        raise ProtocolError("mail sequence is not sorted by send date")
 
 
 def _columns(mails: Sequence[Mail]) -> tuple[list[int], list[int],
@@ -110,8 +111,8 @@ def merge_by_date(seq1: Sequence[Mail], seq2: Sequence[Mail]) -> list[Mail]:
     ambiguous and is rejected.  The sort finds the two ascending runs and
     merges them.
     """
-    _check_send_order([m.sent_at for m in seq1], "mail sequence")
-    _check_send_order([m.sent_at for m in seq2], "mail sequence")
+    _check_send_order([m.sent_at for m in seq1])
+    _check_send_order([m.sent_at for m in seq2])
     merged = sorted([*seq1, *seq2], key=attrgetter("sent_at"))
     for a, b in pairwise(merged):
         if a.sent_at == b.sent_at:
@@ -205,13 +206,16 @@ def write_trace(columns, path) -> None:
     """
     ticks, ids, addresses = map(iter, columns)
     target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
+    exists = os.path.exists(target)
+    if exists and not os.path.isfile(target):
         name, f = None, open(target, "wb")
     else:
+        # A replaced file's permission bits, which the new file never exceeds.
+        mode = os.stat(target).st_mode & 0o7777 if exists else 0o666
         head, tail = os.path.split(target)
         name = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
         try:
-            f = open(name, "xb")
+            f = open(name, "xb", opener=partial(os.open, mode=mode))
         except OSError as e:
             e.filename = path
             raise
@@ -223,6 +227,8 @@ def write_trace(columns, path) -> None:
             for _ in chain(ids, addresses):
                 raise ValueError("a trace column is longer than the send ticks")
         if name is not None:
+            if exists:  # the bits the umask cleared at creation
+                os.chmod(name, mode)
             os.replace(name, target)
     except BaseException:
         if name is not None:

@@ -47,10 +47,6 @@ class Key:
         if len(self.data) > 64:
             raise ConfigError("key longer than 64 bytes is not supported")
 
-    @property
-    def bit_length(self) -> int:
-        return len(self.data) * 8
-
     @classmethod
     def from_hex(cls, text: str) -> "Key":
         try:
@@ -124,21 +120,14 @@ class BitFunction:
 
     def bit(self, data: bytes) -> int:
         """The function's bit for an already-encoded input."""
-        if self._keyed_hash is not None:
-            h = self._keyed_hash.copy()
-            h.update(data)
-            return h.digest()[0] & 1
-        got = self.table.get(data)
-        if got is None:
-            got = self.table[data] = self._coins.getrandbits(1)
-        return got
+        return self.bits((data,))[0]
 
     def bits(self, inputs: Iterable[bytes]) -> list[int]:
-        """``[self.bit(x) for x in inputs]`` in one call.
+        """The function's bit for each encoded input, in one call.
 
         The extractors evaluate a whole message at once.  The random oracle
-        answers in input order, so it spends its coins exactly as the
-        per-input calls would, a repeated input included.
+        answers in input order, so it spends its coins exactly as one
+        ``bit`` call per input would, a repeated input included.
         """
         out: list[int] = []
         append = out.append
@@ -183,12 +172,8 @@ def encode_tuple(ids: Sequence[int]) -> bytes:
 
 
 def eval_bit(fn: BitFunction, doc_id: int) -> int:
-    """Bit of a single document id (the unsynchronized systems' signature).
-
-    The input is ``encode_doc(doc_id)``, built inline because this is the
-    rejection samplers' per-draw hot path.
-    """
-    return fn.bit(_TAG_DOC + doc_id.to_bytes(8, "big"))
+    """Bit of a single document id (the unsynchronized systems' signature)."""
+    return fn.bit(encode_doc(doc_id))
 
 
 def eval_bit_sync(fn: BitFunction, counter: Counter, doc_id: int) -> int:

@@ -15,8 +15,8 @@ from stegomail import (BitFunction, ChannelSpec, Counter,
                        channel_goodness_of_fit, eval_bit, p1_embed, p2_embed,
                        reliability_estimate, run_game, s1_embed,
                        transmission_rate)
-from stegomail.protocols import P1_ARRAYS, P2_ARRAYS
-from stegomail.security import EMAIL_SYSTEMS, embed_message
+from stegomail.protocols import ARRAYS, P1_ARRAYS, P2_ARRAYS
+from stegomail.security import embed_message
 
 from conftest import find_key_where, point_mass
 
@@ -39,7 +39,7 @@ def test_criterion_1_email_protocol_reliability():
     started = time.perf_counter()
     failures = {}
     for i, (system, (name, spec)) in enumerate(
-            product(EMAIL_SYSTEMS, CHANNELS.items())):
+            product(ARRAYS, CHANNELS.items())):
         rep = reliability_estimate(SystemConfig(system), spec, bits=64,
                                    trials=10_000,
                                    rng=RngState(MASTER_SEED).spawn(i))
@@ -55,7 +55,7 @@ def test_criterion_2_work_bound_and_linear_scaling():
     rng = RngState(MASTER_SEED + 2)
     exact = True
     for i, (system, (name, spec)) in enumerate(
-            product(EMAIL_SYSTEMS, CHANNELS.items())):
+            product(ARRAYS, CHANNELS.items())):
         stats = EmbedStats()
         embed_message(SystemConfig(system), BitFunction.keyed(
             Key.generate(rng.spawn(i))), rng.spawn(100 + i).bits(1_000),
@@ -64,7 +64,7 @@ def test_criterion_2_work_bound_and_linear_scaling():
                   == stats.docs_emitted == stats.bits_embedded)
     lengths = [2 ** k for k in range(8, 15)]
     slopes = {}
-    for i, system in enumerate(EMAIL_SYSTEMS):
+    for i, system in enumerate(ARRAYS):
         bench = benchmark_scaling(SystemConfig(system), CHANNELS["uniform_1024"],
                                   lengths, rng.spawn(300 + i),
                                   repeats=3)

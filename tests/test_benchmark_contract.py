@@ -225,8 +225,11 @@ def test_each_draw_and_query_opens_one_python_frame(call):
     # A draw is rng.random(), the generator's own C method, on a CDF read by
     # one subscript, and a query hashes or looks up its input inline, so
     # neither opens a second frame.  That holds for a list CDF and a packed one.
+    # The collector is paused, as in test_mails_opens_one_python_frame: a
+    # collection during the call would count frames that are not its own.
     from stegomail import BitFunction, ChannelSpec, Counter, Key, RngState, eval_bit_sync
     from stegomail.channel import sample_id
+    from stegomail.security import _gc_paused
     if call.startswith("sample_id"):
         spec = (ChannelSpec.markov1([[0.9, 0.1], [0.5, 0.5]], [0.5, 0.5])
                 if call.endswith("markov1")
@@ -234,13 +237,15 @@ def test_each_draw_and_query_opens_one_python_frame(call):
         rng = RngState(3)
         sample_id(spec, None, rng)  # the first draw seeds the stream
         for prev in (None, 0, 1):
-            assert _python_frames(sample_id, spec, prev, rng) == 1
+            with _gc_paused():
+                assert _python_frames(sample_id, spec, prev, rng) == 1
         return
     fn = (BitFunction.keyed(Key(bytes(16))) if call.endswith("keyed")
           else BitFunction.random_oracle(3))
     counter = Counter(5)
     for doc_id in (1, 2, 1):  # two misses, then a hit
-        assert _python_frames(eval_bit_sync, fn, counter, doc_id) == 1
+        with _gc_paused():
+            assert _python_frames(eval_bit_sync, fn, counter, doc_id) == 1
 
 
 def _lines_run(fn, *args) -> int:

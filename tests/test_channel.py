@@ -77,6 +77,11 @@ def test_min_entropy_values():
     assert min_entropy(ChannelSpec.stationary([0.5, 0.25, 0.25])) == 1.0
 
 
+def test_min_entropy_of_a_point_mass_is_positive_zero():
+    # -log2(1.0) is -0.0, which channel-info would print as "-0.0".
+    assert math.copysign(1.0, min_entropy(point_mass(4))) == 1.0
+
+
 def test_min_entropy_exact_for_powers_of_two():
     for m in range(1, 12):
         assert min_entropy(ChannelSpec.uniform(2 ** m)) == float(m)

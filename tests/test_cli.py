@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from math import log2
 from pathlib import Path
 
 import pytest
@@ -360,6 +361,58 @@ def test_channel_info(channel, capsys):
     assert run(["channel-info", "--channel", channel(MARKOV_2, "mk.json")]) == 0
     text = capsys.readouterr().out
     assert "min_entropy_bits_worst_row:" in text
+
+
+# channel-info's output for every file in channels/, as it was printed
+# before the point-mass fix, but for that one line, which read -0.0.
+CHANNEL_INFO = {
+    "binary": ["kind: stationary", "alphabet_size: 2", "min_entropy_bits: 1.0",
+               "doc 0: 0.5", "doc 1: 0.5"],
+    "markov2": ["kind: markov1", "alphabet_size: 2", "min_entropy_bits: 1.0",
+                "min_entropy_bits_worst_row: 0.15200309344504995",
+                "doc 0: 0.5", "doc 1: 0.5"],
+    "point_mass4": ["kind: stationary", "alphabet_size: 4", "min_entropy_bits: 0.0",
+                    "doc 0: 1.0", "doc 1: 0.0", "doc 2: 0.0", "doc 3: 0.0"],
+    "uniform1024": ["kind: stationary", "alphabet_size: 1024", "min_entropy_bits: 10.0",
+                    *(f"doc {i}: 0.0009765625" for i in range(5))],
+    "uniform4": ["kind: stationary", "alphabet_size: 4", "min_entropy_bits: 2.0",
+                 *(f"doc {i}: 0.25" for i in range(4))],
+}
+
+
+def test_channel_info_of_every_shipped_channel_is_pinned(capsys):
+    assert sorted(p.stem for p in (REPO / "channels").glob("*.json")) == sorted(CHANNEL_INFO)
+    for name, expected in CHANNEL_INFO.items():
+        assert run(["channel-info", "--channel", str(REPO / "channels" / f"{name}.json")]) == 0
+        assert out_lines(capsys) == expected, name
+
+
+def test_channel_info_reads_the_first_draw_of_a_markov1_channel(channel, capsys):
+    # The top documents are the initial vector's, and a deterministic row
+    # gives a worst-row min-entropy of 0.0, not -0.0.
+    spec = {"kind": "markov1", "alphabet_size": 3,
+            "matrix": [[0, 1, 0], [0.5, 0.25, 0.25], [0.5, 0.5, 0]],
+            "initial": [0.25, 0.125, 0.625]}
+    assert run(["channel-info", "--channel", channel(spec)]) == 0
+    assert out_lines(capsys) == [
+        "kind: markov1", "alphabet_size: 3", f"min_entropy_bits: {-log2(0.625)!r}",
+        "min_entropy_bits_worst_row: 0.0", "doc 2: 0.625", "doc 0: 0.25", "doc 1: 0.125"]
+
+
+@pytest.mark.parametrize("option", ["--channel", "--count", "--copies", "--ecc-repetition",
+                                    "--key"])
+def test_a_shared_option_reads_the_same_on_every_command(option):
+    # One declaration per option, so its help, default and type cannot drift
+    # between commands.  simulate's --key is optional and says so; embed and
+    # extract share theirs.
+    commands = ["embed", "extract"] if option == "--key" else list(main.commands)
+    params = [p for name in commands for p in main.commands[name].params
+              if p.opts[0] == option]
+    expected = {"--channel": 6, "--key": 2}.get(option, 4)
+    assert len(params) == expected
+    assert all(p.help for p in params) or option == "--channel"
+    described = [(p.to_info_dict(), p.show_default) for p in params]
+    assert all(d == described[0] for d in described)
 
 
 def test_bench_smoke(tmp_path, channel, capsys):

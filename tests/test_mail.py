@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from stegomail import (Mail, ProtocolError, RngState, merge_by_date,
                        read_trace, write_trace)
 from stegomail import mail as mail_module
+from stegomail.cli import run
 from stegomail.mail import (_TRACE_CHUNK, _columns, _trace_columns, _trace_pieces,
                             format_trace, parse_trace)
 from stegomail.protocols import P1_ARRAYS, P2_ARRAYS
@@ -441,6 +442,31 @@ def test_write_trace_gives_the_mode_of_a_plain_open(tmp_path):
     write_trace(_columns([mk(0)]), path)
     assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
     assert sorted(os.listdir(tmp_path)) == ["plain", "trace.tsv"]
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o664])
+def test_write_trace_keeps_the_mode_of_the_file_it_replaces(mode, tmp_path, capsys):
+    # As open(path, "wb") keeps it: a private trace stays private, through the
+    # library writer and through `stegomail embed --out`.  Under a umask of
+    # 022, 0o664 loses its group write bit when the new file is created.
+    path = tmp_path / "trace.tsv"
+    path.write_text("stale\n")
+    path.chmod(mode)
+    umask = os.umask(0o022)
+    try:
+        write_trace(_columns([mk(0)]), path)
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert path.read_text() == "0\t0\taddress1\n"
+    message = tmp_path / "message.hex"
+    message.write_text("a5")
+    channel = os.path.join(os.path.dirname(__file__), "..", "channels", "uniform4.json")
+    assert run(["embed", "--protocol", "p2", "--key", "00" * 16, "--message", str(message),
+                "--channel", channel, "--seed", "1", "--out", str(path)]) == 0
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert len(path.read_text().splitlines()) == 8
+    assert sorted(os.listdir(tmp_path)) == ["message.hex", "trace.tsv"]
 
 
 def test_write_trace_through_a_symlink_writes_its_target(tmp_path):
