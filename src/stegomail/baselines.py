@@ -157,7 +157,7 @@ def s1_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
 def s1_extract(fn: BitFunction, docs: Sequence[int]) -> list[int]:
     docs = list(docs)  # _check_ids reads the ids three times, so an iterator is copied
     _check_ids(docs)
-    return fn.bits(map(encode_doc, docs))
+    return list(fn.bits(map(encode_doc, docs)))
 
 
 # --- s2: synchronized counter + repetition code --------------------------
@@ -197,7 +197,7 @@ def s2_extract(fn: BitFunction, counter: Counter, docs: Sequence[int],
     """Majority of the synchronized bits over each run of `repetition` documents.
 
     One counter value per document id; the ids and the counter are checked
-    before the one batched PRF call.
+    before the one batched PRF call, whose inputs are encoded lazily.
     """
     _check_repetition(repetition)
     _check_framing(docs, repetition)
@@ -244,8 +244,8 @@ def s3_extract(fn: BitFunction, docs: Sequence[int], copies: int) -> list[int]:
     _check_copies(copies, odd=False)
     _check_framing(docs, copies)
     _check_ids(docs)
-    return fn.bits([encode_tuple(docs[i:i + copies])
-                    for i in range(0, len(docs), copies)])
+    # `copies` references to one iterator: zip takes each bit's ids in turn.
+    return list(fn.bits(map(encode_tuple, zip(*[iter(docs)] * copies))))
 
 
 # --- s4: per-bit copies with two draws each -------------------------------

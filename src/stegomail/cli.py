@@ -30,8 +30,15 @@ from .security import (ALL_SYSTEMS, DISTINGUISHER_NAMES, SystemConfig,
 DEFAULT_BENCH_LENGTHS = "256,512,1024,2048,4096,8192,16384"
 
 # Options that several commands take, each declared once.
-_CHANNEL = click.option("--channel", required=True, type=click.Path(exists=True, dir_okay=False))
+_CHANNEL = click.option("--channel", required=True, type=click.Path(exists=True, dir_okay=False),
+                        help="Channel distribution as a JSON file.")
 _KEY = click.option("--key", "key_hex", required=True, help="Secret key as hex.")
+_PROTOCOL = click.option("--protocol", type=click.Choice(list(ARRAYS)), required=True,
+                         help="Email stegosystem.")
+_COUNTER = click.option("--counter", default=0, show_default=True, help="Initial counter value.")
+_SEED = click.option("--seed", required=True, type=int, help="Seed of the run's random stream.")
+_RANDOM_FN = click.option("--random-fn", is_flag=True,
+                          help="Replace the keyed PRF by a random function.")
 _COUNT = click.option("--count", default=None, type=int, help="Rejection-sampling budget (s1/s3).")
 _COPIES = click.option("--copies", default=3, show_default=True, help="Documents per bit (s3/s4).")
 _REPETITION = click.option("--ecc-repetition", "repetition", default=5, show_default=True,
@@ -68,15 +75,15 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--protocol", type=click.Choice(list(ARRAYS)), required=True)
+@_PROTOCOL
 @_KEY
-@click.option("--counter", default=0, show_default=True, help="Initial counter value.")
+@_COUNTER
 @click.option("--message", "message_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--message-format", type=click.Choice(["hex", "raw"]),
               default="hex", show_default=True)
 @_CHANNEL
-@click.option("--seed", required=True, type=int)
+@_SEED
 @click.option("--start-tick", default=0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def embed(protocol, key_hex, counter, message_path, message_format,
@@ -94,9 +101,9 @@ def embed(protocol, key_hex, counter, message_path, message_format,
 
 
 @main.command()
-@click.option("--protocol", type=click.Choice(list(ARRAYS)), required=True)
+@_PROTOCOL
 @_KEY
-@click.option("--counter", default=0, show_default=True)
+@_COUNTER
 @click.option("--in", "in_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--in2", "in2_path", default=None,
@@ -131,8 +138,8 @@ def extract(protocol, key_hex, counter, in_path, in2_path) -> None:
 @_COUNT
 @_COPIES
 @_REPETITION
-@click.option("--random-fn", is_flag=True, help="Replace the keyed PRF by a random function.")
-@click.option("--seed", required=True, type=int)
+@_RANDOM_FN
+@_SEED
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False),
               help="Write the per-trial CSV here; aggregate always goes to stdout.")
 def simulate(system, channel, key_hex, bits, trials, count, copies,
@@ -171,8 +178,8 @@ def simulate(system, channel, key_hex, bits, trials, count, copies,
 @_COUNT
 @_COPIES
 @_REPETITION
-@click.option("--random-fn", is_flag=True)
-@click.option("--seed", required=True, type=int)
+@_RANDOM_FN
+@_SEED
 def attack(system, distinguisher, channel, trials, bits_per_game,
            significance, count, copies, repetition, random_fn, seed) -> None:
     """Run the ST/CT distinguishing game; one CSV result row."""
@@ -194,7 +201,7 @@ def attack(system, distinguisher, channel, trials, bits_per_game,
 @_COUNT
 @_COPIES
 @_REPETITION
-@click.option("--seed", required=True, type=int)
+@_SEED
 def rate(systems, channel, bits, count, copies, repetition, seed) -> None:
     """Measured transmission rate (hiddentext bits per document)."""
     spec = load_channel_file(channel)
@@ -241,7 +248,7 @@ def channel_info(channel) -> None:
 @_COPIES
 @_REPETITION
 @click.option("--repeats", default=3, show_default=True)
-@click.option("--seed", required=True, type=int)
+@_SEED
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
 def bench(systems, lengths, channel, count, copies, repetition, repeats,
           seed, out_path) -> None:

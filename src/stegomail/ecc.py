@@ -32,9 +32,7 @@ def dec(bits: Sequence[int], r: int = 5) -> list[int]:
     if len(bits) % r:
         raise ProtocolError(
             f"coded length {len(bits)} is not a multiple of repetition factor {r}")
-    half = r // 2
-    return [1 if sum(bits[i:i + r]) > half else 0
-            for i in range(0, len(bits), r)]
+    return [1 if sum(bits[i:i + r]) > r // 2 else 0 for i in range(0, len(bits), r)]
 
 
 # Byte-wide tables for the codecs: ASCII "0"/"1" to bit values, and any

@@ -23,9 +23,8 @@ from .errors import ConfigError, ProtocolError
 # character str.splitlines breaks a line at.
 _SEPARATOR = re.compile("[,\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
-# Rows write_trace formats per format_trace call, and rows the extractors
-# evaluate per batched PRF call: each holds its line strings, text or PRF
-# inputs for one chunk only.
+# Rows write_trace formats per format_trace call: it holds the line strings
+# and text of one chunk only.
 _TRACE_CHUNK = 4096
 
 # Bytes a trace file is read in: each piece is cut just after its last

@@ -19,8 +19,8 @@ import hashlib
 import random
 import struct
 from dataclasses import dataclass
-from itertools import count
-from typing import Iterable, Sequence
+from itertools import count, repeat
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError, CounterError
 from .rng import RngState
@@ -122,14 +122,14 @@ class BitFunction:
         """The function's bit for an already-encoded input."""
         return self.bits((data,))[0]
 
-    def bits(self, inputs: Iterable[bytes]) -> list[int]:
-        """The function's bit for each encoded input, in one call.
+    def bits(self, inputs: Iterable[bytes]) -> bytearray:
+        """The function's bit for each encoded input, one byte each, in one call.
 
         The extractors evaluate a whole message at once.  The random oracle
         answers in input order, so it spends its coins exactly as one
         ``bit`` call per input would, a repeated input included.
         """
-        out: list[int] = []
+        out = bytearray()
         append = out.append
         if self._keyed_hash is not None:
             copy = self._keyed_hash.copy
@@ -153,13 +153,13 @@ def encode_doc(doc_id: int) -> bytes:
     return _TAG_DOC + doc_id.to_bytes(8, "big")
 
 
-def encode_sync_run(value: int, ids: Iterable[int]) -> list[bytes]:
-    """F2 inputs of consecutive counter values ``value, value + 1, ...``.
+def encode_sync_run(value: int, ids: Iterable[int]) -> Iterator[bytes]:
+    """F2 inputs of consecutive counter values ``value, value + 1, ...``, lazily.
 
     Each is the tag ``F2``, then the counter value and the document id,
     both 8 bytes big-endian: the inputs a synchronized extractor evaluates.
     """
-    return [_pack_sync(_TAG_SYNC, v, i) for v, i in zip(count(value), ids)]
+    return map(_pack_sync, repeat(_TAG_SYNC), count(value), ids)
 
 
 def encode_tuple(ids: Sequence[int]) -> bytes:

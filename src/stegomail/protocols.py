@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 from .baselines import EmbedStats
 from .channel import ChannelSpec, sample_id
 from .errors import ConfigError, ProtocolError
-from .mail import _TRACE_CHUNK, Mail, _columns, _mails, merge_by_date
+from .mail import Mail, _columns, _mails, merge_by_date
 from .prf import BitFunction, Counter, encode_sync_run, eval_bit_sync
 from .rng import RngState
 
@@ -136,19 +136,14 @@ def _extract(fn: BitFunction, counter: Counter,
     `received` is what ``_receive`` returns.  Its fault is raised first, as
     a ``ProtocolError``, then counter headroom is checked, all before the
     first PRF evaluation, so an extract that fails leaves the counter as it
-    was.  The PRF is evaluated in one batched call per _TRACE_CHUNK mails.
+    was.  The PRF is evaluated in one batched call over lazily encoded inputs.
     """
     ids, flips, fault = received
     if fault is not None:
         raise ProtocolError(fault)
-    n = len(ids)
-    counter.check_headroom(n)
-    bits: list[int] = []
-    for start in range(0, n, _TRACE_CHUNK):
-        end = start + _TRACE_CHUNK
-        bits += map(xor, fn.bits(encode_sync_run(counter.value + start, ids[start:end])),
-                    flips[start:end])
-    counter.value += n
+    counter.check_headroom(len(ids))
+    bits = list(map(xor, fn.bits(encode_sync_run(counter.value, ids)), flips))
+    counter.value += len(ids)
     return bits
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+import tracemalloc
 from dataclasses import astuple
 from itertools import product
 from pathlib import Path
@@ -17,7 +18,7 @@ from stegomail import (BitFunction, ChannelSpec, ConfigError, Counter,
                        s2_extract, s3_embed, s3_extract, s4_embed, s4_extract)
 from stegomail.channel import sample_id
 from stegomail.protocols import P1_ARRAYS
-from stegomail.security import ct_oracle
+from stegomail.security import SystemConfig, ct_oracle, embed_message, extract_message
 
 from conftest import TEST_CHANNELS, find_key_where, point_mass
 
@@ -565,6 +566,28 @@ def test_extractors_match_per_document_calls(mode):
     if mode == "random_oracle":
         assert fn.table == ref.table
         assert fn._coins.random() == ref._coins.random()
+
+
+@pytest.mark.parametrize("cfg", [SystemConfig("s2", repetition=5), SystemConfig("s4", copies=5),
+                                 SystemConfig("s3", copies=3)], ids=["s2", "s4", "s3"])
+def test_extract_holds_few_bytes_per_message_bit(cfg):
+    # The PRF inputs are encoded as they are evaluated and the coded bits
+    # take one byte each; holding every F2 input at once came to 344 B per
+    # message bit for s2, and the tuple encodings to 88 B for s3.  A keyed
+    # function, since the random oracle's table keeps every input it saw.
+    bits = 1 << 14
+    rng = RngState(59)
+    m = [rng.randrange(2) for _ in range(bits)]
+    fn = BitFunction.keyed(Key.generate(rng))
+    docs = embed_message(cfg, fn, m, ChannelSpec.uniform(1024), rng)
+    tracemalloc.start()
+    try:
+        got = extract_message(cfg, fn, docs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert type(got) is list and len(got) == bits
+    assert peak < 32 * bits, peak / bits
 
 
 def test_zero_copies_is_a_config_error():

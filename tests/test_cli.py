@@ -400,7 +400,8 @@ def test_channel_info_reads_the_first_draw_of_a_markov1_channel(channel, capsys)
 
 
 @pytest.mark.parametrize("option", ["--channel", "--count", "--copies", "--ecc-repetition",
-                                    "--key"])
+                                    "--key", "--protocol", "--counter", "--seed",
+                                    "--random-fn"])
 def test_a_shared_option_reads_the_same_on_every_command(option):
     # One declaration per option, so its help, default and type cannot drift
     # between commands.  simulate's --key is optional and says so; embed and
@@ -408,9 +409,10 @@ def test_a_shared_option_reads_the_same_on_every_command(option):
     commands = ["embed", "extract"] if option == "--key" else list(main.commands)
     params = [p for name in commands for p in main.commands[name].params
               if p.opts[0] == option]
-    expected = {"--channel": 6, "--key": 2}.get(option, 4)
+    expected = {"--channel": 6, "--key": 2, "--protocol": 2, "--counter": 2, "--seed": 5,
+                "--random-fn": 2}.get(option, 4)
     assert len(params) == expected
-    assert all(p.help for p in params) or option == "--channel"
+    assert all(p.help for p in params)
     described = [(p.to_info_dict(), p.show_default) for p in params]
     assert all(d == described[0] for d in described)
 
