@@ -65,7 +65,7 @@ class Key:
 class Counter:
     """Synchronized 64-bit counter shared by sender and receiver.
 
-    One increment per one-bit embed and per one-bit extract.  Every F2
+    One increment per document sent and per document read.  Every F2
     input encodes the value in 8 big-endian bytes, so wrapping past 2**64
     is treated as a hard error rather than silent modular reuse of PRF
     inputs.  A counter at value ``v`` therefore allows ``2**64 - 1 - v``

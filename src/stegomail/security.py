@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import gc
 import time
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import log2, sqrt
 from operator import ne
 from statistics import linear_regression
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .baselines import (EmbedStats, s1_embed, s1_extract, s2_embed, s2_extract,
                         s3_embed, s3_extract, s4_embed, s4_extract)
@@ -109,8 +110,11 @@ def extract_message(cfg: SystemConfig, fn: BitFunction, outputs) -> list[int]:
     """Invert the configured system's embedder on its emitted sequence.
 
     A ``p1`` sequence is read as sent, so it must be in send order; two
-    separate mailboxes go through ``p1_extract``, which merges them.
+    separate mailboxes go through ``p1_extract``, which merges them.  An
+    iterator is read into a list first; a sequence is read as it is.
     """
+    if not isinstance(outputs, Sequence):
+        outputs = list(outputs)
     if cfg.system == "s1":
         return s1_extract(fn, outputs)
     if cfg.system == "s2":
@@ -120,7 +124,7 @@ def extract_message(cfg: SystemConfig, fn: BitFunction, outputs) -> list[int]:
     if cfg.system == "s4":
         return s4_extract(fn, Counter(), outputs, copies=cfg.copies)
     if cfg.system == "p1":
-        return _extract(fn, Counter(), _receive("p1", [_columns(list(outputs))]))
+        return _extract(fn, Counter(), _receive("p1", [_columns(outputs)]))
     return p2_extract(fn, Counter(), outputs)
 
 

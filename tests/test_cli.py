@@ -991,6 +991,26 @@ def test_attack_csv_is_pinned(system, fn_flag, monkeypatch, capsys):
     assert digest == GOLDEN_ATTACK[system, fn_flag]
 
 
+# SHA-256 of the keyed address-frequency attack's stdout over
+# channels/uniform1024.json at longer games; recorded when the binomial tail
+# up to 4096 trials was an exact integer sum, so they hold the saddle-point
+# tail to the same decisions.
+GOLDEN_LONG_ATTACK = {
+    ("p1", 1000): "4e56f44dcc4d49d52a58aa0eef5d682151c2c0b2ff77a4cebed275193c5960d5",
+    ("p2", 4096): "8945792de6bd9b3436adc0afa397092d83132963b14b37d0bc17860a30c9366d",
+}
+
+
+@pytest.mark.parametrize("system, bits", sorted(GOLDEN_LONG_ATTACK))
+def test_long_address_frequency_attack_is_pinned(system, bits, monkeypatch, capsys):
+    monkeypatch.chdir(REPO)
+    assert run(["attack", "--system", system, "--distinguisher", "address-frequency",
+                "--channel", "channels/uniform1024.json", "--trials", "100",
+                "--bits-per-game", str(bits), "--seed", "5"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN_LONG_ATTACK[system, bits]
+
+
 # SHA-256 of `rate --system all`'s stdout; recorded before the rate was
 # taken from a round trip.
 GOLDEN_RATE = {

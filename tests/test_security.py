@@ -455,13 +455,16 @@ def test_extract_message_p1_reads_the_sequence_in_send_order():
         extract_message(cfg, fn, mails)
 
 
-@pytest.mark.parametrize("name", ["p1", "p2"])
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
 def test_extract_message_reads_an_iterator_as_the_list(name):
     cfg = SystemConfig(name)
     fn = make_fn(cfg, RngState(55))
     m = RngState(57).bits(24)
-    mails = embed_message(cfg, fn, m, UNIFORM_4, RngState(59))
-    assert extract_message(cfg, fn, iter(mails)) == extract_message(cfg, fn, mails) == m
+    out = embed_message(cfg, fn, m, UNIFORM_4, RngState(59))
+    got = extract_message(cfg, fn, out)
+    assert extract_message(cfg, fn, iter(out)) == got
+    if name in ("p1", "p2"):  # s2 and s4 are unreliable by design (criterion 4)
+        assert got == m
 
 
 @pytest.mark.parametrize("name", ["p1", "p2"])
