@@ -27,8 +27,8 @@ _SEPARATOR = re.compile("[,\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 # and text of one chunk only.
 _TRACE_CHUNK = 4096
 
-# Bytes a trace file is read in: each piece is cut just after its last
-# "\n", so it ends a line (a piece with none grows until one is read).
+# Bytes a trace file is read in: each piece is one read and the rest of
+# its last line, so it ends a line and decodes alone.
 _READ_PIECE = 1 << 16
 
 # Distinct id or address fields the trace parser remembers: past this
@@ -236,37 +236,25 @@ def write_trace(columns, path) -> None:
 
 
 def _trace_pieces(path) -> Iterator[str]:
-    """A trace file's text, about _READ_PIECE bytes at a time.
+    """A trace file's text, a piece at a time: one read of _READ_PIECE bytes
+    and the rest of its last line (the next line, if the read ends one).
 
-    Each piece is cut just after a "\n" (the last one ends where the file
-    does).  A "\n" never starts a two-character line break, so the pieces'
-    lines are the lines of the whole text.  A piece is cut between whole
-    characters, so its UTF-8 decodes alone.
+    Each piece but the last ends just after a "\n".  A "\n" never starts a
+    two-character line break, so the pieces' lines are the lines of the
+    whole text, and a piece is cut between whole characters, so its UTF-8
+    decodes alone; a byte that is not UTF-8 is named by its offset in the
+    file.
     """
     with open(path, "rb") as f:
-        offset, held = 0, []
-        while block := f.read(_READ_PIECE):
-            cut = block.rfind(b"\n") + 1
-            if not cut:
-                held.append(block)
-                continue
-            held.append(block[:cut])
-            data = b"".join(held)
-            yield _decode_piece(data, path, offset)
+        offset = 0
+        while data := f.read(_READ_PIECE) + f.readline():
+            try:
+                text = data.decode()
+            except UnicodeDecodeError as e:
+                raise ProtocolError(f"trace file {path} is not UTF-8 text: {e.reason} "
+                                    f"at byte {offset + e.start}") from e
+            yield text
             offset += len(data)
-            held = [block[cut:]]
-        if data := b"".join(held):
-            yield _decode_piece(data, path, offset)
-
-
-def _decode_piece(data: bytes, path, offset: int) -> str:
-    """A piece of a trace file as text; a byte that is not UTF-8 is named by
-    its offset in the file."""
-    try:
-        return data.decode()
-    except UnicodeDecodeError as e:
-        raise ProtocolError(f"trace file {path} is not UTF-8 text: {e.reason} "
-                            f"at byte {offset + e.start}") from e
 
 
 def read_trace(path) -> list[Mail]:

@@ -474,7 +474,7 @@ def benchmark_scaling(cfg: SystemConfig, spec: ChannelSpec,
     with _gc_paused():
         for rep in range(repeats):
             for idx, bits in enumerate(lengths):
-                trial_rng = rng.spawn(idx * 1000 + rep)
+                trial_rng = rng.spawn(idx).spawn(rep)
                 runs = 0
                 embed_s = extract_s = 0.0
                 while embed_s + extract_s < _MIN_SAMPLE_S:

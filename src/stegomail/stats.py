@@ -57,18 +57,13 @@ def chi2_sf(x: float, dof: int) -> float:
 def _stirlerr(n: int) -> float:
     """log(n!) - log(sqrt(2 pi n) (n/e)^n), the error of Stirling's formula.
 
-    Loader's series for n > 15; below it lgamma, whose cancellation there
-    costs ~1e-14 absolute, a relative ~1e-14 on the binomial term.
+    Five terms of Loader's series for every n > 15; below it lgamma, whose
+    cancellation there costs ~1e-14 absolute, a relative ~1e-14 on the
+    binomial term.
     """
     if n <= 15:
         return lgamma(n + 1.0) - (n + 0.5) * log(n) + n - 0.5 * _LN_2PI
     nn = float(n) * n
-    if n > 500:
-        return (1 / 12 - 1 / 360 / nn) / n
-    if n > 80:
-        return (1 / 12 - (1 / 360 - 1 / 1260 / nn) / nn) / n
-    if n > 35:
-        return (1 / 12 - (1 / 360 - (1 / 1260 - 1 / 1680 / nn) / nn) / nn) / n
     return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
 
 

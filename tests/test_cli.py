@@ -871,23 +871,30 @@ def test_non_utf8_byte_names_its_offset_in_the_file(tmp_path, capsys, monkeypatc
         f"invalid start byte at byte {whole.value.start}\n")
 
 
-@pytest.mark.parametrize("later_piece", [False, True], ids=["same-piece", "later-piece"])
-def test_malformed_line_before_a_non_utf8_piece_wins(later_piece, tmp_path, capsys,
-                                                     monkeypatch):
+@pytest.mark.parametrize("case", ["same-piece", "later-piece", "straddling"])
+def test_malformed_line_before_a_non_utf8_piece_wins(case, tmp_path, capsys, monkeypatch):
     # Each piece is decoded just before its lines are parsed, so a byte that
     # is not UTF-8 wins within its own piece, but a malformed line in an
     # earlier piece is reported first; a trace read as a p1 mailbox through
-    # --in2 is read the same way.
+    # --in2 is read the same way.  A piece is one read and the rest of its
+    # last line, so a byte on the line that a read ends in is that read's.
     trace, empty = tmp_path / "trace.tsv", tmp_path / "empty.tsv"
-    trace.write_bytes(b"0\t1\n" + b"1\t1\taddress1\n" * 40 + b"41\t2\taddress\xff\n")
+    if case == "straddling":
+        # Line 6 runs from byte 56 across byte 64, and byte 88 on it is bad.
+        trace.write_bytes(b"0\t1\n" + b"1\t1\taddress1\n" * 4 + b"5\t2\t" + b"a" * 28 + b"\xff\n")
+    else:
+        trace.write_bytes(b"0\t1\n" + b"1\t1\taddress1\n" * 40 + b"41\t2\taddress\xff\n")
     empty.write_text("")
-    if later_piece:
+    if case != "same-piece":
         monkeypatch.setattr(mail_module, "_READ_PIECE", 64)
     for inputs in (["--in", str(trace)], ["--in", str(empty), "--in2", str(trace)]):
         assert run(["extract", "--protocol", "p1", "--key", KEY, *inputs]) == 3
         err = capsys.readouterr().err
-        if later_piece:
+        if case == "later-piece":
             assert err == "protocol error: trace line 1: expected 3 tab-separated fields\n"
+        elif case == "straddling":
+            assert err == (f"protocol error: trace file {trace} is not UTF-8 text: "
+                           "invalid start byte at byte 88\n")
         else:
             assert "not UTF-8" in err
 

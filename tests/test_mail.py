@@ -406,6 +406,8 @@ def test_trace_pieces_end_lines_and_rebuild_the_file(tmp_path, size, monkeypatch
     pieces = list(_trace_pieces(path))
     assert "".join(pieces) == text
     assert all(piece.endswith("\n") for piece in pieces[:-1])
+    # A piece holds at least one whole read, and the line that read ends in.
+    assert all(len(piece.encode()) >= size for piece in pieces[:-1])
     # A piece holds at most one read past its last full line.
     longest = max(map(len, text.splitlines(keepends=True)))
     assert max(map(len, pieces)) <= longest + size

@@ -513,6 +513,22 @@ def test_benchmark_scaling_smoke():
     assert 0.5 <= report.embed_slope <= 1.5
 
 
+def test_benchmark_scaling_gives_every_sample_its_own_stream(monkeypatch):
+    # A thousand repeats and more: (length 0, repeat 1000) is not (length 1,
+    # repeat 0).  One run per sample, so each path is one sample's.
+    paths = []
+    round_trip = security._round_trip
+
+    def recording(cfg, spec, bits, trial_rng):
+        paths.append(trial_rng.path)
+        return round_trip(cfg, spec, bits, trial_rng)
+
+    monkeypatch.setattr(security, "_MIN_SAMPLE_S", 1e-12)
+    monkeypatch.setattr(security, "_round_trip", recording)
+    benchmark_scaling(SystemConfig("p1"), UNIFORM_4, [1, 2], RngState(5), repeats=1001)
+    assert len(set(paths)) == 2002
+
+
 # (p_st, p_ct) of one 100-trial s1 game; recorded before the game's two
 # sides shared one body.
 GOLDEN_S1_GAME = (0.44, 0.05)

@@ -85,14 +85,15 @@ def _exact_binom_half_pvalues(n):
 
 def _k_grid(n):
     # Around the centre, where the ratio sum is longest, out to the far tail,
-    # and the small m where Stirling's error term switches method.
+    # and small m, where Stirling's error term switches from lgamma to its
+    # series (15, 16).
     root = math.isqrt(n)
     return sorted({n // 2 + d for d in (1, 2, 37, root, 3 * root, 6 * root, 20 * root)}
                   | {n // 2 - 37, 1, 15, 16, 35, 36, 80, 81, 500, 501, n // 4, n - 3})
 
 
-@pytest.mark.parametrize("n", [*range(1, 61), 99, 100, 101, 399, 1000, 4095,
-                               4096, 4097, 5000, 10007, 16384])
+@pytest.mark.parametrize("n", [*range(1, 61), 80, 81, 99, 100, 101, 399, 500, 501, 1000,
+                               4095, 4096, 4097, 5000, 10007, 16384])
 def test_binom_half_pvalue_matches_the_integer_sum(n):
     # Every k up to 4095 trials; past it the grid.  Below the smallest normal
     # float the p-value is subnormal and keeps fewer digits, hence abs_tol.
