@@ -16,10 +16,11 @@ Each embedder draws its first document conditioned on `prev`, the id of
 the last document already sent (None before any), and every channel
 draw / PRF query is tallied in EmbedStats so that rate and work-bound
 claims can be checked on real runs rather than asserted.  Each checks
-`prev` with ``spec.row`` before its first draw, and s2 and s4 check
-counter headroom there too.  Documents are plain int ids, and each
-extractor checks the ids it is given before its first PRF evaluation, so
-a failed embed or extract mutates nothing.
+its message bits and `prev` (with ``spec.row``) before its first draw,
+and s2 and s4 then take a counter value per document in one step.
+Documents are plain int ids, and each extractor checks the ids it is
+given before its first PRF evaluation, so a failed embed or extract
+mutates nothing.
 """
 
 from __future__ import annotations
@@ -72,6 +73,19 @@ def _budget(fn: BitFunction, count: int | None) -> int:
     return 128 if fn.key is None else 8 * len(fn.key.data)
 
 
+def _check_bits(m: Sequence[int]) -> None:
+    """Raise ConfigError unless every message value is 0 or 1, in one C pass.
+
+    True and False pass: they equal 1 and 0.
+    """
+    try:
+        if set(m) <= {0, 1}:
+            return
+    except TypeError:  # an unhashable value is no bit either
+        pass
+    raise ConfigError("message bits must be 0 or 1")
+
+
 def _check_copies(copies: int, odd: bool) -> None:
     if copies < 1 or (odd and copies % 2 == 0):
         parity = "odd and " if odd else ""
@@ -114,6 +128,7 @@ def s1_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
     never fills and nothing is skipped.
     """
     count = _budget(fn, count)
+    _check_bits(m)
     spec.row(prev)
     gen = rng._rand  # rng.random()'s generator; reading _rand seeds it
     rand, getrandbits = gen.random, gen.getrandbits
@@ -173,20 +188,19 @@ def s2_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
     evaluated, the last included: the random oracle draws a coin at each
     new input.
     """
+    _check_bits(m)
     spec.row(prev)
     coded = enc(m, repetition)
-    counter.check_headroom(len(coded))
     docs = []
     draws = 0
-    for bit in coded:
+    for value, bit in enumerate(coded, counter.take(len(coded))):
         for n in range(1, 3):
             drawn = sample_id(spec, prev, rng)
-            if eval_bit_sync(fn, counter, drawn) == bit:
+            if eval_bit_sync(fn, value, drawn) == bit:
                 break
         draws += n
         prev = drawn
         docs.append(drawn)
-        counter.value += 1
     if stats is not None:
         stats.add(draws, len(m), len(docs), draws)
     return docs
@@ -196,16 +210,13 @@ def s2_extract(fn: BitFunction, counter: Counter, docs: Sequence[int],
                repetition: int = 5) -> list[int]:
     """Majority of the synchronized bits over each run of `repetition` documents.
 
-    One counter value per document id; the ids and the counter are checked
+    The ids are checked, and then the counter takes one value per id,
     before the one batched PRF call, whose inputs are encoded lazily.
     """
     _check_repetition(repetition)
     _check_framing(docs, repetition)
     _check_ids(docs)
-    counter.check_headroom(len(docs))
-    coded = fn.bits(encode_sync_run(counter.value, docs))
-    counter.value += len(docs)
-    return dec(coded, repetition)
+    return dec(fn.bits(encode_sync_run(counter.take(len(docs)), docs)), repetition)
 
 
 # --- s3: tuple-valued rejection sampling ----------------------------------
@@ -220,6 +231,7 @@ def s3_embed(fn: BitFunction, m: Sequence[int], spec: ChannelSpec,
     """
     count = _budget(fn, count)
     _check_copies(copies, odd=False)
+    _check_bits(m)
     spec.row(prev)
     docs: list[int] = []
     evals = 0
@@ -255,22 +267,21 @@ def s4_embed(fn: BitFunction, counter: Counter, m: Sequence[int],
              stats: EmbedStats | None = None, prev: int | None = None) -> list[int]:
     """Emit `copies` documents per bit, each the better of two draws.
 
-    Sender and receiver consume the same counter values in the same order,
-    one per emitted document.  The PRF takes the first draw's id.
+    Each document carries one bit of ``enc(m, copies)`` and one counter
+    value, as in s2.  The PRF takes the first draw's id.
     """
     _check_copies(copies, odd=True)
+    _check_bits(m)
     spec.row(prev)
-    counter.check_headroom(len(m) * copies)
+    coded = enc(m, copies)
     docs = []
-    for bit in m:
-        for _ in range(copies):
-            kept = sample_id(spec, prev, rng)
-            second = sample_id(spec, prev, rng)
-            if eval_bit_sync(fn, counter, kept) != bit:
-                kept = second
-            counter.value += 1
-            prev = kept
-            docs.append(kept)
+    for value, bit in enumerate(coded, counter.take(len(coded))):
+        kept = sample_id(spec, prev, rng)
+        second = sample_id(spec, prev, rng)
+        if eval_bit_sync(fn, value, kept) != bit:
+            kept = second
+        prev = kept
+        docs.append(kept)
     if stats is not None:
         stats.add(2 * len(docs), len(m), len(docs), len(docs))
     return docs

@@ -23,7 +23,7 @@ from itertools import accumulate
 from math import isfinite, log2
 from typing import Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, _quote
 from .rng import RngState
 
 SUM_TOLERANCE = 1e-9
@@ -215,11 +215,11 @@ def load_channel_spec(text: str) -> ChannelSpec:
     # int() would accept true as 1 and truncate 1.9 to 1.
     if isinstance(raw_size, bool) or (isinstance(raw_size, float)
                                       and not raw_size.is_integer()):
-        raise ConfigError(f"alphabet_size must be an integer, got {raw_size!r}")
+        raise ConfigError(f"alphabet_size must be an integer, got {_quote(raw_size)}")
     try:
         alphabet_size = int(raw_size)
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"alphabet_size must be an integer, got {raw_size!r}") from e
+        raise ConfigError(f"alphabet_size must be an integer, got {_quote(raw_size)}") from e
     # ChannelSpec takes any sequence, but a JSON string or object is not a
     # vector: its characters or keys would be read as probabilities.
     for field in ("probs", "initial", "matrix"):

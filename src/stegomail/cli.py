@@ -18,7 +18,7 @@ import click
 from .baselines import EmbedStats
 from .channel import load_channel_file, min_entropy
 from .ecc import bits_from_bytes, bits_from_hex, hex_from_bits
-from .errors import ConfigError, CounterError, ProtocolError
+from .errors import ConfigError, CounterError, ProtocolError, _quote
 from .mail import _trace_columns, _trace_pieces, read_trace, write_trace
 from .prf import BitFunction, Counter, Key
 from .protocols import ARRAYS, _embed, _extract, _receive, p1_extract
@@ -92,12 +92,13 @@ def embed(protocol, key_hex, counter, message_path, message_format,
     spec = load_channel_file(channel)
     bits = _read_message_bits(message_path, message_format)
     stats = EmbedStats()
-    # The mails go to the writer as compact columns, with no Mail per bit.
-    write_trace(_embed(BitFunction.keyed(Key.from_hex(key_hex)), Counter(counter), protocol,
-                       bits, spec, RngState(seed), start_tick, stats, None), out_path)
+    # A bad key fails before a bad counter; the mails go as columns, no Mail per bit.
+    fn, counter = BitFunction.keyed(Key.from_hex(key_hex)), Counter(counter)
+    write_trace(_embed(fn, counter, protocol, bits, spec, RngState(seed), start_tick,
+                       stats, None), out_path)
     click.echo(f"embedded {stats.bits_embedded} bits into {stats.docs_emitted} mails "
                f"({stats.samples_drawn} channel draws) -> {out_path}")
-    click.echo(f"next counter: {counter + len(bits)}")
+    click.echo(f"next counter: {counter.value}")
 
 
 @main.command()
@@ -257,7 +258,8 @@ def bench(systems, lengths, channel, count, copies, repetition, repeats,
     try:
         sizes = [int(x) for x in lengths.split(",")]
     except ValueError as e:
-        raise ConfigError(f"--lengths must be comma-separated integers, got {lengths!r}") from e
+        raise ConfigError(
+            f"--lengths must be comma-separated integers, got {_quote(lengths)}") from e
     names = [name.strip() for name in systems.split(",")]
     lines = [_config_header(systems=",".join(names), lengths=",".join(map(str, sizes))),
              "system,bits,embed_seconds,extract_seconds,samples_drawn,"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, _quote
 
 
 def _check_repetition(r: int) -> None:
@@ -71,7 +71,7 @@ def bits_from_hex(text: str) -> list[int]:
     try:
         return bits_from_bytes(bytes.fromhex(compact))
     except ValueError as e:
-        raise ConfigError(f"not valid hex: {text!r}") from e
+        raise ConfigError(f"not valid hex: {_quote(text)}") from e
 
 
 def hex_from_bits(bits: Sequence[int]) -> str:

@@ -16,12 +16,17 @@ from operator import attrgetter, lt
 from typing import Iterable, Iterator, Sequence
 
 from .channel import Document
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, _quote
 
 
-# The trace's field and line separators: a comma, a tab, and every
-# character str.splitlines breaks a line at.
-_SEPARATOR = re.compile("[,\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+# Every character str.splitlines breaks a line at.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+# The trace's field and line separators: a comma, a tab, and every line break.
+_SEPARATOR = re.compile(f"[,\t{_LINE_BREAKS}]")
+
+# The line breaks in UTF-8, as the trace reader finds them in the bytes it reads.
+_LINE_BREAK_BYTES = re.compile(b"|".join(map(str.encode, _LINE_BREAKS)))
 
 # Rows write_trace formats per format_trace call: it holds the line strings
 # and text of one chunk only.
@@ -30,6 +35,12 @@ _TRACE_CHUNK = 4096
 # Bytes a trace file is read in: each piece is one read and the rest of
 # its last line, so it ends a line and decodes alone.
 _READ_PIECE = 1 << 16
+
+# Bytes of a line that a piece may hold past its read, its break included:
+# room for every line format_trace writes for p1 or p2, a 4300-digit
+# tick (int's string limit), a 20-digit id and the 17-character address
+# field "address1,address2" among them.
+_LINE_MAX = 1 << 13
 
 # Distinct id or address fields the trace parser remembers: past this
 # many, at the end of a piece, it forgets them all, so a trace of many
@@ -68,11 +79,11 @@ class Mail(namedtuple("Mail", ("doc", "addresses", "sent_at"))):
         for a in addresses:
             if _SEPARATOR.search(a):
                 raise ProtocolError(
-                    f"recipient address {a!r} holds a comma, tab or line break")
+                    f"recipient address {_quote(a)} holds a comma, tab or line break")
             try:
                 a.encode()  # a trace is UTF-8, and a lone surrogate has no UTF-8 form
             except UnicodeEncodeError:
-                raise ProtocolError(f"recipient address {a!r} is not UTF-8 text") from None
+                raise ProtocolError(f"recipient address {_quote(a)} is not UTF-8 text") from None
 
     @classmethod
     def _make(cls, iterable: Iterable) -> Mail:
@@ -201,7 +212,8 @@ def write_trace(columns, path) -> None:
     or shorter than the others, leaves `path` as it was.  The new file gets
     the mode ``open(path, "wb")`` would give, and an error opening it names
     `path`.  A `path` that exists and is no regular file, such as a device,
-    is written in place.
+    is written in place.  No line's length is checked: ``read_trace`` is
+    sure to read back only lines shorter than _LINE_MAX bytes.
     """
     ticks, ids, addresses = map(iter, columns)
     target = os.path.realpath(path)
@@ -243,11 +255,26 @@ def _trace_pieces(path) -> Iterator[str]:
     two-character line break, so the pieces' lines are the lines of the
     whole text, and a piece is cut between whole characters, so its UTF-8
     decodes alone; a byte that is not UTF-8 is named by its offset in the
-    file.
+    file.  The rest of the last line is read up to _LINE_MAX bytes.  If it
+    holds that many with no "\n", its line has ended at another break, and
+    the piece ends after the last one, which is carried to the next piece;
+    if it holds none, its line has _LINE_MAX bytes or more and is refused.
+    So a piece holds at most _READ_PIECE + 2 * _LINE_MAX + 1 bytes whatever
+    the file.
     """
     with open(path, "rb") as f:
-        offset = 0
-        while data := f.read(_READ_PIECE) + f.readline():
+        offset, carry = 0, b""
+        while data := carry + f.read(_READ_PIECE) + (rest := f.readline(_LINE_MAX)):
+            carry = b""
+            if len(rest) == _LINE_MAX and not rest.endswith(b"\n"):
+                # A break may start in the two bytes before the rest, and a
+                # final "\r" may start "\r\n", so it ends no line here.
+                found = _LINE_BREAK_BYTES.finditer(data, len(data) - _LINE_MAX - 2)
+                ends = [m.end() for m in found if m.end() < len(data) or m[0] != b"\r"]
+                if not ends:
+                    raise ProtocolError(f"trace file {path} has a line of {_LINE_MAX} or more "
+                                        f"bytes at byte {offset + len(data)}")
+                data, carry = data[:ends[-1]], data[ends[-1]:]
             try:
                 text = data.decode()
             except UnicodeDecodeError as e:

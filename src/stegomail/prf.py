@@ -52,7 +52,8 @@ class Key:
         try:
             raw = bytes.fromhex(text.strip())
         except ValueError as e:
-            raise ConfigError(f"key is not valid hex: {text!r}") from e
+            # The text is secret: name its length, never its content.
+            raise ConfigError(f"key is not valid hex ({len(text)} characters)") from e
         return cls(raw)
 
     @classmethod
@@ -65,12 +66,12 @@ class Key:
 class Counter:
     """Synchronized 64-bit counter shared by sender and receiver.
 
-    One increment per document sent and per document read.  Every F2
-    input encodes the value in 8 big-endian bytes, so wrapping past 2**64
-    is treated as a hard error rather than silent modular reuse of PRF
-    inputs.  A counter at value ``v`` therefore allows ``2**64 - 1 - v``
-    advances: the top value ``2**64 - 1`` can be constructed but carries
-    no bit.
+    One value per document sent and per document read, taken by ``take``
+    once per embed or extract call.  Every F2 input encodes the value in 8
+    big-endian bytes, so wrapping past 2**64 is treated as a hard error
+    rather than silent modular reuse of PRF inputs.  A counter at value
+    ``v`` therefore allows ``2**64 - 1 - v`` advances: the top value
+    ``2**64 - 1`` can be constructed but carries no bit.
     """
 
     value: int = 0
@@ -83,10 +84,13 @@ class Counter:
         if not 0 <= self.value < 1 << 64:
             raise ConfigError(f"counter value {self.value} outside 64-bit range")
 
-    def check_headroom(self, n: int) -> None:
-        """Raise CounterError unless `n` more advances fit in 64 bits."""
+    def take(self, n: int) -> int:
+        """Advance past `n` values and return the first; unless they fit in
+        64 bits, raise CounterError with the value unchanged."""
         if self.value + n >= 1 << 64:
             raise CounterError("counter overflow at width 64 bits")
+        self.value += n
+        return self.value - n
 
 
 class BitFunction:
@@ -176,16 +180,16 @@ def eval_bit(fn: BitFunction, doc_id: int) -> int:
     return fn.bit(encode_doc(doc_id))
 
 
-def eval_bit_sync(fn: BitFunction, counter: Counter, doc_id: int) -> int:
-    """Bit of (counter value, document id); does not advance the counter.
+def eval_bit_sync(fn: BitFunction, value: int, doc_id: int) -> int:
+    """Bit of (counter value, document id), as ``encode_sync_run`` encodes it.
 
-    `doc_id` is an id in [0, 2^64), as the embedders draw it.  The
-    input is the F2 encoding of ``counter.value`` and `doc_id`, packed in
+    `value` is one that ``Counter.take`` gave, and `doc_id` an id in
+    [0, 2^64), as the embedders draw it.  The input is F2's, packed in
     one call because this is the email protocols' per-bit embed path.  The
     keyed hash and the random oracle's lookup are inlined too (the oracle
     spends its coins as ``fn.bit`` does), so a call costs one Python frame.
     """
-    data = _pack_sync(_TAG_SYNC, counter.value, doc_id)
+    data = _pack_sync(_TAG_SYNC, value, doc_id)
     h = fn._keyed_hash
     if h is None:
         got = fn.table.get(data)

@@ -23,9 +23,9 @@ from itertools import count
 from operator import lt, xor
 from typing import Iterable, Iterator, Sequence
 
-from .baselines import EmbedStats
+from .baselines import EmbedStats, _check_bits
 from .channel import ChannelSpec, sample_id
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, _quote
 from .mail import Mail, _columns, _mails, merge_by_date
 from .prf import BitFunction, Counter, encode_sync_run, eval_bit_sync
 from .rng import RngState
@@ -51,29 +51,28 @@ def _embed(fn: BitFunction, counter: Counter, protocol: str, m: Sequence[int],
     The columns are send ticks (a range), document ids (an ``array('Q')``)
     and address arrays, read lazily from the flips (a ``bytearray``, 1
     where the mail takes the protocol's second array).  No ``Mail`` is
-    built.  Counter headroom for the whole message is checked,
-    and the tick column built, before the first draw, so an embed that
-    would overflow, or whose start tick is no integer, raises with the
-    counter and the random stream as they were.  The first draw is
-    conditioned on `prev`, the id of the last document already sent, which
-    ``spec.row`` checks first.
+    built.  The checks come first: the message bits, `prev` (the id of the
+    last document already sent, on which the first draw is conditioned)
+    with ``spec.row``, and the start tick, by building the tick column.
+    Then the counter takes one value per bit, before the first draw, so an
+    embed that fails raises with the counter and the random stream as they
+    were.
     Each bit calls ``sample_id`` and ``eval_bit_sync`` once: the
     benchmark's traced run counts both against ``EmbedStats``.
     """
     n = len(m)
     if n < 1:
         raise ConfigError("message must contain at least one bit")
+    _check_bits(m)
     spec.row(prev)
-    counter.check_headroom(n)
     ticks = range(start_tick, start_tick + n)
     ids = array("Q")
     flips = bytearray()
     add_id, add_flip = ids.append, flips.append
-    for bit in m:
+    for value, bit in enumerate(m, counter.take(n)):
         prev = sample_id(spec, prev, rng)
         add_id(prev)
-        add_flip(eval_bit_sync(fn, counter, prev) != bit)
-        counter.value += 1
+        add_flip(eval_bit_sync(fn, value, prev) != bit)
     if stats is not None:
         stats.add(n, n, n, n)
     return ticks, ids, map(ARRAYS[protocol].__getitem__, flips)
@@ -125,7 +124,7 @@ def _receive(protocol: str, chunks: Iterable[tuple[Sequence[int], list[int],
     elif missing is not None:
         fault = f"send tick {missing} is missing from the {protocol} input"
     elif foreign is not None:
-        fault = f"mail addressed to {foreign!r} is outside the {protocol} address set"
+        fault = f"mail addressed to {_quote(foreign)} is outside the {protocol} address set"
     return ids, flips, fault
 
 
@@ -134,17 +133,14 @@ def _extract(fn: BitFunction, counter: Counter,
     """Recompute each mail's bit; a flip complements it.
 
     `received` is what ``_receive`` returns.  Its fault is raised first, as
-    a ``ProtocolError``, then counter headroom is checked, all before the
-    first PRF evaluation, so an extract that fails leaves the counter as it
-    was.  The PRF is evaluated in one batched call over lazily encoded inputs.
+    a ``ProtocolError``; then the counter takes one value per mail, before
+    the first PRF evaluation, so an extract that fails leaves the counter
+    as it was.  The PRF is evaluated in one batched call over lazy inputs.
     """
     ids, flips, fault = received
     if fault is not None:
         raise ProtocolError(fault)
-    counter.check_headroom(len(ids))
-    bits = list(map(xor, fn.bits(encode_sync_run(counter.value, ids)), flips))
-    counter.value += len(ids)
-    return bits
+    return list(map(xor, fn.bits(encode_sync_run(counter.take(len(ids)), ids)), flips))
 
 
 # --- protocol 1: recipient choice ------------------------------------------

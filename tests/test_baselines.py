@@ -555,10 +555,10 @@ def test_extractors_match_per_document_calls(mode):
     fn, ref = make(), make()
     counter = Counter(v)
     assert s2_extract(fn, counter, docs, repetition=1) == [
-        eval_bit_sync(ref, Counter(v + k), d) for k, d in enumerate(docs)]
+        eval_bit_sync(ref, v + k, d) for k, d in enumerate(docs)]
     assert counter.value == v + len(docs)
     assert s4_extract(fn, counter, docs, copies=1) == [
-        eval_bit_sync(ref, Counter(v + len(docs) + k), d) for k, d in enumerate(docs)]
+        eval_bit_sync(ref, v + len(docs) + k, d) for k, d in enumerate(docs)]
     assert counter.value == v + 2 * len(docs)
     assert s1_extract(fn, docs) == [eval_bit(ref, d) for d in docs]
     assert s3_extract(fn, docs, copies=3) == [
@@ -735,6 +735,23 @@ def test_embedders_reject_a_prev_outside_the_alphabet(system):
             assert rng.random() == RngState(1).random()
         for prev in (None, 0, 1):
             assert embed(fn, Counter(5), [1, 0, 1], spec, RngState(1), prev)
+
+
+@pytest.mark.parametrize("system", sorted(EMBEDDERS))
+def test_embedders_reject_a_message_value_that_is_no_bit(system):
+    # Every value is checked before the counter moves or the first draw, so
+    # neither the counter nor the stream changes.  True and False pass: they
+    # equal 1 and 0, and embed as those bits do.
+    embed = EMBEDDERS[system]
+    fn, spec = BitFunction.keyed(Key(bytes(16))), ChannelSpec.uniform(4)
+    for m in ([2, 0, 1], [1, -1], [0, 0.5], [1, "1"], [0, [1]], [None]):
+        counter, rng = Counter(5), RngState(1)
+        with pytest.raises(ConfigError, match="message bits must be 0 or 1"):
+            embed(fn, counter, m, spec, rng, None)
+        assert counter.value == 5
+        assert rng.random() == RngState(1).random()
+    assert (embed(fn, Counter(5), [True, False, True], spec, RngState(1), None)
+            == embed(fn, Counter(5), [1, 0, 1], spec, RngState(1), None))
 
 
 @pytest.mark.parametrize("source", [*sorted(EMBEDDERS), "ct_oracle", "ct_oracle_p1"])

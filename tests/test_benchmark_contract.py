@@ -9,15 +9,17 @@ benchmark reaches every module-level function and class in ``src/``, public
 or private, and every public name: each must be read by module code outside
 those definitions, by a click command, by the console entry point, by
 ``perfbench/`` or by a definition already reached, so no code in ``src/``
-serves only tests.
-The third runs one op of every workload in ``perfbench/workloads.py``, so a
-changed signature fails here too.  The fourth counts
+serves only tests.  The third, with ``ast`` too, finds no write of a
+``.value`` attribute in ``src/`` outside ``prf.Counter``: a counter moves
+only by ``Counter.take``.
+The fourth runs one op of every workload in ``perfbench/workloads.py``, so a
+changed signature fails here too.  The fifth counts
 ``channel.sample_id`` over one op, as the traced run does:
 the benchmark's checks expect every workload to draw through it.  The
-fifth counts ``sample_id`` and ``eval_bit_sync`` (``eval_bit_tuple`` for
+sixth counts ``sample_id`` and ``eval_bit_sync`` (``eval_bit_tuple`` for
 ``s3``) over single embeds, as the traced run's cross-check does against
-``EmbedStats``.  The sixth checks that the workloads draw from both CDF
-layouts, a packed ``array('d')`` and a list.  The seventh holds each of
+``EmbedStats``.  The seventh checks that the workloads draw from both CDF
+layouts, a packed ``array('d')`` and a list.  The eighth holds each of
 those two calls to one Python frame, on either layout, the cost the
 benchmark times per draw and per PRF query, and the last holds
 ``mail._mails`` to one frame whatever its row count.
@@ -111,6 +113,21 @@ def test_every_public_name_is_used_by_the_package_or_the_benchmark():
     assert len(public) > 50 and len(refs) > 88
     assert sorted(refs.keys() - reached) == []
     assert sorted(public - names) == []
+
+
+def test_only_the_counter_writes_its_value():
+    # A Counter moves in one place, Counter.take: any other code in src/
+    # that assigns, augments or deletes a `.value` attribute fails here.
+    writes = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside_counter = {id(sub) for node in tree.body
+                          if path.stem == "prf" and getattr(node, "name", None) == "Counter"
+                          for sub in ast.walk(node)}
+        writes += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "value"
+                   and not isinstance(node.ctx, ast.Load) and id(node) not in inside_counter]
+    assert writes == []
 
 
 def _load_workloads():
@@ -242,10 +259,9 @@ def test_each_draw_and_query_opens_one_python_frame(call):
         return
     fn = (BitFunction.keyed(Key(bytes(16))) if call.endswith("keyed")
           else BitFunction.random_oracle(3))
-    counter = Counter(5)
     for doc_id in (1, 2, 1):  # two misses, then a hit
         with _gc_paused():
-            assert _python_frames(eval_bit_sync, fn, counter, doc_id) == 1
+            assert _python_frames(eval_bit_sync, fn, 5, doc_id) == 1
 
 
 def _lines_run(fn, *args) -> int:

@@ -158,6 +158,16 @@ def test_load_rejects_booleans_and_fractional_sizes(text, field):
         load_channel_spec(text)
 
 
+@pytest.mark.parametrize("size", ['"' + "x" * (1 << 20) + '"', "[" + "0," * (1 << 18) + "0]"])
+def test_load_quotes_a_long_alphabet_size_short(size):
+    # Both the string and the list take the int() path; neither is echoed whole.
+    text = '{"kind": "stationary", "alphabet_size": %s, "probs": [1.0]}' % size
+    with pytest.raises(ConfigError, match=r"^alphabet_size must be an integer, got .* "
+                                          r"characters\)$") as e:
+        load_channel_spec(text)
+    assert len(str(e.value)) < 200
+
+
 def test_load_accepts_integral_float_size():
     assert load_channel_spec(
         '{"kind": "stationary", "alphabet_size": 2.0, "probs": [0.5, 0.5]}').alphabet_size == 2

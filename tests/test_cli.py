@@ -662,6 +662,7 @@ def test_untrusted_embed_then_extract_argv_exits_cleanly(tmp_path, capsys, proto
     assert code in (0, 2, 3, 4)
     if code:
         assert not trace.exists()
+        assert len(capsys.readouterr().err) < 1024
         return
     sent = (data if message_format == "raw"
             else bytes.fromhex("".join(data.decode("ascii").split())))
@@ -753,7 +754,48 @@ def test_untrusted_command_argv_exits_cleanly(tmp_path, monkeypatch, capsys, arg
     (tmp_path / "box1.tsv").write_text(box1)
     (tmp_path / "box2.tsv").write_text(box2)
     assert run(argv) in (0, 2, 3, 4), argv
-    capsys.readouterr()
+    assert len(capsys.readouterr().err) < 1024, argv
+
+
+@pytest.mark.parametrize("case, code", [("hex-message", 2), ("key", 2), ("lengths", 2),
+                                        ("long-line", 3), ("foreign-address", 3)])
+def test_a_long_bad_input_is_quoted_short(case, code, tmp_path, channel, message_file,
+                                          capsys):
+    # An error message quotes at most 64 characters of the input it refuses,
+    # whatever its size.  The trace cases are a 1 MiB address, refused by the
+    # line limit, and a 32 KiB one, which fits in one read and is refused as
+    # foreign to p1.
+    spec, trace = channel(UNIFORM_4), tmp_path / "trace.tsv"
+    embed = ["embed", "--protocol", "p1", "--channel", spec, "--seed", "1",
+             "--out", str(trace)]
+    if case == "hex-message":
+        bad = tmp_path / "bad.hex"
+        bad.write_text("a" * ((256 << 10) - 1) + "g")
+        argv = [*embed, "--key", KEY, "--message", str(bad)]
+    elif case == "key":
+        argv = [*embed, "--key", "z" * (128 << 10), "--message", message_file]
+    elif case == "lengths":
+        argv = ["bench", "--lengths", "x" * (128 << 10), "--channel", spec, "--seed", "1"]
+    else:
+        address = "a" * ((1 << 20) if case == "long-line" else (32 << 10))
+        trace.write_text(f"0\t1\t{address}\n")
+        argv = ["extract", "--protocol", "p1", "--key", KEY, "--in", str(trace)]
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert len(err) < 1024, err[:1024]
+    assert ("characters)" in err) == (case != "long-line"), err
+
+
+def test_embed_reports_a_bad_key_before_a_bad_counter(tmp_path, channel, message_file,
+                                                      capsys):
+    argv = ["embed", "--protocol", "p1", "--key", "zz", "--counter", str(2 ** 64),
+            "--message", message_file, "--channel", channel(UNIFORM_4), "--seed", "1",
+            "--out", str(tmp_path / "trace.tsv")]
+    assert run(argv) == 2
+    # The key is secret: its text is never echoed, only its length.
+    err = capsys.readouterr().err
+    assert err == "configuration error: key is not valid hex (2 characters)\n"
+    assert "zz" not in err
 
 
 def _gc_case_argv(case, tmp_path, channel, message_file):

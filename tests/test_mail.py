@@ -1,6 +1,9 @@
 import os
+import re
 import stat
 import tracemalloc
+from bisect import bisect_right
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +76,15 @@ def test_mail_rejects_every_trace_separator_in_an_address():
         for addr in (c, f"a{c}b", f"ab{c}"):
             with pytest.raises(ProtocolError, match="holds a comma, tab or line break$"):
                 Mail(1, ("address1", addr), 0)
+
+
+def test_mail_errors_quote_a_long_address_short():
+    long = "a" * (1 << 20)
+    for addr, message in ((long + ",", "holds a comma"), (long + "\ud800", "is not UTF-8")):
+        with pytest.raises(ProtocolError, match=message) as e:
+            Mail(1, (addr,), 0)
+        assert f"... ({len(repr(addr))} characters)" in str(e.value)
+        assert len(str(e.value)) < 200
 
 
 def test_write_trace_of_a_bad_mail_leaves_the_file_as_it_was(tmp_path):
@@ -421,6 +433,112 @@ def test_read_trace_reads_the_pieces_as_one_trace(tmp_path, monkeypatch):
     write_trace(_columns(mails), path)
     monkeypatch.setattr(mail_module, "_READ_PIECE", 64)
     assert read_trace(path) == mails
+
+
+def test_a_line_past_the_line_limit_is_refused_unread(tmp_path, monkeypatch):
+    # Under a small limit, a 4 MiB one-line trace is refused after one read
+    # and one limit's worth of the rest of its line, not read whole.
+    monkeypatch.setattr(mail_module, "_LINE_MAX", 1024)
+    path = tmp_path / "trace.tsv"
+    path.write_bytes(b"0\t1\t" + b"a" * (4 << 20) + b"\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProtocolError, match=f"has a line of 1024 or more bytes "
+                                                f"at byte {(1 << 16) + 1024}$"):
+            read_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_the_line_limit_counts_the_rest_of_a_line_past_its_read(tmp_path, monkeypatch):
+    # One byte per read: all of a line but its first byte is the rest, which
+    # may hold _LINE_MAX bytes, its "\n" included.
+    monkeypatch.setattr(mail_module, "_READ_PIECE", 1)
+    monkeypatch.setattr(mail_module, "_LINE_MAX", 16)
+    path = tmp_path / "trace.tsv"
+    for k, ok in ((12, True), (13, False)):
+        path.write_text("0\t1\ta\n1\t2\t" + "a" * k + "\n")
+        if ok:
+            assert read_trace(path) == [Mail(1, ("a",), 0), Mail(2, ("a" * k,), 1)]
+        else:
+            with pytest.raises(ProtocolError, match="line of 16 or more bytes at byte 23$"):
+                read_trace(path)
+
+
+def test_the_line_limit_admits_every_p1_and_p2_line(tmp_path, monkeypatch):
+    # The longest line format_trace writes for p1 or p2: a 4300-digit tick
+    # (int's string limit), a 20-digit id and p2's address field, read with
+    # one byte per read so that almost all of it lies past the read.
+    tick = -(10 ** 4300 - 1)
+    columns = ([tick, tick + 1], [2 ** 64 - 1, 0], list(P2_ARRAYS))
+    path = tmp_path / "trace.tsv"
+    write_trace(columns, path)
+    assert max(map(len, path.read_bytes().splitlines(keepends=True))) == 4341
+    monkeypatch.setattr(mail_module, "_READ_PIECE", 1)
+    assert read_trace(path) == [Mail(2 ** 64 - 1, P2_ARRAYS[0], tick),
+                                Mail(0, P2_ARRAYS[1], tick + 1)]
+
+
+@pytest.mark.parametrize("end", ["\r", "\x0b", "\x85", "\u2028", "\r\n"])
+def test_a_trace_of_short_lines_with_any_break_is_read_whole(tmp_path, monkeypatch, end):
+    # Lines that end in a break other than "\n" fill the rest of a read's
+    # last line: the piece ends after the last break, and nothing is refused.
+    text = "".join(f"{t}\t{t % 3}\taddress{t % 2 + 1}{end}" for t in range(10_000))
+    path = tmp_path / "trace.tsv"
+    path.write_bytes(text.encode())
+    assert len(read_trace(path)) == 10_000
+    monkeypatch.setattr(mail_module, "_READ_PIECE", 7)
+    monkeypatch.setattr(mail_module, "_LINE_MAX", 40)
+    assert read_trace(path) == parse_trace(text)
+    assert max(len(piece.encode()) for piece in _trace_pieces(path)) <= 7 + 2 * 40 + 1
+
+
+def _check_line_limit(path, text, size, limit):
+    """Under a small limit, the reader reads what the whole-text parser reads,
+    or refuses, at byte N, a line of `limit` bytes or more (its break
+    included) that holds byte N - 1; and no piece holds more than a read
+    and twice the limit, plus one byte."""
+    sizes = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mail_module, "_READ_PIECE", size)
+        patch.setattr(mail_module, "_LINE_MAX", limit)
+        got = _outcome(_read_columns, path)
+        try:
+            for piece in _trace_pieces(path):
+                sizes.append(len(piece.encode()))
+        except ProtocolError:
+            pass
+    assert max(sizes, default=0) <= size + 2 * limit + 1
+    if got == _outcome(trace_columns_reference, text):
+        return
+    kind, message = got
+    end = int(re.fullmatch(f"trace file .* has a line of {limit} or more bytes at byte (\\d+)",
+                           message)[1])
+    lines = [line.encode() for line in text.splitlines(keepends=True)]
+    starts = list(accumulate(map(len, lines), initial=0))
+    assert len(lines[bisect_right(starts, end - 1) - 1]) >= limit
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_TRACE_TEXTS, size=st.integers(1, 24), limit=st.integers(1, 40))
+def test_the_line_limit_refuses_only_a_long_line(tmp_path_factory, text, size, limit):
+    path = tmp_path_factory.mktemp("trace") / "trace.tsv"
+    path.write_bytes(text.encode())
+    _check_line_limit(path, text, size, limit)
+
+
+def test_the_line_limit_at_every_read_and_limit_size(tmp_path):
+    # Every read and limit size puts a multibyte break across the end of a
+    # read and a "\r\n" across the end of a limit; the malformed last line
+    # checks that the line numbers hold.
+    text = "0\t1\taddress1\u20281\t2\ta\n2\t3\taddress1\r\n3\t4\ta\u2029\r\n4\tx\ta"
+    path = tmp_path / "trace.tsv"
+    path.write_bytes(text.encode())
+    for size in range(1, len(text.encode()) + 2):
+        for limit in range(1, 24):
+            _check_line_limit(path, text, size, limit)
 
 
 # --- write_trace writes beside the path and replaces it ----------------------

@@ -32,14 +32,12 @@ def test_distinct_keys_agree_half_the_time():
 
 
 def test_eval_bit_sync_deterministic(keyed_fn):
-    c = Counter(5)
-    assert eval_bit_sync(keyed_fn, c, 3) == eval_bit_sync(keyed_fn, c, 3)
-    assert c.value == 5  # evaluation never advances the counter
+    assert eval_bit_sync(keyed_fn, 5, 3) == eval_bit_sync(keyed_fn, 5, 3)
 
 
 def test_oracle_counter_neighbours_independent():
     oracle = BitFunction.random_oracle(13)
-    bits = [eval_bit_sync(oracle, Counter(n), 0) for n in range(10_001)]
+    bits = [eval_bit_sync(oracle, n, 0) for n in range(10_001)]
     agree = sum(bits[n] == bits[n + 1] for n in range(10_000))
     assert abs(agree / 10_000 - 0.5) <= 0.02
 
@@ -47,7 +45,7 @@ def test_oracle_counter_neighbours_independent():
 def test_keyed_sync_sequence_passes_monobit_test(keyed_fn):
     # two-sided frequency test at significance 0.01
     n = 10_000
-    ones = sum(eval_bit_sync(keyed_fn, Counter(i), 9) for i in range(n))
+    ones = sum(eval_bit_sync(keyed_fn, i, 9) for i in range(n))
     assert abs(ones - n / 2) <= 2.576 * math.sqrt(n) / 2
 
 
@@ -120,15 +118,30 @@ def test_random_oracle_consistent_across_interleavings():
 
 def test_counter_advance_and_overflow():
     c = Counter(0)
-    c.check_headroom(1)
-    c.value += 1
+    assert c.take(1) == 0
     assert c.value == 1
     c = Counter(2 ** 64 - 2)
-    c.check_headroom(1)
-    c.value += 1
+    assert c.take(1) == 2 ** 64 - 2
     assert c.value == 2 ** 64 - 1
     with pytest.raises(CounterError):
-        c.check_headroom(1)
+        c.take(1)
+
+
+@pytest.mark.parametrize("value", [0, 7, 2 ** 64 - 9, 2 ** 64 - 1])
+def test_counter_take_moves_once_or_not_at_all(value):
+    # take(n) returns the first of n values and moves past them all, or
+    # raises with the value unchanged; take(0) moves nothing.
+    room = 2 ** 64 - 1 - value
+    c = Counter(value)
+    for n in (room + 1, room + 5, 2 ** 70):
+        with pytest.raises(CounterError):
+            c.take(n)
+        assert c.value == value
+    if room:
+        assert c.take(0) == value and c.value == value
+        assert c.take(1) == value and c.value == value + 1
+        assert c.take(room - 1) == value + 1
+    assert c.value == 2 ** 64 - 1
 
 
 def test_counter_validation():
@@ -170,9 +183,8 @@ def test_eval_bit_sync_matches_reference_encoding(low_bits, mode):
     docs = [0, 7, 2 ** 40 + 3, 2 ** 64 - 1]
     values = (0, 1, 255, top // 2, top, 2 ** 64 - 2)
     for value in values + values:  # the second pass repeats every input
-        c = Counter(value)
         for d in docs:
-            assert eval_bit_sync(fn, c, d) == ref.bit(encode_sync(c.value, d))
+            assert eval_bit_sync(fn, value, d) == ref.bit(encode_sync(value, d))
     assert fn.table == ref.table
     if mode == "random_oracle":
         assert len(fn.table) == len(set(values)) * len(docs)

@@ -28,7 +28,7 @@ def oracle(seed: int) -> BitFunction:
 
 def test_p1_matching_bit_goes_to_address1():
     key = find_key_where(
-        lambda fn: eval_bit_sync(fn, Counter(0), 0) == 1)
+        lambda fn: eval_bit_sync(fn, 0, 0) == 1)
     [mail] = p1_embed(BitFunction.keyed(key), Counter(0), [1], POINT_MASS_1,
                       RngState(1))
     assert mail.addresses == (ADDRESS1,)
@@ -36,7 +36,7 @@ def test_p1_matching_bit_goes_to_address1():
 
 def test_p1_mismatching_bit_goes_to_address2():
     key = find_key_where(
-        lambda fn: eval_bit_sync(fn, Counter(0), 0) == 0)
+        lambda fn: eval_bit_sync(fn, 0, 0) == 0)
     [mail] = p1_embed(BitFunction.keyed(key), Counter(0), [1], POINT_MASS_1,
                       RngState(1))
     assert mail.addresses == (ADDRESS2,)
@@ -65,7 +65,7 @@ def test_p1_address_frequency_under_random_function():
 
 def test_p1_extract_complement_rule():
     key = find_key_where(
-        lambda fn: eval_bit_sync(fn, Counter(0), 5) == 1)
+        lambda fn: eval_bit_sync(fn, 0, 5) == 1)
     fn = BitFunction.keyed(key)
     assert p1_extract(fn, Counter(0), [], [Mail(5, (ADDRESS2,), 0)]) == [0]
     assert p1_extract(fn, Counter(0), [Mail(5, (ADDRESS1,), 0)], []) == [1]
@@ -123,7 +123,7 @@ def test_p1_all_mails_in_one_box_still_extracts():
     key = Key.from_hex("aa" * 16)
     fn = BitFunction.keyed(key)
     probe = p1_embed(fn, Counter(0), [0] * 32, spec, RngState(15))
-    matched = [eval_bit_sync(fn, Counter(i), mail.doc)
+    matched = [eval_bit_sync(fn, i, mail.doc)
                for i, mail in enumerate(probe)]
     mails = p1_embed(fn, Counter(0), matched, spec, RngState(15))
     assert all(mail.addresses == (ADDRESS1,) for mail in mails)
@@ -139,7 +139,7 @@ def test_p1_extract_rejects_duplicate_ticks():
 
 def test_p2_broadcast_orders():
     key_match = find_key_where(
-        lambda fn: eval_bit_sync(fn, Counter(0), 0) == 1)
+        lambda fn: eval_bit_sync(fn, 0, 0) == 1)
     fn = BitFunction.keyed(key_match)
     [mail] = p2_embed(fn, Counter(0), [1], POINT_MASS_1, RngState(19))
     assert mail.addresses == (ADDRESS1, ADDRESS2)
@@ -149,7 +149,7 @@ def test_p2_broadcast_orders():
 
 def test_p2_extract_complement_on_reversed_order():
     key = find_key_where(
-        lambda fn: eval_bit_sync(fn, Counter(0), 3) == 1)
+        lambda fn: eval_bit_sync(fn, 0, 3) == 1)
     assert p2_extract(BitFunction.keyed(key), Counter(0),
                       [Mail(3, (ADDRESS2, ADDRESS1), 0)]) == [0]
 
@@ -330,7 +330,7 @@ def test_extract_matches_per_mail_calls_and_advances_counter(variant, mode):
         got = p1_extract(fn, rx, *p1_route(mails))
     else:
         got = p2_extract(fn, rx, mails)
-    assert got == m == [eval_bit_sync(ref, Counter(250 + k), s.doc)
+    assert got == m == [eval_bit_sync(ref, 250 + k, s.doc)
                         ^ (s.addresses == arrays[1]) for k, s in enumerate(mails)]
     assert rx.value == 250 + len(m)
     if mode == "random_oracle":
