@@ -19,14 +19,9 @@ from .channel import Document
 from .errors import ConfigError, ProtocolError, _quote
 
 
-# Every character str.splitlines breaks a line at.
-_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-
-# The trace's field and line separators: a comma, a tab, and every line break.
-_SEPARATOR = re.compile(f"[,\t{_LINE_BREAKS}]")
-
-# The line breaks in UTF-8, as the trace reader finds them in the bytes it reads.
-_LINE_BREAK_BYTES = re.compile(b"|".join(map(str.encode, _LINE_BREAKS)))
+# The trace's field and line separators: a comma, a tab, and the line
+# break "\n" with the "\r" that may end a line before it.
+_SEPARATOR = re.compile("[,\t\r\n]")
 
 # Rows write_trace formats per format_trace call: it holds the line strings
 # and text of one chunk only.
@@ -42,10 +37,10 @@ _READ_PIECE = 1 << 16
 # field "address1,address2" among them.
 _LINE_MAX = 1 << 13
 
-# Distinct id or address fields the trace parser remembers: past this
-# many, at the end of a piece, it forgets them all, so a trace of many
-# distinct ids costs parsing time instead of memory per line.
-_FIELD_MEMO = 1 << 16
+# Characters of distinct id and address fields the trace parser remembers,
+# 2^16 fields of 4: past this many, at the end of a piece, it forgets them
+# all, so many distinct or long fields cost parsing time, not memory.
+_FIELD_MEMO = 1 << 18
 
 
 class Mail(namedtuple("Mail", ("doc", "addresses", "sent_at"))):
@@ -148,22 +143,21 @@ def _trace_columns(pieces: Iterable[str]) -> Iterator[
     """Parse a trace, given as text pieces that each end a line, into three
     columns per piece: send ticks, document ids, address arrays.
 
-    Lines are numbered across the pieces, and blank lines are skipped.  A
-    trace names few distinct document ids and address fields, so each
-    distinct field is parsed and checked once per call, when first seen,
-    and the lines that carry it share one id or one address tuple; past
-    _FIELD_MEMO distinct fields, a field is parsed again once per piece.
-    A document id is checked as ``Document`` checks it: it must fit the
-    8-byte encoding the PRF reads.
+    A line ends at a "\n", a "\r" just before it included, and lines are
+    numbered across the pieces; blank lines are skipped.  Each distinct id
+    or address field is parsed and checked once, when first seen, as
+    ``Document`` and ``Mail`` check it, and the lines that carry it share
+    one id or one address tuple; once the fields remembered pass
+    _FIELD_MEMO characters, they are forgotten at the end of the piece.
     """
     seen_ids: dict[str, int] = {}
     split_fields: dict[str, tuple[str, ...]] = {}
-    lineno = 0
+    lineno = memo_chars = 0
     for piece in pieces:
         ticks: list[int] = []
         ids: list[int] = []
         addresses: list[tuple[str, ...]] = []
-        for lineno, line in enumerate(piece.splitlines(), start=lineno + 1):
+        for lineno, line in enumerate(piece.removesuffix("\n").split("\n"), start=lineno + 1):
             if not line or line.isspace():
                 continue
             try:
@@ -181,18 +175,24 @@ def _trace_columns(pieces: Iterable[str]) -> Iterator[
                     doc_id = seen_ids[raw_doc] = Document(int(raw_doc)).id
                 except (ValueError, ConfigError) as e:
                     raise ProtocolError(f"trace line {lineno}: {e}") from e
+                memo_chars += len(raw_doc)
             ids.append(doc_id)
             addrs = split_fields.get(raw_addrs)
             if addrs is None:
-                addrs = tuple(raw_addrs.split(","))
+                addrs = tuple(raw_addrs.removesuffix("\r").split(","))
                 if not all(addrs):
                     raise ProtocolError(
                         f"trace line {lineno}: recipient addresses must be nonempty strings")
+                if bad := next(filter(_SEPARATOR.search, addrs), None):
+                    raise ProtocolError(f"trace line {lineno}: recipient address "
+                                        f"{_quote(bad)} holds a comma, tab or line break")
                 split_fields[raw_addrs] = addrs
+                memo_chars += len(raw_addrs)
             addresses.append(addrs)
-        if len(seen_ids) > _FIELD_MEMO or len(split_fields) > _FIELD_MEMO:
+        if memo_chars > _FIELD_MEMO:
             seen_ids.clear()
             split_fields.clear()
+            memo_chars = 0
         yield ticks, ids, addresses
 
 
@@ -251,30 +251,20 @@ def _trace_pieces(path) -> Iterator[str]:
     """A trace file's text, a piece at a time: one read of _READ_PIECE bytes
     and the rest of its last line (the next line, if the read ends one).
 
-    Each piece but the last ends just after a "\n".  A "\n" never starts a
-    two-character line break, so the pieces' lines are the lines of the
-    whole text, and a piece is cut between whole characters, so its UTF-8
-    decodes alone; a byte that is not UTF-8 is named by its offset in the
-    file.  The rest of the last line is read up to _LINE_MAX bytes.  If it
-    holds that many with no "\n", its line has ended at another break, and
-    the piece ends after the last one, which is carried to the next piece;
-    if it holds none, its line has _LINE_MAX bytes or more and is refused.
-    So a piece holds at most _READ_PIECE + 2 * _LINE_MAX + 1 bytes whatever
-    the file.
+    Each piece but the last ends just after a "\n", so the pieces' lines are
+    the lines of the whole text, and a piece is cut between whole
+    characters, so its UTF-8 decodes alone; a byte that is not UTF-8 is
+    named by its offset in the file.  The rest of the last line is read up
+    to _LINE_MAX bytes; if it holds that many with no "\n", its line has
+    _LINE_MAX bytes or more and is refused.  So a piece holds at most
+    _READ_PIECE + _LINE_MAX bytes whatever the file.
     """
     with open(path, "rb") as f:
-        offset, carry = 0, b""
-        while data := carry + f.read(_READ_PIECE) + (rest := f.readline(_LINE_MAX)):
-            carry = b""
+        offset = 0
+        while data := f.read(_READ_PIECE) + (rest := f.readline(_LINE_MAX)):
             if len(rest) == _LINE_MAX and not rest.endswith(b"\n"):
-                # A break may start in the two bytes before the rest, and a
-                # final "\r" may start "\r\n", so it ends no line here.
-                found = _LINE_BREAK_BYTES.finditer(data, len(data) - _LINE_MAX - 2)
-                ends = [m.end() for m in found if m.end() < len(data) or m[0] != b"\r"]
-                if not ends:
-                    raise ProtocolError(f"trace file {path} has a line of {_LINE_MAX} or more "
-                                        f"bytes at byte {offset + len(data)}")
-                data, carry = data[:ends[-1]], data[ends[-1]:]
+                raise ProtocolError(f"trace file {path} has a line of {_LINE_MAX} or more "
+                                    f"bytes at byte {offset + len(data)}")
             try:
                 text = data.decode()
             except UnicodeDecodeError as e:

@@ -43,15 +43,16 @@ def encode_sync(value: int, doc_id: int) -> bytes:
 
 def trace_columns_reference(text: str) -> tuple[list[int], list[int],
                                                  list[tuple[str, ...]]]:
-    """The whole-text trace parser the piecewise reader replaced, as the
-    reference for it: send ticks, document ids and address arrays, one per
-    nonblank line, with the same checks, messages and first-bad-line order."""
+    """The trace grammar read from the whole text at once, as the reference
+    for the piecewise reader: a line ends at "\n", a "\r" just before it
+    included, and each nonblank line is one ``Mail``.  It returns send ticks,
+    document ids and address arrays, with the same checks, messages and
+    first-bad-line order."""
     ticks: list[int] = []
     docs: list[int] = []
     addresses: list[tuple[str, ...]] = []
-    seen_docs: dict[str, int] = {}
-    split_fields: dict[str, tuple[str, ...]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
         if not line or line.isspace():
             continue
         try:
@@ -60,24 +61,20 @@ def trace_columns_reference(text: str) -> tuple[list[int], list[int],
             raise ProtocolError(
                 f"trace line {lineno}: expected 3 tab-separated fields") from None
         try:
-            ticks.append(int(raw_sent))
+            tick = int(raw_sent)
         except ValueError as e:
             raise ProtocolError(f"trace line {lineno}: {e}") from e
-        doc = seen_docs.get(raw_doc)
-        if doc is None:
-            try:
-                doc = seen_docs[raw_doc] = Document(int(raw_doc)).id
-            except (ValueError, ConfigError) as e:
-                raise ProtocolError(f"trace line {lineno}: {e}") from e
-        docs.append(doc)
-        addrs = split_fields.get(raw_addrs)
-        if addrs is None:
-            addrs = tuple(raw_addrs.split(","))
-            if not all(addrs):
-                raise ProtocolError(
-                    f"trace line {lineno}: recipient addresses must be nonempty strings")
-            split_fields[raw_addrs] = addrs
-        addresses.append(addrs)
+        try:
+            doc = Document(int(raw_doc)).id
+        except (ValueError, ConfigError) as e:
+            raise ProtocolError(f"trace line {lineno}: {e}") from e
+        try:
+            mail = Mail(doc, tuple(raw_addrs.split(",")), tick)
+        except ProtocolError as e:
+            raise ProtocolError(f"trace line {lineno}: {e}") from None
+        ticks.append(mail.sent_at)
+        docs.append(mail.doc)
+        addresses.append(mail.addresses)
     return ticks, docs, addresses
 
 

@@ -11,15 +11,17 @@ those definitions, by a click command, by the console entry point, by
 ``perfbench/`` or by a definition already reached, so no code in ``src/``
 serves only tests.  The third, with ``ast`` too, finds no write of a
 ``.value`` attribute in ``src/`` outside ``prf.Counter``: a counter moves
-only by ``Counter.take``.
-The fourth runs one op of every workload in ``perfbench/workloads.py``, so a
-changed signature fails here too.  The fifth counts
+only by ``Counter.take``.  The fourth, with ``ast`` as well, finds no
+``.splitlines`` call, and no ``.split`` at a ``"\\n"`` or ``"\\r\\n"``, outside
+``mail.py``: a trace line ends where the trace reader says it does.
+The fifth runs one op of every workload in ``perfbench/workloads.py``, so a
+changed signature fails here too.  The sixth counts
 ``channel.sample_id`` over one op, as the traced run does:
 the benchmark's checks expect every workload to draw through it.  The
-sixth counts ``sample_id`` and ``eval_bit_sync`` (``eval_bit_tuple`` for
+seventh counts ``sample_id`` and ``eval_bit_sync`` (``eval_bit_tuple`` for
 ``s3``) over single embeds, as the traced run's cross-check does against
-``EmbedStats``.  The seventh checks that the workloads draw from both CDF
-layouts, a packed ``array('d')`` and a list.  The eighth holds each of
+``EmbedStats``.  The eighth checks that the workloads draw from both CDF
+layouts, a packed ``array('d')`` and a list.  The ninth holds each of
 those two calls to one Python frame, on either layout, the cost the
 benchmark times per draw and per PRF query, and the last holds
 ``mail._mails`` to one frame whatever its row count.
@@ -128,6 +130,25 @@ def test_only_the_counter_writes_its_value():
                    if isinstance(node, ast.Attribute) and node.attr == "value"
                    and not isinstance(node.ctx, ast.Load) and id(node) not in inside_counter]
     assert writes == []
+
+
+def test_only_the_trace_reader_breaks_lines():
+    # A trace line ends at "\n", as mail._trace_columns reads it: any other
+    # module of src/ that calls .splitlines, or .split at a "\n" or "\r\n",
+    # states a second line grammar and fails here.
+    breaks = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "mail.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            seps = [*node.args[:1], *(k.value for k in node.keywords if k.arg == "sep")]
+            if node.func.attr == "splitlines" or node.func.attr == "split" and any(
+                    isinstance(sep, ast.Constant) and sep.value in ("\n", "\r\n", b"\n", b"\r\n")
+                    for sep in seps):
+                breaks.append(f"{path.name}:{node.lineno}")
+    assert breaks == []
 
 
 def _load_workloads():

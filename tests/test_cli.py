@@ -89,6 +89,31 @@ def test_extract_p1_from_two_mailbox_traces(tmp_path, channel, message_file, cap
     assert out_lines(capsys)[-1] == "deadbeef0badf00d"
 
 
+@pytest.mark.parametrize("piece", [1 << 16, 7])
+def test_a_crlf_trace_extracts_as_its_newline_form(piece, tmp_path, channel, message_file,
+                                                    capsys, monkeypatch):
+    # Internet mail ends its lines in CRLF: a copy of each trace with "\r\n"
+    # line ends extracts the same hex, through --in and through --in2, with
+    # reads that end anywhere in a "\r\n".
+    trace, box1, box2 = (tmp_path / name for name in ("trace.tsv", "box1.tsv", "box2.tsv"))
+    assert run(["embed", "--protocol", "p1", "--key", KEY, "--message", message_file,
+                "--channel", channel(UNIFORM_4), "--seed", "11", "--out", str(trace)]) == 0
+    to1, to2 = p1_route(read_trace(trace))
+    write_trace(_columns(to1), box1)
+    write_trace(_columns(to2), box2)
+    for path in (trace, box1, box2):
+        crlf = path.read_bytes().replace(b"\n", b"\r\n")
+        path.with_suffix(".crlf").write_bytes(crlf)
+    capsys.readouterr()
+    monkeypatch.setattr(mail_module, "_READ_PIECE", piece)
+    for paths in ([trace], [box1, box2]):
+        for suffix in (".tsv", ".crlf"):
+            inputs = [arg for flag, path in zip(["--in", "--in2"], paths)
+                      for arg in (flag, str(path.with_suffix(suffix)))]
+            assert run(["extract", "--protocol", "p1", "--key", KEY, *inputs]) == 0
+            assert capsys.readouterr() == ("deadbeef0badf00d\n", "")
+
+
 @pytest.mark.parametrize("protocol", ["p1", "p2"])
 def test_extract_of_a_trace_with_lines_removed_exits_3(protocol, tmp_path, channel,
                                                        message_file, capsys):
@@ -723,11 +748,11 @@ TRACE_LINES = st.tuples(st.integers(-2, 8), st.integers(-1, 2 ** 64),
 TRACES = st.one_of(
     st.lists(TRACE_LINES, max_size=6).map(
         lambda lines: "".join(f"{t}\t{d}\t{a}\n" for t, d, a in lines)),
-    st.text(alphabet="0123456789-\t\n,address", max_size=40))
-EXTRACT_IN2 = st.tuples(
+    st.text(alphabet="0123456789-\t\n\r\x0b ,address", max_size=40))
+EXTRACT = st.tuples(
     st.just(["extract"]), st.sampled_from(["p1", "p2"]).map(lambda v: ["--protocol", v]),
     KEYS.map(lambda v: ["--key", v]), COUNTERS.map(lambda v: ["--counter", str(v)]),
-    st.just(["--in", "box1.tsv", "--in2", "box2.tsv"]))
+    st.sampled_from([["--in", "box1.tsv"], ["--in", "box1.tsv", "--in2", "box2.tsv"]]))
 
 
 def _argv(parts):
@@ -737,7 +762,7 @@ def _argv(parts):
 CLI_COMMANDS = st.one_of(
     st.one_of(SIMULATE, ATTACK, RATE, BENCH, st.just((["channel-info"],))).map(
         lambda parts: [*_argv(parts), "--channel", "channel.json"]),
-    EXTRACT_IN2.map(_argv))
+    EXTRACT.map(_argv))
 
 
 @settings(max_examples=250, deadline=None,
@@ -1285,6 +1310,25 @@ def test_extract_of_distinct_ids_holds_few_bytes_per_line(tmp_path, monkeypatch,
         tracemalloc.stop()
     assert peak <= 40 * n, peak / n
     assert len(capsys.readouterr().out) == n // 4 + 1
+
+
+def test_extract_of_long_distinct_addresses_holds_a_bounded_memo(tmp_path, monkeypatch,
+                                                                   capsys):
+    # The field memo is bounded in characters: with every other line holding
+    # a distinct 7 KB address, a memo bounded only in entries holds them all,
+    # 3.5 MB here, though the trace is refused as foreign to p1.
+    monkeypatch.setattr(mail_module, "_FIELD_MEMO", 1 << 14)
+    trace = tmp_path / "trace.tsv"
+    trace.write_text("".join(f"{t}\t1\t{str(t).zfill(7000) if t % 2 else 'address1'}\n"
+                             for t in range(1000)))
+    tracemalloc.start()
+    try:
+        assert run(["extract", "--protocol", "p1", "--key", KEY, "--in", str(trace)]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert "is outside the p1 address set" in capsys.readouterr().err
 
 
 # SHA-256 of the trace file `embed` writes and of `extract`'s stdout (stripped)

@@ -1,3 +1,4 @@
+import io
 import os
 import re
 import stat
@@ -18,6 +19,10 @@ from stegomail.mail import (_TRACE_CHUNK, _columns, _trace_columns, _trace_piece
 from stegomail.protocols import P1_ARRAYS, P2_ARRAYS
 
 from conftest import trace_columns_reference
+
+
+# Addresses may hold anything but the field separators and the line break.
+_SEPARATORS = ",\t\r\n"
 
 
 def mk(tick, doc_id=0, addrs=("address1",)):
@@ -68,14 +73,16 @@ def test_mail_holds_only_what_a_trace_line_carries():
 
 
 def test_mail_rejects_every_trace_separator_in_an_address():
-    # Every character str.splitlines breaks at, which the address strategy
-    # below leaves out too.
-    breaks = [c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) > 1]
-    assert sorted(breaks) == sorted(_LINE_BREAKS)
-    for c in [",", "\t", *breaks]:
+    # The field separators and the line break "\n" with the "\r" that may
+    # end a line before it, which the address strategy below leaves out too.
+    for c in _SEPARATORS:
         for addr in (c, f"a{c}b", f"ab{c}"):
             with pytest.raises(ProtocolError, match="holds a comma, tab or line break$"):
                 Mail(1, ("address1", addr), 0)
+    # Any other character, whitespace and other line breaks str.splitlines
+    # knows among them, is an ordinary one.
+    for addr in ("a b", "a\x0bb", "a\x85b", "a\u2028b"):
+        assert Mail(1, ("address1", addr), 0).addresses == ("address1", addr)
 
 
 def test_mail_errors_quote_a_long_address_short():
@@ -294,6 +301,8 @@ def test_trace_error_messages_name_the_line():
     with pytest.raises(ProtocolError,
                        match="^trace line 1: recipient addresses must be nonempty"):
         parse_trace("0\t1\taddress1,\n")
+    with pytest.raises(ProtocolError, match="^trace line 2: recipient address 'a\\\\rb' holds a"):
+        parse_trace("0\t1\taddress1\r\n1\t2\ta\rb\r\n")
 
 
 def test_parsed_mails_share_address_tuples():
@@ -305,11 +314,8 @@ def test_parsed_mails_share_address_tuples():
     assert mails[0].addresses is not mails[1].addresses
 
 
-# Addresses may hold anything but the field and line separators.
-_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _addresses = st.text(
-    alphabet=st.characters(blacklist_categories=("Cs",),
-                           blacklist_characters="," + "\t" + _LINE_BREAKS),
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters=_SEPARATORS),
     min_size=1, max_size=8)
 # Ids fit the PRF's 8-byte encoding; ticks are unbounded.
 _mails = st.builds(
@@ -364,7 +370,8 @@ def _read_in_pieces(path, size, memo=None):
         return _outcome(_read_columns, path)
 
 
-# Every line break str.splitlines knows, "\r\n" among them; blank,
+# The trace's line break, "\n" or "\r\n", and every other character
+# str.splitlines breaks at, which is an ordinary one in a trace; blank,
 # whitespace-only and malformed lines next to well-formed ones.
 _TERMINATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                 "\u2028", "\u2029"]
@@ -375,7 +382,8 @@ _GOOD_LINES = st.builds(
 _ODD_LINES = st.sampled_from(
     ["", " ", "\t", " \t ", "\u3000", "\xa0", " 7 \t 3 \taddress1",
      "1\t2", "one\t2\taddress1", "1\t-4\taddress1", f"1\t{2 ** 64}\taddress1",
-     "1\t2\taddress1,", "1\t2\t\t", "1\t2\ta\tb", "1\t\u0663\taddress1"])
+     "1\t2\taddress1,", "1\t2\t\t", "1\t2\ta\tb", "1\t\u0663\taddress1",
+     "1\t2\ta\rb", "1\t2\taddress1\r", "1\t2\r", "\r"])
 _TRACE_TEXTS = st.builds(
     lambda pairs, last: "".join(line + end for line, end in pairs) + last,
     st.lists(st.tuples(_GOOD_LINES | _ODD_LINES, st.sampled_from(_TERMINATORS)),
@@ -482,24 +490,35 @@ def test_the_line_limit_admits_every_p1_and_p2_line(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("end", ["\r", "\x0b", "\x85", "\u2028", "\r\n"])
-def test_a_trace_of_short_lines_with_any_break_is_read_whole(tmp_path, monkeypatch, end):
-    # Lines that end in a break other than "\n" fill the rest of a read's
-    # last line: the piece ends after the last break, and nothing is refused.
+def test_a_trace_of_short_lines_with_any_break_is_read_whole(tmp_path, monkeypatch, capsys,
+                                                             end):
+    # Only "\n" ends a trace line.  Lines that end in "\r\n" read as their
+    # "\n" form; the other breaks of str.splitlines are ordinary characters,
+    # so a trace of short lines that end in one is one long line, refused
+    # after one read and the line limit.
     text = "".join(f"{t}\t{t % 3}\taddress{t % 2 + 1}{end}" for t in range(10_000))
     path = tmp_path / "trace.tsv"
     path.write_bytes(text.encode())
-    assert len(read_trace(path)) == 10_000
+    if end != "\r\n":
+        assert run(["extract", "--protocol", "p1", "--key", "00" * 16, "--in", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            f"protocol error: trace file {path} has a line of 8192 or more bytes "
+            f"at byte {(1 << 16) + (1 << 13)}\n")
+        return
+    mails = parse_trace(text.replace("\r\n", "\n"))
+    assert len(mails) == 10_000
+    assert read_trace(path) == parse_trace(text) == mails
     monkeypatch.setattr(mail_module, "_READ_PIECE", 7)
     monkeypatch.setattr(mail_module, "_LINE_MAX", 40)
-    assert read_trace(path) == parse_trace(text)
-    assert max(len(piece.encode()) for piece in _trace_pieces(path)) <= 7 + 2 * 40 + 1
+    assert read_trace(path) == mails
+    assert max(len(piece.encode()) for piece in _trace_pieces(path)) <= 7 + 40
 
 
 def _check_line_limit(path, text, size, limit):
     """Under a small limit, the reader reads what the whole-text parser reads,
-    or refuses, at byte N, a line of `limit` bytes or more (its break
-    included) that holds byte N - 1; and no piece holds more than a read
-    and twice the limit, plus one byte."""
+    or refuses, at byte N, a line of `limit` bytes or more (its "\n"
+    included) that holds byte N - 1; and no piece holds more than a read and
+    the limit."""
     sizes = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mail_module, "_READ_PIECE", size)
@@ -510,13 +529,13 @@ def _check_line_limit(path, text, size, limit):
                 sizes.append(len(piece.encode()))
         except ProtocolError:
             pass
-    assert max(sizes, default=0) <= size + 2 * limit + 1
+    assert max(sizes, default=0) <= size + limit
     if got == _outcome(trace_columns_reference, text):
         return
     kind, message = got
     end = int(re.fullmatch(f"trace file .* has a line of {limit} or more bytes at byte (\\d+)",
                            message)[1])
-    lines = [line.encode() for line in text.splitlines(keepends=True)]
+    lines = io.BytesIO(text.encode()).readlines()
     starts = list(accumulate(map(len, lines), initial=0))
     assert len(lines[bisect_right(starts, end - 1) - 1]) >= limit
 
@@ -530,10 +549,10 @@ def test_the_line_limit_refuses_only_a_long_line(tmp_path_factory, text, size, l
 
 
 def test_the_line_limit_at_every_read_and_limit_size(tmp_path):
-    # Every read and limit size puts a multibyte break across the end of a
-    # read and a "\r\n" across the end of a limit; the malformed last line
+    # Every read and limit size puts a multibyte character across the end of
+    # a read and a "\r\n" across the end of a limit; the malformed last line
     # checks that the line numbers hold.
-    text = "0\t1\taddress1\u20281\t2\ta\n2\t3\taddress1\r\n3\t4\ta\u2029\r\n4\tx\ta"
+    text = "0\t1\taddress1\u2028\n1\t2\ta\r\n2\t3\taddress1\u2029\r\n3\t4\ta\x85\n4\tx\ta"
     path = tmp_path / "trace.tsv"
     path.write_bytes(text.encode())
     for size in range(1, len(text.encode()) + 2):
